@@ -57,8 +57,8 @@ def _plain_baseline_plan() -> AccessPlan:
 def _measure(graph, device, plan, compression: bool):
     out = {}
     for variant in Variant:
-        recorder = Recorder(plan, variant, device)
-        mst.run_perf(graph, recorder, seed=7, path_compression=compression)
+        recorder = Recorder(plan, variant, device, seed=7)
+        mst.run_perf(graph, recorder, path_compression=compression)
         out[variant] = (TimingModel(device).estimate_ms(recorder.stats),
                         recorder.stats.atomic_loads)
     speedup = out[Variant.BASELINE][0] / out[Variant.RACE_FREE][0]

@@ -37,8 +37,8 @@ def _speedup(algo_key: str, graph, device, order: MemoryOrder) -> float:
     times = {}
     for variant, plan in ((Variant.BASELINE, base_plan),
                           (Variant.RACE_FREE, ordered_plan)):
-        recorder = Recorder(plan, variant, device)
-        algo.perf_runner(graph, recorder, 7)
+        recorder = Recorder(plan, variant, device, seed=7)
+        algo.perf_runner(graph, recorder)
         times[variant] = TimingModel(device).estimate_ms(recorder.stats)
     return times[Variant.BASELINE] / times[Variant.RACE_FREE]
 

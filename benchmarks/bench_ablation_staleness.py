@@ -33,9 +33,9 @@ def _speedup(graph, device, fraction: float) -> float:
     for variant in Variant:
         reps = []
         for rep in range(REPS):
-            recorder = Recorder(algorithm_plan(algo), variant, device)
-            mis.run_perf(graph, recorder, seed=1000 * rep + 7,
-                         stale_fraction=fraction)
+            recorder = Recorder(algorithm_plan(algo), variant, device,
+                                seed=1000 * rep + 7)
+            mis.run_perf(graph, recorder, stale_fraction=fraction)
             reps.append(TimingModel(device).estimate_ms(recorder.stats))
         times[variant] = median(reps)
     return times[Variant.BASELINE] / times[Variant.RACE_FREE]

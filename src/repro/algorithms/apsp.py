@@ -53,14 +53,14 @@ INF = 1 << 40
 TILE = 64  # the paper's 64x64 subblocks
 
 
-def run_perf(graph, recorder, seed: int = 0) -> dict:
+def run_perf(graph, recorder) -> dict:
     """Blocked Floyd-Warshall with recorded accesses.
 
     Both variants are identical (the plan has no racy site).  Intended
     for small graphs — the distance matrix is dense.
     """
     if not graph.has_weights:
-        graph = graph.with_random_weights(seed=seed)
+        graph = graph.with_random_weights(seed=recorder.repetition_seed())
     n = graph.num_vertices
     dist = np.full((n, n), INF, dtype=np.int64)
     np.fill_diagonal(dist, 0)
@@ -68,7 +68,6 @@ def run_perf(graph, recorder, seed: int = 0) -> dict:
     np.minimum.at(dist, (src, dst), graph.weights)
 
     recorder.touch("dist", 8 * n * n)
-    n_tiles = (n + TILE - 1) // TILE
     for k in range(n):
         # one fused launch per TILE iterations in the real code
         if k % TILE == 0:
@@ -80,7 +79,6 @@ def run_perf(graph, recorder, seed: int = 0) -> dict:
         recorder.store("apsp.dist.write",
                        count=int(np.count_nonzero(improved)))
         np.minimum(dist, relaxed, out=dist)
-    del n_tiles
     return {"dist": dist}
 
 
@@ -201,16 +199,12 @@ def run_simt_shared(graph, scheduler=None,
     return result, ex
 
 
-def _perf_entry(graph, recorder, seed: int = 0) -> dict:
-    return run_perf(graph, recorder, seed)
-
-
 register_algorithm(AlgorithmInfo(
     key="apsp",
     full_name="all-pairs shortest paths (ECL-APSP)",
     directed=False,
     needs_weights=True,
     has_races=False,
-    perf_runner=_perf_entry,
+    perf_runner=run_perf,
     module="repro.algorithms.apsp",
 ))

@@ -43,7 +43,7 @@ ACCESS_PLAN = AccessPlan("cc", (
 # Performance level
 # ----------------------------------------------------------------------
 
-def run_perf(graph, recorder, seed: int = 0) -> dict:
+def run_perf(graph, recorder) -> dict:
     """ECL-CC-profile connected components with recorded accesses.
 
     Mirrors the original's single compute launch: every undirected edge

@@ -60,13 +60,13 @@ def make_priorities(graph, seed: int) -> np.ndarray:
 # Performance level
 # ----------------------------------------------------------------------
 
-def run_perf(graph, recorder, seed: int = 0) -> dict:
+def run_perf(graph, recorder) -> dict:
     """Jones-Plassmann coloring with recorded accesses."""
     n = graph.num_vertices
     m = graph.num_edges
     src = edge_sources(graph)
     dst = graph.col_indices.astype(np.int64)
-    prio = make_priorities(graph, seed)
+    prio = make_priorities(graph, recorder.repetition_seed())
     color = np.full(n, UNCOLORED, dtype=np.int64)
 
     recorder.touch("color", 4 * n)

@@ -73,8 +73,7 @@ def make_priorities(graph, seed: int) -> np.ndarray:
 # Performance level
 # ----------------------------------------------------------------------
 
-def run_perf(graph, recorder, seed: int = 0,
-             stale_fraction: float | None = None) -> dict:
+def run_perf(graph, recorder, stale_fraction: float | None = None) -> dict:
     """Luby MIS with a delayed-visibility baseline.
 
     ``stale_fraction`` overrides :data:`BASELINE_STALE_FRACTION` for
@@ -85,6 +84,7 @@ def run_perf(graph, recorder, seed: int = 0,
     m = graph.num_edges
     src = edge_sources(graph)
     dst = graph.col_indices.astype(np.int64)
+    seed = recorder.repetition_seed()
     prio = make_priorities(graph, seed)
     status = np.full(n, UNDECIDED, dtype=np.int8)
 

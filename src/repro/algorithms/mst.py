@@ -66,12 +66,12 @@ def _unpack_edge(packed: int) -> int:
 # Performance level
 # ----------------------------------------------------------------------
 
-def run_perf(graph, recorder, seed: int = 0,
-             path_compression: bool = True) -> dict:
+def run_perf(graph, recorder, path_compression: bool = True) -> dict:
     """Boruvka MST with recorded accesses.
 
     Both variants compute identical forests; only access pricing
-    differs.  Requires ``graph.weights``.
+    differs.  An unweighted graph gets random weights from the
+    repetition seed; a pre-weighted one leaves the seed unread.
 
     ``path_compression=False`` disables the implicit compression for
     ablation: the finds then re-walk full chains every round, and the
@@ -79,7 +79,7 @@ def run_perf(graph, recorder, seed: int = 0,
     toward CC's regime (Section VI.A's argument, inverted).
     """
     if not graph.has_weights:
-        graph = graph.with_random_weights(seed=seed)
+        graph = graph.with_random_weights(seed=recorder.repetition_seed())
     n = graph.num_vertices
     # canonical undirected edges (one direction)
     src_all = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())

@@ -49,7 +49,7 @@ ACCESS_PLAN = AccessPlan("scc", (
 # Performance level
 # ----------------------------------------------------------------------
 
-def run_perf(graph, recorder, seed: int = 0, trim: bool = False) -> dict:
+def run_perf(graph, recorder, trim: bool = False) -> dict:
     """Max-ID SCC with recorded accesses.
 
     Both variants run the identical computation (max propagation is

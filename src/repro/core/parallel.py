@@ -18,7 +18,8 @@ Each worker process owns a private study configured from the parent's
 fault plan seed) plus a :class:`~repro.perf.trace.TraceCache` pointed
 at the parent's on-disk trace directory when one is configured — that
 shared disk layer is how workers pricing different devices reuse one
-functional execution per staleness class.
+functional execution per staleness class.  A parent that runs uncached
+has uncached workers, so both paths record the same executions.
 
 Knobs: ``Study(jobs=N)`` / ``speedup_table(..., jobs=N)`` /
 ``repro sweep --jobs N``, all defaulting to the ``REPRO_JOBS``
@@ -125,6 +126,9 @@ class WorkerConfig:
     budget: object | None = None
     faults: object | None = None
     trace_dir: str | None = None
+    #: false when the parent study runs uncached (``trace_cache=False``):
+    #: workers then re-record every repetition, as the serial path does
+    trace_cache: bool = True
     #: when true, workers run with telemetry enabled and ship their
     #: metric/span snapshots back as per-task ``telemetry`` records
     telemetry: bool = False
@@ -188,8 +192,9 @@ def _init_worker(config: WorkerConfig) -> None:
     # workers never validate against the parent's retained outputs, so
     # they keep memory lean; the disk layer (when configured) is the
     # channel that shares recordings between workers and sweeps
-    cache = TraceCache(disk_dir=config.trace_dir,
-                       retain_outputs=config.validate)
+    cache = (TraceCache(disk_dir=config.trace_dir,
+                        retain_outputs=config.validate)
+             if config.trace_cache else False)
     if config.resilient:
         _WORKER_STUDY = ResilientStudy(
             reps=config.reps, scale=config.scale, validate=config.validate,

@@ -35,7 +35,7 @@ import signal
 import threading
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -502,21 +502,10 @@ class ResilientStudy(Study):
         return key in self._results or key in self._failures
 
     def _worker_config(self):
-        from repro.core.parallel import WorkerConfig
-
-        trace_dir = (str(self.trace_cache.disk_dir)
-                     if self.trace_cache is not None
-                     and self.trace_cache.disk_dir is not None else None)
-        from repro.core import hostfaults
-        from repro.telemetry.metrics import telemetry_enabled
-
-        return WorkerConfig(resilient=True, reps=self.reps,
-                            scale=self.scale, validate=self.validate,
-                            retries=self.retries, backoff_s=self.backoff_s,
-                            budget=self.budget, faults=self.faults,
-                            trace_dir=trace_dir,
-                            telemetry=telemetry_enabled(),
-                            hostfaults=hostfaults.active_plan())
+        return replace(
+            super()._worker_config(), resilient=True,
+            retries=self.retries, backoff_s=self.backoff_s,
+            budget=self.budget, faults=self.faults)
 
     def _merge_parallel_record(self, record: dict) -> None:
         if record.get("kind") == "telemetry":

@@ -292,6 +292,7 @@ class Study:
         return WorkerConfig(resilient=False, reps=self.reps,
                             scale=self.scale, validate=self.validate,
                             trace_dir=trace_dir,
+                            trace_cache=self.trace_cache is not None,
                             telemetry=telemetry_enabled(),
                             hostfaults=hostfaults.active_plan())
 

@@ -21,9 +21,15 @@ class Variant(enum.Enum):
 class AlgorithmInfo:
     """Registry entry for one of the six studied codes.
 
-    ``perf_runner(graph, device, variant, seed)`` returns a
-    :class:`repro.perf.engine.PerfRun`; the SIMT kernels are reachable
-    through the algorithm's module for race checking on small inputs.
+    ``perf_runner(graph, recorder, **options)`` runs the vectorized
+    algorithm against a :class:`repro.perf.engine.Recorder` and returns
+    its output arrays (a dict of name to array).  It reads the
+    repetition seed only through ``recorder.repetition_seed()`` and the
+    staleness constant only through ``recorder.visibility_delay()``, so
+    the recorder knows which of the two the trace depends on.
+    ``options`` are per-algorithm ablation knobs with defaults (e.g.
+    SCC's ``trim``).  The SIMT kernels are reachable through the
+    algorithm's module for race checking on small inputs.
     """
 
     key: str

@@ -96,8 +96,8 @@ def migration_path(algorithm_key: str, graph, device: DeviceSpec,
         raise StudyError(f"{algorithm_key} has no races to migrate away")
 
     def runtime(p: AccessPlan) -> float:
-        recorder = Recorder(p, Variant.BASELINE, device)
-        algo.perf_runner(graph, recorder, seed)
+        recorder = Recorder(p, Variant.BASELINE, device, seed=seed)
+        algo.perf_runner(graph, recorder)
         return TimingModel(device).estimate_ms(recorder.stats)
 
     converted: list[str] = []

@@ -13,11 +13,12 @@ access to *shared* data goes through a :class:`Recorder`, which
 
 ``run_algorithm`` is the single entry point the study framework uses.
 It is internally split into **record** (:func:`record_trace` — run the
-vectorized algorithm once per staleness class) and **replay**
-(:func:`replay_trace` — price a cached trace for a device), with an
-optional :class:`~repro.perf.trace.TraceCache` so a multi-device sweep
-executes each configuration's functional work once instead of once per
-device.
+vectorized algorithm once per staleness class and seed it consumed)
+and **replay** (:func:`replay_trace` — price a cached trace for a
+device and repetition), with an optional
+:class:`~repro.perf.trace.TraceCache` so a multi-device,
+multi-repetition sweep executes each configuration's functional work
+once instead of once per device and repetition.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.gpu.timing import AccessStats, TimingModel
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
 from repro.telemetry.spans import get_spans
 from repro.perf.trace import (
+    ANY_SEED,
     ANY_STALENESS,
     Trace,
     output_fingerprint,
@@ -68,11 +70,19 @@ class Recorder:
     cache can replay one execution on every device that shares the
     constant.  Pass either a full :class:`DeviceSpec` (the constant is
     taken from it) or ``staleness_rounds`` directly (the record path).
+
+    ``seed`` is the repetition's randomization seed.  Runners read it
+    only through :meth:`repetition_seed`, and both parameters are
+    tracked the same way: an execution that never consumes one is
+    identical for every value of it, so its trace is keyed with the
+    matching wildcard (:data:`~repro.perf.trace.ANY_STALENESS`,
+    :data:`~repro.perf.trace.ANY_SEED`).
     """
 
     def __init__(self, plan: AccessPlan, variant: Variant,
                  device: DeviceSpec | None = None, *,
-                 staleness_rounds: int | None = None) -> None:
+                 staleness_rounds: int | None = None,
+                 seed: int = 0) -> None:
         self.plan = plan
         self.variant = variant
         self.device = device
@@ -84,6 +94,10 @@ class Recorder:
         #: set when an execution actually consumes the constant; traces
         #: that never do are valid for every staleness class
         self.staleness_consulted = False
+        self._seed = int(seed)
+        #: set when an execution actually reads the seed; traces that
+        #: never do are valid for every repetition
+        self.seed_consulted = False
         self.stats = AccessStats()
         self._footprints: dict[str, float] = {}
 
@@ -207,6 +221,12 @@ class Recorder:
         self.staleness_consulted = True
         return self.staleness_rounds
 
+    def repetition_seed(self) -> int:
+        """Consume the repetition seed (marks the recording as
+        seed-dependent; see :data:`~repro.perf.trace.ANY_SEED`)."""
+        self.seed_consulted = True
+        return self._seed
+
 
 #: scratch-vector bucket layout of :class:`BatchedRecorder`
 _BUCKETS = (
@@ -240,9 +260,10 @@ class BatchedRecorder(Recorder):
 
     def __init__(self, plan: AccessPlan, variant: Variant,
                  device: DeviceSpec | None = None, *,
-                 staleness_rounds: int | None = None) -> None:
+                 staleness_rounds: int | None = None,
+                 seed: int = 0) -> None:
         super().__init__(plan, variant, device,
-                         staleness_rounds=staleness_rounds)
+                         staleness_rounds=staleness_rounds, seed=seed)
         self._scratch = np.zeros(len(_BUCKETS))
         self._resolved: dict[str, tuple[AccessKind, float]] = {}
         self._effective_plan = plan_for(self.plan, self.variant)
@@ -357,7 +378,7 @@ class BatchedRecorder(Recorder):
 
 def make_recorder(plan: AccessPlan, variant: Variant,
                   device: DeviceSpec | None = None, *,
-                  staleness_rounds: int | None = None,
+                  staleness_rounds: int | None = None, seed: int = 0,
                   engine: str | None = None) -> Recorder:
     """Build the recorder for the selected execution tier.
 
@@ -366,7 +387,8 @@ def make_recorder(plan: AccessPlan, variant: Variant,
     recorders produce byte-identical :class:`AccessStats`.
     """
     cls = BatchedRecorder if tiers.recorder_batch_enabled(engine) else Recorder
-    return cls(plan, variant, device, staleness_rounds=staleness_rounds)
+    return cls(plan, variant, device, staleness_rounds=staleness_rounds,
+               seed=seed)
 
 
 #: relative sigma of the run-to-run noise model (the paper reports a
@@ -401,29 +423,33 @@ def record_trace(algorithm, graph, variant: Variant, seed: int,
     """Run the functional execution once and capture its trace.
 
     This is the expensive half of the record/replay split: it executes
-    ``perf_runner`` (the full vectorized algorithm) under a
-    :class:`Recorder` parameterized only by the staleness class, and
-    returns the :class:`~repro.perf.trace.Trace` that
-    :func:`replay_trace` can price for *any* device sharing that
-    staleness constant.
+    ``perf_runner(graph, recorder)`` (the full vectorized algorithm)
+    under a :class:`Recorder` holding the staleness class and the
+    repetition seed, and returns the :class:`~repro.perf.trace.Trace`
+    that :func:`replay_trace` can price for *any* device sharing that
+    staleness constant.  A parameter the runner never consumed is keyed
+    with its wildcard (:data:`~repro.perf.trace.ANY_STALENESS`,
+    :data:`~repro.perf.trace.ANY_SEED`), so the one recording serves
+    every device class, or every repetition, it is identical for.
 
     ``engine`` picks the recorder tier (see :func:`make_recorder`);
     the recorded stats are byte-identical either way.
     """
+    if seed == ANY_SEED:
+        raise StudyError(f"seed {ANY_SEED} is reserved for the ANY_SEED "
+                         "wildcard")
     if plan is None:
         plan = algorithm_plan(algorithm)
     recorder = make_recorder(plan, variant,
-                             staleness_rounds=staleness_rounds,
+                             staleness_rounds=staleness_rounds, seed=seed,
                              engine=engine)
     with get_spans().span("perf.record", algorithm=algorithm.key,
                           variant=variant.value, seed=seed):
-        output = algorithm.perf_runner(graph, recorder, seed)
+        output = algorithm.perf_runner(graph, recorder)
     return Trace(
         algorithm=algorithm.key,
         variant=variant,
-        seed=seed,
-        # a recording that never consumed the constant is valid for
-        # every staleness class: key it with the wildcard
+        seed=int(seed) if recorder.seed_consulted else ANY_SEED,
         staleness_rounds=(int(staleness_rounds)
                           if recorder.staleness_consulted
                           else ANY_STALENESS),
@@ -435,15 +461,18 @@ def record_trace(algorithm, graph, variant: Variant, seed: int,
     )
 
 
-def replay_trace(trace: Trace, device: DeviceSpec) -> float:
-    """Price a recorded trace for one device (microseconds of work).
+def replay_trace(trace: Trace, device: DeviceSpec, seed: int) -> float:
+    """Price a recorded trace for one device and repetition (ms).
 
     Bit-identical to what the direct engine computes for the same
     (algorithm, graph, variant, seed) on ``device``: the same
     :class:`~repro.gpu.timing.TimingModel` call on the same stats,
-    scaled by the same seeded noise factor.
+    scaled by the noise factor of the repetition ``seed``.  The noise
+    is drawn from ``seed``, never from ``trace.seed``, which is
+    :data:`~repro.perf.trace.ANY_SEED` for a recording that serves
+    every repetition.
     """
-    noise = noise_multiplier(trace.algorithm, trace.variant, trace.seed)
+    noise = noise_multiplier(trace.algorithm, trace.variant, seed)
     return TimingModel(device).estimate_ms(trace.stats) * noise
 
 
@@ -453,7 +482,7 @@ def run_algorithm(algorithm, graph, device: DeviceSpec, variant: Variant,
     """Run one (algorithm, input, device, variant) configuration.
 
     ``algorithm`` is an :class:`~repro.core.variants.AlgorithmInfo`;
-    its ``perf_runner(graph, recorder, seed)`` does the work and returns
+    its ``perf_runner(graph, recorder)`` does the work and returns
     the output arrays.  The runtime is then priced by the timing model,
     plus a small seeded noise term standing in for hardware run-to-run
     variance.
@@ -463,7 +492,9 @@ def run_algorithm(algorithm, graph, device: DeviceSpec, variant: Variant,
     for this (algorithm, graph, variant, seed, staleness-class), the
     functional execution is skipped entirely and the cached stats are
     re-priced for ``device`` — bit-identical to the direct path,
-    microseconds instead of a full numpy execution.  ``need_output``
+    microseconds instead of a full numpy execution.  The lookup also
+    probes the seed and staleness wildcards, so one recording that
+    never read a parameter serves every value of it.  ``need_output``
     forces a fresh recording when the cached trace carries no output
     arrays (disk-loaded traces never do); callers that validate
     outputs must set it.  Replayed runs may therefore have
@@ -503,7 +534,7 @@ def run_algorithm(algorithm, graph, device: DeviceSpec, variant: Variant,
         # plans are exercised and validated against its exact behavior
         trace = record_trace(algorithm, graph, variant, seed, staleness,
                              plan=plan, engine=tiers.ENGINE_INTERP)
-        runtime = replay_trace(trace, device)
+        runtime = replay_trace(trace, device, seed)
         runtime = faults.perf_finish(trace.output, runtime)
         return _perf_run(algorithm, variant, device, trace, runtime,
                          input_name=graph.name, source="fault")
@@ -513,24 +544,28 @@ def run_algorithm(algorithm, graph, device: DeviceSpec, variant: Variant,
     if trace_cache is not None:
         graph_fp = graph.fingerprint()
         plan_fp = plan_fingerprint(plan)
-        key = trace_key(algorithm.key, graph_fp, variant, seed,
-                        staleness, plan_fp)
-        trace = trace_cache.lookup(key, need_output=need_output)
-        if trace is None:
-            # staleness-independent recordings live under the wildcard
+        # most general first: a recording that consumed neither the seed
+        # nor the constant (cc, scc, pre-weighted mst) hits on the first
+        # probe.  Any hit is valid, because an execution that never read
+        # a parameter is identical for every value of it.
+        for probe_seed, probe_staleness in ((ANY_SEED, ANY_STALENESS),
+                                            (seed, ANY_STALENESS),
+                                            (seed, staleness),
+                                            (ANY_SEED, staleness)):
             trace = trace_cache.lookup(
-                trace_key(algorithm.key, graph_fp, variant, seed,
-                          ANY_STALENESS, plan_fp),
+                trace_key(algorithm.key, graph_fp, variant, probe_seed,
+                          probe_staleness, plan_fp),
                 need_output=need_output)
-        if trace is not None:
-            source = "replay"
+            if trace is not None:
+                source = "replay"
+                break
     if trace is None:
         trace = record_trace(algorithm, graph, variant, seed, staleness,
                              plan=plan)
         if trace_cache is not None:
             trace_cache.store(trace)
     return _perf_run(algorithm, variant, device, trace,
-                     replay_trace(trace, device),
+                     replay_trace(trace, device, seed),
                      input_name=graph.name, source=source)
 
 

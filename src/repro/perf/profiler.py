@@ -54,8 +54,8 @@ class SiteTraffic:
 class ProfilingRecorder(Recorder):
     """A :class:`Recorder` that additionally tallies traffic per site."""
 
-    def __init__(self, plan, variant, device) -> None:
-        super().__init__(plan, variant, device)
+    def __init__(self, plan, variant, device, seed: int = 0) -> None:
+        super().__init__(plan, variant, device, seed=seed)
         self.sites: dict[str, SiteTraffic] = {}
 
     def _traffic(self, name: str) -> SiteTraffic:
@@ -109,8 +109,8 @@ def profile_run(algorithm: AlgorithmInfo, graph, device: DeviceSpec,
     with get_spans().span("perf.profile", algorithm=algorithm.key,
                           variant=variant.value):
         recorder = ProfilingRecorder(algorithm_plan(algorithm), variant,
-                                     device)
-        algorithm.perf_runner(graph, recorder, seed)
+                                     device, seed=seed)
+        algorithm.perf_runner(graph, recorder)
         runtime = TimingModel(device).estimate_ms(recorder.stats)
     profile = RunProfile(algorithm.key, variant, device, recorder.sites,
                          recorder.stats, runtime)

@@ -1,16 +1,18 @@
 """Trace record/replay: run the functional execution once, price it
-per device.
+per device and repetition.
 
 The recorded access trace of a performance-level run depends on the
 device only through ``plain_staleness_rounds`` (the register-caching
-visibility constant), and the run-to-run noise term is seeded by
-(seed, algorithm, variant) alone.  Everything *else* the device
-contributes — cache geometry, atomic penalties, clock — enters only
-when the :class:`~repro.gpu.timing.TimingModel` prices the recorded
-:class:`~repro.gpu.timing.AccessStats`.  So a sweep over four devices
-need not execute the vectorized algorithm four times: devices sharing
-a staleness constant replay one cached trace, and pricing a trace costs
-microseconds instead of a full numpy execution.
+visibility constant), and on the repetition only through its seed —
+which most runners never read.  The run-to-run noise term is seeded by
+(seed, algorithm, variant) alone and drawn at replay.  Everything
+*else* the device contributes — cache geometry, atomic penalties,
+clock — enters only when the :class:`~repro.gpu.timing.TimingModel`
+prices the recorded :class:`~repro.gpu.timing.AccessStats`.  So a sweep
+over four devices and nine repetitions need not execute the vectorized
+algorithm 36 times: devices sharing a staleness constant and
+repetitions whose seed the runner ignores replay one cached trace, and
+pricing a trace costs microseconds instead of a full numpy execution.
 
 This module holds the cache; the record/replay entry points live in
 :mod:`repro.perf.engine` (``record_trace`` / ``replay_trace``), which
@@ -20,9 +22,15 @@ Cache key
 ---------
 
 ``(algorithm, graph fingerprint, variant, seed, staleness rounds,
-access-plan fingerprint)``.  The graph fingerprint covers structure and
-weights, so a rescaled suite input or a different weight seed can never
-alias a cached trace; the plan fingerprint covers every access site's
+access-plan fingerprint)``.  The seed is :data:`ANY_SEED` and the
+staleness rounds :data:`ANY_STALENESS` for a recording that never
+consumed that parameter; lookups probe the wildcards most general
+first — ``(ANY_SEED, ANY_STALENESS)``, ``(seed, ANY_STALENESS)``,
+``(seed, staleness)``, ``(ANY_SEED, staleness)``.  Exact-seed files
+written before the seed wildcard existed still answer the ``(seed,
+...)`` probes.  The graph fingerprint covers structure and weights, so
+a rescaled suite input or a different weight seed can never alias a
+cached trace; the plan fingerprint covers every access site's
 kind/order/width, so editing an algorithm's ``ACCESS_PLAN`` invalidates
 its traces (including any persisted by an older build).
 
@@ -74,6 +82,16 @@ The recorder tracks consumption, and :func:`~repro.perf.engine
 .record_trace` keys unconsuming recordings with this wildcard so one
 functional execution serves the whole device table."""
 
+ANY_SEED = -1
+"""Wildcard seed for recordings that never consumed the repetition seed.
+
+The runners of cc, scc and mst on a pre-weighted graph never read the
+seed, so every repetition of them executes identically; only the noise
+factor drawn at replay differs.  :func:`~repro.perf.engine.record_trace`
+keys such recordings with this wildcard so one functional execution
+serves every repetition, and rejects it as a real seed so no
+seed-consuming recording can carry it."""
+
 
 @dataclass
 class Trace:
@@ -81,6 +99,8 @@ class Trace:
 
     algorithm: str
     variant: Variant
+    #: :data:`ANY_SEED` / :data:`ANY_STALENESS` when the recording
+    #: never consumed the parameter
     seed: int
     staleness_rounds: int
     graph_fp: str

@@ -2,10 +2,11 @@
 
 Each accepted fix-set becomes a candidate :class:`AccessPlan` (via
 :func:`repro.core.transform.with_site_kinds`); the performance level
-records one trace per staleness class on the target's perf graph and
-replays it for every requested device — the record/replay split of
-:mod:`repro.perf.engine`, so a four-device table costs at most two
-functional executions per candidate.
+records one trace per staleness class it consumes on the target's perf
+graph and replays it for every requested device — the record/replay
+split of :mod:`repro.perf.engine`, so a four-device table costs one
+functional execution per candidate, or two when the plan reads the
+staleness constant (baseline MIS).
 
 The emitted table is shaped like the paper's Tables IV-VII: per-device
 runtime ratios of the fixed code vs the racy baseline and vs the
@@ -23,6 +24,7 @@ from repro.core.transform import plan_for, with_site_kinds
 from repro.core.variants import Variant, get_algorithm
 from repro.gpu.device import DEVICE_ORDER, get_device
 from repro.perf.engine import record_trace, replay_trace
+from repro.perf.trace import ANY_STALENESS
 from repro.repair.verify import CandidateVerdict
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
 
@@ -68,18 +70,21 @@ def _price_plan(algorithm, graph, variant: Variant, seed: int,
                 devices, plan=None) -> dict[str, float]:
     """Per-device runtimes of one plan, via record/replay.
 
-    Traces are keyed by the device's staleness class, so devices
-    sharing a class share one functional execution.
+    Traces are keyed by the staleness class they consumed, so devices
+    sharing a class share one functional execution, and a recording
+    keyed ``ANY_STALENESS`` serves every device.
     """
     runtimes: dict[str, float] = {}
     traces: dict[int, object] = {}
     for key in devices:
         device = get_device(key)
         staleness = device.plain_staleness_rounds
-        if staleness not in traces:
-            traces[staleness] = record_trace(
-                algorithm, graph, variant, seed, staleness, plan=plan)
-        runtimes[key] = replay_trace(traces[staleness], device)
+        trace = traces.get(ANY_STALENESS, traces.get(staleness))
+        if trace is None:
+            trace = record_trace(algorithm, graph, variant, seed, staleness,
+                                 plan=plan)
+            traces[trace.staleness_rounds] = trace
+        runtimes[key] = replay_trace(trace, device, seed)
     return runtimes
 
 

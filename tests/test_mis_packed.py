@@ -82,8 +82,9 @@ class TestAblationHooks:
         algo = get_algorithm("mis")
         times = {}
         for variant in Variant:
-            recorder = Recorder(algorithm_plan(algo), variant, device)
-            mis.run_perf(small_graph, recorder, seed=7, stale_fraction=0.0)
+            recorder = Recorder(algorithm_plan(algo), variant, device,
+                                seed=7)
+            mis.run_perf(small_graph, recorder, stale_fraction=0.0)
             times[variant] = TimingModel(device).estimate_ms(recorder.stats)
         # without the visibility mechanism the race-free variant pays
         # the atomic extra and cannot win
@@ -98,7 +99,8 @@ class TestAblationHooks:
         algo = get_algorithm("mis")
         rounds = {}
         for variant in Variant:
-            recorder = Recorder(algorithm_plan(algo), variant, device)
-            mis.run_perf(small_graph, recorder, seed=7, stale_fraction=0.0)
+            recorder = Recorder(algorithm_plan(algo), variant, device,
+                                seed=7)
+            mis.run_perf(small_graph, recorder, stale_fraction=0.0)
             rounds[variant] = recorder.stats.rounds
         assert rounds[Variant.BASELINE] == rounds[Variant.RACE_FREE]

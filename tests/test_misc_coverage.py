@@ -159,8 +159,8 @@ class TestStudyInputHandling:
 
         real = variants_mod.get_algorithm("cc")
 
-        def corrupted(graph, recorder, seed=0):
-            out = real.perf_runner(graph, recorder, seed)
+        def corrupted(graph, recorder, **options):
+            out = real.perf_runner(graph, recorder, **options)
             out["labels"] = np.zeros_like(out["labels"])
             return out
 

@@ -143,7 +143,7 @@ class TestPartialConversion:
 
         def run_with(p, variant):
             rec = ProfilingRecorder(p, variant, device)
-            cc_mod.run_perf(graph, rec, 7)
+            cc_mod.run_perf(graph, rec)
             return TimingModel(device).estimate_ms(rec.stats)
 
         base_ms = run_with(plan, Variant.BASELINE)

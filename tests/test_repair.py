@@ -281,3 +281,37 @@ class TestTargets:
         handles = prog.setup(mem)
         prog.execute(SimtExecutor(mem), handles)
         prog.invariant(mem, handles)  # check_mst on the stashed mask
+
+
+class TestRankPricing:
+    @pytest.mark.parametrize("algo_key,variant,records", [
+        ("cc", Variant.BASELINE, 1), ("cc", Variant.RACE_FREE, 1),
+        ("mis", Variant.RACE_FREE, 1), ("mis", Variant.BASELINE, 2),
+    ])
+    def test_records_once_per_consumed_staleness_class(
+            self, monkeypatch, algo_key, variant, records):
+        """A recording keyed ANY_STALENESS prices all four devices; only
+        baseline MIS, which reads the constant, records per class.  The
+        replayed runtimes equal the direct engine's."""
+        from repro.core.variants import get_algorithm
+        from repro.gpu.device import DEVICE_ORDER, get_device
+        from repro.graphs import generators as gen
+        from repro.perf.engine import run_algorithm
+        from repro.repair import rank
+
+        calls = []
+        real = rank.record_trace
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rank, "record_trace", counting)
+        algo = get_algorithm(algo_key)
+        graph = gen.random_uniform(48, 3.0, seed=3)
+        runtimes = rank._price_plan(algo, graph, variant, 0, DEVICE_ORDER)
+        assert len(calls) == records
+        assert runtimes == {
+            key: run_algorithm(algo, graph, get_device(key), variant,
+                               seed=0).runtime_ms
+            for key in DEVICE_ORDER}

@@ -17,7 +17,7 @@ def run_scc(graph, trim: bool, variant=Variant.BASELINE):
     device = get_device("titanv")
     algo = get_algorithm("scc")
     recorder = Recorder(algorithm_plan(algo), variant, device)
-    out = scc.run_perf(graph, recorder, seed=7, trim=trim)
+    out = scc.run_perf(graph, recorder, trim=trim)
     return out, recorder.stats, TimingModel(device).estimate_ms(recorder.stats)
 
 

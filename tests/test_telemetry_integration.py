@@ -145,13 +145,13 @@ def test_atomic_bypass_counts_rise_in_race_free_cc():
 # ----------------------------------------------------------------------
 def test_record_replay_source_counter(tmp_path):
     # replay happens when a second study prices the same configuration
-    # from the shared disk layer (each rep has its own seed, so one
+    # from the shared disk layer (gc reads each rep's own seed, so one
     # study's reps all record)
     with telemetry.session() as (registry, _spans):
         first = Study(reps=2, trace_cache=str(tmp_path / "tc"))
-        first.run("cc", "internet", "titanv", Variant.BASELINE)
+        first.run("gc", "internet", "titanv", Variant.BASELINE)
         second = Study(reps=2, trace_cache=str(tmp_path / "tc"))
-        second.run("cc", "internet", "titanv", Variant.BASELINE)
+        second.run("gc", "internet", "titanv", Variant.BASELINE)
         fam = registry.get("repro_perf_trace_source_total")
         assert fam.value("record") == 2
         assert fam.value("replay") == 2

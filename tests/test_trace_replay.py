@@ -2,8 +2,9 @@
 
 The contract under test: replaying a recorded trace for a device is
 bit-identical to running the direct engine for that device, one
-recording serves every device of its staleness class, and the cache
-key invalidates on any input that could change the trace.
+recording serves every device of its staleness class and every
+repetition whose seed it never read, and the cache key invalidates on
+any input that could change the trace.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import pytest
 
 from repro.core.transform import AccessPlan, AccessSite
 from repro.core.variants import Variant, get_algorithm, list_algorithms
+from repro.errors import StudyError
 from repro.gpu.accesses import AccessKind
 from repro.gpu.device import DEVICE_ORDER, PAPER_GPUS, get_device
 from repro.gpu.faults import FaultPlan
 from repro.graphs import generators as gen
-from repro.perf.engine import noise_multiplier, run_algorithm
-from repro.perf.trace import TraceCache, plan_fingerprint
+from repro.perf.engine import noise_multiplier, record_trace, run_algorithm
+from repro.perf.trace import ANY_SEED, TraceCache, plan_fingerprint
 from repro.perf.trace import stable_config_hash
 
 
@@ -41,27 +43,35 @@ def _graph_for(algo):
 
 ALGO_VARIANTS = [(a.key, v) for a in list_algorithms() for v in Variant]
 
+#: the first three repetition seeds of a Study
+SEEDS = (7, 1007, 2007)
+
 
 class TestReplayEquivalence:
     @pytest.mark.parametrize("algo_key,variant", ALGO_VARIANTS)
     def test_replay_bit_identical_to_direct_on_every_device(
             self, algo_key, variant):
         """The cached-trace path must reproduce the direct engine's
-        runtime, rounds, and outputs exactly, for all four devices."""
+        runtime, rounds, and outputs exactly, for all four devices and
+        every repetition seed — including seeds replayed from an
+        ``ANY_SEED`` recording made under another seed."""
         algo = get_algorithm(algo_key)
         graph = _graph_for(algo)
         cache = TraceCache()
-        for dev in DEVICE_ORDER:
-            spec = get_device(dev)
-            direct = run_algorithm(algo, graph, spec, variant, seed=7,
-                                   trace_cache=None)
-            cached = run_algorithm(algo, graph, spec, variant, seed=7,
-                                   trace_cache=cache)
-            assert cached.runtime_ms == direct.runtime_ms, dev
-            assert cached.rounds == direct.rounds, dev
-            for name in direct.output:
-                assert np.array_equal(np.asarray(cached.output[name]),
-                                      np.asarray(direct.output[name])), dev
+        for seed in SEEDS:
+            for dev in DEVICE_ORDER:
+                spec = get_device(dev)
+                direct = run_algorithm(algo, graph, spec, variant,
+                                       seed=seed, trace_cache=None)
+                cached = run_algorithm(algo, graph, spec, variant,
+                                       seed=seed, trace_cache=cache)
+                where = (seed, dev)
+                assert cached.runtime_ms == direct.runtime_ms, where
+                assert cached.rounds == direct.rounds, where
+                for name in direct.output:
+                    assert np.array_equal(
+                        np.asarray(cached.output[name]),
+                        np.asarray(direct.output[name])), where
 
     def test_staleness_dependent_records_once_per_class(self):
         """Baseline MIS consumes the staleness constant, so the four
@@ -96,6 +106,84 @@ class TestReplayEquivalence:
                           seed=5, trace_cache=cache)
         assert cache.recorded == 1
         assert cache.memory_hits == len(DEVICE_ORDER) - 1
+
+
+class TestSeedWildcard:
+    @pytest.mark.parametrize("algo_key,variant", [
+        (key, v) for key in ("cc", "scc", "mst") for v in Variant])
+    def test_seed_free_records_once_across_seeds_and_devices(
+            self, algo_key, variant):
+        """cc, scc and pre-weighted mst never read the repetition seed:
+        one recording serves three seeds on all four devices."""
+        algo = get_algorithm(algo_key)
+        graph = _graph_for(algo)
+        assert graph.has_weights or not algo.needs_weights
+        cache = TraceCache()
+        for seed in SEEDS:
+            for dev in DEVICE_ORDER:
+                run_algorithm(algo, graph, get_device(dev), variant,
+                              seed=seed, trace_cache=cache)
+        assert cache.recorded == 1
+
+    @pytest.mark.parametrize("algo_key,variant,classes", [
+        ("gc", Variant.BASELINE, 1), ("gc", Variant.RACE_FREE, 1),
+        ("mis", Variant.BASELINE, 2), ("mis", Variant.RACE_FREE, 1),
+        ("mst", Variant.BASELINE, 1), ("mst", Variant.RACE_FREE, 1),
+    ])
+    def test_seeded_records_once_per_seed(self, algo_key, variant,
+                                          classes):
+        """gc and mis draw priorities from the seed, and mst on an
+        unweighted graph draws its weights from it: every seed records
+        (once per staleness class it consumes)."""
+        algo = get_algorithm(algo_key)
+        graph = gen.random_uniform(48, 3.0, seed=3)
+        cache = TraceCache()
+        for seed in SEEDS:
+            for dev in DEVICE_ORDER:
+                run_algorithm(algo, graph, get_device(dev), variant,
+                              seed=seed, trace_cache=cache)
+        assert cache.recorded == len(SEEDS) * classes
+
+    def test_any_seed_trace_is_a_disk_hit(self, tmp_path):
+        algo = get_algorithm("cc")
+        graph = _graph_for(algo)
+        spec = get_device("titanv")
+        run_algorithm(algo, graph, spec, Variant.BASELINE, seed=7,
+                      trace_cache=TraceCache(disk_dir=tmp_path))
+        fresh = TraceCache(disk_dir=tmp_path)
+        replayed = run_algorithm(algo, graph, spec, Variant.BASELINE,
+                                 seed=1007, trace_cache=fresh,
+                                 need_output=False)
+        assert fresh.recorded == 0
+        assert fresh.disk_hits == 1
+        direct = run_algorithm(algo, graph, spec, Variant.BASELINE,
+                               seed=1007, trace_cache=None)
+        assert replayed.runtime_ms == direct.runtime_ms
+
+    @pytest.mark.parametrize("algo_key,variant", ALGO_VARIANTS)
+    def test_unconsumed_seed_means_identical_execution(self, algo_key,
+                                                       variant):
+        """Differential guard on the wildcard's premise: a runner that
+        reports the seed unconsumed must record the same stats and
+        output under any other seed (a runner drawing randomness
+        behind the recorder's back would fail here)."""
+        algo = get_algorithm(algo_key)
+        graph = _graph_for(algo)
+        first = record_trace(algo, graph, variant, SEEDS[0], 2)
+        if first.seed != ANY_SEED:
+            assert first.seed == SEEDS[0]
+            return
+        for seed in SEEDS[1:]:
+            again = record_trace(algo, graph, variant, seed, 2)
+            assert again.seed == ANY_SEED
+            assert again.stats == first.stats, seed
+            assert again.output_fp == first.output_fp, seed
+
+    def test_wildcard_is_not_a_real_seed(self):
+        algo = get_algorithm("cc")
+        with pytest.raises(StudyError, match="reserved"):
+            record_trace(algo, _graph_for(algo), Variant.BASELINE,
+                         ANY_SEED, 2)
 
 
 class TestTraceCache:
@@ -171,9 +259,10 @@ class TestTraceCache:
 class TestPrune:
     def _fill(self, tmp_path, n: int) -> TraceCache:
         """Record n distinct traces into a disk-backed cache with
-        strictly increasing mtimes (oldest = lowest seed)."""
+        strictly increasing mtimes (oldest = lowest seed).  gc reads
+        its seed, so every seed is its own recording."""
         cache = TraceCache(disk_dir=tmp_path)
-        algo = get_algorithm("cc")
+        algo = get_algorithm("gc")
         graph = _graph_for(algo)
         spec = get_device("titanv")
         for seed in range(n):
