@@ -238,29 +238,12 @@ def _run_task(task: CellTask, generation: int = 0) -> list[dict]:
             out = study.run_cell(task.algorithm, task.graph_or_name,
                                  task.device, variant)
             if isinstance(out, CellFailure):
-                records.append({
-                    "kind": "failure",
-                    "algorithm": out.algorithm,
-                    "input": out.input_name,
-                    "device": out.device_key,
-                    "variant": out.variant,
-                    "reason": out.reason,
-                    "message": out.message,
-                    "attempts": out.attempts,
-                    "elapsed_s": out.elapsed_s,
-                })
+                records.append({"kind": "failure", **out.to_record()})
                 continue
         else:
             out = study.run(task.algorithm, task.graph_or_name,
                             task.device, variant)
-        records.append({
-            "kind": "result",
-            "algorithm": out.algorithm,
-            "input": out.input_name,
-            "device": out.device_key,
-            "variant": out.variant.value,
-            "runtimes_ms": list(out.runtimes_ms),
-        })
+        records.append({"kind": "result", **out.to_record()})
     _append_telemetry_record(records)
     return records
 
@@ -318,6 +301,29 @@ def _count_respawn() -> None:
                     scope=SCOPE_PROCESS).inc(1)
 
 
+def _preload_task_modules(tasks: list[CellTask]) -> None:
+    """Import in the parent what every worker's first task would.
+
+    Forked workers start from the parent's modules, and a parent that
+    never runs a task itself would leave each worker of each pool to
+    import the task algorithms' modules, ``numpy.random`` (first seeded
+    generator) and ``numpy.ma`` (first ``np.unique``) on its own.  A
+    name that does not resolve is skipped, so the worker still raises
+    on it and the error names the cell.
+    """
+    import numpy.ma  # noqa: F401
+    import numpy.random  # noqa: F401
+
+    from repro.core.variants import get_algorithm
+    from repro.perf.engine import algorithm_plan
+
+    for name in dict.fromkeys(task.algorithm for task in tasks):
+        try:
+            algorithm_plan(get_algorithm(name))
+        except StudyError:
+            continue
+
+
 def execute_tasks(config: WorkerConfig, tasks: list[CellTask], jobs: int,
                   merge: Callable[[dict], None],
                   respawn_budget: int | None = None,
@@ -355,10 +361,13 @@ def execute_tasks(config: WorkerConfig, tasks: list[CellTask], jobs: int,
         return
     budget = _resolve_respawns(respawn_budget)
     deadline = _resolve_deadline(task_deadline_s)
-    # fork inherits warm module state (algorithm registry, suite graph
-    # cache) where available; fall back to the platform default
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else None)
+    # fork inherits warm module state (algorithm registry, the task
+    # modules preloaded here) where available; fall back to the
+    # platform default
+    fork = "fork" in mp.get_all_start_methods()
+    ctx = mp.get_context("fork" if fork else None)
+    if fork:
+        _preload_task_modules(tasks)
 
     staged: dict[int, list[dict]] = {}
     flushed = [0]

@@ -75,6 +75,36 @@ def checkpoint_crc(payload: dict) -> int:
     return zlib.crc32(json.dumps(body, sort_keys=True).encode())
 
 
+def _render_records(cache: dict, outcomes: dict) -> dict:
+    """Each outcome's checkpoint rendering, keyed like ``outcomes``.
+
+    An entry is ``(outcome, indented, canonical)``: the record's
+    ``json.dumps(indent=1)`` text as it sits two levels deep in the
+    file, and its ``sort_keys`` text for :func:`checkpoint_crc`.
+    Entries of ``cache`` are reused while the same object sits under
+    the same key; anything else is rendered afresh.  A JSON string
+    never holds a raw newline, so re-indenting every line is exact.
+    """
+    fresh = {}
+    for key, outcome in outcomes.items():
+        entry = cache.get(key)
+        if entry is None or entry[0] is not outcome:
+            record = outcome.to_record()
+            entry = (outcome,
+                     json.dumps(record, indent=1).replace("\n", "\n  "),
+                     json.dumps(record, sort_keys=True))
+        fresh[key] = entry
+    return fresh
+
+
+def _indented_list(entries) -> str:
+    """``json.dumps(indent=1)`` of a list one level deep, from its
+    items' pre-indented texts."""
+    if not entries:
+        return "[]"
+    return "[\n  " + ",\n  ".join(e[1] for e in entries) + "\n ]"
+
+
 class _CheckpointDamaged(StudyError):
     """Internal: one checkpoint *generation* is unreadable (torn,
     bit-flipped, or wrong format) — distinct from a configuration
@@ -119,6 +149,26 @@ class CellFailure:
     def describe(self) -> str:
         return (f"FAIL({self.reason}) {self.algorithm}/{self.input_name}/"
                 f"{self.device_key}/{self.variant}")
+
+    def to_record(self) -> dict:
+        """The JSON record every writer stores for this failure
+        (checkpoints, pool and fleet workers).  The key order is part
+        of the checkpoint's bytes."""
+        return {"algorithm": self.algorithm, "input": self.input_name,
+                "device": self.device_key, "variant": self.variant,
+                "reason": self.reason, "message": self.message,
+                "attempts": self.attempts, "elapsed_s": self.elapsed_s}
+
+    @classmethod
+    def from_record(cls, record: dict) -> "CellFailure":
+        """The failure a :meth:`to_record` record describes; the last
+        three fields default, as in checkpoints of older builds."""
+        return cls(algorithm=record["algorithm"],
+                   input_name=record["input"], device_key=record["device"],
+                   variant=record["variant"], reason=record["reason"],
+                   message=record.get("message", ""),
+                   attempts=int(record.get("attempts", 1)),
+                   elapsed_s=float(record.get("elapsed_s", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -289,6 +339,12 @@ class ResilientStudy(Study):
         #: autosave attempts that failed with an OSError (the sweep
         #: keeps running; checkpointing is an optimization)
         self.checkpoint_write_errors = 0
+        #: checkpoint renderings of each result and failure, reused by
+        #: every save (see _render_records)
+        self._rendered_results: dict[tuple, tuple] = {}
+        self._rendered_failures: dict[tuple, tuple] = {}
+        #: (path, bytes) of the last checkpoint written without error
+        self._last_written: tuple[Path, bytes] | None = None
 
     # ------------------------------------------------------------------
     # Cell execution
@@ -517,15 +573,7 @@ class ResilientStudy(Study):
         if key in self._results or key in self._failures:
             return
         if record["kind"] == "failure":
-            self._failures[key] = CellFailure(
-                algorithm=record["algorithm"],
-                input_name=record["input"],
-                device_key=record["device"],
-                variant=record["variant"],
-                reason=record["reason"],
-                message=record["message"],
-                attempts=int(record["attempts"]),
-                elapsed_s=float(record["elapsed_s"]))
+            self._failures[key] = CellFailure.from_record(record)
         else:
             super()._merge_parallel_record(record)
         # each record is one cell a worker actually executed (the
@@ -581,28 +629,32 @@ class ResilientStudy(Study):
         path = Path(path) if path is not None else self.checkpoint
         if path is None:
             raise StudyError("no checkpoint path configured")
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "reps": self.reps,
-            "scale": self.scale,
-            "results": self._result_records(),
-            "failures": [
-                {
-                    "algorithm": f.algorithm,
-                    "input": f.input_name,
-                    "device": f.device_key,
-                    "variant": f.variant,
-                    "reason": f.reason,
-                    "message": f.message,
-                    "attempts": f.attempts,
-                    "elapsed_s": f.elapsed_s,
-                }
-                for f in self._failures.values()
-            ],
-        }
-        payload["crc"] = checkpoint_crc(payload)
+        text = self._checkpoint_text()
         self._rotate_generation(path)
-        atomic_write_text(path, json.dumps(payload, indent=1))
+        atomic_write_text(path, text)
+        self._last_written = (path, text.encode())
+
+    def _checkpoint_text(self) -> str:
+        """The checkpoint file's text, byte for byte
+        ``json.dumps(payload, indent=1)`` of the format-3 payload
+        (format, reps, scale, results, failures, crc), joined from the
+        cached per-record renderings so a save costs no re-encoding of
+        the records it wrote before."""
+        self._rendered_results = _render_records(self._rendered_results,
+                                                 self._results)
+        self._rendered_failures = _render_records(self._rendered_failures,
+                                                  self._failures)
+        results = list(self._rendered_results.values())
+        failures = list(self._rendered_failures.values())
+        # checkpoint_crc's canonical body, from the same pieces
+        canonical = ("[[" + ", ".join(e[2] for e in results) + "], ["
+                     + ", ".join(e[2] for e in failures) + "]]")
+        return (f'{{\n "format": {CHECKPOINT_FORMAT},'
+                f'\n "reps": {json.dumps(self.reps)},'
+                f'\n "scale": {json.dumps(self.scale)},'
+                f'\n "results": {_indented_list(results)},'
+                f'\n "failures": {_indented_list(failures)},'
+                f'\n "crc": {zlib.crc32(canonical.encode())}\n}}')
 
     def _rotate_generation(self, path: Path) -> None:
         """Keep the last *good* generation as ``.prev``.
@@ -610,14 +662,19 @@ class ResilientStudy(Study):
         Only a generation that still parses and passes its checksum is
         rotated; a corrupt current file (torn by an earlier injected or
         real fault) is left in place so it cannot clobber the last good
-        ``.prev``.
+        ``.prev``.  A file holding exactly the bytes this study last
+        wrote there is that good generation, so only different bytes
+        pay for the full check.
         """
-        if not path.exists():
-            return
         try:
-            self._read_generation(path)
-        except StudyError:
+            data = path.read_bytes()
+        except OSError:
             return
+        if self._last_written != (path, data):
+            try:
+                self._read_generation(path)
+            except StudyError:
+                return
         with contextlib.suppress(OSError):
             os.replace(path, self._prev_path(path))
 
@@ -625,19 +682,14 @@ class ResilientStudy(Study):
         """Parse + integrity-check one checkpoint generation.
 
         Raises :class:`_CheckpointDamaged` for anything recovery should
-        fall back from (unreadable, torn, checksum mismatch, unknown
-        format) and plain :class:`StudyError` for a reps/scale
-        configuration mismatch, which must surface, not be papered
-        over by the ``.prev`` generation.
+        fall back from (unreadable, undecodable, torn, checksum
+        mismatch, unknown format) and plain :class:`StudyError` for a
+        reps/scale configuration mismatch, which must surface, not be
+        papered over by the ``.prev`` generation.
         """
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise _CheckpointDamaged(
-                f"corrupt or partial checkpoint {path}: {exc}") from exc
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+            payload = json.loads(Path(path).read_bytes().decode())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _CheckpointDamaged(
                 f"corrupt or partial checkpoint {path}: {exc}") from exc
         if not isinstance(payload, dict) or "results" not in payload:
@@ -674,26 +726,16 @@ class ResilientStudy(Study):
         skipped = 0
         for rec in payload.get("results", []):
             try:
-                variant = Variant(rec["variant"])
-                key = (rec["algorithm"], rec["input"], rec["device"],
-                       variant)
-                staged_results[key] = RunResult(
-                    rec["algorithm"], rec["input"], rec["device"],
-                    variant, [float(x) for x in rec["runtimes_ms"]],
-                    last_run=None)
+                result = RunResult.from_record(rec)
+                staged_results[(result.algorithm, result.input_name,
+                                result.device_key, result.variant)] = result
             except (KeyError, TypeError, ValueError):
                 skipped += 1
         for rec in payload.get("failures", []):
             try:
-                variant = Variant(rec["variant"])
                 key = (rec["algorithm"], rec["input"], rec["device"],
-                       variant)
-                staged_failures[key] = CellFailure(
-                    algorithm=rec["algorithm"], input_name=rec["input"],
-                    device_key=rec["device"], variant=rec["variant"],
-                    reason=rec["reason"], message=rec.get("message", ""),
-                    attempts=int(rec.get("attempts", 1)),
-                    elapsed_s=float(rec.get("elapsed_s", 0.0)))
+                       Variant(rec["variant"]))
+                staged_failures[key] = CellFailure.from_record(rec)
             except (KeyError, TypeError, ValueError):
                 skipped += 1
         if skipped:

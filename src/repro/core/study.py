@@ -54,6 +54,22 @@ class RunResult:
     def relative_deviation(self) -> float:
         return relative_deviation(self.runtimes_ms)
 
+    def to_record(self) -> dict:
+        """The JSON record every writer stores for this result
+        (``save_results``, checkpoints, pool and fleet workers).  The
+        key order is part of those files' bytes."""
+        return {"algorithm": self.algorithm, "input": self.input_name,
+                "device": self.device_key, "variant": self.variant.value,
+                "runtimes_ms": list(self.runtimes_ms)}
+
+    @classmethod
+    def from_record(cls, record: dict) -> "RunResult":
+        """The result a :meth:`to_record` record describes (without
+        ``last_run``: outputs are not persisted)."""
+        return cls(record["algorithm"], record["input"], record["device"],
+                   Variant(record["variant"]),
+                   [float(x) for x in record["runtimes_ms"]], last_run=None)
+
 
 @dataclass
 class SpeedupCell:
@@ -316,10 +332,7 @@ class Study:
                variant)
         if key in self._results:
             return
-        self._results[key] = RunResult(
-            record["algorithm"], record["input"], record["device"],
-            variant, [float(x) for x in record["runtimes_ms"]],
-            last_run=None)
+        self._results[key] = RunResult.from_record(record)
 
     def _parallel_prefetch(self, device: str, algorithms: list[str],
                            inputs: list[str], jobs: int) -> None:
@@ -354,16 +367,7 @@ class Study:
     # Result persistence (the artifact's ./results/ raw-runtime logs)
     # ------------------------------------------------------------------
     def _result_records(self) -> list[dict]:
-        return [
-            {
-                "algorithm": r.algorithm,
-                "input": r.input_name,
-                "device": r.device_key,
-                "variant": r.variant.value,
-                "runtimes_ms": r.runtimes_ms,
-            }
-            for r in self._results.values()
-        ]
+        return [r.to_record() for r in self._results.values()]
 
     def save_results(self, path: str | Path) -> None:
         """Write every memoized runtime to a JSON log.
@@ -382,7 +386,7 @@ class Study:
         """Parse and protocol-check a saved log; StudyError on damage."""
         try:
             payload = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StudyError(
                 f"corrupt or partial results file {path}: {exc}"
             ) from exc
@@ -409,11 +413,9 @@ class Study:
         staged: dict[tuple, RunResult] = {}
         try:
             for rec in payload["results"]:
-                variant = Variant(rec["variant"])
-                key = (rec["algorithm"], rec["input"], rec["device"], variant)
-                staged[key] = RunResult(
-                    rec["algorithm"], rec["input"], rec["device"], variant,
-                    [float(x) for x in rec["runtimes_ms"]], last_run=None)
+                result = RunResult.from_record(rec)
+                staged[(result.algorithm, result.input_name,
+                        result.device_key, result.variant)] = result
         except (KeyError, TypeError, ValueError) as exc:
             raise StudyError(
                 f"malformed record in results file {path}: {exc!r}"

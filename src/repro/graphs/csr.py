@@ -123,11 +123,13 @@ class CSRGraph:
             src, dst = src[first], dst[first]
             if wgt is not None:
                 wgt = wgt[first]
-
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if wgt is not None:
-            wgt = wgt[order]
+        if not dedupe:
+            # dedupe leaves the edges sorted by src * n + dst with
+            # 0 <= dst < n, which is already (src, dst) order
+            order = np.lexsort((dst, src))
+            src, dst = src[order], dst[order]
+            if wgt is not None:
+                wgt = wgt[order]
 
         row_offsets = np.zeros(num_vertices + 1, dtype=np.int64)
         counts = np.bincount(src, minlength=num_vertices)

@@ -453,12 +453,12 @@ class TraceCache:
     def _read_disk(self, key: tuple) -> Trace | None:
         path = self._path(key)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             return None  # missing (or unreadable) file: treat as a miss
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
+            payload = json.loads(data)
+        except (UnicodeDecodeError, json.JSONDecodeError):
             self._quarantine(path, "torn")
             return None
         if not isinstance(payload, dict):

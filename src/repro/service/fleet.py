@@ -152,24 +152,12 @@ def _fleet_worker_main(conn, config, worker_id: int, generation: int,
                 out = study.run_cell(algorithm, input_name, device,
                                      variant)
                 if isinstance(out, CellFailure):
-                    records.append({
-                        "kind": "failure", "algorithm": out.algorithm,
-                        "input": out.input_name,
-                        "device": out.device_key, "variant": out.variant,
-                        "reason": out.reason, "message": out.message,
-                        "attempts": out.attempts,
-                        "elapsed_s": out.elapsed_s,
-                    })
+                    records.append({"kind": "failure", **out.to_record()})
                     # mirror speedup_cell: a failed baseline
                     # short-circuits the race-free run, keeping the
                     # ledger memo identical to the serial path's
                     break
-                records.append({
-                    "kind": "result", "algorithm": out.algorithm,
-                    "input": out.input_name, "device": out.device_key,
-                    "variant": out.variant.value,
-                    "runtimes_ms": list(out.runtimes_ms),
-                })
+                records.append({"kind": "result", **out.to_record()})
             parallel._append_telemetry_record(records)
             try:
                 with send_lock:
@@ -512,14 +500,7 @@ class FleetExecutor:
         runtimes: dict[str, list[float]] = {}
         for record in records:
             if record.get("kind") == "failure":
-                return CellFailure(
-                    algorithm=record["algorithm"],
-                    input_name=record["input"],
-                    device_key=record["device"],
-                    variant=record["variant"], reason=record["reason"],
-                    message=record["message"],
-                    attempts=int(record["attempts"]),
-                    elapsed_s=float(record["elapsed_s"]))
+                return CellFailure.from_record(record)
             if record.get("kind") == "result":
                 runtimes[record["variant"]] = [
                     float(x) for x in record["runtimes_ms"]]

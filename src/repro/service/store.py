@@ -179,12 +179,12 @@ class ResultStore:
             return None
         path = self._path(digest)
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             return None
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
+            payload = json.loads(data)
+        except (UnicodeDecodeError, json.JSONDecodeError):
             self._quarantine(path, "torn")
             return None
         if not isinstance(payload, dict):

@@ -2,8 +2,10 @@
 and graceful sweep interruption.
 
 Covers the ``.prev`` generation rotation (including verify-before-
-rotate), the fallback ladder of ``load_checkpoint`` under torn /
-bit-flipped / wrong-format current generations, record-level salvage,
+rotate, also for the study's own generation damaged on disk), the
+fallback ladder of ``load_checkpoint`` under torn / bit-flipped /
+undecodable / wrong-format current generations, saves rendered byte
+for byte as ``json.dumps(payload, indent=1)``, record-level salvage,
 the all-or-nothing ``load_results`` commit, autosave tolerance of a
 full disk, the double-crash resume drill, and SIGINT-to-
 ``SweepInterrupted`` conversion with a consistent final checkpoint.
@@ -22,9 +24,12 @@ from repro.core import hostfaults
 from repro.core.hostfaults import HostFaultPlan
 from repro.core.resilience import (
     CHECKPOINT_FORMAT,
+    CellFailure,
     ResilientStudy,
     checkpoint_crc,
 )
+from repro.core.study import RunResult
+from repro.core.variants import Variant
 from repro.errors import StudyError, SweepInterrupted
 
 DEVICE = "titanv"
@@ -72,6 +77,35 @@ def _truncate(path):
     path.write_bytes(data[: len(data) // 2])
 
 
+def _set_high_bit(path):
+    """Set bit 7 of one byte: the file no longer decodes as text."""
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] |= 0x80
+    path.write_bytes(bytes(data))
+
+
+def _synthetic_study(reps: int, results: int = 0, failures=(),
+                     scale: float = 1.0) -> ResilientStudy:
+    """A study whose memo holds hand-made outcomes, in memo order."""
+    study = ResilientStudy(reps=reps, scale=scale)
+    inputs = ["internet", "rmat16.sym", "amazon0601", "in-2004"]
+    for i in range(results):
+        variant = (Variant.BASELINE, Variant.RACE_FREE)[i % 2]
+        runtimes = [1.0 / (i + 3) + 1e-7 * rep + 12345.678901 * (rep % 2)
+                    for rep in range(reps)]
+        result = RunResult("cc", inputs[i // 2 % 4], "titanv", variant,
+                           runtimes, last_run=None)
+        study._results[("cc", result.input_name, "titanv",
+                        variant)] = result
+    for i, message in enumerate(failures):
+        failure = CellFailure("mis", inputs[i % 4], "a100", "baseline",
+                              "livelock", message, attempts=i + 1,
+                              elapsed_s=0.25 * i)
+        study._failures[("mis", failure.input_name, "a100",
+                         Variant.BASELINE)] = failure
+    return study
+
+
 class TestGenerationRotation:
     def test_prev_generation_exists_and_verifies(self, seeded_checkpoint):
         prev = seeded_checkpoint.with_name(
@@ -100,6 +134,42 @@ class TestGenerationRotation:
         assert fresh.load_checkpoint() == (1, 0)
         assert fresh.checkpoint_fallbacks == 0
 
+    @pytest.mark.parametrize("damage", ["truncate", "high-bit"])
+    def test_own_generation_damaged_on_disk_is_not_rotated(
+            self, tmp_path, damage):
+        # the study that wrote generation N must still check the file
+        # before rotating it: the bytes on disk are no longer its own
+        ckpt = tmp_path / "sweep.ckpt"
+        prev = ckpt.with_name(ckpt.name + ".prev")
+        study = _synthetic_study(reps=1, results=2)
+        study.save_checkpoint(ckpt)
+        study._results.popitem()
+        study.save_checkpoint(ckpt)
+        good_prev = prev.read_bytes()
+        {"truncate": _truncate, "high-bit": _set_high_bit}[damage](ckpt)
+
+        study._results.popitem()
+        study.save_checkpoint(ckpt)
+        assert prev.read_bytes() == good_prev
+
+    def test_own_write_torn_by_a_host_fault_is_not_rotated(self, tmp_path):
+        ckpt = tmp_path / "sweep.ckpt"
+        prev = ckpt.with_name(ckpt.name + ".prev")
+        study = _synthetic_study(reps=1, results=3)
+        study.save_checkpoint(ckpt)
+        good = ckpt.read_bytes()
+        study._results.popitem()
+        plan = HostFaultPlan.parse("torn=1.0", targets=("*.ckpt",))
+        with hostfaults.installed(plan):
+            study.save_checkpoint(ckpt)  # rotates, then writes torn
+        assert prev.read_bytes() == good
+
+        study._results.popitem()
+        study.save_checkpoint(ckpt)      # must not rotate the torn file
+        assert prev.read_bytes() == good
+        fresh = ResilientStudy(reps=1, checkpoint=ckpt)
+        assert fresh.load_checkpoint() == (1, 0)
+
 
 class TestFallbackLadder:
     def test_clean_load_uses_the_current_generation(
@@ -124,6 +194,14 @@ class TestFallbackLadder:
         assert '"variant": "baseline"' in text
         ckpt.write_text(text.replace('"variant": "baseline"',
                                      '"variant": "baselinf"', 1))
+        study = ResilientStudy(reps=1, checkpoint=ckpt)
+        assert study.load_checkpoint() == (1, 0)
+        assert study.checkpoint_fallbacks == 1
+
+    def test_undecodable_current_falls_back(
+            self, seeded_checkpoint, tmp_path):
+        ckpt = _copied(seeded_checkpoint, tmp_path)
+        _set_high_bit(ckpt)
         study = ResilientStudy(reps=1, checkpoint=ckpt)
         assert study.load_checkpoint() == (1, 0)
         assert study.checkpoint_fallbacks == 1
@@ -201,6 +279,116 @@ class TestSalvage:
             study.load_results(out)
         # the parseable record before the malformed one was NOT kept
         assert study._results == {}
+
+
+def _reference_text(study: ResilientStudy) -> str:
+    """``json.dumps(indent=1)`` of the format-3 payload, built field by
+    field from the study's memo — the text a save must produce."""
+    payload = {
+        "format": CHECKPOINT_FORMAT,
+        "reps": study.reps,
+        "scale": study.scale,
+        "results": [
+            {"algorithm": r.algorithm, "input": r.input_name,
+             "device": r.device_key, "variant": r.variant.value,
+             "runtimes_ms": r.runtimes_ms}
+            for r in study._results.values()],
+        "failures": [
+            {"algorithm": f.algorithm, "input": f.input_name,
+             "device": f.device_key, "variant": f.variant,
+             "reason": f.reason, "message": f.message,
+             "attempts": f.attempts, "elapsed_s": f.elapsed_s}
+            for f in study.failures()],
+    }
+    payload["crc"] = checkpoint_crc(payload)
+    return json.dumps(payload, indent=1)
+
+
+def _assert_saves_reference(study: ResilientStudy, path) -> None:
+    study.save_checkpoint(path)
+    text = path.read_text()
+    assert text == _reference_text(study)
+    assert checkpoint_crc(json.loads(text)) == json.loads(text)["crc"]
+
+
+MESSAGES = ('plain', 'say "no" to races', 'two\nlines\tand a tab',
+            'backslash \\ and slash /', 'non-ASCII: naïve — µs ✓ 日本',
+            '')
+
+
+class TestCheckpointRendering:
+    def test_empty_study(self, tmp_path):
+        _assert_saves_reference(_synthetic_study(reps=3),
+                                tmp_path / "s.ckpt")
+
+    def test_results_only(self, tmp_path):
+        _assert_saves_reference(_synthetic_study(reps=3, results=5),
+                                tmp_path / "s.ckpt")
+
+    def test_failures_only(self, tmp_path):
+        _assert_saves_reference(
+            _synthetic_study(reps=3, failures=MESSAGES[:2]),
+            tmp_path / "s.ckpt")
+
+    def test_awkward_failure_messages(self, tmp_path):
+        _assert_saves_reference(
+            _synthetic_study(reps=3, results=3, failures=MESSAGES[2:]),
+            tmp_path / "s.ckpt")
+
+    @pytest.mark.parametrize("reps", [1, 9])
+    def test_reps_and_scale(self, tmp_path, reps):
+        _assert_saves_reference(
+            _synthetic_study(reps=reps, results=6, failures=MESSAGES[:1],
+                             scale=0.5),
+            tmp_path / "s.ckpt")
+
+    def test_every_save_of_a_growing_memo(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        study = _synthetic_study(reps=2, results=6, failures=MESSAGES[:3])
+        results = list(study._results.items())
+        failures = list(study._failures.items())
+        study._results.clear()
+        study._failures.clear()
+        for key, result in results:
+            study._results[key] = result
+            _assert_saves_reference(study, path)
+        for key, failure in failures:
+            study._failures[key] = failure
+            _assert_saves_reference(study, path)
+
+    def test_failure_popped_between_saves(self, tmp_path):
+        # the service's half-open retry pops a failure to re-run it
+        path = tmp_path / "s.ckpt"
+        study = _synthetic_study(reps=1, results=2, failures=MESSAGES[:3])
+        _assert_saves_reference(study, path)
+        first, second = list(study._failures)[:2]
+        # the retried cell fails again before the next save
+        study._failures.pop(first)
+        study._failures[first] = CellFailure(
+            "mis", first[1], "a100", "baseline", "timeout", "retried",
+            attempts=2, elapsed_s=1.5)
+        _assert_saves_reference(study, path)
+        study._failures.pop(second)
+        _assert_saves_reference(study, path)
+
+    def test_entries_replaced_by_load_checkpoint(self, tmp_path):
+        source = _synthetic_study(reps=2, results=4, failures=MESSAGES[:2])
+        source.save_checkpoint(tmp_path / "source.ckpt")
+        study = _synthetic_study(reps=2, results=4, failures=MESSAGES[2:4])
+        for result in study._results.values():
+            result.runtimes_ms = [7.0, 8.0]
+        path = tmp_path / "s.ckpt"
+        _assert_saves_reference(study, path)
+        assert study.load_checkpoint(tmp_path / "source.ckpt") == (4, 2)
+        _assert_saves_reference(study, path)
+        assert path.read_bytes() == (tmp_path / "source.ckpt").read_bytes()
+
+    def test_sweep_autosave_matches_reference(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        study = ResilientStudy(reps=1, scale=0.5, checkpoint=path)
+        result = study.sweep(DEVICE, ALGOS, [INPUT])
+        assert not result.failures
+        assert path.read_text() == _reference_text(study)
 
 
 class TestAutosaveUnderDiskFailure:

@@ -170,3 +170,35 @@ class TestProperties:
         assert all(u != v for (u, v) in pairs)
         # degrees sum to edge count
         assert int(g.degrees().sum()) == g.num_edges
+
+    @settings(max_examples=150, deadline=None)
+    @given(edges_strategy(max_n=12, max_m=40), st.booleans(), st.booleans(),
+           st.booleans(), st.data())
+    def test_from_edges_matches_naive_reference(self, data, weighted, dedupe,
+                                                symmetrize, draw):
+        n, edges = data
+        weights = (draw.draw(st.lists(st.integers(1, 9), min_size=len(edges),
+                                      max_size=len(edges)))
+                   if weighted else [None] * len(edges))
+        g = CSRGraph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
+                                directed=not symmetrize,
+                                weights=weights if weighted else None,
+                                symmetrize=symmetrize, dedupe=dedupe)
+        triples = [(u, v, w) for (u, v), w in zip(edges, weights)]
+        if symmetrize:
+            triples += [(v, u, w) for u, v, w in triples]
+        triples = [t for t in triples if t[0] != t[1]]
+        if dedupe:
+            lightest = {}
+            for u, v, w in triples:
+                if (u, v) not in lightest or (weighted
+                                              and w < lightest[(u, v)]):
+                    lightest[(u, v)] = w
+            expected = sorted((u, v, w) for (u, v), w in lightest.items())
+        else:
+            # a stable sort: parallel edges keep their input order
+            expected = sorted(triples, key=lambda t: t[:2])
+        src, dst = g.edge_array()
+        got_weights = g.weights.tolist() if weighted else [None] * g.num_edges
+        assert list(zip(src.tolist(), dst.tolist(), got_weights)) == expected
+        assert g.has_weights == weighted

@@ -180,6 +180,22 @@ class TestResultStore:
         assert cold.lookup("cc", "internet", "titanv") is None
         assert cold.quarantined == 1
 
+    def test_undecodable_record_is_quarantined(self, tmp_path):
+        store = ResultStore(tmp_path / "store", reps=1, scale=1.0)
+        store.publish("cc", "internet", "titanv", _records())
+        (path,) = list((tmp_path / "store").glob("cell-*.json"))
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] |= 0x80
+        path.write_bytes(bytes(data))
+        cold = ResultStore(tmp_path / "store", reps=1, scale=1.0)
+        assert cold.lookup("cc", "internet", "titanv") is None
+        assert cold.quarantined == 1
+        assert not path.exists()
+        # the recomputed cell publishes over the quarantined slot
+        cold.publish("cc", "internet", "titanv", _records())
+        fresh = ResultStore(tmp_path / "store", reps=1, scale=1.0)
+        assert fresh.lookup("cc", "internet", "titanv") == _records()
+
     def test_disk_failure_sticky_degrades_to_memory(self, tmp_path):
         blocker = tmp_path / "store"
         blocker.write_text("not a directory")

@@ -258,6 +258,13 @@ def _trace(seed: int = 0) -> Trace:
                  plan_fp="plan", stats=stats, output_fp="out", output=None)
 
 
+def _set_high_bit(path) -> None:
+    """Set bit 7 of one byte: the file no longer decodes as text."""
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] |= 0x80
+    path.write_bytes(bytes(data))
+
+
 class TestTraceCacheSelfHealing:
     def test_disk_roundtrip_with_checksum(self, tmp_path):
         writer = TraceCache(disk_dir=tmp_path)
@@ -303,6 +310,32 @@ class TestTraceCacheSelfHealing:
         assert reader.lookup(trace.key()) is None
         assert reader.quarantined == 1
         assert list(tmp_path.glob("*.corrupt"))
+
+    def test_undecodable_file_quarantined_as_torn(self, tmp_path):
+        writer = TraceCache(disk_dir=tmp_path)
+        trace = _trace()
+        writer.store(trace)
+        path = next(tmp_path.glob("trace-*.json"))
+        _set_high_bit(path)
+        reader = TraceCache(disk_dir=tmp_path)
+        assert reader.lookup(trace.key()) is None
+        assert reader.quarantined == 1
+        assert not path.exists()
+
+    def test_sweep_rerecords_over_undecodable_traces(self, tmp_path):
+        from repro.core.resilience import ResilientStudy
+
+        first = ResilientStudy(reps=1, trace_cache=tmp_path)
+        first.sweep("titanv", ["cc"], ["internet"])
+        files = list(tmp_path.glob("trace-*.json"))
+        assert files
+        for path in files:
+            _set_high_bit(path)
+        second = ResilientStudy(reps=1, trace_cache=tmp_path)
+        result = second.sweep("titanv", ["cc"], ["internet"])
+        assert not result.failures
+        assert second.trace_cache.quarantined == len(files)
+        assert second._result_records() == first._result_records()
 
     def test_wrong_shape_quarantined(self, tmp_path):
         writer = TraceCache(disk_dir=tmp_path)

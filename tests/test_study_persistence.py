@@ -67,6 +67,17 @@ class TestRobustPersistence:
         with pytest.raises(StudyError, match="corrupt or partial"):
             Study(reps=2).load_results(path)
 
+    def test_undecodable_file_raises_study_error(self, populated_study,
+                                                 tmp_path):
+        study, _ = populated_study
+        path = tmp_path / "results.json"
+        study.save_results(path)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] |= 0x80
+        path.write_bytes(bytes(data))
+        with pytest.raises(StudyError, match="corrupt or partial"):
+            Study(reps=2).load_results(path)
+
     def test_wrong_shape_raises_study_error(self, tmp_path):
         path = tmp_path / "results.json"
         path.write_text('[1, 2, 3]')
