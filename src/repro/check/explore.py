@@ -37,11 +37,14 @@ against.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from repro.errors import ExplorationError
+from repro.gpu.accesses import AccessKind
 from repro.gpu.interleave import PendingOp, Scheduler
 from repro.gpu.simt import DRAIN_BASE, AccessEvent
 from repro.check.replay import DecisionLog, stay_policy
@@ -160,9 +163,12 @@ class _DirectedScheduler(Scheduler):
     """Replays a forced decision prefix, then continues with the
     preemption-free stay policy, avoiding sleeping threads; records
     everything the exploration needs (runnable sets, pending ops,
-    per-decision sleep snapshots, launch boundaries)."""
+    per-decision sleep snapshots, launch boundaries).
 
-    needs_pending = True
+    Pending-op maps are requested only from decision ``sleep_depth`` on:
+    the exploration keeps them only for decisions past its existing
+    stack, and the sleep-set update reads them only from there.
+    ``pendings`` holds None for the decisions before."""
 
     def __init__(self, forced: Sequence[int], sleep_depth: int,
                  sleep: Mapping[int, PendingOp]) -> None:
@@ -171,12 +177,16 @@ class _DirectedScheduler(Scheduler):
         self._sleep = dict(sleep)
         self.picks: list[int] = []
         self.runnables: list[tuple[int, ...]] = []
-        self.pendings: list[dict[int, PendingOp]] = []
+        self.pendings: list[Mapping[int, PendingOp] | None] = []
         self.sleep_snapshots: dict[int, dict[int, PendingOp]] = {}
         self.launch_starts: list[int] = []
         self.redundant = False
         self._pending: Mapping[int, PendingOp] = {}
         self._last: int | None = None
+
+    @property
+    def needs_pending(self) -> bool:
+        return len(self.picks) >= self.sleep_depth
 
     def reset(self) -> None:
         self.launch_starts.append(len(self.picks))
@@ -184,11 +194,13 @@ class _DirectedScheduler(Scheduler):
 
     def observe(self, runnable: Sequence[int],
                 pending: Mapping[int, PendingOp] | None) -> None:
+        # the executor builds a fresh map per decision, keyed by exactly
+        # the runnable set it then hands to choose()
         self._pending = pending or {}
 
     def choose(self, runnable: Sequence[int]) -> int:
         index = len(self.picks)
-        if index >= self.sleep_depth:
+        if index >= self.sleep_depth and self._sleep:
             self.sleep_snapshots[index] = dict(self._sleep)
         if index < len(self.forced):
             pick = self.forced[index]
@@ -204,11 +216,12 @@ class _DirectedScheduler(Scheduler):
                 raise _RedundantScheduleAbort
             pick = stay_policy(awake, self._last if self._last in awake
                                else None)
+        pending = self._pending if index >= self.sleep_depth else None
         self.picks.append(pick)
         self.runnables.append(tuple(runnable))
-        self.pendings.append({t: self._pending.get(t) for t in runnable})
-        if index >= self.sleep_depth and self._sleep:
-            op = self._pending.get(pick)
+        self.pendings.append(pending)
+        if pending is not None and self._sleep:
+            op = pending.get(pick)
             for q in list(self._sleep):
                 if q == pick or _dependent(op, self._sleep[q]):
                     del self._sleep[q]
@@ -240,12 +253,12 @@ def _dependent(a: PendingOp, b: PendingOp) -> bool:
 # Exploration
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     """One decision point on the current DFS stack."""
 
     runnable: tuple[int, ...]
-    pending: dict[int, PendingOp]
+    pending: Mapping[int, PendingOp]
     pick: int
     last_before: int | None            #: thread that ran the previous step
     preempt_prefix: int                #: preemptions strictly before here
@@ -285,6 +298,19 @@ class ExploreResult:
     @property
     def schedules_per_second(self) -> float:
         return self.schedules / self.wall_seconds if self.wall_seconds else 0.0
+
+    @property
+    def stop_reason(self) -> str:
+        """How the exploration ended: ``complete`` (schedule space
+        exhausted), ``stopped_early`` (``on_run`` asked to stop),
+        ``schedule_cap`` or ``wall_clock_cap`` (a budget ran out)."""
+        if self.complete:
+            return "complete"
+        if self.stopped_early:
+            return "stopped_early"
+        if self.schedules >= self.budget.max_schedules:
+            return "schedule_cap"
+        return "wall_clock_cap"
 
 
 class ScheduleExplorer:
@@ -327,7 +353,6 @@ class ScheduleExplorer:
         self.budget = budget
         self.on_run = on_run
         self.state_dedupe = state_dedupe
-        self._expanded: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
     def explore(self) -> ExploreResult:
@@ -338,6 +363,8 @@ class ScheduleExplorer:
         forced: list[int] = []
         branch_depth = 0
         branch_sleep: dict[int, PendingOp] = {}
+        #: (fingerprint, choice) pairs already expanded — state_dedupe
+        expanded: set[tuple[int, int]] = set()
 
         while True:
             if result.schedules >= self.budget.max_schedules:
@@ -367,12 +394,13 @@ class ScheduleExplorer:
                         result.stopped_early = True
                         break
 
-            self._integrate(stack, sched, branch_depth, fingerprints)
+            self._integrate(stack, sched, branch_depth, fingerprints,
+                            expanded)
             if self.mode == "dpor" and outcome is not None:
                 self._add_backtrack_points(
                     stack, sched, outcome.events)
 
-            branch = self._select_branch(stack, result)
+            branch = self._select_branch(stack, result, expanded)
             if branch is None:
                 result.complete = (
                     result.schedules < self.budget.max_schedules
@@ -399,7 +427,8 @@ class ScheduleExplorer:
         return probe
 
     def _integrate(self, stack: list[_Node], sched: _DirectedScheduler,
-                   branch_depth: int, fingerprints: list[int]) -> None:
+                   branch_depth: int, fingerprints: list[int],
+                   expanded: set[tuple[int, int]]) -> None:
         preempt = stack[branch_depth].preempt_prefix if branch_depth < len(stack) else 0
         last: int | None = (stack[branch_depth - 1].pick
                             if branch_depth > 0 else None)
@@ -442,20 +471,21 @@ class ScheduleExplorer:
                 if stack[d].fp is None:
                     stack[d].fp = fingerprints[d]
                 if stack[d].fp is not None:
-                    self._expanded.add((stack[d].fp, sched.picks[d]))
+                    expanded.add((stack[d].fp, sched.picks[d]))
 
     def _add_backtrack_points(self, stack: list[_Node],
                               sched: _DirectedScheduler,
                               events: list[AccessEvent]) -> None:
         """Flanagan-Godefroid backtrack computation from the conflict
         relation of the just-executed trace."""
-        steps = _trace_steps(sched, events)
-        # per-thread history of (decision, op, launch, block, epoch) for
-        # every memory event that thread performed.  A decision may carry
-        # several events (an atomic that forces store-buffer drains, a
+        # per-thread, per-array history of (decision, op, launch, block,
+        # epoch) for every memory event that thread performed, as
+        # (all accesses, writes only).  A decision may carry several
+        # events (an atomic that forces store-buffer drains, a
         # block-scope release promoting multiple entries); scheduled
         # drains act under their own DRAIN_BASE+seq pseudo-tid.
-        by_thread: dict[int, list[tuple]] = {}
+        by_thread: defaultdict[int, defaultdict[str, tuple[list, list]]] = (
+            defaultdict(lambda: defaultdict(lambda: ([], []))))
 
         def nominate(node: _Node, tid: int) -> None:
             # Source-DPOR-style insertion: the canonical candidate only
@@ -473,9 +503,14 @@ class ScheduleExplorer:
             awake = set(node.runnable) - set(node.sleep)
             node.backtrack.update(awake or node.runnable)
 
-        for d, infos in enumerate(steps):
-            here = stack[d] if d < len(stack) else None
-            for tid, op, launch, block, epoch in infos:
+        here_d = -1
+        here: _Node | None = None
+        agents: list[int] = []
+        previous = None
+        for d, info in _trace_steps(sched, events):
+            if d != here_d:
+                here_d = d
+                here = stack[d] if d < len(stack) else None
                 # A runnable store-buffer drain agent whose pending
                 # flush conflicts with this decision's access is a
                 # schedule alternative classic FG analysis cannot see:
@@ -483,26 +518,46 @@ class ScheduleExplorer:
                 # forced drain (an atomic, a fence), it never appears in
                 # any trace under its own pseudo-tid, so no observed
                 # event pair ever nominates it.  Nominate it here.
-                if here is not None:
-                    for q in here.runnable:
-                        if (q >= DRAIN_BASE and q != tid
-                                and _dependent(op, here.pending.get(q))):
-                            nominate(here, q)
-                for q, history in by_thread.items():
-                    if q == tid:
+                agents = ([q for q in here.runnable if q >= DRAIN_BASE]
+                          if here is not None else [])
+            tid, op, launch, block, epoch = info
+            for q in agents:
+                if q != tid and _dependent(op, here.pending.get(q)):
+                    nominate(here, q)
+            array, start, nbytes, _, writes, _ = op
+            # The same access again right after itself: no other
+            # thread's history changed, so the scan would nominate the
+            # same threads at the same nodes.
+            if info != previous:
+                previous = info
+                end = start + nbytes
+                for q, arrays in by_thread.items():
+                    if q == tid or array not in arrays:
                         continue
-                    for j, jop, jlaunch, jblock, jepoch in reversed(history):
+                    # A read depends only on writes.  The entries that
+                    # stop the walk (an older launch, an earlier barrier
+                    # epoch of this block) are a prefix of the thread's
+                    # history, so the newest dependent access on this
+                    # array is the one a walk over all of its accesses
+                    # would stop at.
+                    accesses, written = arrays[array]
+                    for j, jop, jlaunch, jblock, jepoch in reversed(
+                            accesses if writes else written):
                         if jlaunch != launch:
                             break  # launch barrier orders everything older
                         if jblock == block and jepoch != epoch:
                             break  # __syncthreads() between them
-                        if _dependent(op, jop):
+                        if jop[1] < end and start < jop[1] + jop[2]:
                             nominate(stack[j], tid)
                             break
-                by_thread.setdefault(tid, []).append(
-                    (d, op, launch, block, epoch))
+            accesses, written = by_thread[tid][array]
+            entry = (d, op, launch, block, epoch)
+            accesses.append(entry)
+            if writes:
+                written.append(entry)
 
-    def _select_branch(self, stack: list[_Node], result: ExploreResult):
+    def _select_branch(self, stack: list[_Node], result: ExploreResult,
+                       expanded: set[tuple[int, int]]):
         """Deepest node with an unexplored, unpruned choice."""
         bound = self.budget.preemption_bound
         for depth in range(len(stack) - 1, -1, -1):
@@ -516,7 +571,7 @@ class ScheduleExplorer:
                     node.done.add(choice)
                     continue
                 if (self.state_dedupe and node.fp is not None
-                        and (node.fp, choice) in self._expanded):
+                        and (node.fp, choice) in expanded):
                     result.dedupe_pruned += 1
                     node.done.add(choice)
                     continue
@@ -534,21 +589,25 @@ class ScheduleExplorer:
 
 
 def _trace_steps(sched: _DirectedScheduler, events: list[AccessEvent]):
-    """Per-decision list of (tid, op, launch, block, epoch) for the
-    memory micro-ops that decision performed (empty when it performed
-    none).  Events are matched to decisions via the per-launch step
-    counter; one decision can carry several events under a buffered
-    memory model (forced drains, block-scope promotes)."""
-    steps: list[list[tuple]] = [[] for _ in range(len(sched.picks))]
+    """``(decision, (tid, op, launch, block, epoch))`` for every memory
+    micro-op, in decision order (trace order within one decision).
+    Events are matched to decisions via the per-launch step counter;
+    one decision can carry several events under a buffered memory model
+    (forced drains, block-scope promotes)."""
+    steps: list[tuple[int, tuple]] = []
     starts = sched.launch_starts
+    n = len(sched.picks)
     for ev in events:
         ordinal = ev.launch - (events[0].launch if events else 0)
         if ordinal >= len(starts):
             continue
         d = starts[ordinal] + ev.step - 1
-        if 0 <= d < len(steps):
+        if 0 <= d < n:
             span = ev.span
             op = (span.array, span.start, span.nbytes,
-                  ev.is_read, ev.is_write, ev.access.name == "ATOMIC")
-            steps[d].append((ev.tid, op, ev.launch, ev.block, ev.epoch))
+                  ev.is_read, ev.is_write, ev.access is AccessKind.ATOMIC)
+            steps.append((d, (ev.tid, op, ev.launch, ev.block, ev.epoch)))
+    # stable: already sorted whenever launch ids count up from the
+    # first event's launch, as the executor numbers them
+    steps.sort(key=itemgetter(0))
     return steps

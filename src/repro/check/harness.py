@@ -143,7 +143,7 @@ class CheckReport:
             f"program:            {self.program}",
             f"verdict:            {'PASS' if self.ok else 'FAIL'}",
             f"schedules explored: {ex.schedules}"
-            + (" (complete)" if ex.complete else " (budget-bounded)"),
+            f" ({ex.stop_reason.replace('_', ' ')})",
             f"pruned:             {ex.redundant_pruned} sleep-set, "
             f"{ex.preemption_pruned} preemption-bound, "
             f"{ex.dedupe_pruned} state-dedupe",

@@ -100,9 +100,14 @@ class RecordingScheduler(Scheduler):
 
     def __init__(self, base: Scheduler) -> None:
         self._base = base
-        self.needs_pending = base.needs_pending
         self.picks: list[int] = []
         self.launch_starts: list[int] = []
+
+    @property
+    def needs_pending(self) -> bool:
+        # asked before every decision: the base may want pending-op
+        # maps only from some decision on
+        return self._base.needs_pending
 
     def reset(self) -> None:
         self._base.reset()

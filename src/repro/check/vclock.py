@@ -38,11 +38,10 @@ positive there.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from collections import defaultdict, deque
+from typing import Callable, Iterable, NamedTuple
 
-from repro.gpu.accesses import AccessKind
+from repro.gpu.accesses import AccessKind, MemSpan
 from repro.gpu.simt import AccessEvent
 
 
@@ -80,8 +79,7 @@ class VectorClock:
         return f"<VC {body}>"
 
 
-@dataclass(frozen=True)
-class Epoch:
+class Epoch(NamedTuple):
     """One access stamped with its thread clock (FastTrack's ``c@t``)."""
 
     tid: int
@@ -89,16 +87,18 @@ class Epoch:
     event: AccessEvent
 
 
-@dataclass
 class _ByteShadow:
     """Shadow state for one byte of one array."""
 
-    last_write: Epoch | None = None
-    #: readers since the last write, newest epoch per thread
-    readers: dict[int, Epoch] = field(default_factory=dict)
-    #: displaced writes/readers — the predictive window
-    write_history: deque = field(default_factory=lambda: deque(maxlen=4))
-    read_history: deque = field(default_factory=lambda: deque(maxlen=8))
+    __slots__ = ("last_write", "readers", "write_history", "read_history")
+
+    def __init__(self, history: int) -> None:
+        self.last_write: Epoch | None = None
+        #: readers since the last write, newest epoch per thread
+        self.readers: dict[int, Epoch] = {}
+        #: displaced writes/readers — the predictive window
+        self.write_history: deque = deque(maxlen=history)
+        self.read_history: deque = deque(maxlen=2 * history)
 
 
 def conflicts(a: AccessEvent, b: AccessEvent) -> bool:
@@ -118,7 +118,9 @@ class VectorClockEngine:
 
     ``on_report(first, second, byte, predicted) -> bool`` is invoked for
     every racy pair found; returning False stops the analysis (the
-    caller implements deduplication and report caps).
+    caller implements deduplication and report caps).  Events arrive in
+    trace order, as the executor records them: launch ids count up and
+    a thread stays in one block for a whole launch.
 
     Parameters
     ----------
@@ -152,17 +154,20 @@ class VectorClockEngine:
         # per-block barrier bookkeeping, reset at each launch boundary
         self._block_epoch: dict[int, int] = {}
         self._barrier_clock: dict[int, VectorClock] = {}
-        self._pending_barrier: dict[int, VectorClock] = {}
+        #: threads that fed events into each block since its last epoch
+        #: transition; their current clocks are what the barrier joins
+        self._barrier_fed: defaultdict[int, set[int]] = defaultdict(set)
         self._thread_epoch: dict[int, int] = {}
-        self._shadow: dict[tuple[str, int], _ByteShadow] = {}
+        self._shadow: defaultdict[tuple[str, int], _ByteShadow] = (
+            defaultdict(lambda: _ByteShadow(history)))
+        #: per-span list of its byte shadows (a shadow, once created, is
+        #: never replaced, so the list stays valid)
+        self._span_shadows: dict[MemSpan, list[_ByteShadow]] = {}
+        #: the previous event, when it was a pure read that reported
+        #: nothing — the anchor of the repeated-read fast path
+        self._quiet_read: AccessEvent | None = None
 
     # ------------------------------------------------------------------
-    def _thread_clock(self, tid: int) -> VectorClock:
-        vc = self._clocks.get(tid)
-        if vc is None:
-            vc = self._clocks[tid] = VectorClock()
-        return vc
-
     def _enter_launch(self, launch: int) -> None:
         """All threads of the previous launch synchronize: fold every
         clock into the launch clock and reset the barrier state."""
@@ -172,7 +177,7 @@ class VectorClockEngine:
         self._current_launch = launch
         self._block_epoch.clear()
         self._barrier_clock.clear()
-        self._pending_barrier.clear()
+        self._barrier_fed.clear()
         self._thread_epoch.clear()
         # the launch join dominates prior releases; drop their clocks
         self._release.clear()
@@ -186,11 +191,13 @@ class VectorClockEngine:
         if ev.epoch > self._block_epoch.get(block, 0):
             # one or more barriers completed since the last event of
             # this block: fold the participants' clocks into the
-            # barrier clock exactly once per transition
+            # barrier clock exactly once per transition.  A thread's
+            # clock only changes inside its own events, all of them in
+            # this block, so its current clock is the join of the clocks
+            # it left at each of them.
             bc = self._barrier_clock.setdefault(block, VectorClock())
-            pend = self._pending_barrier.pop(block, None)
-            if pend is not None:
-                bc.join(pend)
+            for tid in self._barrier_fed.pop(block, ()):
+                bc.join(self._clocks[tid])
             self._block_epoch[block] = ev.epoch
         if ev.epoch > self._thread_epoch.get(ev.tid, 0):
             bc = self._barrier_clock.get(block)
@@ -202,25 +209,50 @@ class VectorClockEngine:
     def feed(self, ev: AccessEvent) -> bool:
         """Process one event; returns False when the caller asked to
         stop via ``on_report``."""
+        tid = ev.tid
+        last = self._quiet_read
+        if (last is not None and tid == last.tid and ev.is_read
+                and not ev.is_write and ev.span == last.span
+                and ev.access is last.access and ev.order is last.order
+                and ev.scope is last.scope and ev.epoch == last.epoch
+                and ev.block == last.block and ev.launch == last.launch):
+            # The same read again with nothing in between: no shadow
+            # entry changed, and the clock moved only in this thread's
+            # own component (the launch, barrier and acquire joins would
+            # re-join clocks that have not changed), so every race test
+            # repeats the previous read's answer — no report.  Only the
+            # newest read must land in readers[tid]: a later write by
+            # another thread reports against it.
+            epoch = Epoch(tid, self._clocks[tid].advance(tid), ev)
+            for shadow in self._span_shadows[ev.span]:
+                shadow.readers[tid] = epoch
+            return True
+        self._quiet_read = None
+
         if ev.launch != self._current_launch:
             self._enter_launch(ev.launch)
-        vc = self._thread_clock(ev.tid)
+        vc = self._clocks.get(tid)
+        if vc is None:
+            vc = self._clocks[tid] = VectorClock()
         self._sync_thread(ev, vc)
         model = self._model
+        span = ev.span
         is_atomic = ev.access is AccessKind.ATOMIC
-        if is_atomic and ev.is_read:
+        is_read = ev.is_read
+        is_write = ev.is_write
+        if is_atomic and is_read:
             eff = model.runtime_order(ev.order)
             if model.acquire_syncs(eff):
-                key = (ev.span.array, ev.span.start)
-                rel = self._release.get((*key, "dev"))
+                rel = self._release.get((span.array, span.start, "dev"))
                 if rel is not None:
                     vc.join(rel)
-                rel = self._release.get((*key, ("b", ev.block)))
+                rel = self._release.get((span.array, span.start,
+                                         ("b", ev.block)))
                 if rel is not None:
                     vc.join(rel)
-        clock = vc.advance(ev.tid)
-        epoch = Epoch(ev.tid, clock, ev)
-        if is_atomic and ev.is_write:
+        clock = vc.advance(tid)
+        epoch = Epoch(tid, clock, ev)
+        if is_atomic and is_write:
             eff = model.runtime_order(ev.order)
             if model.release_syncs(eff):
                 # a block-scoped release (when the model distinguishes
@@ -229,67 +261,70 @@ class VectorClockEngine:
                                                      same_block=False)
                           else ("b", ev.block))
                 dst = self._release.setdefault(
-                    (ev.span.array, ev.span.start, bucket), VectorClock())
+                    (span.array, span.start, bucket), VectorClock())
                 dst.join(vc)
 
-        for byte in range(ev.span.start, ev.span.end):
-            shadow = self._shadow.get((ev.span.array, byte))
-            if shadow is None:
-                shadow = _ByteShadow(
-                    write_history=deque(maxlen=self._history),
-                    read_history=deque(maxlen=2 * self._history))
-                self._shadow[(ev.span.array, byte)] = shadow
-            if not self._check_byte(shadow, ev, vc, byte):
-                return False
-            self._update_byte(shadow, ev, epoch)
+        shadows = self._span_shadows.get(span)
+        if shadows is None:
+            shadows = self._span_shadows[span] = [
+                self._shadow[span.array, byte]
+                for byte in range(span.start, span.end)]
+        on_report = self._on_report
+        predict = bool(self._history)
+        known = vc._c.get
+        # an atomic access never races with another atomic one
+        exempt = AccessKind.ATOMIC if is_atomic else None
+        quiet = True
+        # ``conflicts(e.event, ev) and not vc.contains(e.tid, e.clock)``
+        # inlined: every shadow entry past the first test is a write or
+        # is only tested against a write, so a conflict reduces to
+        # another thread and not both atomic
+        for byte, shadow in zip(range(span.start, span.end), shadows):
+            lw = shadow.last_write
+            if (lw is not None and lw.tid != tid
+                    and lw.clock > known(lw.tid, 0)
+                    and lw.event.access is not exempt):
+                quiet = False
+                if not on_report(lw.event, ev, byte, False):
+                    return False
+            if is_write:
+                for e in shadow.readers.values():
+                    if (e.tid != tid and e.clock > known(e.tid, 0)
+                            and e.event.access is not exempt):
+                        quiet = False
+                        if not on_report(e.event, ev, byte, False):
+                            return False
+            if predict:
+                for e in shadow.write_history:
+                    if (e.tid != tid and e.clock > known(e.tid, 0)
+                            and e.event.access is not exempt):
+                        quiet = False
+                        if not on_report(e.event, ev, byte, True):
+                            return False
+                if is_write:
+                    for e in shadow.read_history:
+                        if (e.tid != tid and e.clock > known(e.tid, 0)
+                                and e.event.access is not exempt):
+                            quiet = False
+                            if not on_report(e.event, ev, byte, True):
+                                return False
+            if is_write:
+                if lw is not None:
+                    shadow.write_history.append(lw)
+                readers = shadow.readers
+                shadow.read_history.extend(readers.values())
+                readers.clear()
+                shadow.last_write = epoch
+            if is_read:
+                shadow.readers[tid] = epoch
 
-        # accumulate this thread's clock toward the next barrier
-        pend = self._pending_barrier.setdefault(ev.block, VectorClock())
-        pend.join(vc)
+        # this thread's clock is owed to the block's next barrier
+        self._barrier_fed[ev.block].add(tid)
+        if quiet and is_read and not is_write:
+            self._quiet_read = ev
         return True
 
     def analyze(self, events: Iterable[AccessEvent]) -> None:
         for ev in events:
             if not self.feed(ev):
                 return
-
-    # ------------------------------------------------------------------
-    def _check_byte(self, shadow: _ByteShadow, ev: AccessEvent,
-                    vc: VectorClock, byte: int) -> bool:
-        def unordered(e: Epoch) -> bool:
-            return (conflicts(e.event, ev)
-                    and not vc.contains(e.tid, e.clock))
-
-        lw = shadow.last_write
-        if lw is not None and unordered(lw):
-            if not self._on_report(lw.event, ev, byte, False):
-                return False
-        if ev.is_write:
-            for reader in shadow.readers.values():
-                if unordered(reader):
-                    if not self._on_report(reader.event, ev, byte, False):
-                        return False
-        if self._history:
-            for past in shadow.write_history:
-                if unordered(past):
-                    if not self._on_report(past.event, ev, byte, True):
-                        return False
-            if ev.is_write:
-                for past in shadow.read_history:
-                    if unordered(past):
-                        if not self._on_report(past.event, ev, byte, True):
-                            return False
-        return True
-
-    @staticmethod
-    def _update_byte(shadow: _ByteShadow, ev: AccessEvent,
-                     epoch: Epoch) -> None:
-        if ev.is_write:
-            if shadow.last_write is not None:
-                shadow.write_history.append(shadow.last_write)
-            for reader in shadow.readers.values():
-                shadow.read_history.append(reader)
-            shadow.readers.clear()
-            shadow.last_write = epoch
-        if ev.is_read:
-            shadow.readers[ev.tid] = epoch

@@ -424,6 +424,7 @@ def _cmd_check(args) -> int:
                     "expected_racy": expected_racy,
                     "schedules_explored": report.explore.schedules,
                     "complete": report.explore.complete,
+                    "stop_reason": report.explore.stop_reason,
                     "truncated_runs": report.explore.truncated_runs,
                     "races": [r.to_json() for r in report.races],
                     "failures": [

@@ -836,11 +836,9 @@ class SimtExecutor:
                 scope: Scope = Scope.DEVICE) -> None:
         if self.record_events:
             self.events.append(AccessEvent(
-                step=stats.steps, launch=launch_id, tid=thread.tid,
-                block=thread.block, epoch=epochs[thread.block], span=span,
-                is_read=is_read, is_write=is_write, access=access,
-                value=value, site=site, order=order, scope=scope,
-            ))
+                stats.steps, launch_id, thread.tid, thread.block,
+                epochs[thread.block], span, is_read, is_write, access,
+                value, site, order, scope))
 
     def _complete_op(self, thread: _Thread, stats: LaunchStats) -> None:
         """All micro-ops of the current op are done: build its result."""

@@ -75,10 +75,12 @@ class RepairReport:
         for cand in self.candidates:
             mark = "ACCEPT" if cand.accepted else "reject"
             extra = f" — {cand.detail}" if cand.detail else ""
+            stop = (f", {cand.stop_reason.replace('_', ' ')}"
+                    if cand.stop_reason else "")
             lines.append(
                 f"  [{mark}] {cand.fixset.describe()} "
-                f"({cand.verdict}, {cand.schedules_explored} schedules)"
-                f"{extra}")
+                f"({cand.verdict}, {cand.schedules_explored} schedules"
+                f"{stop}){extra}")
         lines.append("")
         target = get_target(self.target)
         lines.append(format_table(target, self.ranked, self.devices))

@@ -45,6 +45,9 @@ class CandidateVerdict:
     output_equivalent: bool
     schedules_explored: int
     detail: str = ""
+    #: how the exploration ended (:attr:`ExploreResult.stop_reason`);
+    #: empty when the candidate could not be explored at all
+    stop_reason: str = ""
 
     @property
     def accepted(self) -> bool:
@@ -72,6 +75,7 @@ class CandidateVerdict:
             "invariant_ok": self.invariant_ok,
             "output_equivalent": self.output_equivalent,
             "schedules_explored": self.schedules_explored,
+            "stop_reason": self.stop_reason,
             "detail": self.detail,
         }
 
@@ -162,7 +166,8 @@ def verify_candidate(target, fixset: FixSet, budget="smoke",
     verdict = CandidateVerdict(
         fixset=fixset, race_free=race_free, completes=completes,
         invariant_ok=invariant_ok, output_equivalent=equivalent,
-        schedules_explored=report.explore.schedules, detail=detail)
+        schedules_explored=report.explore.schedules, detail=detail,
+        stop_reason=report.explore.stop_reason)
     _count_verdict(target.name, verdict.verdict)
     return verdict
 

@@ -28,13 +28,14 @@ class TestTwophasePipeline:
     def test_render_mentions_verdicts(self, report):
         text = report.render()
         assert "[ACCEPT]" in text
-        assert "barrier@twophase.phase" in text
+        assert "barrier@twophase.phase (accepted, 1 schedules, complete)" in text
 
     def test_json_round_trip(self, report):
         blob = json.loads(json.dumps(report.to_json()))
         assert blob["target"] == "twophase"
         assert blob["accepted"] >= 1
         assert blob["ranked"][0]["fixset"]["fixes"]
+        assert {c["stop_reason"] for c in blob["candidates"]} == {"complete"}
 
 
 class TestCcPipeline:
@@ -165,6 +166,8 @@ class TestCheckJsonCli:
         race = report["races"][0]
         assert race["site_id"]
         assert race["accesses"]
+        # lost_update's space outgrows the smoke budget's 60 schedules
+        assert report["stop_reason"] == "schedule_cap"
 
     def test_check_json_clean_pattern(self, tmp_path):
         path = tmp_path / "check.json"

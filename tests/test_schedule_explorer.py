@@ -9,20 +9,31 @@ identical failing state.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.check import (
     BUDGETS,
     ExploreBudget,
+    RecordingScheduler,
     ReplayScheduler,
     ScheduleExplorer,
     check,
     replay_failure,
 )
-from repro.check.harness import Program
+from repro.check.explore import _dependent, _DirectedScheduler
+from repro.check.harness import Program, _make_runner, program_from_pattern
+from repro.core.variants import Variant
 from repro.errors import ExplorationError
 from repro.gpu.accesses import AccessKind, DType
 from repro.gpu.atomics import atomic_add
+from repro.gpu.memory import GlobalMemory
+from repro.gpu.overrides import site_kind_overrides
+from repro.gpu.simt import DRAIN_BASE, SimtExecutor
+from repro.memmodel import litmus
+from repro.memmodel.models import get_model
+from repro.patterns import PATTERNS
 
 
 def racy_counter_kernel(ctx, ctr):
@@ -139,6 +150,37 @@ class TestExplorationControls:
         assert report.explore.stopped_early
         assert report.explore.schedules < 4
 
+    @pytest.mark.parametrize("reason, options", [
+        ("complete", {}),
+        ("stopped_early", {"stop_on_failure": True}),
+        ("schedule_cap",
+         {"budget": dataclasses.replace(WIDE_BUDGET, max_schedules=1)}),
+        ("wall_clock_cap",
+         {"budget": dataclasses.replace(WIDE_BUDGET, max_seconds=0)}),
+    ])
+    def test_stop_reason(self, reason, options):
+        report = run_check(racy_counter_kernel, **options)
+        assert report.explore.stop_reason == reason
+
+    def test_summary_names_the_stop_reason(self):
+        capped = run_check(racy_counter_kernel, budget=dataclasses.replace(
+            WIDE_BUDGET, max_schedules=1))
+        assert "schedules explored: 1 (schedule cap)" in capped.summary()
+        assert "(complete)" in run_check(racy_counter_kernel).summary()
+
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_reused_explorer_repeats_its_exploration(self, name):
+        """The state-dedupe set belongs to one exploration: a second
+        explore() must not prune with the states the first one saw."""
+        program = program_from_pattern(name)
+        explorer = ScheduleExplorer(
+            _make_runner(program, BUDGETS["smoke"], None, True, False),
+            budget="smoke", state_dedupe=True)
+        first = explorer.explore()
+        second = explorer.explore()
+        assert (dataclasses.replace(second, wall_seconds=0.0)
+                == dataclasses.replace(first, wall_seconds=0.0))
+
     def test_unknown_mode_and_budget_rejected(self):
         with pytest.raises(ExplorationError):
             ScheduleExplorer(lambda s, p=None: None, mode="bogus")
@@ -241,3 +283,166 @@ class TestRunnerContract:
                                     budget=WIDE_BUDGET)
         with pytest.raises(ExplorationError):
             explorer.explore()
+
+
+class TestDirectedSchedulerPendingMaps:
+    """Pending-op maps are built only where the exploration reads them:
+    from decision ``sleep_depth`` on."""
+
+    def test_no_pending_map_before_sleep_depth(self):
+        sched = _DirectedScheduler(forced=[0, 1, 0], sleep_depth=2,
+                                   sleep={})
+        recorder = RecordingScheduler(sched)
+        asked = []
+        for _ in range(4):
+            asked.append(recorder.needs_pending)
+            pending = ({t: ("x", 4 * t, 4, True, False, False)
+                        for t in (0, 1)} if asked[-1] else None)
+            recorder.observe([0, 1], pending)
+            recorder.choose([0, 1])
+        assert asked == [False, False, True, True]
+        assert sched.pendings[:2] == [None, None]
+        assert sched.pendings[2] == {0: ("x", 0, 4, True, False, False),
+                                     1: ("x", 4, 4, True, False, False)}
+
+    @pytest.mark.parametrize("sleep_depth", [0, 3, 100])
+    def test_executor_builds_maps_only_when_asked(self, sleep_depth):
+        sched = _DirectedScheduler(forced=[], sleep_depth=sleep_depth,
+                                   sleep={})
+        recorder = RecordingScheduler(sched)
+        observed = []
+        observe = recorder.observe
+
+        def spy(runnable, pending):
+            observed.append((len(recorder.picks), pending is not None))
+            observe(runnable, pending)
+
+        recorder.observe = spy
+        mem = GlobalMemory()
+        ctr, = counter_setup(mem)
+        SimtExecutor(mem, scheduler=recorder).launch(
+            racy_counter_kernel, 2, ctr, block_dim=2)
+        assert observed
+        assert all(built == (d >= sleep_depth) for d, built in observed)
+        assert [p is not None for p in sched.pendings] == [
+            d >= sleep_depth for d in range(len(sched.picks))]
+
+
+# ----------------------------------------------------------------------
+# The per-array backtrack scan against a walk over whole histories
+# ----------------------------------------------------------------------
+
+def _reference_trace_steps(sched, events):
+    steps = [[] for _ in range(len(sched.picks))]
+    starts = sched.launch_starts
+    for ev in events:
+        ordinal = ev.launch - (events[0].launch if events else 0)
+        if ordinal >= len(starts):
+            continue
+        d = starts[ordinal] + ev.step - 1
+        if 0 <= d < len(steps):
+            span = ev.span
+            op = (span.array, span.start, span.nbytes,
+                  ev.is_read, ev.is_write, ev.access.name == "ATOMIC")
+            steps[d].append((ev.tid, op, ev.launch, ev.block, ev.epoch))
+    return steps
+
+
+class ReferenceScanExplorer(ScheduleExplorer):
+    """Walks every other thread's whole history backward, across all
+    arrays, for every event."""
+
+    def _add_backtrack_points(self, stack, sched, events):
+        steps = _reference_trace_steps(sched, events)
+        by_thread = {}
+
+        def nominate(node, tid):
+            if tid in node.runnable and tid not in node.sleep:
+                node.backtrack.add(tid)
+                return
+            awake = set(node.runnable) - set(node.sleep)
+            node.backtrack.update(awake or node.runnable)
+
+        for d, infos in enumerate(steps):
+            here = stack[d] if d < len(stack) else None
+            for tid, op, launch, block, epoch in infos:
+                if here is not None:
+                    for q in here.runnable:
+                        if (q >= DRAIN_BASE and q != tid
+                                and _dependent(op, here.pending.get(q))):
+                            nominate(here, q)
+                for q, history in by_thread.items():
+                    if q == tid:
+                        continue
+                    for j, jop, jlaunch, jblock, jepoch in reversed(history):
+                        if jlaunch != launch:
+                            break
+                        if jblock == block and jepoch != epoch:
+                            break
+                        if _dependent(op, jop):
+                            nominate(stack[j], tid)
+                            break
+                by_thread.setdefault(tid, []).append(
+                    (d, op, launch, block, epoch))
+
+
+def explore_with_both_scans(make_runner, budget, **kw):
+    """(result without wall time, decision logs handed to on_run) for
+    the explorer and for the reference scan."""
+    runs = []
+    for cls in (ScheduleExplorer, ReferenceScanExplorer):
+        logs = []
+
+        def on_run(outcome, log):
+            logs.append(log)
+            return False
+
+        result = cls(make_runner(), budget=budget, on_run=on_run,
+                     **kw).explore()
+        runs.append((dataclasses.replace(result, wall_seconds=0.0), logs))
+    return runs
+
+
+class TestBacktrackScanAgainstHistoryWalk:
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("state_dedupe", [False, True])
+    def test_pattern_corpus(self, name, variant, state_dedupe):
+        program = program_from_pattern(name, variant)
+        budget = BUDGETS["smoke"]
+        new, reference = explore_with_both_scans(
+            lambda: _make_runner(program, budget, None, True, False),
+            budget, state_dedupe=state_dedupe)
+        assert new == reference
+
+    @pytest.mark.parametrize("test", [t.name for t in litmus.CORPUS])
+    @pytest.mark.parametrize("model", ["sc", "tso", "relaxed_gpu", "ptx"])
+    def test_litmus_corpus_with_schedulable_drains(self, test, model):
+        cell = next(t for t in litmus.CORPUS if t.name == test)
+        budget = litmus.LITMUS_BUDGET
+        new, reference = explore_with_both_scans(
+            lambda: litmus._make_runner(cell, get_model(model), budget),
+            budget)
+        assert new == reference
+        assert new[0].complete
+
+    @pytest.mark.parametrize("name", ["cc", "twophase"])
+    def test_repair_verify_programs(self, name):
+        from repro.repair.localize import localize
+        from repro.repair.prefilter import prefilter
+        from repro.repair.synth import synthesize
+        from repro.repair.targets import get_target
+
+        target = get_target(name)
+        obligations, events = localize(target, seeds=(0, 1, 2))
+        candidates = synthesize(
+            target, obligations, prefilter(target.plan, events, obligations))
+        assert candidates
+        budget = BUDGETS["smoke"]
+        for fixset in candidates:
+            program = target.build_program(fixset.barriers())
+            with site_kind_overrides(fixset.kinds()):
+                new, reference = explore_with_both_scans(
+                    lambda: _make_runner(program, budget, None, True, False),
+                    budget)
+            assert new == reference, fixset.describe()
