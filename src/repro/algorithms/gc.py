@@ -13,6 +13,17 @@ priority; ready vertices take the smallest color absent from their
 neighborhood.  The shortcut optimizations change *when* vertices become
 ready but not the access-kind profile this level prices, so they are
 approximated by the plain readiness rule (see DESIGN.md Section 6).
+Rounds are counter-driven, as ECL-GC orders its vertices: each vertex
+counts its uncolored higher-priority neighbors, coloring a round
+decrements exactly the vertices it unblocked, and the next ready set is
+those whose count reached zero — so a whole coloring touches each edge
+a constant number of times.  Priorities are distinct, so on a
+symmetric CSR a ready set is independent and all its colors are taken
+in one vectorized pass; a round in which a ready vertex has a ready
+out-neighbor (a non-symmetric CSR or a self-loop) is colored one vertex
+at a time in vertex order instead.  The recorder is still charged for
+what the kernel does: every active vertex polls all its neighbors in
+every round.
 
 SIMT level: a per-vertex round kernel over the colors *and* the
 possible-color bitsets, including the paper's shortcut 1 — the
@@ -60,10 +71,56 @@ def make_priorities(graph, seed: int) -> np.ndarray:
 # Performance level
 # ----------------------------------------------------------------------
 
+def _segment_positions(offsets: np.ndarray,
+                       vertices: np.ndarray) -> np.ndarray:
+    """Flat positions of the CSR segments of ``vertices``, concatenated
+    in the order given."""
+    starts = offsets[vertices]
+    lengths = offsets[vertices + 1] - starts
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return shift + np.arange(shift.shape[0])
+
+
+def _color_in_order(offsets: np.ndarray, dst: np.ndarray,
+                    color: np.ndarray, ready_vs: np.ndarray) -> None:
+    """Color ``ready_vs`` one at a time in vertex order, each seeing the
+    colors of those before it (the exact rule when ready vertices are
+    adjacent)."""
+    for v in ready_vs.tolist():
+        neigh_colors = color[dst[offsets[v]:offsets[v + 1]]]
+        used = np.unique(neigh_colors[neigh_colors >= 0])
+        c = 0
+        for u in used.tolist():
+            if u == c:
+                c += 1
+            elif u > c:
+                break
+        color[v] = c
+
+
+def _smallest_free_colors(ready_vs: np.ndarray, owners: np.ndarray,
+                          neigh_colors: np.ndarray, n: int) -> np.ndarray:
+    """Per ready vertex, the smallest color none of its colored
+    neighbors holds.  ``owners[i]`` is the ready vertex whose edge
+    reaches a neighbor of color ``neigh_colors[i]``."""
+    colored = neigh_colors >= 0
+    # one key per distinct (vertex, color); int64 holds n*n for n < 3e9
+    keys = np.unique(owners[colored] * n + neigh_colors[colored])
+    key_owner, key_color = np.divmod(keys, n)
+    rank = np.arange(keys.shape[0]) - np.searchsorted(key_owner, key_owner)
+    # a vertex's distinct colors c_0 < c_1 < ... satisfy c_i >= i, with
+    # equality exactly while 0..i are all taken: the mex counts them
+    taken = key_owner[key_color == rank]
+    return np.bincount(np.searchsorted(ready_vs, taken),
+                       minlength=ready_vs.shape[0])
+
+
 def run_perf(graph, recorder) -> dict:
     """Jones-Plassmann coloring with recorded accesses."""
     n = graph.num_vertices
     m = graph.num_edges
+    offsets = graph.row_offsets.astype(np.int64)
+    degrees = np.diff(offsets)
     src = edge_sources(graph)
     dst = graph.col_indices.astype(np.int64)
     prio = make_priorities(graph, recorder.repetition_seed())
@@ -75,12 +132,22 @@ def run_perf(graph, recorder) -> dict:
     recorder.store("gc.color.write", count=n)  # init kernel
     recorder.round()
 
-    uncolored = np.ones(n, dtype=bool)
-    while np.any(uncolored):
+    # blockers[v] counts v's out-edges to an uncolored neighbor that
+    # outranks it; v is ready when it reaches 0.  The outranking edges,
+    # grouped by their higher endpoint, name whom a colored vertex
+    # unblocks — on a non-symmetric CSR too
+    higher = prio[dst] > prio[src]
+    lower, outranking = src[higher], dst[higher]
+    blockers = np.bincount(lower, minlength=n)
+    lower = lower[np.argsort(outranking, kind="stable")]
+    unblock_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(outranking, minlength=n), out=unblock_offsets[1:])
+
+    ready_vs = np.flatnonzero(blockers == 0)
+    is_ready = np.zeros(n, dtype=bool)
+    n_active, n_polls = n, m
+    while n_active:
         recorder.round()
-        active_src = uncolored[src]
-        n_polls = int(np.count_nonzero(active_src))
-        n_active = int(np.count_nonzero(uncolored))
         recorder.structure(n_polls)
         # each active vertex polls its neighbors' colors and priorities
         # and maintains its possible-color set
@@ -90,26 +157,30 @@ def run_perf(graph, recorder) -> dict:
         recorder.store("gc.posscol.write", count=n_active)
         recorder.compute(2 * n_polls)
 
-        # blocked: an uncolored higher-priority neighbor exists
-        blocking = active_src & uncolored[dst] & (prio[dst] > prio[src])
-        blocked = np.zeros(n, dtype=bool)
-        np.logical_or.at(blocked, src[blocking], True)
-        ready = uncolored & ~blocked
-        ready_vs = np.flatnonzero(ready)
-
-        for v in ready_vs.tolist():
-            beg, end = graph.row_offsets[v], graph.row_offsets[v + 1]
-            neigh_colors = color[dst[beg:end]]
-            used = np.unique(neigh_colors[neigh_colors >= 0])
-            c = 0
-            for u in used.tolist():
-                if u == c:
-                    c += 1
-                elif u > c:
-                    break
-            color[v] = c
+        edges = _segment_positions(offsets, ready_vs)
+        neighbors = dst[edges]
+        is_ready[ready_vs] = True
+        if is_ready[neighbors].any():
+            # a ready vertex sees another's new color: only a
+            # non-symmetric CSR or a self-loop gets here
+            _color_in_order(offsets, dst, color, ready_vs)
+        else:
+            # distinct priorities make a symmetric ready set
+            # independent, so every color depends only on earlier rounds
+            owners = np.repeat(ready_vs, degrees[ready_vs])
+            color[ready_vs] = _smallest_free_colors(
+                ready_vs, owners, color[neighbors], n)
+        is_ready[ready_vs] = False
         recorder.store("gc.color.write", indices=ready_vs)
-        uncolored[ready_vs] = False
+        n_active -= ready_vs.shape[0]
+        n_polls -= edges.shape[0]
+
+        unblocked, hits = np.unique(
+            lower[_segment_positions(unblock_offsets, ready_vs)],
+            return_counts=True)
+        blockers[unblocked] -= hits
+        # only a vertex this round unblocked can have newly reached 0
+        ready_vs = unblocked[blockers[unblocked] == 0]
     return {"colors": color}
 
 

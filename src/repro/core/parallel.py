@@ -348,7 +348,11 @@ def execute_tasks(config: WorkerConfig, tasks: list[CellTask], jobs: int,
     Completed-task records are stashed per task index and flushed only
     in index order, so recovery never reorders the merge: the memo —
     and therefore ``save_results`` output and checkpoints — stays
-    byte-identical to the serial path even across pool rebuilds.
+    byte-identical to the serial path even across pool rebuilds.  A
+    task has finished once its records are merged (its index is below
+    the flush cursor) or staged behind an earlier unfinished task; only
+    the rest are resubmitted, so a generation in which every task
+    finishes is the last one and costs no rebuild.
 
     A task that *raises* in a worker (as opposed to dying) is a harness
     bug, not a host fault: it propagates as
@@ -444,8 +448,10 @@ def execute_tasks(config: WorkerConfig, tasks: list[CellTask], jobs: int,
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         pool.shutdown(wait=not broke, cancel_futures=True)
+        # flush() pops what it merges: a task has finished when it is
+        # below the flush cursor or still staged behind an unfinished one
         pending = [(idx, task) for idx, task in pending
-                   if idx not in staged]
+                   if idx >= flushed[0] and idx not in staged]
         if not pending:
             break
         respawns += 1

@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import gc, verify
+from repro.algorithms.common import edge_sources
 from repro.core.variants import Variant, get_algorithm
 from repro.errors import ValidationError
 from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph
+from repro.graphs.suite import load_suite_graph, suite_names
 from repro.gpu.device import get_device
 from repro.gpu.interleave import AdversarialScheduler, RandomScheduler
 from repro.gpu.racecheck import RaceDetector
-from repro.perf.engine import run_algorithm
+from repro.perf.engine import algorithm_plan, make_recorder, run_algorithm
 
 ALGO = lambda: get_algorithm("gc")
 DEV = lambda: get_device("titanv")
@@ -124,3 +126,153 @@ class TestPriorities:
     def test_priorities_distinct(self, small_graph):
         prio = gc.make_priorities(small_graph, seed=0)
         assert len(np.unique(prio)) == small_graph.num_vertices
+
+
+# ----------------------------------------------------------------------
+# Counter-driven rounds against the per-round rescan
+# ----------------------------------------------------------------------
+
+def _reference_run_perf(graph, recorder) -> dict:
+    """The per-round rescan of every edge, with one ``np.unique`` per
+    ready vertex: the reference ``gc.run_perf`` must match exactly."""
+    n = graph.num_vertices
+    m = graph.num_edges
+    src = edge_sources(graph)
+    dst = graph.col_indices.astype(np.int64)
+    prio = gc.make_priorities(graph, recorder.repetition_seed())
+    color = np.full(n, gc.UNCOLORED, dtype=np.int64)
+
+    recorder.touch("color", 4 * n)
+    recorder.touch("posscol", 4 * n)
+    recorder.touch("csr", 4 * m + 8 * (n + 1))
+    recorder.store("gc.color.write", count=n)
+    recorder.round()
+
+    uncolored = np.ones(n, dtype=bool)
+    while np.any(uncolored):
+        recorder.round()
+        active_src = uncolored[src]
+        n_polls = int(np.count_nonzero(active_src))
+        n_active = int(np.count_nonzero(uncolored))
+        recorder.structure(n_polls)
+        recorder.load("gc.color.read", count=n_polls)
+        recorder.load("gc.prio.read", count=n_polls)
+        recorder.load("gc.posscol.read", count=n_active)
+        recorder.store("gc.posscol.write", count=n_active)
+        recorder.compute(2 * n_polls)
+
+        blocking = active_src & uncolored[dst] & (prio[dst] > prio[src])
+        blocked = np.zeros(n, dtype=bool)
+        np.logical_or.at(blocked, src[blocking], True)
+        ready_vs = np.flatnonzero(uncolored & ~blocked)
+
+        for v in ready_vs.tolist():
+            beg, end = graph.row_offsets[v], graph.row_offsets[v + 1]
+            neigh_colors = color[dst[beg:end]]
+            used = np.unique(neigh_colors[neigh_colors >= 0])
+            c = 0
+            for u in used.tolist():
+                if u == c:
+                    c += 1
+                elif u > c:
+                    break
+            color[v] = c
+        recorder.store("gc.color.write", indices=ready_vs)
+        uncolored[ready_vs] = False
+    return {"colors": color}
+
+
+def _assert_matches_reference(graph: CSRGraph, seed: int) -> None:
+    """Equal colors and equal ``AccessStats`` (every field) on both
+    recorder tiers and both variants.  The reference runs once per
+    variant, on the interp tier: the tiers' stats are byte-identical
+    for one call sequence, so both tiers must match it."""
+    plan = algorithm_plan(ALGO())
+    for variant in Variant:
+        ref = make_recorder(plan, variant, staleness_rounds=2, seed=seed,
+                            engine="interp")
+        expected = _reference_run_perf(graph, ref)["colors"]
+        for engine in ("interp", "batched"):
+            rec = make_recorder(plan, variant, staleness_rounds=2,
+                                seed=seed, engine=engine)
+            colors = gc.run_perf(graph, rec)["colors"]
+            assert colors.dtype == expected.dtype
+            assert np.array_equal(colors, expected), (variant, engine)
+            assert rec.stats == ref.stats, (variant, engine)
+
+
+def _raw_graph(n: int, edges, symmetric: bool) -> CSRGraph:
+    """A CSR straight from an edge list, keeping the self-loops and
+    parallel edges ``CSRGraph.from_edges`` drops."""
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if symmetric:
+        pairs = np.concatenate([pairs, pairs[:, ::-1]])
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=n), out=offsets[1:])
+    return CSRGraph(offsets, pairs[:, 1], directed=not symmetric)
+
+
+@st.composite
+def _raw_graphs(draw):
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
+    return _raw_graph(n, edges, symmetric=draw(st.booleans()))
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Counts the rounds colored by the per-vertex fallback."""
+    calls = []
+    real = gc._color_in_order
+
+    def counting(*args):
+        calls.append(args[-1].shape[0])
+        real(*args)
+
+    monkeypatch.setattr(gc, "_color_in_order", counting)
+    return calls
+
+
+class TestMatchesRescanReference:
+    @pytest.mark.parametrize("seed", [7, 1007])
+    @pytest.mark.parametrize("name", suite_names(directed=False))
+    def test_undirected_suite_quarter_scale(self, name, seed,
+                                            fallback_calls):
+        _assert_matches_reference(load_suite_graph(name, 0.25), seed)
+        assert fallback_calls == []  # symmetric: one vectorized pass
+
+    @pytest.mark.parametrize("seed", [7, 1007])
+    @pytest.mark.parametrize("name", [
+        "internet", "rmat16.sym", "USA-road-d.NY", "amazon0601",
+        "2d-2e20.sym", "as-skitter", "in-2004"])
+    def test_sweep_inputs_full_scale(self, name, seed, fallback_calls):
+        _assert_matches_reference(load_suite_graph(name, 1.0), seed)
+        assert fallback_calls == []
+
+    @pytest.mark.parametrize("graph", [
+        _raw_graph(1, [], symmetric=True),
+        _raw_graph(1, [(0, 0)], symmetric=True),
+        _raw_graph(6, [], symmetric=True),
+        _raw_graph(6, [(0, 1), (1, 2), (2, 0)], symmetric=True),
+        _raw_graph(5, [(0, 1), (1, 1), (3, 3)], symmetric=True),
+    ], ids=["single", "single-loop", "no-edges", "triangle-isolated",
+            "self-loops"])
+    @pytest.mark.parametrize("seed", [7, 1007])
+    def test_degenerate_graphs(self, graph, seed):
+        _assert_matches_reference(graph, seed)
+
+    @pytest.mark.parametrize("seed", [7, 1007])
+    def test_directed_rounds_take_the_fallback(self, seed, fallback_calls):
+        # 0 -> 1 without 1 -> 0: both are ready in the first round, and
+        # 0 must see 1 still uncolored, as the in-order rule has it
+        _assert_matches_reference(_raw_graph(2, [(0, 1)], False), seed)
+        _assert_matches_reference(
+            gen.directed_powerlaw(60, 2.5, seed=3), seed)
+        assert fallback_calls
+
+    @settings(max_examples=80, deadline=None)
+    @given(_raw_graphs(), st.sampled_from([7, 1007]))
+    def test_random_csrs(self, graph, seed):
+        _assert_matches_reference(graph, seed)

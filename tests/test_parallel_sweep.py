@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ResilientStudy, Study
+from repro import ResilientStudy, Study, telemetry
 from repro.cli import main as cli_main
+from repro.core import parallel
 from repro.core.parallel import JOBS_ENV, resolve_jobs
 from repro.core.study import SpeedupCell
 from repro.errors import StudyError
@@ -19,6 +20,19 @@ from repro.gpu.faults import FaultPlan
 ALGOS = ["cc", "mis"]
 INPUTS = ["internet", "USA-road-d.NY"]
 DEVICE = "titanv"
+
+
+#: the file :func:`_logged_run_task` appends to, set per test
+_EXECUTION_LOG = None
+_RUN_TASK = parallel._run_task
+
+
+def _logged_run_task(task, generation=0):
+    """``_run_task`` logging one line per execution.  Module-level, so
+    the pool pickles it by name and forked workers resolve it."""
+    with open(_EXECUTION_LOG, "a") as log:
+        log.write("/".join(parallel._task_key(task)) + "\n")
+    return _RUN_TASK(task, generation)
 
 
 def _cells(cells):
@@ -118,6 +132,24 @@ class TestParallelResilientStudy:
         second = ResilientStudy(reps=1, trace_cache=trace_dir)
         cells_b = second.sweep(DEVICE, ALGOS, INPUTS, jobs=2).cells
         assert _cells(cells_a) == _cells(cells_b)
+
+
+class TestOneGenerationPerCleanPool:
+    def test_each_task_executes_once(self, tmp_path, monkeypatch):
+        log = tmp_path / "executions.log"
+        monkeypatch.setitem(globals(), "_EXECUTION_LOG", str(log))
+        monkeypatch.setattr(parallel, "_run_task", _logged_run_task)
+        ResilientStudy(reps=1).sweep(DEVICE, ALGOS, INPUTS, jobs=2)
+        assert sorted(log.read_text().splitlines()) == sorted(
+            f"{a}/{i}/{DEVICE}" for i in INPUTS for a in ALGOS)
+
+    def test_clean_pool_never_respawns(self):
+        with telemetry.session() as (registry, _spans):
+            study = ResilientStudy(reps=1)
+            study.pool_respawn_budget = 0
+            result = study.sweep(DEVICE, ALGOS, INPUTS, jobs=2)
+            assert registry.get("repro_host_pool_respawns_total") is None
+        assert result.coverage[0] == result.coverage[1] == 4
 
 
 def test_cli_sweep_jobs_smoke(capsys):
