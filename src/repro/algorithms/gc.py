@@ -41,6 +41,7 @@ from repro.core.variants import AlgorithmInfo, Variant, register_algorithm
 from repro.gpu.accesses import AccessKind
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.simt import SimtExecutor, ThreadCtx
+from repro.utils.arrays import sorted_unique
 
 ACCESS_PLAN = AccessPlan("gc", (
     # neighbor color polling (volatile in the baseline)
@@ -88,7 +89,7 @@ def _color_in_order(offsets: np.ndarray, dst: np.ndarray,
     adjacent)."""
     for v in ready_vs.tolist():
         neigh_colors = color[dst[offsets[v]:offsets[v + 1]]]
-        used = np.unique(neigh_colors[neigh_colors >= 0])
+        used = sorted_unique(neigh_colors[neigh_colors >= 0])
         c = 0
         for u in used.tolist():
             if u == c:
@@ -105,7 +106,7 @@ def _smallest_free_colors(ready_vs: np.ndarray, owners: np.ndarray,
     reaches a neighbor of color ``neigh_colors[i]``."""
     colored = neigh_colors >= 0
     # one key per distinct (vertex, color); int64 holds n*n for n < 3e9
-    keys = np.unique(owners[colored] * n + neigh_colors[colored])
+    keys = sorted_unique(owners[colored] * n + neigh_colors[colored])
     key_owner, key_color = np.divmod(keys, n)
     rank = np.arange(keys.shape[0]) - np.searchsorted(key_owner, key_owner)
     # a vertex's distinct colors c_0 < c_1 < ... satisfy c_i >= i, with
@@ -135,11 +136,12 @@ def run_perf(graph, recorder) -> dict:
     # blockers[v] counts v's out-edges to an uncolored neighbor that
     # outranks it; v is ready when it reaches 0.  The outranking edges,
     # grouped by their higher endpoint, name whom a colored vertex
-    # unblocks — on a non-symmetric CSR too
+    # unblocks — on a non-symmetric CSR too.  ``lower`` ascends in edge
+    # order, so sorting (outranking, lower) keys is the stable grouping
     higher = prio[dst] > prio[src]
     lower, outranking = src[higher], dst[higher]
     blockers = np.bincount(lower, minlength=n)
-    lower = lower[np.argsort(outranking, kind="stable")]
+    lower = np.sort(outranking * n + lower) % n
     unblock_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(outranking, minlength=n), out=unblock_offsets[1:])
 
@@ -175,7 +177,7 @@ def run_perf(graph, recorder) -> dict:
         n_active -= ready_vs.shape[0]
         n_polls -= edges.shape[0]
 
-        unblocked, hits = np.unique(
+        unblocked, hits = sorted_unique(
             lower[_segment_positions(unblock_offsets, ready_vs)],
             return_counts=True)
         blockers[unblocked] -= hits

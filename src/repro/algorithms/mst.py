@@ -29,6 +29,7 @@ from repro.core.variants import AlgorithmInfo, Variant, register_algorithm
 from repro.gpu.accesses import AccessKind, RMWOp
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.simt import SimtExecutor, ThreadCtx
+from repro.utils.arrays import sorted_unique
 
 ACCESS_PLAN = AccessPlan("mst", (
     # union-find parent reads while resolving roots; ECL-MST's shared
@@ -134,7 +135,7 @@ def run_perf(graph, recorder, path_compression: bool = True) -> dict:
         # best-edge election per component (atomicMin on packed slots);
         # only live representatives' slots are reset
         best = np.full(n, _NO_EDGE, dtype=np.int64)
-        roots = np.unique(np.concatenate([cu, cv]))
+        roots = sorted_unique(np.concatenate([cu, cv]))
         recorder.store("mst.best.write", count=int(roots.size))
         np.minimum.at(best, cu, packed[le])
         np.minimum.at(best, cv, packed[le])
@@ -145,7 +146,7 @@ def run_perf(graph, recorder, path_compression: bool = True) -> dict:
         winners = best[roots]
         has_edge = winners != _NO_EDGE
         win_edges = (winners[has_edge] & 0xFFFFFFFF).astype(np.int64)
-        win_edges = np.unique(win_edges)  # both endpoints may pick it
+        win_edges = sorted_unique(win_edges)  # both endpoints may pick it
 
         in_mst[edge_csr_index[win_edges]] = True
         # hook: smaller root becomes the representative (roots resolved

@@ -18,6 +18,16 @@ Mesh graphs need many propagation rounds (long diameters), which is why
 SCC — like CC dominated by plain accesses converted to atomics — shows
 large race-free slowdowns (geomean 0.50-0.81, Table VIII).
 
+Performance level: synchronous max-propagation rounds over the live
+edges.  Each propagation lays its live edges out once as a padded
+per-vertex table of contributors (:func:`_pull_table`), and every round
+gathers from it (:func:`_pull_round`).  The layout needs the edges
+grouped by target: the CSR lists them by source, and one sort per run
+lists them by destination.  The recorder is charged per edge, as the
+kernel does: every improving edge stores its target's pair, and every
+changed vertex raises the go-again flag — passed as store counts with
+their distinct-address counts, never as index arrays.
+
 SIMT level: a per-vertex propagation kernel over the shared int2 array,
 used for race detection (including the half-tearing subtleties).
 """
@@ -65,8 +75,12 @@ def run_perf(graph, recorder, trim: bool = False) -> dict:
     the speedup anyway).
     """
     n = graph.num_vertices
+    m = graph.num_edges
     src = edge_sources(graph)
     dst = graph.col_indices.astype(np.int64)
+    # the edge ids grouped by destination, as the CSR groups them by
+    # source: one sort of (dst, edge id) keys
+    by_dst = np.sort(dst * m + np.arange(m)) % max(m, 1)
 
     scc = np.full(n, -1, dtype=np.int64)
     active_v = np.ones(n, dtype=bool)
@@ -89,36 +103,33 @@ def run_perf(graph, recorder, trim: bool = False) -> dict:
         val = np.where(active_v, np.arange(n, dtype=np.int64), -1)
         recorder.store("scc.pathmax.write", count=int(active_v.sum()))
         recorder.round()
-        edges = np.flatnonzero(alive_e)
-        e_src = src[edges]
-        e_dst = dst[edges]
+        # pull: val[u] = max(val[u], val[v]) for edge (u, v)
+        if out_dir:
+            edges = np.flatnonzero(alive_e)
+            table = _pull_table(src[edges], dst[edges], n)
+        else:
+            edges = by_dst[alive_e[by_dst]]
+            table = _pull_table(dst[edges], src[edges], n)
         while True:
             recorder.round()
             recorder.structure(edges.size)
             recorder.load("scc.pathmax.read", count=edges.size)
             recorder.compute(edges.size)
-            if out_dir:
-                # pull: val[u] = max(val[u], val[v]) for edge (u, v)
-                contrib = val[e_dst]
-                targets = e_src
-            else:
-                contrib = val[e_src]
-                targets = e_dst
-            new_val = val.copy()
-            np.maximum.at(new_val, targets, contrib)
+            new_val, improving = _pull_round(val, *table)
+            changed = int(np.count_nonzero(new_val != val))
             # per-edge update attempts: every improving edge writes its
             # target's pair, so hot (high-degree) vertices take many
             # colliding writes — the mechanism behind Table IX's negative
-            # degree correlation for SCC
-            improving = contrib > val[targets]
-            recorder.store("scc.pathmax.write",
-                           indices=targets[improving])
-            changed = int(np.count_nonzero(new_val != val))
+            # degree correlation for SCC.  A vertex rises exactly when
+            # one of its contributions exceeds it, so the improving
+            # edges' targets are the changed vertices
+            recorder.store("scc.pathmax.write", count=improving,
+                           distinct=changed)
             # every updated vertex raises the single go-again flag: in
             # the race-free code these are atomics colliding on one word
             if changed:
-                recorder.store("scc.goagain.write",
-                               indices=np.zeros(changed, dtype=np.int64))
+                recorder.store("scc.goagain.write", count=changed,
+                               distinct=1)
             recorder.load("scc.goagain.read", count=1)
             if changed == 0:
                 return val
@@ -134,6 +145,47 @@ def run_perf(graph, recorder, trim: bool = False) -> dict:
         alive_e &= active_v[src] & active_v[dst]
 
     return {"labels": scc}
+
+
+def _pull_table(targets: np.ndarray, contributors: np.ndarray, n: int):
+    """Lay edges grouped by target (``targets`` non-decreasing) out as
+    a ``(width, n)`` table.
+
+    Column ``v`` lists the contributors of ``v``; ``width`` is the edge
+    count over ``n``, rounded up and capped at the largest group, and a
+    vertex pads its unused slots with itself, which never raises its
+    max.  Contributors beyond the width (hub vertices) spill into the
+    returned (target, contributor) arrays.  Every edge lands exactly
+    once in the table or the spill; order within a column is irrelevant
+    to a max.
+    """
+    m = targets.shape[0]
+    counts = np.bincount(targets, minlength=n)
+    width = min(-(-m // n), int(counts.max()))
+    starts = np.cumsum(counts) - counts
+    slot = np.arange(width)[:, None]
+    table = np.where(slot < counts,
+                     contributors[np.minimum(starts + slot, m - 1)],
+                     np.arange(n))
+    spill = np.arange(m) >= starts[targets] + width
+    return table, targets[spill], contributors[spill]
+
+
+def _pull_round(val: np.ndarray, table: np.ndarray,
+                spill_targets: np.ndarray,
+                spill_contributors: np.ndarray) -> tuple[np.ndarray, int]:
+    """One propagation round from a :func:`_pull_table`: the new values
+    and the number of improving edges."""
+    contrib = val[table]
+    improving = int(np.count_nonzero(contrib > val))
+    new_val = val.copy()
+    for row in contrib:
+        np.maximum(new_val, row, out=new_val)
+    if spill_targets.size:
+        spilled = val[spill_contributors]
+        improving += int(np.count_nonzero(spilled > val[spill_targets]))
+        np.maximum.at(new_val, spill_targets, spilled)
+    return new_val, improving
 
 
 def _trim_trivial(n, src, dst, scc, active_v, alive_e, recorder) -> None:

@@ -306,12 +306,11 @@ def _preload_task_modules(tasks: list[CellTask]) -> None:
 
     Forked workers start from the parent's modules, and a parent that
     never runs a task itself would leave each worker of each pool to
-    import the task algorithms' modules, ``numpy.random`` (first seeded
-    generator) and ``numpy.ma`` (first ``np.unique``) on its own.  A
-    name that does not resolve is skipped, so the worker still raises
-    on it and the error names the cell.
+    import the task algorithms' modules and ``numpy.random`` (first
+    seeded generator) on its own.  A name that does not resolve is
+    skipped, so the worker still raises on it and the error names the
+    cell.
     """
-    import numpy.ma  # noqa: F401
     import numpy.random  # noqa: F401
 
     from repro.core.variants import get_algorithm

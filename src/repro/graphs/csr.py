@@ -109,18 +109,17 @@ class CSRGraph:
 
         if dedupe and src.size:
             key = src * np.int64(num_vertices) + dst
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            src, dst = src[order], dst[order]
-            if wgt is not None:
-                wgt = wgt[order]
+            if wgt is None:
+                # an unweighted edge is its key: sort the keys alone
+                key.sort()
+            else:
                 # keep minimum weight among duplicates: within equal keys,
                 # sort by weight then take the first occurrence
-                suborder = np.lexsort((wgt, key))
-                key, src, dst, wgt = key[suborder], src[suborder], dst[suborder], wgt[suborder]
+                order = np.lexsort((wgt, key))
+                key, wgt = key[order], wgt[order]
             first = np.ones(key.shape[0], dtype=bool)
             first[1:] = key[1:] != key[:-1]
-            src, dst = src[first], dst[first]
+            src, dst = np.divmod(key[first], num_vertices)
             if wgt is not None:
                 wgt = wgt[first]
         if not dedupe:

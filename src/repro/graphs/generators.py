@@ -181,25 +181,21 @@ def preferential_attachment(n: int, m: int, seed: int = 0,
     if m < 1 or n <= m:
         raise GraphError(f"need n > m >= 1, got n={n}, m={m}")
     rng = _rng(seed)
-    pool = np.zeros(2 * n * m, dtype=np.int64)
-    pool_size = 0
+    # every edge's endpoints, so a uniform pick is proportional to degree
+    pool: list[int] = []
     # seed clique among the first m + 1 vertices
     seeds = []
     for u in range(m + 1):
         for v in range(u + 1, m + 1):
             seeds.append((u, v))
-            pool[pool_size] = u
-            pool[pool_size + 1] = v
-            pool_size += 2
+            pool += (u, v)
     edges = [np.array(seeds, dtype=np.int64)]
     batch = []
     for u in range(m + 1, n):
-        picks = pool[rng.integers(0, pool_size, size=m)]
-        for v in np.unique(picks):
+        picks = rng.integers(0, len(pool), size=m).tolist()
+        for v in sorted({pool[i] for i in picks}):
             batch.append((u, v))
-            pool[pool_size] = u
-            pool[pool_size + 1] = v
-            pool_size += 2
+            pool += (u, v)
     if batch:
         edges.append(np.array(batch, dtype=np.int64))
     return _edges_to_graph(n, np.concatenate(edges),

@@ -176,16 +176,26 @@ def suite_entry(name: str) -> SuiteEntry:
         ) from None
 
 
-@lru_cache(maxsize=256)
 def load_suite_graph(name: str, scale: float = 1.0) -> CSRGraph:
     """Build (and memoize) the scaled synthetic analog of a paper input.
 
     The cache is process-wide and shared by every study, sweep worker
     task, and bench module in the process — a multi-study session (or
     a pool worker serving many cells) builds each (name, scale) CSR
-    exactly once.
+    exactly once.  It is keyed on ``(name, float(scale))``, so every
+    call form of one input (``scale`` positional, keyword, defaulted,
+    ``1`` or ``1.0``) shares one build; ``load_suite_graph.cache_info()``
+    reports the cache, with ``misses`` counting builds.
     """
+    return _build_suite_graph(name, float(scale))
+
+
+@lru_cache(maxsize=256)
+def _build_suite_graph(name: str, scale: float) -> CSRGraph:
     return suite_entry(name).builder(scale)
+
+
+load_suite_graph.cache_info = _build_suite_graph.cache_info
 
 
 #: (graph fingerprint, weight seed) -> weighted copy.  Process-wide,

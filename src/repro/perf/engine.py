@@ -37,6 +37,7 @@ from repro.gpu.device import DeviceSpec, device_key
 from repro.gpu.timing import AccessStats, TimingModel
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
 from repro.telemetry.spans import get_spans
+from repro.utils.arrays import sorted_unique
 from repro.perf.trace import (
     ANY_SEED,
     ANY_STALENESS,
@@ -115,7 +116,13 @@ class Recorder:
         idx = np.asarray(indices)
         if idx.size == 0:
             return 0.0
-        return float(idx.shape[0] - np.unique(idx).shape[0])
+        return float(idx.shape[0] - sorted_unique(idx).shape[0])
+
+    def _store_contention(self, indices: np.ndarray | None, n: float,
+                          distinct: int | None) -> float:
+        if distinct is not None:
+            return float(n - distinct)
+        return self._contention(indices)
 
     def _bucket(self, kind: AccessKind, n: float, store: bool) -> None:
         s = self.stats
@@ -165,14 +172,24 @@ class Recorder:
         # hardware (L2 read combining); only stores and RMWs contend
 
     def store(self, site: str, indices: np.ndarray | None = None,
-              count: float | None = None) -> None:
-        """Record stores at ``site``."""
+              count: float | None = None,
+              distinct: int | None = None) -> None:
+        """Record stores at ``site``.
+
+        ``distinct`` is the number of different addresses among the
+        ``count`` stores, for a caller that knows it without building
+        the index array: on an ATOMIC site the stores then contend
+        ``count - distinct`` times, exactly what ``indices`` with
+        ``count`` entries and ``distinct`` different values would
+        charge.
+        """
         s = self._site(site)
         n = self._count(indices, count)
         self._bucket(s.kind, n, store=True)
         self._order_extra(s, n)
         if s.kind is AccessKind.ATOMIC:
-            self.stats.contended_atomics += self._contention(indices)
+            self.stats.contended_atomics += self._store_contention(
+                indices, n, distinct)
 
     def rmw(self, site: str, indices: np.ndarray | None = None,
             count: float | None = None) -> None:
@@ -253,9 +270,10 @@ class BatchedRecorder(Recorder):
     are byte-identical to the per-call recorder's.
 
     The contention measure replaces the base recorder's per-call
-    ``np.unique`` (a sort, O(n log n)) with ``np.bincount`` collision
-    counting (O(n + range)) whenever the index range is comparable to
-    the stream length, falling back to ``np.unique`` for sparse ranges.
+    :func:`~repro.utils.arrays.sorted_unique` (a sort, O(n log n)) with
+    ``np.bincount`` collision counting (O(n + range)) whenever the index
+    range is comparable to the stream length, falling back to the sort
+    for sparse ranges.
     """
 
     def __init__(self, plan: AccessPlan, variant: Variant,
@@ -327,7 +345,7 @@ class BatchedRecorder(Recorder):
             occupied = np.count_nonzero(
                 np.bincount(idx.astype(np.int64) - lo, minlength=span))
             return float(idx.shape[0] - occupied)
-        return float(idx.shape[0] - np.unique(idx).shape[0])
+        return float(idx.shape[0] - sorted_unique(idx).shape[0])
 
     # ------------------------------------------------------------------
     def load(self, site: str, indices: np.ndarray | None = None,
@@ -340,7 +358,8 @@ class BatchedRecorder(Recorder):
             sc[_ORDERED_IDX] += n * weight
 
     def store(self, site: str, indices: np.ndarray | None = None,
-              count: float | None = None) -> None:
+              count: float | None = None,
+              distinct: int | None = None) -> None:
         kind, weight = self._resolve(site)
         n = self._count(indices, count)
         sc = self._scratch
@@ -348,7 +367,8 @@ class BatchedRecorder(Recorder):
         if weight:
             sc[_ORDERED_IDX] += n * weight
         if kind is AccessKind.ATOMIC:
-            sc[_CONTENDED_IDX] += self._contention(indices)
+            sc[_CONTENDED_IDX] += self._store_contention(indices, n,
+                                                         distinct)
 
     def rmw(self, site: str, indices: np.ndarray | None = None,
             count: float | None = None) -> None:

@@ -67,8 +67,8 @@ class ProfilingRecorder(Recorder):
         super().load(site, indices, count)
         self._traffic(site).loads += _whole(self._count(indices, count))
 
-    def store(self, site, indices=None, count=None) -> None:
-        super().store(site, indices, count)
+    def store(self, site, indices=None, count=None, distinct=None) -> None:
+        super().store(site, indices, count, distinct)
         self._traffic(site).stores += _whole(self._count(indices, count))
 
     def rmw(self, site, indices=None, count=None) -> None:

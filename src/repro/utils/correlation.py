@@ -30,6 +30,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         var_y += dy * dy
     if var_x == 0.0 or var_y == 0.0:
         raise ValueError("correlation undefined: zero variance input")
-    r = cov / math.sqrt(var_x * var_y)
+    denom = math.sqrt(var_x * var_y)
+    if denom == 0.0:
+        # the product of two tiny variances underflowed
+        denom = math.sqrt(var_x) * math.sqrt(var_y)
+    r = cov / denom
     # floating-point error can push |r| marginally past 1; clamp
     return max(-1.0, min(1.0, r))

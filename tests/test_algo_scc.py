@@ -8,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import scc, verify
+from repro.algorithms.common import edge_sources
 from repro.core.variants import Variant, get_algorithm
 from repro.errors import ValidationError
 from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph
+from repro.graphs.suite import load_suite_graph, suite_names
 from repro.gpu.device import get_device
 from repro.gpu.interleave import AdversarialScheduler, RandomScheduler
 from repro.gpu.racecheck import RaceDetector
-from repro.perf.engine import run_algorithm
+from repro.perf.engine import algorithm_plan, make_recorder, run_algorithm
+from tests.test_algo_gc import _raw_graph
 
 ALGO = lambda: get_algorithm("scc")
 DEV = lambda: get_device("titanv")
@@ -147,3 +150,154 @@ class TestVerifier:
     def test_rejects_split(self, directed_cycle):
         with pytest.raises(ValidationError):
             verify.check_scc(directed_cycle, np.arange(8, dtype=np.int64))
+
+
+# ----------------------------------------------------------------------
+# Pull-table rounds against the scatter rounds
+# ----------------------------------------------------------------------
+
+def _reference_run_perf(graph, recorder, trim: bool = False) -> dict:
+    """The scatter-round propagation: every round scatters with
+    ``np.maximum.at`` and hands the recorder its index arrays.
+    ``scc.run_perf`` must match it exactly."""
+    n = graph.num_vertices
+    src = edge_sources(graph)
+    dst = graph.col_indices.astype(np.int64)
+
+    labels = np.full(n, -1, dtype=np.int64)
+    active_v = np.ones(n, dtype=bool)
+    alive_e = np.ones(graph.num_edges, dtype=bool)
+
+    if trim:
+        scc._trim_trivial(n, src, dst, labels, active_v, alive_e, recorder)
+
+    recorder.touch("pathmax", 8 * n)
+    recorder.touch("csr", 8 * graph.num_edges + 16 * (n + 1))
+
+    def propagate(out_dir: bool) -> np.ndarray:
+        val = np.where(active_v, np.arange(n, dtype=np.int64), -1)
+        recorder.store("scc.pathmax.write", count=int(active_v.sum()))
+        recorder.round()
+        edges = np.flatnonzero(alive_e)
+        e_src = src[edges]
+        e_dst = dst[edges]
+        while True:
+            recorder.round()
+            recorder.structure(edges.size)
+            recorder.load("scc.pathmax.read", count=edges.size)
+            recorder.compute(edges.size)
+            if out_dir:
+                contrib = val[e_dst]
+                targets = e_src
+            else:
+                contrib = val[e_src]
+                targets = e_dst
+            new_val = val.copy()
+            np.maximum.at(new_val, targets, contrib)
+            improving = contrib > val[targets]
+            recorder.store("scc.pathmax.write",
+                           indices=targets[improving])
+            changed = int(np.count_nonzero(new_val != val))
+            if changed:
+                recorder.store("scc.goagain.write",
+                               indices=np.zeros(changed, dtype=np.int64))
+            recorder.load("scc.goagain.read", count=1)
+            if changed == 0:
+                return val
+            val = new_val
+
+    while np.any(active_v):
+        fwd = propagate(out_dir=True)
+        bwd = propagate(out_dir=False)
+        settled = active_v & (fwd == bwd)
+        labels[settled] = fwd[settled]
+        active_v &= ~settled
+        alive_e &= active_v[src] & active_v[dst]
+
+    return {"labels": labels}
+
+
+def _assert_matches_reference(graph: CSRGraph, trim: bool = False) -> None:
+    """Equal labels (and dtype) and equal ``AccessStats``, every field,
+    on both recorder tiers and both variants.  The reference runs on
+    the interp tier: the tiers' stats are byte-identical for one call
+    sequence, so both tiers must match it."""
+    plan = algorithm_plan(ALGO())
+    for variant in Variant:
+        ref = make_recorder(plan, variant, staleness_rounds=2, seed=7,
+                            engine="interp")
+        expected = _reference_run_perf(graph, ref, trim=trim)["labels"]
+        for engine in ("interp", "batched"):
+            rec = make_recorder(plan, variant, staleness_rounds=2, seed=7,
+                                engine=engine)
+            labels = scc.run_perf(graph, rec, trim=trim)["labels"]
+            assert labels.dtype == expected.dtype
+            assert np.array_equal(labels, expected), (variant, engine)
+            assert rec.stats == ref.stats, (variant, engine)
+
+
+def _hub_graph() -> CSRGraph:
+    """A 40-cycle whose vertex 0 also points at every other vertex:
+    vertex 0's 40 out-edges (two of them parallel) overflow the forward
+    propagation's width-2 table."""
+    cycle = [(v, (v + 1) % 40) for v in range(40)]
+    return _raw_graph(40, cycle + [(0, v) for v in range(1, 40)], False)
+
+
+@st.composite
+def _raw_digraphs(draw):
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
+    return _raw_graph(n, edges, symmetric=False)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """(width, spilled edges) of every pull table a run builds."""
+    built = []
+    real = scc._pull_table
+
+    def recording(*args):
+        table, spill_targets, spill_contributors = real(*args)
+        built.append((table.shape[0], spill_targets.shape[0]))
+        return table, spill_targets, spill_contributors
+
+    monkeypatch.setattr(scc, "_pull_table", recording)
+    return built
+
+
+class TestPullTableMatchesScatterRounds:
+    @pytest.mark.parametrize("trim", [False, True])
+    @pytest.mark.parametrize("name", suite_names(directed=True))
+    def test_directed_suite_quarter_scale(self, name, trim):
+        _assert_matches_reference(load_suite_graph(name, 0.25), trim)
+
+    @pytest.mark.parametrize("name", [
+        "cold-flow", "web-Google", "klein-bottle", "flickr", "toroid-hex",
+        "star"])
+    def test_full_scale(self, name):
+        _assert_matches_reference(load_suite_graph(name, 1.0))
+
+    @pytest.mark.parametrize("graph", [
+        _raw_graph(1, [], False),
+        _raw_graph(1, [(0, 0)], False),
+        _raw_graph(6, [], False),
+        _raw_graph(7, [(0, 1), (1, 2), (2, 0)], False),
+        _raw_graph(4, [(0, 1), (0, 1), (1, 0), (1, 0), (2, 3), (2, 3)],
+                   False),
+    ], ids=["single", "single-loop", "no-edges", "cycle-isolated",
+            "parallel-edges"])
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_degenerate_graphs(self, graph, trim):
+        _assert_matches_reference(graph, trim)
+
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_hub_spills_past_the_table(self, trim, tables):
+        _assert_matches_reference(_hub_graph(), trim)
+        assert (2, 38) in tables  # vertex 0 keeps 2 of its 40 edges
+
+    @settings(max_examples=120, deadline=None)
+    @given(_raw_digraphs(), st.booleans())
+    def test_random_csrs(self, graph, trim):
+        _assert_matches_reference(graph, trim)

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.transform import AccessPlan, AccessSite
 from repro.core.variants import Variant
 from repro.errors import StudyError
 from repro.gpu.accesses import AccessKind
 from repro.gpu.device import get_device
+from repro.perf import engine
 from repro.perf.engine import Recorder
 from repro.perf.visibility import DelayedView
 
@@ -83,6 +86,26 @@ class TestRecorder:
         r.round()
         r.round(launches=3)
         assert r.stats.rounds == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-3, 40), max_size=30))
+    @example([])
+    @example([5, 5, 5, 6])
+    def test_count_and_distinct_store_matches_indices(self, values):
+        """``store(count=k, distinct=d)`` charges what an index array
+        with k entries and d distinct values charges: on the PLAIN
+        site (baseline) and the ATOMIC one (race-free), on both tiers."""
+        indices = np.asarray(values, dtype=np.int64)
+        plan = make_recorder().plan
+        for variant in Variant:
+            for tier in ("interp", "batched"):
+                by_index, by_count = (
+                    engine.make_recorder(plan, variant, staleness_rounds=2,
+                                         engine=tier) for _ in range(2))
+                by_index.store("t.store", indices=indices)
+                by_count.store("t.store", count=len(values),
+                               distinct=len(set(values)))
+                assert by_count.stats == by_index.stats, (variant, tier)
 
     def test_staleness_only_for_plain_sites(self):
         r = make_recorder(Variant.BASELINE)

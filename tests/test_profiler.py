@@ -74,6 +74,23 @@ class TestProfiler:
                 assert type(traffic.rmws) is int
                 assert type(traffic.total) is int
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_stats_match_the_plain_recorder_on_scc(self, variant):
+        """scc passes its stores as counts with distinct-address counts;
+        profiling must charge them exactly as the plain recorder does."""
+        from repro.graphs import generators as gen
+        from repro.perf.engine import Recorder, algorithm_plan
+
+        graph = gen.directed_powerlaw(300, 3.0, seed=5)
+        device = get_device("titanv")
+        algo = get_algorithm("scc")
+        profile = profile_run(algo, graph, device, variant, seed=7)
+        plain = Recorder(algorithm_plan(algo), variant, device, seed=7)
+        algo.perf_runner(graph, plain)
+        assert profile.stats == plain.stats
+        assert (profile.stats.contended_atomics > 0) == (
+            variant is Variant.RACE_FREE)
+
     def test_whole_rejects_fractional_counts(self):
         from repro.perf.profiler import _whole
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.utils.correlation import pearson
@@ -105,6 +105,9 @@ class TestPearson:
     @given(st.lists(st.tuples(st.floats(min_value=-100, max_value=100),
                               st.floats(min_value=-100, max_value=100)),
                     min_size=3, max_size=30))
+    # variances whose product underflows to zero
+    @example([(0.0, 0.0), (0.0, 1.555784426741879e-75),
+              (5.997993288577755e-129, 0.0)])
     def test_bounded(self, pairs):
         xs = [p[0] for p in pairs]
         ys = [p[1] for p in pairs]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import GraphError
@@ -12,7 +15,13 @@ from repro.graphs.suite import (
     load_suite_graph,
     suite_entry,
     suite_names,
+    weighted_graph,
 )
+
+#: fingerprints of every suite graph and its ``weighted_graph`` copy,
+#: per scale, banked from a build before the edge-list sorts changed
+SUITE_GRAPHS = json.loads(
+    (Path(__file__).parent / "data" / "suite_graphs.json").read_text())
 
 
 class TestCatalog:
@@ -83,6 +92,25 @@ def test_memoization_returns_same_object():
     a = load_suite_graph("internet")
     b = load_suite_graph("internet")
     assert a is b
+
+
+def test_memo_key_ignores_call_form():
+    """One (name, scale) is one build, however the call spells it."""
+    first = load_suite_graph("toroid-wedge")
+    misses = load_suite_graph.cache_info().misses
+    assert load_suite_graph("toroid-wedge", 1.0) is first
+    assert load_suite_graph("toroid-wedge", scale=1.0) is first
+    assert load_suite_graph("toroid-wedge", 1) is first
+    assert load_suite_graph.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("scale", sorted(SUITE_GRAPHS))
+@pytest.mark.parametrize("name", suite_names())
+def test_suite_graph_content_is_pinned(name, scale):
+    graph = load_suite_graph(name, float(scale))
+    banked = SUITE_GRAPHS[scale][name]
+    assert graph.fingerprint() == banked["graph"]
+    assert weighted_graph(graph).fingerprint() == banked["weighted"]
 
 
 def test_paper_properties_track_study_scale():
