@@ -40,7 +40,6 @@ import time
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable
 
 from repro.errors import ExplorationError
@@ -168,7 +167,10 @@ class _DirectedScheduler(Scheduler):
     Pending-op maps are requested only from decision ``sleep_depth`` on:
     the exploration keeps them only for decisions past its existing
     stack, and the sleep-set update reads them only from there.
-    ``pendings`` holds None for the decisions before."""
+    ``pendings`` holds None for the decisions before.
+
+    The per-decision sleep snapshots are read-only: consecutive
+    decisions share one snapshot until the sleep set next changes."""
 
     def __init__(self, forced: Sequence[int], sleep_depth: int,
                  sleep: Mapping[int, PendingOp]) -> None:
@@ -179,6 +181,8 @@ class _DirectedScheduler(Scheduler):
         self.runnables: list[tuple[int, ...]] = []
         self.pendings: list[Mapping[int, PendingOp] | None] = []
         self.sleep_snapshots: dict[int, dict[int, PendingOp]] = {}
+        #: the current sleep set's shared snapshot (None once it changed)
+        self._snapshot: dict[int, PendingOp] | None = None
         self.launch_starts: list[int] = []
         self.redundant = False
         self._pending: Mapping[int, PendingOp] = {}
@@ -200,8 +204,11 @@ class _DirectedScheduler(Scheduler):
 
     def choose(self, runnable: Sequence[int]) -> int:
         index = len(self.picks)
-        if index >= self.sleep_depth and self._sleep:
-            self.sleep_snapshots[index] = dict(self._sleep)
+        sleep = self._sleep
+        if index >= self.sleep_depth and sleep:
+            if self._snapshot is None:
+                self._snapshot = dict(sleep)
+            self.sleep_snapshots[index] = self._snapshot
         if index < len(self.forced):
             pick = self.forced[index]
             if pick not in runnable:
@@ -210,7 +217,8 @@ class _DirectedScheduler(Scheduler):
                     f"not runnable at decision {index} "
                     f"(runnable: {list(runnable)})")
         else:
-            awake = [t for t in runnable if t not in self._sleep]
+            awake = ([t for t in runnable if t not in sleep] if sleep
+                     else runnable)
             if not awake:
                 self.redundant = True
                 raise _RedundantScheduleAbort
@@ -220,11 +228,12 @@ class _DirectedScheduler(Scheduler):
         self.picks.append(pick)
         self.runnables.append(tuple(runnable))
         self.pendings.append(pending)
-        if pending is not None and self._sleep:
+        if pending is not None and sleep:
             op = pending.get(pick)
-            for q in list(self._sleep):
-                if q == pick or _dependent(op, self._sleep[q]):
-                    del self._sleep[q]
+            for q in list(sleep):
+                if q == pick or _dependent(op, sleep[q]):
+                    del sleep[q]
+                    self._snapshot = None
         self._last = pick
         return pick
 
@@ -252,6 +261,11 @@ def _dependent(a: PendingOp, b: PendingOp) -> bool:
 # ----------------------------------------------------------------------
 # Exploration
 # ----------------------------------------------------------------------
+
+#: the sleep map of every node created with an empty sleep set (nodes
+#: only ever read their ``sleep`` maps, so they can share it)
+_NO_SLEEP: dict[int, PendingOp] = {}
+
 
 @dataclass(slots=True)
 class _Node:
@@ -302,9 +316,13 @@ class ExploreResult:
     @property
     def stop_reason(self) -> str:
         """How the exploration ended: ``complete`` (schedule space
-        exhausted), ``stopped_early`` (``on_run`` asked to stop),
+        exhausted), ``step_cap`` (exhausted, but every run stopped on
+        the per-run step cap, so no schedule reached the end of the
+        program), ``stopped_early`` (``on_run`` asked to stop),
         ``schedule_cap`` or ``wall_clock_cap`` (a budget ran out)."""
         if self.complete:
+            if self.schedules and self.truncated_runs == self.schedules:
+                return "step_cap"
             return "complete"
         if self.stopped_early:
             return "stopped_early"
@@ -429,42 +447,43 @@ class ScheduleExplorer:
     def _integrate(self, stack: list[_Node], sched: _DirectedScheduler,
                    branch_depth: int, fingerprints: list[int],
                    expanded: set[tuple[int, int]]) -> None:
+        picks = sched.picks
+        runnables = sched.runnables
+        # Below the branch depth the run replayed the stack's picks,
+        # which its nodes already record; only check determinism there.
+        for d in range(min(branch_depth, len(picks))):
+            if stack[d].runnable != runnables[d]:
+                self._nondeterministic(d, runnables[d], stack[d])
         preempt = stack[branch_depth].preempt_prefix if branch_depth < len(stack) else 0
         last: int | None = (stack[branch_depth - 1].pick
                             if branch_depth > 0 else None)
         launch_starts = set(sched.launch_starts)
-        for d, pick in enumerate(sched.picks):
+        pendings = sched.pendings
+        snapshots = sched.sleep_snapshots
+        naive = self.mode == "naive"
+        n_fingerprints = len(fingerprints)
+        for d in range(branch_depth, len(picks)):
+            pick = picks[d]
+            runnable = runnables[d]
             if d in launch_starts:
                 last = None
             if d < len(stack):
                 node = stack[d]
-                if node.runnable != sched.runnables[d]:
-                    raise ExplorationError(
-                        f"non-deterministic program: decision {d} saw "
-                        f"runnable {sched.runnables[d]} but the stack "
-                        f"recorded {node.runnable}")
+                if node.runnable != runnable:
+                    self._nondeterministic(d, runnable, node)
                 node.pick = pick
                 node.done.add(pick)
                 node.explored.add(pick)
-                if d >= branch_depth and node.is_preemption(pick):
-                    preempt += 1
             else:
-                node = _Node(
-                    runnable=sched.runnables[d],
-                    pending=sched.pendings[d],
-                    pick=pick,
-                    last_before=last,
-                    preempt_prefix=preempt,
-                    done={pick},
-                    explored={pick},
-                    backtrack=(set(sched.runnables[d])
-                               if self.mode == "naive" else {pick}),
-                    sleep=sched.sleep_snapshots.get(d, {}),
-                    fp=fingerprints[d] if d < len(fingerprints) else None,
-                )
-                if node.is_preemption(pick):
-                    preempt += 1
+                node = _Node(runnable, pendings[d], pick, last, preempt,
+                             {pick}, {pick},
+                             set(runnable) if naive else {pick},
+                             snapshots.get(d, _NO_SLEEP),
+                             fingerprints[d] if d < n_fingerprints else None)
                 stack.append(node)
+            # node.is_preemption(pick), inlined
+            if last is not None and pick != last and last in runnable:
+                preempt += 1
             last = pick
         if self.state_dedupe:
             for d in range(min(len(fingerprints), len(stack))):
@@ -473,11 +492,30 @@ class ScheduleExplorer:
                 if stack[d].fp is not None:
                     expanded.add((stack[d].fp, sched.picks[d]))
 
+    @staticmethod
+    def _nondeterministic(d: int, runnable: tuple[int, ...],
+                          node: _Node) -> None:
+        raise ExplorationError(
+            f"non-deterministic program: decision {d} saw "
+            f"runnable {runnable} but the stack "
+            f"recorded {node.runnable}")
+
     def _add_backtrack_points(self, stack: list[_Node],
                               sched: _DirectedScheduler,
                               events: list[AccessEvent]) -> None:
         """Flanagan-Godefroid backtrack computation from the conflict
-        relation of the just-executed trace."""
+        relation of the just-executed trace.
+
+        Only the events of decisions at or past the run's branch depth
+        (``sched.sleep_depth``) are scanned; earlier ones only extend
+        the histories.  Below the branch depth the run replayed the
+        previous run's picks, so it produced the same events, and an
+        earlier run already scanned them against the same histories and
+        nominated on the same nodes, which have not been rebuilt since.
+        Backtrack sets only grow, so a repeated nomination adds
+        nothing.  A run aborted by sleep sets is never scanned, but its
+        new nodes are never nominated either, so the next branch point
+        is never deeper than its own."""
         # per-thread, per-array history of (decision, op, launch, block,
         # epoch) for every memory event that thread performed, as
         # (all accesses, writes only).  A decision may carry several
@@ -503,53 +541,77 @@ class ScheduleExplorer:
             awake = set(node.runnable) - set(node.sleep)
             node.backtrack.update(awake or node.runnable)
 
+        starts = sched.launch_starts
+        n = len(sched.picks)
+        depth = sched.sleep_depth
+        first_launch = events[0].launch if events else 0
+        atomic = AccessKind.ATOMIC
         here_d = -1
         here: _Node | None = None
-        agents: list[int] = []
+        agents: Sequence[int] = ()
         previous = None
-        for d, info in _trace_steps(sched, events):
-            if d != here_d:
-                here_d = d
-                here = stack[d] if d < len(stack) else None
-                # A runnable store-buffer drain agent whose pending
-                # flush conflicts with this decision's access is a
-                # schedule alternative classic FG analysis cannot see:
-                # if the flush only ever executes fused into a later
-                # forced drain (an atomic, a fence), it never appears in
-                # any trace under its own pseudo-tid, so no observed
-                # event pair ever nominates it.  Nominate it here.
-                agents = ([q for q in here.runnable if q >= DRAIN_BASE]
-                          if here is not None else [])
-            tid, op, launch, block, epoch = info
-            for q in agents:
-                if q != tid and _dependent(op, here.pending.get(q)):
-                    nominate(here, q)
-            array, start, nbytes, _, writes, _ = op
-            # The same access again right after itself: no other
-            # thread's history changed, so the scan would nominate the
-            # same threads at the same nodes.
-            if info != previous:
-                previous = info
-                end = start + nbytes
-                for q, arrays in by_thread.items():
-                    if q == tid or array not in arrays:
-                        continue
-                    # A read depends only on writes.  The entries that
-                    # stop the walk (an older launch, an earlier barrier
-                    # epoch of this block) are a prefix of the thread's
-                    # history, so the newest dependent access on this
-                    # array is the one a walk over all of its accesses
-                    # would stop at.
-                    accesses, written = arrays[array]
-                    for j, jop, jlaunch, jblock, jepoch in reversed(
-                            accesses if writes else written):
-                        if jlaunch != launch:
-                            break  # launch barrier orders everything older
-                        if jblock == block and jepoch != epoch:
-                            break  # __syncthreads() between them
-                        if jop[1] < end and start < jop[1] + jop[2]:
-                            nominate(stack[j], tid)
-                            break
+        # Events are matched to decisions via the per-launch step
+        # counter; one decision can carry several events under a
+        # buffered memory model (forced drains, block-scope promotes).
+        # The executor records them in decision order (launch ids and
+        # steps only count up), so one pass visits decisions in order.
+        for ev in events:
+            ordinal = ev.launch - first_launch
+            if ordinal >= len(starts):
+                continue
+            d = starts[ordinal] + ev.step - 1
+            if not 0 <= d < n:
+                continue
+            span = ev.span
+            tid, launch, block, epoch = ev.tid, ev.launch, ev.block, ev.epoch
+            array, start, nbytes, writes = (span.array, span.start,
+                                            span.nbytes, ev.is_write)
+            op = (array, start, nbytes, ev.is_read, writes,
+                  ev.access is atomic)
+            if d >= depth:
+                if d != here_d:
+                    here_d = d
+                    here = stack[d] if d < len(stack) else None
+                    # A runnable store-buffer drain agent whose pending
+                    # flush conflicts with this decision's access is a
+                    # schedule alternative classic FG analysis cannot
+                    # see: if the flush only ever executes fused into a
+                    # later forced drain (an atomic, a fence), it never
+                    # appears in any trace under its own pseudo-tid, so
+                    # no observed event pair ever nominates it.
+                    # Nominate it here.
+                    agents = ([q for q in here.runnable if q >= DRAIN_BASE]
+                              if here is not None
+                              and max(here.runnable) >= DRAIN_BASE else ())
+                for q in agents:
+                    if q != tid and _dependent(op, here.pending.get(q)):
+                        nominate(here, q)
+                # The same access again right after itself: no other
+                # thread's history changed, so the scan would nominate
+                # the same threads at the same nodes.
+                info = (tid, op, launch, block, epoch)
+                if info != previous:
+                    previous = info
+                    end = start + nbytes
+                    for q, arrays in by_thread.items():
+                        if q == tid or array not in arrays:
+                            continue
+                        # A read depends only on writes.  The entries
+                        # that stop the walk (an older launch, an
+                        # earlier barrier epoch of this block) are a
+                        # prefix of the thread's history, so the newest
+                        # dependent access on this array is the one a
+                        # walk over all of its accesses would stop at.
+                        accesses, written = arrays[array]
+                        for j, jop, jlaunch, jblock, jepoch in reversed(
+                                accesses if writes else written):
+                            if jlaunch != launch:
+                                break  # launch barrier orders all older
+                            if jblock == block and jepoch != epoch:
+                                break  # __syncthreads() between them
+                            if jop[1] < end and start < jop[1] + jop[2]:
+                                nominate(stack[j], tid)
+                                break
             accesses, written = by_thread[tid][array]
             entry = (d, op, launch, block, epoch)
             accesses.append(entry)
@@ -562,6 +624,8 @@ class ScheduleExplorer:
         bound = self.budget.preemption_bound
         for depth in range(len(stack) - 1, -1, -1):
             node = stack[depth]
+            if node.backtrack <= node.done:
+                continue
             candidates = sorted(
                 node.backtrack - node.done - set(node.sleep))
             for choice in candidates:
@@ -587,27 +651,3 @@ class ScheduleExplorer:
                 return depth, choice, sleep
         return None
 
-
-def _trace_steps(sched: _DirectedScheduler, events: list[AccessEvent]):
-    """``(decision, (tid, op, launch, block, epoch))`` for every memory
-    micro-op, in decision order (trace order within one decision).
-    Events are matched to decisions via the per-launch step counter;
-    one decision can carry several events under a buffered memory model
-    (forced drains, block-scope promotes)."""
-    steps: list[tuple[int, tuple]] = []
-    starts = sched.launch_starts
-    n = len(sched.picks)
-    for ev in events:
-        ordinal = ev.launch - (events[0].launch if events else 0)
-        if ordinal >= len(starts):
-            continue
-        d = starts[ordinal] + ev.step - 1
-        if 0 <= d < n:
-            span = ev.span
-            op = (span.array, span.start, span.nbytes,
-                  ev.is_read, ev.is_write, ev.access is AccessKind.ATOMIC)
-            steps.append((d, (ev.tid, op, ev.launch, ev.block, ev.epoch)))
-    # stable: already sorted whenever launch ids count up from the
-    # first event's launch, as the executor numbers them
-    steps.sort(key=itemgetter(0))
-    return steps

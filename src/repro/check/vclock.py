@@ -87,18 +87,28 @@ class Epoch(NamedTuple):
     event: AccessEvent
 
 
+#: builds an :class:`Epoch` (one per event) without the NamedTuple's
+#: Python-level ``__new__``
+_tuple_new = tuple.__new__
+
+
+#: the history of a byte that has displaced nothing yet (shared)
+_NO_HISTORY: tuple = ()
+
+
 class _ByteShadow:
     """Shadow state for one byte of one array."""
 
     __slots__ = ("last_write", "readers", "write_history", "read_history")
 
-    def __init__(self, history: int) -> None:
+    def __init__(self) -> None:
         self.last_write: Epoch | None = None
         #: readers since the last write, newest epoch per thread
         self.readers: dict[int, Epoch] = {}
-        #: displaced writes/readers — the predictive window
-        self.write_history: deque = deque(maxlen=history)
-        self.read_history: deque = deque(maxlen=2 * history)
+        #: displaced writes/readers — the predictive window, a bounded
+        #: deque from the byte's first displacement on
+        self.write_history: deque | tuple = _NO_HISTORY
+        self.read_history: deque | tuple = _NO_HISTORY
 
 
 def conflicts(a: AccessEvent, b: AccessEvent) -> bool:
@@ -159,7 +169,7 @@ class VectorClockEngine:
         self._barrier_fed: defaultdict[int, set[int]] = defaultdict(set)
         self._thread_epoch: dict[int, int] = {}
         self._shadow: defaultdict[tuple[str, int], _ByteShadow] = (
-            defaultdict(lambda: _ByteShadow(history)))
+            defaultdict(_ByteShadow))
         #: per-span list of its byte shadows (a shadow, once created, is
         #: never replaced, so the list stays valid)
         self._span_shadows: dict[MemSpan, list[_ByteShadow]] = {}
@@ -195,7 +205,9 @@ class VectorClockEngine:
             # clock only changes inside its own events, all of them in
             # this block, so its current clock is the join of the clocks
             # it left at each of them.
-            bc = self._barrier_clock.setdefault(block, VectorClock())
+            bc = self._barrier_clock.get(block)
+            if bc is None:
+                bc = self._barrier_clock[block] = VectorClock()
             for tid in self._barrier_fed.pop(block, ()):
                 bc.join(self._clocks[tid])
             self._block_epoch[block] = ev.epoch
@@ -223,7 +235,8 @@ class VectorClockEngine:
             # repeats the previous read's answer — no report.  Only the
             # newest read must land in readers[tid]: a later write by
             # another thread reports against it.
-            epoch = Epoch(tid, self._clocks[tid].advance(tid), ev)
+            epoch = _tuple_new(Epoch,
+                               (tid, self._clocks[tid].advance(tid), ev))
             for shadow in self._span_shadows[ev.span]:
                 shadow.readers[tid] = epoch
             return True
@@ -234,7 +247,11 @@ class VectorClockEngine:
         vc = self._clocks.get(tid)
         if vc is None:
             vc = self._clocks[tid] = VectorClock()
-        self._sync_thread(ev, vc)
+        # a thread's epoch never passes its block's, so a thread already
+        # in this launch at this epoch owes no join
+        if (self._thread_launch.get(tid) != ev.launch
+                or ev.epoch > self._thread_epoch.get(tid, 0)):
+            self._sync_thread(ev, vc)
         model = self._model
         span = ev.span
         is_atomic = ev.access is AccessKind.ATOMIC
@@ -251,7 +268,7 @@ class VectorClockEngine:
                 if rel is not None:
                     vc.join(rel)
         clock = vc.advance(tid)
-        epoch = Epoch(tid, clock, ev)
+        epoch = _tuple_new(Epoch, (tid, clock, ev))
         if is_atomic and is_write:
             eff = model.runtime_order(ev.order)
             if model.release_syncs(eff):
@@ -260,8 +277,10 @@ class VectorClockEngine:
                 bucket = ("dev" if model.scope_syncs(ev.scope,
                                                      same_block=False)
                           else ("b", ev.block))
-                dst = self._release.setdefault(
-                    (span.array, span.start, bucket), VectorClock())
+                key = (span.array, span.start, bucket)
+                dst = self._release.get(key)
+                if dst is None:
+                    dst = self._release[key] = VectorClock()
                 dst.join(vc)
 
         shadows = self._span_shadows.get(span)
@@ -279,7 +298,8 @@ class VectorClockEngine:
         # inlined: every shadow entry past the first test is a write or
         # is only tested against a write, so a conflict reduces to
         # another thread and not both atomic
-        for byte, shadow in zip(range(span.start, span.end), shadows):
+        start = span.start
+        for byte, shadow in zip(range(start, start + span.nbytes), shadows):
             lw = shadow.last_write
             if (lw is not None and lw.tid != tid
                     and lw.clock > known(lw.tid, 0)
@@ -310,10 +330,19 @@ class VectorClockEngine:
                                 return False
             if is_write:
                 if lw is not None:
-                    shadow.write_history.append(lw)
+                    history = shadow.write_history
+                    if history is _NO_HISTORY:
+                        history = shadow.write_history = deque(
+                            maxlen=self._history)
+                    history.append(lw)
                 readers = shadow.readers
-                shadow.read_history.extend(readers.values())
-                readers.clear()
+                if readers:
+                    history = shadow.read_history
+                    if history is _NO_HISTORY:
+                        history = shadow.read_history = deque(
+                            maxlen=2 * self._history)
+                    history.extend(readers.values())
+                    readers.clear()
                 shadow.last_write = epoch
             if is_read:
                 shadow.readers[tid] = epoch

@@ -24,11 +24,18 @@ from typing import NamedTuple
 
 
 class AccessKind(enum.Enum):
-    """How a memory operation is performed (Section II.A)."""
+    """How a memory operation is performed (Section II.A).
+
+    This enum and the operation enums below hash by identity, as their
+    singleton members already compare: the interpreter keys per-step
+    counters by them, and ``Enum.__hash__`` is a Python-level call.
+    """
 
     PLAIN = "plain"
     VOLATILE = "volatile"
     ATOMIC = "atomic"
+
+    __hash__ = object.__hash__
 
     @property
     def is_atomic(self) -> bool:
@@ -44,6 +51,8 @@ class MemoryOrder(enum.Enum):
     ACQ_REL = "acq_rel"
     SEQ_CST = "seq_cst"
 
+    __hash__ = object.__hash__
+
 
 class Scope(enum.Enum):
     """libcu++ atomic scopes (block / grid / system)."""
@@ -51,6 +60,8 @@ class Scope(enum.Enum):
     BLOCK = "block"
     DEVICE = "device"
     SYSTEM = "system"
+
+    __hash__ = object.__hash__
 
 
 class DType(enum.Enum):
@@ -90,6 +101,8 @@ class RMWOp(enum.Enum):
     MAX = "max"
     EXCH = "exch"
     CAS = "cas"
+
+    __hash__ = object.__hash__
 
 
 class MemSpan(NamedTuple):

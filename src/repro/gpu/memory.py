@@ -29,6 +29,10 @@ from repro.utils.bitops import join_u64, split_u64, to_signed, to_unsigned
 NATIVE_WORD_BYTES = 4
 """Width of one native memory transaction (CUDA's 32-bit word)."""
 
+#: builds a :class:`MemSpan` from its field tuple without the
+#: NamedTuple's Python-level ``__new__`` (kernels make one per access)
+_tuple_new = tuple.__new__
+
 
 @dataclass(frozen=True)
 class ArrayHandle:
@@ -52,7 +56,8 @@ class ArrayHandle:
             raise MemoryAccessError(
                 f"{self.name}[{element}] out of range [0, {self.length})"
             )
-        return MemSpan(self.name, element * self.elem_bytes, self.elem_bytes)
+        return _tuple_new(MemSpan, (self.name, element * self.elem_bytes,
+                                    self.elem_bytes))
 
     def subspan(self, element: int, byte_offset: int, nbytes: int) -> MemSpan:
         """A byte range inside one element (int2 halves, Fig. 5)."""
@@ -71,7 +76,7 @@ class ArrayHandle:
                 f"cast span [{byte_start}, {byte_start + nbytes}) outside "
                 f"array {self.name!r} of {self.total_bytes} bytes"
             )
-        return MemSpan(self.name, byte_start, nbytes)
+        return _tuple_new(MemSpan, (self.name, byte_start, nbytes))
 
 
 def split_native_words(span: MemSpan) -> list[MemSpan]:
@@ -115,10 +120,22 @@ class _Arena:
 
     def __init__(self, capacity: int = 1 << 16) -> None:
         self.buf = np.zeros(capacity, dtype=np.uint8)
+        #: a memoryview of ``buf``, retaken with it: scalar span reads
+        #: and writes slice it instead of numpy
+        self.view = memoryview(self.buf)
         #: bumped whenever the backing buffer is reallocated; any view
         #: cached against an older generation is dangling
         self.generation = 0
         self._free: list[list[int]] = [[0, capacity]]  # [offset, size]
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["view"]  # a memoryview cannot be pickled; rebuilt below
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.view = memoryview(self.buf)
 
     @classmethod
     def block_size(cls, nbytes: int) -> int:
@@ -150,6 +167,7 @@ class _Arena:
         buf = np.zeros(new_cap, dtype=np.uint8)
         buf[:cap] = old
         self.buf = buf
+        self.view = memoryview(buf)
         self.generation += 1
         self._insert_free(cap, new_cap - cap)
 
@@ -345,8 +363,9 @@ class GlobalMemory:
         injection; ``None`` marks a host-side operation, which is never
         faulted.
         """
-        store = self._check(span)
-        value = int.from_bytes(store[span.start:span.end].tobytes(), "little")
+        offset = self._check(span)
+        value = int.from_bytes(
+            self._arena.view[offset:offset + span.nbytes], "little")
         if self.faults is not None and kind is not None:
             faulted = self.faults.load_fault(span, value, kind)
             if faulted != value:
@@ -373,11 +392,10 @@ class GlobalMemory:
                 self._count_fault("torn_write")
                 span = split_native_words(span)[0]
                 value = value & ((1 << (span.nbytes * 8)) - 1)
-        store = self._check(span)
-        raw = to_unsigned(value, span.nbytes * 8)
-        store[span.start:span.end] = np.frombuffer(
-            raw.to_bytes(span.nbytes, "little"), dtype=np.uint8
-        )
+        offset = self._check(span)
+        nbytes = span.nbytes
+        self._arena.view[offset:offset + nbytes] = (
+            value & ((1 << (nbytes * 8)) - 1)).to_bytes(nbytes, "little")
 
     # ------------------------------------------------------------------
     # Element-level convenience (tests and host code)
@@ -429,8 +447,15 @@ class GlobalMemory:
             self._typed[key] = view
         return view
 
-    def _check(self, span: MemSpan) -> np.ndarray:
-        store = self._store_by_name(span.array)
-        if span.start < 0 or span.end > store.shape[0] or span.nbytes <= 0:
+    def _check(self, span: MemSpan) -> int:
+        """Bounds-check ``span`` against its array's handle; returns the
+        span's byte offset in the arena."""
+        try:
+            handle, offset = self._arrays[span.array]
+        except KeyError:
+            raise MemoryAccessError(
+                f"array {span.array!r} not allocated") from None
+        start, nbytes = span.start, span.nbytes
+        if start < 0 or nbytes <= 0 or start + nbytes > handle.total_bytes:
             raise MemoryAccessError(f"{span} out of bounds")
-        return store
+        return offset + start

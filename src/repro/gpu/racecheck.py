@@ -86,11 +86,7 @@ class RaceReport:
         access spans plus their access classes and directions.  Distinct
         racy sites on one array produce distinct keys (the granularity
         the paper's Section IV.A per-code counts imply)."""
-        return (self.array,
-                self.first.span.start, self.first.span.nbytes,
-                self.second.span.start, self.second.span.nbytes,
-                self.first.is_write, self.second.is_write,
-                self.first.access, self.second.access)
+        return _site_key(self.first, self.second)
 
     @property
     def source_sites(self) -> tuple[str, str]:
@@ -163,6 +159,13 @@ class RaceReport:
         )
 
 
+def _site_key(first: AccessEvent, second: AccessEvent) -> tuple:
+    """:attr:`RaceReport.site_key` of a report on ``(first, second)``."""
+    a, b = first.span, second.span
+    return (a.array, a.start, a.nbytes, b.start, b.nbytes,
+            first.is_write, second.is_write, first.access, second.access)
+
+
 def _ordered(a: AccessEvent, b: AccessEvent) -> bool:
     """True if a happens-before b (or vice versa) under the simulator's
     synchronization model."""
@@ -230,14 +233,14 @@ class RaceDetector:
 
         def emit(a: AccessEvent, b: AccessEvent, byte: int,
                  predicted: bool = False) -> bool:
-            report = RaceReport(a.span.array, byte, a, b,
-                                predicted=predicted)
+            # the key first: most racy pairs repeat a site already seen
             if self.dedupe_by_location:
-                key = report.site_key
+                key = _site_key(a, b)
                 if key in seen_keys:
                     return len(reports) < self.max_reports
                 seen_keys.add(key)
-            reports.append(report)
+            reports.append(RaceReport(a.span.array, byte, a, b,
+                                      predicted=predicted))
             return len(reports) < self.max_reports
 
         if self.engine == "vclock":

@@ -44,6 +44,7 @@ from repro.memmodel.models import MemoryModel, resolve_model
 from repro.gpu.interleave import RoundRobinScheduler, Scheduler
 from repro.gpu import tiers
 from repro.gpu.memory import (
+    NATIVE_WORD_BYTES,
     ArrayHandle,
     GlobalMemory,
     split_native_words,
@@ -72,6 +73,21 @@ class OpKind(enum.Enum):
     RMW = "rmw"
     BARRIER = "barrier"
     FENCE = "fence"
+
+    __hash__ = object.__hash__
+
+
+#: enum members the per-step paths test against, bound once: on Python
+#: 3.11 every class-attribute access on an Enum goes through the
+#: metaclass's Python-level ``__getattr__`` hook
+_LOAD, _STORE, _RMW = OpKind.LOAD, OpKind.STORE, OpKind.RMW
+_BARRIER, _FENCE = OpKind.BARRIER, OpKind.FENCE
+_PLAIN, _ATOMIC = AccessKind.PLAIN, AccessKind.ATOMIC
+
+#: builds a NamedTuple from its complete field tuple without the
+#: generated Python-level ``__new__``: the ops and events made once per
+#: simulated operation are built this way
+_tuple_new = tuple.__new__
 
 
 class Op(NamedTuple):
@@ -171,16 +187,16 @@ class ThreadCtx:
              order: MemoryOrder = MemoryOrder.RELAXED,
              site: str | None = None,
              scope: Scope = Scope.DEVICE) -> Op:
-        return Op(OpKind.LOAD, handle.span(index), kind, order,
-                  signed=handle.dtype.signed, site=site, scope=scope)
+        return _tuple_new(Op, (_LOAD, handle.span(index), kind, order, None,
+                               None, None, handle.dtype.signed, site, scope))
 
     def store(self, handle: ArrayHandle, index: int, value: int,
               kind: AccessKind = AccessKind.PLAIN,
               order: MemoryOrder = MemoryOrder.RELAXED,
               site: str | None = None,
               scope: Scope = Scope.DEVICE) -> Op:
-        return Op(OpKind.STORE, handle.span(index), kind, order,
-                  value=value, site=site, scope=scope)
+        return _tuple_new(Op, (_STORE, handle.span(index), kind, order,
+                               value, None, None, False, site, scope))
 
     # -- raw span accesses (typecasting tricks) ------------------------
     def load_span(self, span: MemSpan,
@@ -189,16 +205,16 @@ class ThreadCtx:
                   order: MemoryOrder = MemoryOrder.RELAXED,
                   site: str | None = None,
                   scope: Scope = Scope.DEVICE) -> Op:
-        return Op(OpKind.LOAD, span, kind, order, signed=signed, site=site,
-                  scope=scope)
+        return _tuple_new(Op, (_LOAD, span, kind, order, None, None, None,
+                               signed, site, scope))
 
     def store_span(self, span: MemSpan, value: int,
                    kind: AccessKind = AccessKind.PLAIN,
                    order: MemoryOrder = MemoryOrder.RELAXED,
                    site: str | None = None,
                    scope: Scope = Scope.DEVICE) -> Op:
-        return Op(OpKind.STORE, span, kind, order, value=value, site=site,
-                  scope=scope)
+        return _tuple_new(Op, (_STORE, span, kind, order, value, None, None,
+                               False, site, scope))
 
     # -- read-modify-write atomics -------------------------------------
     def atomic_rmw(self, handle: ArrayHandle, index: int, op: RMWOp,
@@ -206,10 +222,9 @@ class ThreadCtx:
                    site: str | None = None,
                    order: MemoryOrder = MemoryOrder.RELAXED,
                    scope: Scope = Scope.DEVICE) -> Op:
-        return Op(OpKind.RMW, handle.span(index), AccessKind.ATOMIC,
-                  order, value=value, rmw=op,
-                  expected=expected, signed=handle.dtype.signed, site=site,
-                  scope=scope)
+        return _tuple_new(Op, (_RMW, handle.span(index), _ATOMIC, order,
+                               value, op, expected, handle.dtype.signed,
+                               site, scope))
 
     def atomic_rmw_span(self, span: MemSpan, op: RMWOp, value: int,
                         expected: int | None = None,
@@ -217,9 +232,8 @@ class ThreadCtx:
                         site: str | None = None,
                         order: MemoryOrder = MemoryOrder.RELAXED,
                         scope: Scope = Scope.DEVICE) -> Op:
-        return Op(OpKind.RMW, span, AccessKind.ATOMIC, order,
-                  value=value, rmw=op, expected=expected, signed=signed,
-                  site=site, scope=scope)
+        return _tuple_new(Op, (_RMW, span, _ATOMIC, order, value, op,
+                               expected, signed, site, scope))
 
     def atomic_cas(self, handle: ArrayHandle, index: int,
                    expected: int, desired: int,
@@ -272,6 +286,9 @@ class _Micro:
     site: str | None = None
     order: MemoryOrder = MemoryOrder.RELAXED
     scope: Scope = Scope.DEVICE
+    #: this micro-op's :data:`~repro.gpu.interleave.PendingOp` summary,
+    #: built the first time a controlled scheduler asks for it
+    pending: tuple | None = field(default=None, compare=False, repr=False)
 
 
 class _BufEntry(NamedTuple):
@@ -440,6 +457,12 @@ class SimtExecutor:
         self.memory_model: MemoryModel = resolve_model(memory_model)
         self.register_cache_plain = (register_cache_plain
                                      and self.memory_model.register_cache_plain)
+        #: the orders at which an atomic load acquires under the model
+        #: (and so drops the thread's register-cached values)
+        self._acquire_orders = frozenset(
+            order for order in MemoryOrder
+            if self.memory_model.acquire_syncs(
+                self.memory_model.runtime_order(order)))
         if self.memory_model.store_buffer_capacity is not None:
             store_buffer_capacity = self.memory_model.store_buffer_capacity
             if store_buffer_capacity <= 0:
@@ -622,10 +645,17 @@ class SimtExecutor:
     def _interpret(self, threads: list[_Thread], epochs: dict[int, int],
                    stats: LaunchStats, launch_id: int) -> None:
         """The original one-micro-op-per-scheduler-step interpreter loop."""
+        scheduler = self.scheduler
+        faults = self.faults
+        probe = self.step_probe
+        schedulable_drains = self.schedulable_drains
+        warp_lockstep = self.warp_lockstep
+        max_steps = self.max_steps
+        step = self._step
         while True:
             runnable = [t.tid for t in threads if not t.done and not t.at_barrier]
             drains = (self._drain_map(threads)
-                      if self.schedulable_drains else None)
+                      if schedulable_drains else None)
             if not runnable and not drains:
                 waiting = [t.tid for t in threads if t.at_barrier]
                 if waiting:
@@ -635,28 +665,28 @@ class SimtExecutor:
                     )
                 break  # all done
             stats.steps += 1
-            if stats.steps > self.max_steps:
+            if stats.steps > max_steps:
                 raise DeadlockError(
-                    f"launch exceeded {self.max_steps} micro-steps; "
+                    f"launch exceeded {max_steps} micro-steps; "
                     "likely an infinite polling loop on a stale "
                     "register-cached value"
                 )
-            if self.faults is not None:
-                self.faults.check_abort(stats.steps)
-                runnable = self.faults.filter_runnable(runnable, stats.steps)
-            if self.step_probe is not None:
-                self.step_probe(threads, epochs, stats)
+            if faults is not None:
+                faults.check_abort(stats.steps)
+                runnable = faults.filter_runnable(runnable, stats.steps)
+            if probe is not None:
+                probe(threads, epochs, stats)
             if drains:
                 runnable = runnable + sorted(drains)
-            self.scheduler.observe(
+            scheduler.observe(
                 runnable,
                 self._pending_map(threads, runnable, drains)
-                if self.scheduler.needs_pending else None)
-            if self.warp_lockstep:
+                if scheduler.needs_pending else None)
+            if warp_lockstep:
                 # pre-Volta semantics: the scheduler picks a warp and
                 # every runnable lane advances one micro-op in lane order
                 warps = sorted({tid // self.warp_size for tid in runnable})
-                wid = self.scheduler.choose(warps)
+                wid = scheduler.choose(warps)
                 lanes = [tid for tid in runnable
                          if tid // self.warp_size == wid]
                 live = sum(
@@ -669,15 +699,14 @@ class SimtExecutor:
                     thread = threads[tid]
                     if thread.done or thread.at_barrier:
                         continue  # state may change mid-warp (barriers)
-                    self._step(thread, threads, epochs, stats, launch_id)
+                    step(thread, threads, epochs, stats, launch_id)
             else:
-                tid = self.scheduler.choose(runnable)
+                tid = scheduler.choose(runnable)
                 if drains and tid in drains:
                     owner, idx = drains[tid]
                     self._drain_entry(owner, idx, epochs, stats, agent=tid)
                 else:
-                    thread = threads[tid]
-                    self._step(thread, threads, epochs, stats, launch_id)
+                    step(threads[tid], threads, epochs, stats, launch_id)
 
     def _drain_map(self, threads: list[_Thread],
                    ) -> dict[int, tuple[_Thread, int]]:
@@ -716,7 +745,11 @@ class SimtExecutor:
         by its primary span would under-approximate the dependence
         relation — sleep-set wakes and backtrack analysis would miss
         real conflicts and prune reachable outcomes — so those steps
-        report None (conservatively dependent with everything)."""
+        report None (conservatively dependent with everything).
+
+        A micro-op's own summary is built once and kept on it: a thread
+        that is not picked keeps the same pending micro-op across many
+        decisions."""
         model = self.memory_model
         pending: dict[int, tuple | None] = {}
         for tid in runnable:
@@ -732,7 +765,7 @@ class SimtExecutor:
                 pending[tid] = None
                 continue
             m = micro[0]
-            if thread.store_buffer and m.access is AccessKind.ATOMIC \
+            if thread.store_buffer and m.access is _ATOMIC \
                     and (m.is_write or m.rmw is not None):
                 eff = model.runtime_order(m.order)
                 if (model.atomic_drains(eff)
@@ -747,9 +780,13 @@ class SimtExecutor:
                 if forwarded is None:
                     pending[tid] = None  # load will force a flush
                     continue
-            pending[tid] = (m.span.array, m.span.start, m.span.nbytes,
-                            m.is_read, m.is_write or m.rmw is not None,
-                            m.access is AccessKind.ATOMIC)
+            op = m.pending
+            if op is None:
+                span = m.span
+                op = m.pending = (span.array, span.start, span.nbytes,
+                                  m.is_read, m.is_write or m.rmw is not None,
+                                  m.access is _ATOMIC)
+            pending[tid] = op
         return pending
 
     # ------------------------------------------------------------------
@@ -757,18 +794,21 @@ class SimtExecutor:
               epochs: dict[int, int], stats: LaunchStats,
               launch_id: int) -> None:
         """Execute one micro-operation of ``thread``."""
-        if not thread.micro:
+        queue = thread.micro
+        if not queue:
             # just released from a barrier: resume the generator
             self._advance(thread, stats, threads, epochs)
             return
-        micro: _Micro = thread.micro.popleft()
+        micro: _Micro = queue.popleft()
         span = micro.span
+        access = micro.access
+        rmw = micro.rmw
         model = self.memory_model
         forwarded: int | None = None
         if self.weak_memory:
-            if micro.access is AccessKind.ATOMIC or micro.rmw is not None:
+            if access is _ATOMIC or rmw is not None:
                 eff = model.runtime_order(micro.order)
-                if ((micro.is_write or micro.rmw is not None)
+                if ((micro.is_write or rmw is not None)
                         and model.release_promotes_block(eff, micro.scope)):
                     # block-scope release: make buffered stores visible
                     # to the block without forcing a global drain
@@ -783,70 +823,62 @@ class SimtExecutor:
                     # partial overlap (or no forwarding): make own pending
                     # stores visible before reading over them
                     self._drain_buffer(thread, epochs, stats)
-        if micro.rmw is not None:
-            old = self.memory.span_read(span)
+        if rmw is not None:
+            memory = self.memory
+            value = memory.span_read(span)
             # micro.value carries the op's signedness flag for RMW
-            new = _apply_rmw(micro.rmw, old, micro.operand, micro.expected,
-                             span.nbytes, signed=bool(micro.value))
-            self.memory.span_write(span, new)
-            thread.pieces.append(old)
+            memory.span_write(span, _apply_rmw(
+                rmw, value, micro.operand, micro.expected, span.nbytes,
+                signed=bool(micro.value)))
+            thread.pieces.append(value)
             stats.rmws += 1
-            self._record(stats, launch_id, thread, epochs, span,
-                         True, True, AccessKind.ATOMIC, old, micro.site,
-                         micro.order, micro.scope)
+            is_read = is_write = True
         elif micro.is_write:
-            if self.weak_memory and micro.access is not AccessKind.ATOMIC:
+            value = micro.value
+            if self.weak_memory and access is not _ATOMIC:
                 self._buf_seq += 1
                 thread.store_buffer.append(
-                    _BufEntry(span, micro.value, self._buf_seq))
+                    _BufEntry(span, value, self._buf_seq))
                 if len(thread.store_buffer) > self.store_buffer_capacity:
                     self._drain_one(thread, epochs, stats)
             else:
-                self.memory.span_write(span, micro.value, kind=micro.access)
-            self._invalidate_overlapping(thread, span)
-            which = stats.stores
-            which[micro.access] = which[micro.access] + 1
-            self._record(stats, launch_id, thread, epochs, span,
-                         False, True, micro.access, micro.value, micro.site,
-                         micro.order, micro.scope)
+                self.memory.span_write(span, value, access)
+            if thread.reg_cache:
+                self._invalidate_overlapping(thread, span)
+            stats.stores[access] += 1
+            is_read, is_write = False, True
         else:
             if forwarded is not None:
                 value = forwarded
-            else:
+            elif self._promoted_entries:
                 value = self._visible_read(thread, micro, threads)
+            else:
+                value = self.memory.span_read(span, access)
             thread.pieces.append(value)
-            which = stats.loads
-            which[micro.access] = which[micro.access] + 1
-            self._record(stats, launch_id, thread, epochs, span,
-                         True, False, micro.access, value, micro.site,
-                         micro.order, micro.scope)
-            if (micro.access is AccessKind.ATOMIC
-                    and model.acquire_syncs(model.runtime_order(micro.order))):
-                thread.reg_cache.clear()  # acquire load synchronizes
+            stats.loads[access] += 1
+            is_read, is_write = True, False
+        if self.record_events:
+            block = thread.block
+            self.events.append(_tuple_new(AccessEvent, (
+                stats.steps, launch_id, thread.tid, block, epochs[block],
+                span, is_read, is_write, access, value, micro.site,
+                micro.order, micro.scope)))
+        if (not is_write and access is _ATOMIC
+                and micro.order in self._acquire_orders):
+            thread.reg_cache.clear()  # acquire load synchronizes
 
-        if not thread.micro:
+        if not queue:
             self._complete_op(thread, stats)
             self._advance(thread, stats, threads, epochs)
-
-    def _record(self, stats: LaunchStats, launch_id: int, thread: _Thread,
-                epochs: dict[int, int], span: MemSpan, is_read: bool,
-                is_write: bool, access: AccessKind, value: int,
-                site: str | None = None,
-                order: MemoryOrder = MemoryOrder.RELAXED,
-                scope: Scope = Scope.DEVICE) -> None:
-        if self.record_events:
-            self.events.append(AccessEvent(
-                stats.steps, launch_id, thread.tid, thread.block,
-                epochs[thread.block], span, is_read, is_write, access,
-                value, site, order, scope))
 
     def _complete_op(self, thread: _Thread, stats: LaunchStats) -> None:
         """All micro-ops of the current op are done: build its result."""
         op = thread.current_op
         if op is None:
             return
-        if op.kind is OpKind.LOAD:
-            pieces = thread.pieces
+        kind = op.kind
+        pieces = thread.pieces
+        if kind is _LOAD:
             if len(pieces) == 1:
                 value = pieces[0]
             else:
@@ -859,11 +891,10 @@ class SimtExecutor:
             if op.signed:
                 value = to_signed(value, op.span.nbytes * 8)
             thread.send_value = value
-            if (self.register_cache_plain
-                    and op.access is AccessKind.PLAIN):
+            if self.register_cache_plain and op.access is _PLAIN:
                 thread.reg_cache[op.span] = value
-        elif op.kind is OpKind.RMW:
-            old = thread.pieces[0]
+        elif kind is _RMW:
+            old = pieces[0]
             if op.signed:
                 old = to_signed(old, op.span.nbytes * 8)
             thread.send_value = old
@@ -873,7 +904,7 @@ class SimtExecutor:
         thread.current_op = None
 
     def _pieces_of(self, op: Op) -> list[MemSpan]:
-        if op.access is AccessKind.ATOMIC or op.kind is OpKind.RMW:
+        if op.access is _ATOMIC or op.kind is _RMW:
             return [op.span]
         return split_native_words(op.span)
 
@@ -886,7 +917,11 @@ class SimtExecutor:
                  epochs: dict[int, int] | None = None) -> None:
         """Run the generator until it yields the next op (or finishes),
         translating the op into micro-operations.  Pure compute between
-        memory operations is free."""
+        memory operations is free, and so is a plain load the register
+        cache serves."""
+        gen = thread.gen
+        reg_cache = thread.reg_cache
+        cache_plain = self.register_cache_plain
         free_ops = 0
         while True:
             free_ops += 1
@@ -900,9 +935,9 @@ class SimtExecutor:
             try:
                 if not thread.started:
                     thread.started = True
-                    op = next(thread.gen)
+                    op = next(gen)
                 else:
-                    op = thread.gen.send(thread.send_value)
+                    op = gen.send(thread.send_value)
             except StopIteration:
                 thread.done = True
                 if self.weak_memory and not self.schedulable_drains:
@@ -917,8 +952,17 @@ class SimtExecutor:
                     f"kernel thread {thread.tid} yielded {op!r}; kernels "
                     "must yield Op objects built via ThreadCtx"
                 )
-            if op.kind is OpKind.FENCE:
-                thread.reg_cache.clear()
+            kind = op.kind
+            if kind is _LOAD:
+                if cache_plain and op.access is _PLAIN:
+                    value = reg_cache.get(op.span)
+                    if value is not None:
+                        # register hit: no memory traffic, loop on
+                        stats.register_hits += 1
+                        thread.send_value = value
+                        continue
+            elif kind is _FENCE:
+                reg_cache.clear()
                 if self.weak_memory:
                     model = self.memory_model
                     eff = model.runtime_order(op.order)
@@ -929,7 +973,7 @@ class SimtExecutor:
                     elif model.fence_drains(eff):
                         self._drain_buffer(thread, epochs, stats)
                 continue  # free
-            if op.kind is OpKind.BARRIER:
+            elif kind is _BARRIER:
                 if self.weak_memory:
                     self._drain_buffer(thread, epochs, stats)
                 if threads is None or epochs is None:
@@ -938,57 +982,54 @@ class SimtExecutor:
                 stats.barriers += 1
                 self._maybe_release_barrier(thread.block, threads, epochs)
                 return
-            self._translate(thread, op, stats)
-            if thread.micro:
-                thread.current_op = op
-                return
-            # op satisfied without memory traffic (register hit): loop on
+            self._translate(thread, op)
+            thread.current_op = op
+            return
 
-    def _translate(self, thread: _Thread, op: Op, stats: LaunchStats) -> None:
-        """Turn an Op into queued micro-operations."""
+    def _translate(self, thread: _Thread, op: Op) -> None:
+        """Turn an Op into queued micro-operations (at least one)."""
         span = op.span
         if span is None:
             raise KernelError(f"{op.kind} op requires a span")
-        if op.kind is OpKind.LOAD:
-            if op.access is AccessKind.ATOMIC:
+        kind = op.kind
+        access = op.access
+        site, order, scope = op.site, op.order, op.scope
+        queue = thread.micro
+        # a non-atomic access that crosses a native-word boundary splits
+        # into word pieces; any other access is one micro-op
+        split = (span.start % NATIVE_WORD_BYTES + span.nbytes
+                 > NATIVE_WORD_BYTES)
+        if kind is _LOAD:
+            if access is _ATOMIC:
                 self._check_atomic_span(span)
-                thread.micro.append(
-                    _Micro(span, True, False, op.access, site=op.site,
-                           order=op.order, scope=op.scope))
-            else:
-                if (self.register_cache_plain
-                        and op.access is AccessKind.PLAIN
-                        and span in thread.reg_cache):
-                    stats.register_hits += 1
-                    thread.send_value = thread.reg_cache[span]
-                    return
+            elif split:
                 for piece in split_native_words(span):
-                    thread.micro.append(
-                        _Micro(piece, True, False, op.access, site=op.site,
-                               order=op.order, scope=op.scope))
-        elif op.kind is OpKind.STORE:
+                    queue.append(_Micro(piece, True, False, access, 0, None,
+                                        0, None, site, order, scope))
+                return
+            queue.append(_Micro(span, True, False, access, 0, None, 0, None,
+                                site, order, scope))
+        elif kind is _STORE:
             raw = to_unsigned(op.value, span.nbytes * 8)
-            if op.access is AccessKind.ATOMIC:
+            if access is _ATOMIC:
                 self._check_atomic_span(span)
-                thread.micro.append(
-                    _Micro(span, False, True, op.access, value=raw,
-                           site=op.site, order=op.order, scope=op.scope))
-            else:
+            elif split:
                 shift = 0
                 for piece in split_native_words(span):
-                    piece_raw = (raw >> shift) & ((1 << (piece.nbytes * 8)) - 1)
-                    thread.micro.append(
-                        _Micro(piece, False, True, op.access,
-                               value=piece_raw, site=op.site,
-                               order=op.order, scope=op.scope))
-                    shift += piece.nbytes * 8
-        elif op.kind is OpKind.RMW:
+                    bits = piece.nbytes * 8
+                    queue.append(_Micro(piece, False, True, access,
+                                        (raw >> shift) & ((1 << bits) - 1),
+                                        None, 0, None, site, order, scope))
+                    shift += bits
+                return
+            queue.append(_Micro(span, False, True, access, raw, None, 0,
+                                None, site, order, scope))
+        elif kind is _RMW:
             self._check_atomic_span(span)
             thread.reg_cache.clear()  # atomics synchronize the thread
-            thread.micro.append(_Micro(
-                span, True, True, AccessKind.ATOMIC, value=int(op.signed),
-                rmw=op.rmw, operand=op.value or 0, expected=op.expected,
-                site=op.site, order=op.order, scope=op.scope))
+            queue.append(_Micro(span, True, True, _ATOMIC, int(op.signed),
+                                op.rmw, op.value or 0, op.expected, site,
+                                order, scope))
         else:  # pragma: no cover - closed enum
             raise KernelError(f"unhandled op kind {op.kind}")
 
@@ -1015,21 +1056,20 @@ class SimtExecutor:
 
     def _visible_read(self, thread: _Thread, micro: _Micro,
                       threads: list[_Thread]) -> int:
-        """Read ``micro.span`` as ``thread`` sees it: global memory,
-        overridden by the youngest *promoted* (block-visible) buffered
-        store of a same-block peer when PTXScoped promotion is live."""
-        if self.weak_memory and self._promoted_entries:
-            best_vis = 0
-            best_val = 0
-            for peer in threads:
-                if peer.block != thread.block or peer.tid == thread.tid:
-                    continue
-                for e in peer.store_buffer:
-                    if e.vis and e.span == micro.span and e.vis > best_vis:
-                        best_vis = e.vis
-                        best_val = e.value
-            if best_vis:
-                return best_val
+        """Read ``micro.span`` as ``thread`` sees it while PTXScoped
+        promotion is live: global memory, overridden by the youngest
+        *promoted* (block-visible) buffered store of a same-block peer."""
+        best_vis = 0
+        best_val = 0
+        for peer in threads:
+            if peer.block != thread.block or peer.tid == thread.tid:
+                continue
+            for e in peer.store_buffer:
+                if e.vis and e.span == micro.span and e.vis > best_vis:
+                    best_vis = e.vis
+                    best_val = e.value
+        if best_vis:
+            return best_val
         return self.memory.span_read(micro.span, kind=micro.access)
 
     def _drain_buffer(self, thread: _Thread,

@@ -54,7 +54,7 @@ def byte_in_word(word: int, byte_index: int) -> int:
     """
     if not 0 <= byte_index < 4:
         raise ValueError(f"byte_index must be in [0, 4), got {byte_index}")
-    return (to_unsigned(word, 32) >> (byte_index * 8)) & 0xFF
+    return ((word & _U32_MASK) >> (byte_index * 8)) & 0xFF
 
 
 def make_byte_mask(byte_index: int) -> int:

@@ -34,6 +34,10 @@ from repro.memmodel import (
     resolve_model,
 )
 from repro.memmodel.litmus import CORPUS, run_corpus, run_litmus
+from tests.test_explore_digests import LITMUS_MODELS, assert_pinned, capture
+
+#: every exploration the litmus golden fixture ran, in corpus order
+_EXPLORATIONS: list[dict] = []
 
 # ----------------------------------------------------------------------
 # model registry and parsing
@@ -158,7 +162,13 @@ GOLDEN = {
 class TestLitmusGoldens:
     @pytest.fixture(scope="class")
     def corpus_results(self):
-        return run_corpus()
+        with capture() as explorations:
+            results = run_corpus(list(LITMUS_MODELS))
+        _EXPLORATIONS[:] = explorations
+        return results
+
+    def test_explorations_match_pins(self, corpus_results):
+        assert_pinned("litmus", _EXPLORATIONS)
 
     def test_corpus_covers_golden_cells(self, corpus_results):
         cells = {(r.test, r.model) for r in corpus_results}

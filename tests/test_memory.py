@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import MemoryAccessError
-from repro.gpu.accesses import DType, MemSpan
+from repro.gpu.accesses import AccessKind, DType, MemSpan
+from repro.gpu.faults import FaultPlan
 from repro.gpu.memory import (
     GlobalMemory,
     pack_int2,
     split_native_words,
     unpack_int2,
 )
+from repro.gpu.simt import SimtExecutor
 
 
 class TestAllocation:
@@ -166,3 +172,137 @@ class TestSpanOverlap:
 
     def test_no_overlap_across_arrays(self):
         assert not MemSpan("a", 0, 4).overlaps(MemSpan("b", 0, 4))
+
+
+# ----------------------------------------------------------------------
+# Scalar span reads and writes go through a memoryview of the arena
+# ----------------------------------------------------------------------
+
+def _store_kernel(ctx, arr):
+    yield ctx.store(arr, ctx.tid, 10 * ctx.tid - 7, AccessKind.PLAIN)
+
+
+def _copy_kernel(ctx, src, dst):
+    value = yield ctx.load(src, ctx.tid, AccessKind.PLAIN)
+    yield ctx.store(dst, ctx.tid, value + 1, AccessKind.PLAIN)
+
+
+class TestScalarSpanPath:
+    def _grow(self, mem):
+        generation = mem._arena.generation
+        mem.alloc("filler", mem._arena.buf.shape[0] + 1, DType.U8)
+        assert mem._arena.generation != generation
+
+    def test_span_ops_follow_the_arena_when_it_grows(self):
+        mem = GlobalMemory()
+        h = mem.alloc("a", 4, DType.I32)
+        mem.span_write(h.span(0), 0xDEADBEEF)
+        self._grow(mem)
+        assert mem.span_read(h.span(0)) == 0xDEADBEEF
+        # a scalar write after the growth lands in the new buffer ...
+        mem.span_write(h.span(1), 41)
+        assert mem.download(h)[1] == 41
+        # ... and a scalar read sees what the numpy side wrote there
+        mem.upload(h, [5, 6, 7, 8])
+        assert [mem.span_read(h.span(i)) for i in range(4)] == [5, 6, 7, 8]
+
+    def test_download_and_typed_view_see_interpreter_writes(self):
+        mem = GlobalMemory()
+        arr = mem.alloc("arr", 8, DType.I32)
+        SimtExecutor(mem, batch=False).launch(_store_kernel, 8, arr)
+        expected = [10 * t - 7 for t in range(8)]
+        assert mem.download(arr).tolist() == expected
+        assert mem.typed_view("arr", 4, signed=True).tolist() == expected
+
+    def test_batched_and_interpreted_launches_share_memory(self):
+        mem = GlobalMemory()
+        src = mem.alloc("src", 64, DType.I32)
+        mid = mem.alloc("mid", 64, DType.I32)
+        dst = mem.alloc("dst", 64, DType.I32)
+        mem.upload(src, list(range(64)))
+        batched = SimtExecutor(mem, batch=True)
+        batched.launch(_copy_kernel, 64, src, mid)
+        assert batched.batch_stats.batched_launches == 1
+        interp = SimtExecutor(mem, batch=False)
+        interp.launch(_copy_kernel, 64, mid, dst)
+        assert interp.batch_stats.interp_launches == 1
+        assert mem.download(dst).tolist() == [v + 2 for v in range(64)]
+        # the batched tier reads the interpreter's writes through its
+        # typed views
+        batched.launch(_copy_kernel, 64, dst, mid)
+        assert mem.typed_view("mid", 4, signed=True).tolist() == [
+            v + 3 for v in range(64)]
+
+    @pytest.mark.parametrize("span, message", [
+        (MemSpan("a", 12, 8), "a[12:20] out of bounds"),
+        (MemSpan("a", 16, 4), "a[16:20] out of bounds"),
+        (MemSpan("a", 4, 0), "a[4:4] out of bounds"),
+        (MemSpan("a", -4, 4), "a[-4:0] out of bounds"),
+        (MemSpan("nope", 0, 4), "array 'nope' not allocated"),
+    ])
+    def test_bad_spans_raise(self, span, message):
+        mem = GlobalMemory()
+        mem.alloc("a", 4, DType.I32)
+        with pytest.raises(MemoryAccessError, match=re.escape(message)):
+            mem.span_read(span)
+        with pytest.raises(MemoryAccessError, match=re.escape(message)):
+            mem.span_write(span, 1)
+
+    def test_freed_array_spans_raise(self):
+        mem = GlobalMemory()
+        h = mem.alloc("a", 4, DType.I32)
+        mem.free("a")
+        for op in (lambda: mem.span_read(h.span(0)),
+                   lambda: mem.span_write(h.span(0), 1)):
+            with pytest.raises(MemoryAccessError,
+                               match="array 'a' not allocated"):
+                op()
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda mem: pickle.loads(pickle.dumps(mem))])
+    def test_copies_get_their_own_arena(self, clone):
+        mem = GlobalMemory()
+        h = mem.alloc("a", 2, DType.I32)
+        mem.span_write(h.span(0), 11)
+        twin = clone(mem)
+        twin.span_write(h.span(1), 22)
+        mem.span_write(h.span(0), 33)
+        assert twin.download(h).tolist() == [11, 22]
+        assert mem.download(h).tolist() == [33, 0]
+
+    def test_writes_mask_to_the_span_width(self):
+        mem = GlobalMemory()
+        h = mem.alloc("a", 2, DType.I32)
+        mem.span_write(h.span(0), -1)
+        mem.span_write(h.span(1), 0x1_2345_6789)
+        assert mem.span_read(h.span(0)) == 0xFFFFFFFF
+        assert mem.span_read(h.span(1)) == 0x2345_6789
+
+    def test_dropped_write_faults(self):
+        mem = GlobalMemory(faults=FaultPlan.parse("drop=1").injector("t"))
+        h = mem.alloc("a", 2, DType.I32)
+        mem.span_write(h.span(0), 7, kind=AccessKind.PLAIN)
+        mem.span_write(h.span(1), 9, kind=AccessKind.ATOMIC)
+        mem.span_write(h.span(0), 3)  # host writes are never faulted
+        assert mem.download(h).tolist() == [3, 9]
+        mem.span_write(h.span(0), 5, kind=AccessKind.VOLATILE)
+        assert mem.span_read(h.span(0)) == 3
+
+    def test_torn_write_faults(self):
+        mem = GlobalMemory(faults=FaultPlan.parse("tear=1").injector("t"))
+        h = mem.alloc("a", 2, DType.U64)
+        mem.span_write(h.span(0), 0x1122334455667788, kind=AccessKind.PLAIN)
+        mem.span_write(h.span(1), 0x1122334455667788, kind=AccessKind.ATOMIC)
+        assert mem.span_read(h.span(0)) == 0x55667788
+        assert mem.span_read(h.span(1)) == 0x1122334455667788
+
+    def test_stale_read_faults(self):
+        mem = GlobalMemory(faults=FaultPlan.parse("stuck=1").injector("t"))
+        h = mem.alloc("a", 1, DType.I32)
+        span = h.span(0)
+        assert mem.span_read(span, kind=AccessKind.PLAIN) == 0
+        mem.span_write(span, 4)
+        assert mem.span_read(span, kind=AccessKind.PLAIN) == 0
+        assert mem.span_read(span, kind=AccessKind.VOLATILE) == 4
+        assert mem.span_read(span, kind=AccessKind.ATOMIC) == 4
+        assert mem.span_read(span) == 4

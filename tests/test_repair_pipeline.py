@@ -6,12 +6,28 @@ import pytest
 
 from repro.cli import main
 from repro.repair import repair
+from tests.test_explore_digests import REPAIR_CALLS, assert_pinned, capture
+
+#: every exploration each fixture's repair ran, by target
+_EXPLORATIONS: dict[str, list[dict]] = {}
+
+
+def _pinned_repair(target: str):
+    """``repair(target)`` at the smoke budget, recording its
+    explorations for the pinned-digest check."""
+    with capture() as explorations:
+        report = repair(target, budget="smoke", **REPAIR_CALLS[target])
+    _EXPLORATIONS[target] = explorations
+    return report
 
 
 class TestTwophasePipeline:
     @pytest.fixture(scope="class")
     def report(self):
-        return repair("twophase", budget="smoke")
+        return _pinned_repair("twophase")
+
+    def test_explorations_match_pins(self, report):
+        assert_pinned("repair/twophase", _EXPLORATIONS["twophase"])
 
     def test_ok_and_barrier_wins(self, report):
         assert report.ok
@@ -41,8 +57,10 @@ class TestTwophasePipeline:
 class TestCcPipeline:
     @pytest.fixture(scope="class")
     def report(self):
-        return repair("cc", budget="smoke",
-                      devices=("titanv", "a100"))
+        return _pinned_repair("cc")
+
+    def test_explorations_match_pins(self, report):
+        assert_pinned("repair/cc", _EXPLORATIONS["cc"])
 
     def test_obligations_found(self, report):
         assert report.obligations
@@ -88,7 +106,10 @@ class TestApspSharedPipeline:
 
     @pytest.fixture(scope="class")
     def report(self):
-        return repair("apsp_shared", budget="smoke")
+        return _pinned_repair("apsp_shared")
+
+    def test_explorations_match_pins(self, report):
+        assert_pinned("repair/apsp_shared", _EXPLORATIONS["apsp_shared"])
 
     def test_ok_and_barrier_is_the_only_fix(self, report):
         assert report.ok
@@ -115,7 +136,10 @@ class TestMisPackedPipeline:
 
     @pytest.fixture(scope="class")
     def report(self):
-        return repair("mis_packed", budget="smoke")
+        return _pinned_repair("mis_packed")
+
+    def test_explorations_match_pins(self, report):
+        assert_pinned("repair/mis_packed", _EXPLORATIONS["mis_packed"])
 
     def test_ok_with_accepted_atomic_fix(self, report):
         assert report.ok

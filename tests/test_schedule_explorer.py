@@ -34,6 +34,7 @@ from repro.gpu.simt import DRAIN_BASE, SimtExecutor
 from repro.memmodel import litmus
 from repro.memmodel.models import get_model
 from repro.patterns import PATTERNS
+from tests.test_explore_digests import assert_pinned, capture, pattern_key
 
 
 def racy_counter_kernel(ctx, ctr):
@@ -55,6 +56,24 @@ def counter_invariant(mem, handles):
 
 WIDE_BUDGET = ExploreBudget(max_schedules=500, max_steps_per_run=1_000,
                             max_seconds=30.0, preemption_bound=4)
+
+
+def mutual_wait_kernel(ctx, flags):
+    """Thread t waits for flag 1 - t, which only thread 1 - t sets, and
+    only after its own wait: neither ever gets past its poll."""
+    while True:
+        seen = yield ctx.load(flags, 1 - ctx.tid, AccessKind.ATOMIC)
+        if seen:
+            break
+    yield ctx.store(flags, ctx.tid, 1, AccessKind.ATOMIC)
+
+
+def two_flags_setup(mem):
+    return (mem.alloc("flags", 2, DType.I32),)
+
+
+SPIN_BUDGET = ExploreBudget(max_schedules=500, max_steps_per_run=40,
+                            max_seconds=30.0, preemption_bound=2)
 
 
 def run_check(kernel, **kw):
@@ -161,6 +180,21 @@ class TestExplorationControls:
     def test_stop_reason(self, reason, options):
         report = run_check(racy_counter_kernel, **options)
         assert report.explore.stop_reason == reason
+
+    def test_stop_reason_step_cap_when_every_run_truncated(self):
+        """Each thread atomically polls a flag only the other thread
+        sets, so every schedule spins to the step cap.  The bounded
+        space is still exhausted, but no run reached the end of the
+        kernel: that is not ``complete``."""
+        report = check(mutual_wait_kernel, 2, setup=two_flags_setup,
+                       budget=SPIN_BUDGET)
+        ex = report.explore
+        assert ex.complete
+        assert ex.schedules > 0
+        assert ex.truncated_runs == ex.schedules
+        assert ex.stop_reason == "step_cap"
+        assert f"schedules explored: {ex.schedules} (step cap)" in (
+            report.summary())
 
     def test_summary_names_the_stop_reason(self):
         capped = run_check(racy_counter_kernel, budget=dataclasses.replace(
@@ -410,10 +444,14 @@ class TestBacktrackScanAgainstHistoryWalk:
     def test_pattern_corpus(self, name, variant, state_dedupe):
         program = program_from_pattern(name, variant)
         budget = BUDGETS["smoke"]
-        new, reference = explore_with_both_scans(
-            lambda: _make_runner(program, budget, None, True, False),
-            budget, state_dedupe=state_dedupe)
+        with capture() as explorations:
+            new, reference = explore_with_both_scans(
+                lambda: _make_runner(program, budget, None, True, False),
+                budget, state_dedupe=state_dedupe)
         assert new == reference
+        key = pattern_key(name, variant, state_dedupe)
+        assert_pinned(key, explorations[:1])
+        assert_pinned(key, explorations[1:])
 
     @pytest.mark.parametrize("test", [t.name for t in litmus.CORPUS])
     @pytest.mark.parametrize("model", ["sc", "tso", "relaxed_gpu", "ptx"])

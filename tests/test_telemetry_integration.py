@@ -17,7 +17,10 @@ import json
 import pytest
 
 from repro import ResilientStudy, Study, Variant, telemetry
+from repro.gpu.accesses import AccessKind, DType, RMWOp
 from repro.gpu.faults import FaultPlan
+from repro.gpu.memory import GlobalMemory
+from repro.gpu.simt import SimtExecutor
 from repro.telemetry.metrics import SCOPE_SIM, get_registry
 
 INPUTS = ["internet"]
@@ -191,3 +194,55 @@ def test_runs_and_rounds_counters():
         assert registry.get("repro_perf_rounds_total").value(*labels) > 0
         hist = registry.get("repro_runtime_ms").hist(*labels)
         assert hist.count == 2
+
+
+# ----------------------------------------------------------------------
+# The SIMT launch counters publish exactly a launch's LaunchStats
+# ----------------------------------------------------------------------
+def _mixed_kernel(ctx, data, ctr):
+    i = ctx.tid
+    v = yield ctx.load(data, i)
+    again = yield ctx.load(data, i)  # served by the register cache
+    yield ctx.store(data, i, v + again + 1, AccessKind.VOLATILE)
+    if i % 2:  # under warp lockstep, the even lanes wait at the barrier
+        yield ctx.load(data, i, AccessKind.VOLATILE)
+    yield ctx.barrier()
+    yield ctx.atomic_rmw(ctr, 0, RMWOp.ADD, 1)
+    yield ctx.load(data, (i + 1) % ctx.num_threads, AccessKind.ATOMIC)
+
+
+@pytest.mark.parametrize("tier, options", [
+    ("interp", {"batch": False}),
+    ("interp", {"batch": False, "warp_lockstep": True}),
+    ("batched", {"batch": True}),
+])
+def test_simt_launch_counters_publish_launch_stats(tier, options):
+    with telemetry.session() as (registry, _spans):
+        mem = GlobalMemory()
+        data = mem.alloc("data", 64, DType.I32)
+        ctr = mem.alloc("ctr", 1, DType.I32)
+        executor = SimtExecutor(mem, **options)
+        stats = executor.launch(_mixed_kernel, 64, data, ctr,
+                                block_dim=32)
+        launches = executor.batch_stats
+        assert (launches.batched_launches if tier == "batched"
+                else launches.interp_launches) == 1
+        assert stats.register_hits and stats.barriers and stats.rmws
+        assert bool(stats.divergent_steps) == ("warp_lockstep" in options)
+
+        def value(family):
+            return registry.get(family).value("_mixed_kernel")
+
+        assert value("repro_simt_launches_total") == 1
+        assert value("repro_simt_steps_total") == stats.steps
+        assert value("repro_simt_register_hits_total") == stats.register_hits
+        assert value("repro_simt_barriers_total") == stats.barriers
+        assert (value("repro_simt_divergent_steps_total")
+                == stats.divergent_steps)
+        expected = {("_mixed_kernel", kind.value, op): count
+                    for op, counts in (("load", stats.loads),
+                                       ("store", stats.stores))
+                    for kind, count in counts.items() if count}
+        expected[("_mixed_kernel", "atomic", "rmw")] = stats.rmws
+        accesses = registry.get("repro_simt_accesses_total")
+        assert dict(accesses.samples()) == expected
