@@ -12,9 +12,10 @@ Environment knobs:
   standard ~1/256-of-paper sizes).
 * ``REPRO_RETRIES`` — extra attempts per cell after a transient kernel
   fault (default 1; relevant only when something actually fails).
-* ``REPRO_CHECKPOINT`` — path for an incremental sweep checkpoint; if
-  the file already exists it is loaded first, so an interrupted bench
-  session resumes instead of recomputing (unset = no checkpointing).
+* ``REPRO_CHECKPOINT`` — result-store directory for the sweep
+  checkpoint: every finished cell is published there and served from
+  it by later sessions, so an interrupted bench session resumes instead
+  of recomputing (unset = no checkpointing).
 * ``REPRO_TRACE_CACHE`` — directory for the on-disk trace cache
   (default ``benchmarks/output/trace_cache``).  Traces recorded by the
   table benches are re-priced — not re-executed — by the figure and

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from _harness import CHECKPOINT, JOBS, REPS, RETRIES, SCALE, TRACE_CACHE
@@ -19,16 +17,14 @@ def study() -> ResilientStudy:
     plain :class:`repro.Study`, but a failing cell surfaces as a
     :class:`~repro.errors.StudyError` for just that bench instead of
     aborting the whole session, transient faults are retried, and an
-    optional checkpoint (``REPRO_CHECKPOINT``) lets an interrupted
-    session resume.
+    optional checkpoint store (``REPRO_CHECKPOINT``) lets an
+    interrupted session resume: a cell published there is served, not
+    recomputed.
 
     The on-disk trace cache (``REPRO_TRACE_CACHE``) means a trace
     recorded for one device is re-priced for the other devices of the
     same staleness class, and recordings persist across bench sessions.
     """
-    s = ResilientStudy(reps=REPS, scale=SCALE, retries=RETRIES,
-                       checkpoint=CHECKPOINT, trace_cache=TRACE_CACHE,
-                       jobs=JOBS)
-    if CHECKPOINT is not None and Path(CHECKPOINT).exists():
-        s.load_checkpoint()
-    return s
+    return ResilientStudy(reps=REPS, scale=SCALE, retries=RETRIES,
+                          checkpoint=CHECKPOINT, trace_cache=TRACE_CACHE,
+                          jobs=JOBS)

@@ -24,11 +24,12 @@ The study (Section V methodology)::
     cell = study.speedup("mis", "amazon0601", "titanv")
     print(cell.speedup)   # > 1 means the race-free code is faster
 
-Resilient sweeps (fault injection, isolation, checkpoint/resume)::
+Resilient sweeps (fault injection, isolation, a checkpoint store a
+rerun resumes from)::
 
     from repro import ResilientStudy
     from repro.gpu import FaultPlan
-    study = ResilientStudy(reps=9, retries=2, checkpoint="sweep.json",
+    study = ResilientStudy(reps=9, retries=2, checkpoint="sweep-store",
                            faults=FaultPlan.parse("tear=0.3,abort=0.1"))
     result = study.sweep("titanv", ["cc", "mis"], ["internet"])
 
@@ -40,7 +41,7 @@ Host-fault chaos (see docs/robustness.md, "Host faults")::
                                targets=("trace-*.json",),
                                disrupt_generations=1)
     with hostfaults.installed(plan):
-        ResilientStudy(reps=3, checkpoint="sweep.json").sweep(
+        ResilientStudy(reps=3, checkpoint="sweep-store").sweep(
             "titanv", ["cc", "mis"], ["internet"], jobs=4)
 
 Telemetry (off by default; see docs/observability.md)::

@@ -16,7 +16,8 @@ Commands
 * ``patterns`` — run the Indigo-style microbenchmark corpus: every racy
   idiom, its detected races and failure mode, and its race-free fix.
 * ``sweep``   — the resilient sweep driver: per-cell fault isolation,
-  retries, budgets, fault injection, and checkpoint/resume; with
+  retries, budgets, fault injection, and a checkpoint store that a
+  rerun resumes from; with
   ``--telemetry`` it exports the run's metric registry and span tree.
 * ``check``   — systematic schedule exploration (DPOR) of one pattern:
   enumerate interleavings, race-check each, minimize failing schedules.
@@ -27,12 +28,12 @@ Commands
   (``metrics summarize``).
 * ``trace``   — manage the on-disk trace cache (``trace prune``).
 * ``chaos``   — run mini-sweeps under injected *host* faults (torn
-  writes, full disks, SIGKILLed/stalled workers, corrupted
-  checkpoints) and assert byte-identical recovery.
+  writes, full disks, SIGKILLed/stalled workers, corrupted store
+  records) and assert byte-identical recovery.
 
 Exit codes: 0 success, 1 command-specific failure (e.g. a chaos
 scenario diverged), 2 operational error, 3 sweep interrupted by
-SIGINT/SIGTERM after a consistent checkpoint write.
+SIGINT/SIGTERM (every finished cell is already checkpointed).
 """
 
 from __future__ import annotations
@@ -241,13 +242,6 @@ def _run_sweep(args) -> int:
         reps=args.reps, validate=args.validate, retries=args.retries,
         backoff_s=args.backoff, budget=budget, faults=faults,
         checkpoint=args.checkpoint, trace_cache=args.trace_cache or None)
-    resumed = (0, 0)
-    if args.resume:
-        if args.checkpoint is None:
-            raise ReproError("--resume requires --checkpoint")
-        from pathlib import Path
-        if Path(args.checkpoint).exists():
-            resumed = study.load_checkpoint()
 
     if args.algo == "scc":
         algos = ["scc"]
@@ -264,7 +258,7 @@ def _run_sweep(args) -> int:
              f"(median of {args.reps}{injected})")
     print(resilient_speedup_table(sweep.cells, title=title))
     print(f"cells executed this run: {study.cells_executed} "
-          f"(resumed {resumed[0]} results, {resumed[1]} failures)")
+          f"(resumed {study.cells_resumed} results)")
     if args.telemetry:
         _export_telemetry(args.telemetry, args.metrics_format)
     return 0
@@ -295,9 +289,8 @@ def _cmd_serve(args) -> int:
         host=args.host, port=args.port, reps=args.reps, scale=args.scale,
         validate=args.validate, retries=args.retries,
         backoff_s=args.backoff, max_steps=args.max_steps, jobs=args.jobs,
-        trace_dir=args.trace_cache or None, checkpoint=args.checkpoint,
+        trace_dir=args.trace_cache or None, store_dir=args.store or None,
         faults=faults, workers=args.workers,
-        store_dir=args.store or None,
         max_pending_cells=args.max_pending_cells,
         per_tenant_cells=args.per_tenant_cells,
         breaker_threshold=args.breaker_threshold,
@@ -591,10 +584,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--reps", type=int, default=3)
     sweep.add_argument("--limit", type=int, default=0,
                        help="use only the first N inputs (0 = all)")
-    sweep.add_argument("--checkpoint", default=None,
-                       help="checkpoint file, atomically updated per cell")
-    sweep.add_argument("--resume", action="store_true",
-                       help="load the checkpoint and run only missing cells")
+    sweep.add_argument("--checkpoint", default=None, metavar="DIR",
+                       help="result-store directory: every finished cell "
+                            "is published there, and a rerun with the "
+                            "same directory executes only the missing "
+                            "cells")
     sweep.add_argument("--retries", type=int, default=0,
                        help="extra attempts after a transient kernel fault")
     sweep.add_argument("--backoff", type=float, default=0.0,
@@ -674,13 +668,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "supervised fleet: heartbeats, crash "
                             "failover, bounded respawn)")
     serve.add_argument("--store", default=None, metavar="DIR",
-                       help="content-addressed shared result store "
-                            "directory (fleet mode only)")
+                       help="result-store directory, the service study's "
+                            "checkpoint: finished cells are published "
+                            "there and served from it after a restart")
     serve.add_argument("--trace-cache", default=None, metavar="DIR",
                        help="on-disk trace cache directory")
-    serve.add_argument("--checkpoint", default=None,
-                       help="checkpoint path (autosaved per cell, "
-                            "finalized on drain)")
     serve.add_argument("--inject", default=None, metavar="SPEC",
                        help="GPU fault plan for every cell, e.g. "
                             "'flip=0.05'")
@@ -828,14 +820,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except SweepInterrupted as exc:
-        # a deliberate operator stop, not a failure: the checkpoint is
-        # consistent, so the distinct code lets wrappers resume
+        # a deliberate operator stop, not a failure: every finished
+        # cell is checkpointed, so the distinct code lets wrappers rerun
         print(f"interrupted: {exc}", file=sys.stderr)
         return 3
     except ReproError as exc:
         # one-line diagnostic, not a traceback: a bad input name, a
-        # deadlocked kernel, or a corrupt checkpoint is an operational
-        # failure of the experiment, not a bug in the harness
+        # deadlocked kernel, or an old checkpoint file passed as a
+        # store directory is an operational failure of the experiment,
+        # not a bug in the harness
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,9 @@
 * :mod:`repro.core.report` — speedup tables (Tables IV-VIII), geometric
   means (Fig. 6), and property correlations (Table IX).
 * :mod:`repro.core.resilience` — the resilient sweep layer: per-cell
-  fault isolation, budgets, retries, and checkpoint/resume.
+  fault isolation, budgets, retries, and resume from a checkpoint store.
+* :mod:`repro.core.store` — the content-addressed result store that
+  checkpointed studies publish finished cells to and resume from.
 * :mod:`repro.core.hostfaults` — deterministic injection of *host*
   failures (torn writes, full disks, killed/stalled workers).
 * :mod:`repro.core.chaos` — the harness asserting byte-identical

@@ -8,8 +8,8 @@ robustness layer promises:
 
 1. **Full coverage** — every (algorithm, input, variant) cell completes
    with no recorded failures, despite torn trace files, full disks,
-   SIGKILLed workers, stalled workers, or a corrupted checkpoint
-   generation.
+   SIGKILLed workers, stalled workers, or a corrupted result-store
+   record.
 2. **Byte-identical recovery** — ``save_results`` output equals the
    uninjected serial baseline byte for byte.  Recovery must not merely
    finish; it must change *nothing* about the science.
@@ -17,16 +17,16 @@ robustness layer promises:
 The scenario list covers every :class:`~repro.core.hostfaults.
 HostFaultKind` (the harness refuses to report success otherwise) and
 ends with a combined flagship run — worker kills + torn trace writes +
-an externally corrupted checkpoint generation, resumed to completion —
-which is the acceptance bar for the whole robustness layer.  On top of
+an externally corrupted store record, resumed to completion — which is
+the acceptance bar for the whole robustness layer.  On top of
 the per-kind scenarios, :func:`run_serve_scenario` drills the
 sweep-as-a-service layer (:mod:`repro.service`): two concurrent clients
 against the job server under worker kills and torn trace writes must
 get results byte-identical to an uninjected offline sweep, and a
 SIGTERM delivered mid-stream must drain within the deadline and leave
-a loadable checkpoint.  :func:`run_fleet_scenario` repeats the drill
-against the multi-process worker fleet (``--workers 2`` plus the
-content-addressed shared result store), adding fleet-worker kills with
+a ``--store`` a fresh offline study resumes the whole grid from.
+:func:`run_fleet_scenario` repeats the drill against the multi-process
+worker fleet (``--workers 2``), adding fleet-worker kills with
 redispatch, an externally corrupted store record that must be
 quarantined and recomputed, and a second server recovering the rest of
 the grid from the store.
@@ -71,9 +71,9 @@ class ChaosScenario:
     #: record traces to disk with the plan installed, then re-read them
     #: from a second study (the quarantine/degrade detection path)
     two_phase_traces: bool = False
-    #: after a completed checkpointed sweep, externally corrupt the
-    #: current checkpoint generation and resume from it
-    corrupt_checkpoint: bool = False
+    #: after a completed checkpointed sweep, externally corrupt one
+    #: published store record and resume from the store
+    corrupt_record: bool = False
 
     def kinds(self) -> set[HostFaultKind]:
         return {s.kind for s in HostFaultPlan.parse(self.spec).specs}
@@ -151,16 +151,17 @@ def scenario_suite(jobs: int = 4) -> list[ChaosScenario]:
             spec="stall=1.0", stall_seconds=20.0, disrupt_generations=1,
             jobs=max(2, min(jobs, 2)), task_deadline_s=1.0),
         ChaosScenario(
-            name="checkpoint-fallback",
-            description="the current checkpoint generation is corrupted "
-                        "after the sweep; resume falls back to .prev",
-            spec="torn=0.0", corrupt_checkpoint=True),
+            name="store-record",
+            description="one published store record is torn after the "
+                        "sweep; resume quarantines it and re-executes "
+                        "that cell only",
+            spec="torn=0.0", corrupt_record=True),
         ChaosScenario(
             name="combined",
-            description="worker kills + torn trace writes + a corrupted "
-                        "checkpoint generation, resumed to completion",
+            description="worker kills + torn trace writes + a torn store "
+                        "record, resumed to completion",
             spec="kill=1.0,torn=0.4", targets=("trace-*.json",),
-            disrupt_generations=1, jobs=jobs, corrupt_checkpoint=True),
+            disrupt_generations=1, jobs=jobs, corrupt_record=True),
     ]
 
 
@@ -186,7 +187,7 @@ def _sweep_bytes(study: ResilientStudy, out: Path, device: str,
 
 
 def _corrupt_file(path: Path) -> None:
-    """Externally damage one on-disk generation (torn to half size)."""
+    """Externally damage one on-disk file (torn to half size)."""
     data = path.read_bytes()
     path.write_bytes(data[: max(1, len(data) // 2)])
 
@@ -198,7 +199,7 @@ def run_scenario(scenario: ChaosScenario, baseline: bytes,
     """Execute one scenario and check both chaos invariants."""
     root = workdir / scenario.name
     root.mkdir(parents=True, exist_ok=True)
-    ckpt = root / "sweep.ckpt"
+    store_dir = root / "store"
     trace_dir = (root / "traces") if scenario.targets else None
     plan = HostFaultPlan.parse(
         scenario.spec, seed=seed, targets=scenario.targets,
@@ -207,7 +208,7 @@ def run_scenario(scenario: ChaosScenario, baseline: bytes,
     notes: list[str] = []
 
     with hostfaults.installed(plan):
-        study = _study(reps, ckpt, trace_dir, scenario.task_deadline_s)
+        study = _study(reps, store_dir, trace_dir, scenario.task_deadline_s)
         data, coverage, failures = _sweep_bytes(
             study, root / "results.json", device, algorithms, inputs,
             scenario.jobs)
@@ -226,22 +227,22 @@ def run_scenario(scenario: ChaosScenario, baseline: bytes,
             if cache.degraded:
                 notes.append(f"degraded after {cache.disk_errors} "
                              "disk errors")
-        if scenario.corrupt_checkpoint:
-            # phase 2: damage the current checkpoint generation, then
-            # resume — the load must fall back to .prev and the sweep
-            # must finish the (at most one) cell the rotation lost
-            _corrupt_file(ckpt)
-            resumed = _study(reps, ckpt, trace_dir,
+        if scenario.corrupt_record:
+            # phase 2: tear one published record, then resume from the
+            # store — the record must be quarantined and only its cell
+            # re-executed, merged at its place in the sweep order
+            _corrupt_file(sorted(store_dir.glob("cell-*.json"))[0])
+            resumed = _study(reps, store_dir, trace_dir,
                              scenario.task_deadline_s)
-            n_res, n_fail = resumed.load_checkpoint()
             data, coverage, failures = _sweep_bytes(
                 resumed, root / "results.json", device, algorithms,
                 inputs, scenario.jobs)
-            notes.append(f"fallbacks={resumed.checkpoint_fallbacks} "
-                         f"resumed={n_res}+{n_fail} "
+            notes.append(f"quarantined={resumed.store.quarantined} "
+                         f"resumed={resumed.cells_resumed} "
                          f"reran={resumed.cells_executed}")
-            if resumed.checkpoint_fallbacks < 1:
-                notes.append("EXPECTED a .prev fallback")
+            if resumed.store.quarantined != 1 or resumed.cells_executed != 2:
+                notes.append("EXPECTED one quarantined record and its "
+                             "cell's 2 variants re-executed")
 
     identical = data == baseline
     done, total = coverage
@@ -287,6 +288,21 @@ def _dechunk(body: bytes) -> bytes:
     return b"".join(out)
 
 
+def _store_handoff(store_dir: Path, device: str, algorithms: list[str],
+                   inputs: list[str], reps: int,
+                   notes: list[str]) -> list[str]:
+    """The drain hand-off: a fresh offline study on a drained server's
+    ``--store`` must serve every result of the grid, executing none."""
+    loader = ResilientStudy(reps=reps, checkpoint=store_dir)
+    loader.sweep(device, algorithms, inputs, jobs=1)
+    notes.append(f"store serves {loader.cells_resumed} results")
+    want = 2 * len(algorithms) * len(inputs)
+    if loader.cells_resumed != want or loader.cells_executed:
+        return [f"the store served {loader.cells_resumed} of {want} "
+                f"results and {loader.cells_executed} were executed"]
+    return []
+
+
 def run_serve_scenario(workdir: Path, device: str,
                        algorithms: list[str], inputs: list[str],
                        reps: int, seed: int,
@@ -305,7 +321,8 @@ def run_serve_scenario(workdir: Path, device: str,
       sweep of the same cells,
     * a SIGTERM delivered while a third client is mid-stream drains
       within the configured deadline, and
-    * the drain leaves a checkpoint a fresh study can load.
+    * a fresh offline study on the server's ``--store`` serves the
+      whole grid without executing a cell.
     """
     import asyncio
     import os
@@ -315,7 +332,7 @@ def run_serve_scenario(workdir: Path, device: str,
 
     root = workdir / "serve"
     root.mkdir(parents=True, exist_ok=True)
-    ckpt = root / "serve.ckpt"
+    store_dir = root / "store"
     notes: list[str] = []
     problems: list[str] = []
     n_cells = len(algorithms) * len(inputs)
@@ -334,7 +351,7 @@ def run_serve_scenario(workdir: Path, device: str,
         disrupt_generations=1)
     config = ServiceConfig(
         port=0, reps=reps, retries=0, jobs=jobs,
-        trace_dir=str(root / "traces"), checkpoint=str(ckpt),
+        trace_dir=str(root / "traces"), store_dir=str(store_dir),
         drain_deadline_s=60.0)
     body = {"algorithms": list(algorithms), "inputs": list(inputs),
             "device": device, "deadline_s": 300}
@@ -428,17 +445,8 @@ def run_serve_scenario(workdir: Path, device: str,
 
     with hostfaults.installed(plan):
         server_bytes, coverage = asyncio.run(drive())
-
-    if not ckpt.exists():
-        problems.append("drain left no checkpoint")
-    else:
-        loader = ResilientStudy(reps=reps, checkpoint=ckpt)
-        n_res, n_fail = loader.load_checkpoint()
-        notes.append(f"checkpoint loads {n_res} results")
-        if n_res < 2 * n_cells or n_fail:
-            problems.append(
-                f"checkpoint resumed {n_res} results / {n_fail} "
-                f"failures for a {n_cells}-cell grid")
+    problems.extend(_store_handoff(store_dir, device, algorithms, inputs,
+                                   reps, notes))
 
     identical = server_bytes == baseline
     if not identical:
@@ -461,13 +469,13 @@ def run_fleet_scenario(workdir: Path, device: str,
 
     Phase 1 runs a two-worker fleet server under worker kills (every
     first-incarnation fleet worker dies on its first dispatched cell)
-    plus torn trace writes, with a shared result store and a
-    checkpoint; two concurrent clients must get every cell ``ok``,
-    each lost cell must be redispatched exactly once (so the grid is
-    still *executed* exactly once), and the accumulated results must
-    be byte-identical to an uninjected serial offline sweep.  A
-    SIGTERM delivered while a third client is mid-stream must drain
-    within the deadline and leave a loadable checkpoint.
+    plus torn trace writes, with a ``--store``; two concurrent clients
+    must get every cell ``ok``, each lost cell must be redispatched
+    exactly once (so the grid is still *executed* exactly once), and
+    the accumulated results must be byte-identical to an uninjected
+    serial offline sweep.  A SIGTERM delivered while a third client is
+    mid-stream must drain within the deadline, and a fresh offline
+    study on the store must serve the whole grid without executing.
 
     Phase 2 externally corrupts one published store record and starts
     a *fresh* fleet server over the same store directory: the corrupt
@@ -483,7 +491,6 @@ def run_fleet_scenario(workdir: Path, device: str,
 
     root = workdir / "fleet"
     root.mkdir(parents=True, exist_ok=True)
-    ckpt = root / "fleet.ckpt"
     store_dir = root / "store"
     notes: list[str] = []
     problems: list[str] = []
@@ -551,8 +558,7 @@ def run_fleet_scenario(workdir: Path, device: str,
         config = ServiceConfig(
             port=0, reps=reps, retries=0, workers=2,
             store_dir=str(store_dir), trace_dir=str(root / "traces"),
-            checkpoint=str(ckpt), fleet_heartbeat_s=0.1,
-            drain_deadline_s=60.0)
+            fleet_heartbeat_s=0.1, drain_deadline_s=60.0)
         service = SweepService(config)
         await service.start()
         host, port = service.address
@@ -609,17 +615,8 @@ def run_fleet_scenario(workdir: Path, device: str,
     if server_bytes != baseline:
         problems.append("phase1: fleet results diverge from the "
                         "offline sweep")
-
-    if not ckpt.exists():
-        problems.append("phase1: drain left no checkpoint")
-    else:
-        loader = ResilientStudy(reps=reps, checkpoint=ckpt)
-        n_res, n_fail = loader.load_checkpoint()
-        notes.append(f"checkpoint loads {n_res} results")
-        if n_res < 2 * n_cells or n_fail:
-            problems.append(
-                f"phase1: checkpoint resumed {n_res} results / "
-                f"{n_fail} failures for a {n_cells}-cell grid")
+    problems.extend(f"phase1: {p}" for p in _store_handoff(
+        store_dir, device, algorithms, inputs, reps, notes))
 
     # ---- phase 2: corrupt one store record, recover from the rest ----
     published = sorted(store_dir.glob("cell-*.json"))
@@ -639,7 +636,7 @@ def run_fleet_scenario(workdir: Path, device: str,
         host, port = service.address
         records = await client(host, port, "dana")
         check_clients("phase2", ("dana", records))
-        store = service.executor.store
+        store = service.executor.study.store
         notes.append(f"store hits={store.hits} "
                      f"quarantined={store.quarantined}")
         if store.quarantined < 1:

@@ -237,7 +237,7 @@ class HostFaultInjector:
     """The storage-side write filter derived from a plan.
 
     Holds a per-file-name write counter so repeated writes of the same
-    path (a checkpoint rewritten after every cell) draw independent
+    path (a store record republished after a recompute) draw independent
     decisions, while the first write of any given file is identical
     across processes and reruns.
     """

@@ -11,7 +11,8 @@ embarrassingly parallel, and this module is the executor:
 :func:`execute_tasks`, which runs them on a ``ProcessPoolExecutor`` and
 feeds picklable result records back to the study **in submission
 order** — so the memo (and therefore ``save_results`` output, speedup
-tables, and checkpoints) is byte-identical to the serial path.
+tables, and published store records) is byte-identical to the serial
+path.
 
 Each worker process owns a private study configured from the parent's
 :class:`WorkerConfig` (same reps/scale/validate/retry policy, same
@@ -323,7 +324,7 @@ def _preload_task_modules(tasks: list[CellTask]) -> None:
             continue
 
 
-def execute_tasks(config: WorkerConfig, tasks: list[CellTask], jobs: int,
+def execute_tasks(config: WorkerConfig, tasks: list, jobs: int,
                   merge: Callable[[dict], None],
                   respawn_budget: int | None = None,
                   task_deadline_s: float | None = None) -> None:
@@ -331,7 +332,9 @@ def execute_tasks(config: WorkerConfig, tasks: list[CellTask], jobs: int,
 
     Every task is submitted up front (workers stay saturated), but
     ``merge`` is invoked strictly in submission order — the order the
-    serial sweep would have produced — one record per variant.
+    serial sweep would have produced — one record per variant.  A task
+    may instead be a list of records that need no execution (a cell
+    served from the result store); they are merged at its index.
 
     Worker death is survived, not propagated: when a worker is killed
     (OOM killer, SIGKILL, a segfaulting extension) the
@@ -346,7 +349,7 @@ def execute_tasks(config: WorkerConfig, tasks: list[CellTask], jobs: int,
 
     Completed-task records are stashed per task index and flushed only
     in index order, so recovery never reorders the merge: the memo —
-    and therefore ``save_results`` output and checkpoints — stays
+    and therefore ``save_results`` output and store records — stays
     byte-identical to the serial path even across pool rebuilds.  A
     task has finished once its records are merged (its index is below
     the flush cursor) or staged behind an earlier unfinished task; only
@@ -362,6 +365,11 @@ def execute_tasks(config: WorkerConfig, tasks: list[CellTask], jobs: int,
 
     if not tasks:
         return
+    staged: dict[int, list[dict]] = {
+        idx: task for idx, task in enumerate(tasks)
+        if isinstance(task, list)}
+    pending: list[tuple[int, CellTask]] = [
+        (idx, task) for idx, task in enumerate(tasks) if idx not in staged]
     budget = _resolve_respawns(respawn_budget)
     deadline = _resolve_deadline(task_deadline_s)
     # fork inherits warm module state (algorithm registry, the task
@@ -369,10 +377,9 @@ def execute_tasks(config: WorkerConfig, tasks: list[CellTask], jobs: int,
     # platform default
     fork = "fork" in mp.get_all_start_methods()
     ctx = mp.get_context("fork" if fork else None)
-    if fork:
-        _preload_task_modules(tasks)
+    if fork and pending:
+        _preload_task_modules([task for _, task in pending])
 
-    staged: dict[int, list[dict]] = {}
     flushed = [0]
 
     def flush() -> None:
@@ -381,7 +388,6 @@ def execute_tasks(config: WorkerConfig, tasks: list[CellTask], jobs: int,
                 merge(record)
             flushed[0] += 1
 
-    pending: list[tuple[int, CellTask]] = list(enumerate(tasks))
     generation = 0
     respawns = 0
     while pending:

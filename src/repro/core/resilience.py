@@ -14,9 +14,10 @@ sweep layer survive, record, and report those failures instead:
   the :class:`CellBudget` step/wall-clock limits, not crashes;
 * transient faults (:class:`~repro.errors.TransientKernelFault`) are
   retried with fresh schedule seeds and exponential backoff;
-* after every cell the study checkpoints atomically (temp file +
-  rename), and a later run can ``--resume`` to execute only the
-  missing cells;
+* with a checkpoint directory, every cell whose two variants finish
+  ``ok`` is published to a :class:`~repro.core.store.ResultStore`
+  there, and the study looks each missing cell up in it before
+  executing it, so a rerun executes only the missing cells;
 * partial results still render: see
   :func:`repro.core.report.resilient_speedup_table`, which prints
   ``FAIL(reason)`` cells and coverage-annotated geomeans.
@@ -29,16 +30,14 @@ rails cost nothing until something goes wrong.
 from __future__ import annotations
 
 import contextlib
-import json
-import os
 import signal
 import threading
 import time
-import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
+from repro.core.store import ResultStore
 from repro.core.study import RunResult, SpeedupCell, Study
 from repro.core.variants import Variant, get_algorithm
 from repro.errors import (
@@ -52,63 +51,14 @@ from repro.errors import (
 )
 from repro.gpu.device import get_device
 from repro.gpu.faults import FaultPlan
+from repro.graphs.csr import CSRGraph
 from repro.perf.engine import PerfRun, run_algorithm
-from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
+from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import get_spans
-from repro.utils.atomicio import atomic_write_text
 from repro.utils.backoff import BackoffPolicy
 
-CHECKPOINT_FORMAT = 3
-"""On-disk checkpoint format version (results + failures).
-
-Format 3 adds a CRC32 content checksum (``crc``); format-2 files (no
-checksum) still load.  Anything else is treated as a damaged
-generation and falls back to the rotated ``.prev`` file."""
-
-_LOADABLE_FORMATS = (2, CHECKPOINT_FORMAT)
-
-
-def checkpoint_crc(payload: dict) -> int:
-    """CRC32 over the checkpoint's record content (canonical JSON of
-    the results and failures lists), independent of file formatting."""
-    body = [payload.get("results", []), payload.get("failures", [])]
-    return zlib.crc32(json.dumps(body, sort_keys=True).encode())
-
-
-def _render_records(cache: dict, outcomes: dict) -> dict:
-    """Each outcome's checkpoint rendering, keyed like ``outcomes``.
-
-    An entry is ``(outcome, indented, canonical)``: the record's
-    ``json.dumps(indent=1)`` text as it sits two levels deep in the
-    file, and its ``sort_keys`` text for :func:`checkpoint_crc`.
-    Entries of ``cache`` are reused while the same object sits under
-    the same key; anything else is rendered afresh.  A JSON string
-    never holds a raw newline, so re-indenting every line is exact.
-    """
-    fresh = {}
-    for key, outcome in outcomes.items():
-        entry = cache.get(key)
-        if entry is None or entry[0] is not outcome:
-            record = outcome.to_record()
-            entry = (outcome,
-                     json.dumps(record, indent=1).replace("\n", "\n  "),
-                     json.dumps(record, sort_keys=True))
-        fresh[key] = entry
-    return fresh
-
-
-def _indented_list(entries) -> str:
-    """``json.dumps(indent=1)`` of a list one level deep, from its
-    items' pre-indented texts."""
-    if not entries:
-        return "[]"
-    return "[\n  " + ",\n  ".join(e[1] for e in entries) + "\n ]"
-
-
-class _CheckpointDamaged(StudyError):
-    """Internal: one checkpoint *generation* is unreadable (torn,
-    bit-flipped, or wrong format) — distinct from a configuration
-    mismatch, which must not silently fall back."""
+#: the two variants of every cell, in the order a sweep runs them
+_VARIANTS = (Variant.BASELINE, Variant.RACE_FREE)
 
 
 @dataclass(frozen=True)
@@ -151,9 +101,8 @@ class CellFailure:
                 f"{self.device_key}/{self.variant}")
 
     def to_record(self) -> dict:
-        """The JSON record every writer stores for this failure
-        (checkpoints, pool and fleet workers).  The key order is part
-        of the checkpoint's bytes."""
+        """The JSON record pool and fleet workers send for this
+        failure."""
         return {"algorithm": self.algorithm, "input": self.input_name,
                 "device": self.device_key, "variant": self.variant,
                 "reason": self.reason, "message": self.message,
@@ -161,8 +110,7 @@ class CellFailure:
 
     @classmethod
     def from_record(cls, record: dict) -> "CellFailure":
-        """The failure a :meth:`to_record` record describes; the last
-        three fields default, as in checkpoints of older builds."""
+        """The failure a :meth:`to_record` record describes."""
         return cls(algorithm=record["algorithm"],
                    input_name=record["input"], device_key=record["device"],
                    variant=record["variant"], reason=record["reason"],
@@ -304,10 +252,15 @@ class ResilientStudy(Study):
         of every cell gets its own deterministic injector derived from
         (cell key, repetition, attempt).
     checkpoint:
-        Path for incremental checkpoints: after every cell the full
-        result + failure state is re-written atomically.  Use
-        :meth:`load_checkpoint` (or the CLI's ``--resume``) to continue
-        an interrupted sweep, executing only the missing cells.
+        Directory of a :class:`~repro.core.store.ResultStore`.  Every
+        cell whose two variants finish ``ok`` is published there
+        (:meth:`save_checkpoint`), and a missing cell is looked up there
+        before it executes, so a rerun with the same directory — after
+        a crash, a SIGINT, or by another study — executes only the
+        missing cells.  Failures are not published: a rerun attempts
+        them again.  Only suite inputs are stored; a graph passed in
+        directly never is.  A checkpoint *file* of an older build is
+        refused; :meth:`~repro.core.study.Study.load_results` reads it.
     """
 
     def __init__(self, reps: int = 9, scale: float = 1.0,
@@ -325,26 +278,24 @@ class ResilientStudy(Study):
         self.backoff_s = backoff_s
         self.budget = budget or CellBudget()
         self.faults = faults
-        self.checkpoint = None if checkpoint is None else Path(checkpoint)
+        if checkpoint is not None and Path(checkpoint).is_file():
+            raise StudyError(
+                f"checkpoint {checkpoint} is a file, not a result-store "
+                "directory; an older build's checkpoint file loads with "
+                "Study.load_results()")
+        self.store = (None if checkpoint is None else ResultStore(
+            checkpoint, reps=reps, scale=scale, faults=faults,
+            retries=retries))
         self._failures: dict[tuple, CellFailure] = {}
-        #: cells actually simulated in this process (memoized or
-        #: checkpoint-loaded cells do not count) — the observable that
+        #: variant results actually simulated in this process (memoized
+        #: or store-served ones do not count) — the observable that
         #: resume tests assert on
         self.cells_executed = 0
-        #: times :meth:`load_checkpoint` had to fall back to the
-        #: rotated ``.prev`` generation
-        self.checkpoint_fallbacks = 0
-        #: malformed records skipped (salvaged around) during load
-        self.checkpoint_salvaged = 0
-        #: autosave attempts that failed with an OSError (the sweep
-        #: keeps running; checkpointing is an optimization)
-        self.checkpoint_write_errors = 0
-        #: checkpoint renderings of each result and failure, reused by
-        #: every save (see _render_records)
-        self._rendered_results: dict[tuple, tuple] = {}
-        self._rendered_failures: dict[tuple, tuple] = {}
-        #: (path, bytes) of the last checkpoint written without error
-        self._last_written: tuple[Path, bytes] | None = None
+        #: variant results served from the checkpoint store
+        self.cells_resumed = 0
+        #: names of inputs passed in as graphs, whose cells the store
+        #: never holds: its address names an input, not its content
+        self._direct_inputs: set[str] = set()
 
     # ------------------------------------------------------------------
     # Cell execution
@@ -388,6 +339,11 @@ class ResilientStudy(Study):
             return self._results[key]
         if key in self._failures:
             return self._failures[key]
+        stored = self._stored_records(algorithm, graph_or_name, device)
+        for record in stored or ():
+            self._merge_parallel_record(record)
+        if key in self._results:
+            return self._results[key]
 
         algo = get_algorithm(algorithm)
         spec = get_device(device)
@@ -437,10 +393,9 @@ class ResilientStudy(Study):
                 message=failure.message, attempts=failure.attempts,
                 elapsed_s=failure.elapsed_s)
             self._failures[key] = record
-            self._autosave()
             return record
         self._results[key] = value
-        self._autosave()
+        self._cell_finished(algorithm, name, device)
         return value
 
     def run(self, algorithm: str, graph_or_name, device: str,
@@ -448,7 +403,7 @@ class ResilientStudy(Study):
         """Strict view of :meth:`run_cell`: raises on a failed cell.
 
         Keeps the plain :class:`Study` API working on the resilient
-        path (budgets, retries, fault plans, per-cell checkpoints)
+        path (budgets, retries, fault plans, the checkpoint store)
         while preserving exact results when nothing goes wrong.
         """
         out = self.run_cell(algorithm, graph_or_name, device, variant)
@@ -460,9 +415,8 @@ class ResilientStudy(Study):
                      device: str) -> SpeedupCell | CellFailure:
         """Baseline-vs-race-free speedup with fault isolation.
 
-        Both variants always run (so a checkpoint records the surviving
-        variant even when the other fails); a failure of either variant
-        makes the cell a :class:`CellFailure`, baseline first.
+        Both variants always run; a failure of either variant makes the
+        cell a :class:`CellFailure`, baseline first.
         """
         algo = get_algorithm(algorithm)
         if not algo.has_races:
@@ -493,8 +447,8 @@ class ResilientStudy(Study):
         ``jobs > 1`` runs the missing cells on a process pool (workers
         apply the same retry/budget/fault policy and return picklable
         outcome records), then assembles the table from the memo; the
-        cells, checkpoints, and ``save_results`` output are
-        bit-identical to the serial path.
+        cells, published store records, and ``save_results`` output
+        are bit-identical to the serial path.
         """
         jobs = jobs if jobs is not None else self.jobs
         with self._graceful_interrupt():
@@ -516,13 +470,11 @@ class ResilientStudy(Study):
         """Convert SIGINT/SIGTERM during a sweep into a clean stop.
 
         The signal raises :class:`~repro.errors.SweepInterrupted` at
-        the next bytecode boundary; every completed cell has already
-        been checkpointed by ``_autosave``, and one final checkpoint
-        write (with the default handlers restored, so a second signal
-        kills hard) guarantees the file reflects the last finished
-        cell.  The CLI maps the exception to exit code 3.  Outside the
-        main thread — or on platforms without these signals — the sweep
-        runs unguarded, unchanged.
+        the next bytecode boundary; every finished cell is already in
+        the checkpoint store, so a rerun with the same checkpoint
+        executes only the rest.  The CLI maps the exception to exit
+        code 3.  Outside the main thread — or on platforms without
+        these signals — the sweep runs unguarded, unchanged.
         """
         if threading.current_thread() is not threading.main_thread():
             yield
@@ -531,8 +483,8 @@ class ResilientStudy(Study):
         def _handler(signum, frame):
             name = signal.Signals(signum).name
             raise SweepInterrupted(
-                f"sweep interrupted by {name}; checkpoint is consistent "
-                "as of the last completed cell — rerun with --resume")
+                f"sweep interrupted by {name}; every finished cell is "
+                "checkpointed — rerun with the same --checkpoint")
 
         previous = {}
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -540,12 +492,6 @@ class ResilientStudy(Study):
                 previous[sig] = signal.signal(sig, _handler)
         try:
             yield
-        except SweepInterrupted:
-            for sig, old in previous.items():
-                signal.signal(sig, old)
-            with contextlib.suppress(OSError):
-                self._autosave()
-            raise
         finally:
             for sig, old in previous.items():
                 with contextlib.suppress(OSError, ValueError):
@@ -564,7 +510,8 @@ class ResilientStudy(Study):
             budget=self.budget, faults=self.faults)
 
     def _merge_parallel_record(self, record: dict) -> None:
-        if record.get("kind") == "telemetry":
+        kind = record.get("kind")
+        if kind == "telemetry":
             self._merge_telemetry_record(record)
             return
         variant = Variant(record["variant"])
@@ -572,220 +519,64 @@ class ResilientStudy(Study):
                variant)
         if key in self._results or key in self._failures:
             return
-        if record["kind"] == "failure":
+        if kind == "failure":
             self._failures[key] = CellFailure.from_record(record)
         else:
             super()._merge_parallel_record(record)
-        # each record is one cell a worker actually executed (the
-        # parent only submits cells missing from memo and checkpoint)
+        if kind == "stored":
+            self.cells_resumed += 1
+            return
+        # each other record is one cell a worker actually executed (the
+        # parent only submits cells missing from memo and store)
         self.cells_executed += 1
-        self._autosave()
+        if kind == "result":
+            self._cell_finished(*key[:3])
 
     def failures(self) -> list[CellFailure]:
-        """Every failure recorded (or checkpoint-loaded) so far."""
+        """Every failure recorded so far."""
         return list(self._failures.values())
 
     # ------------------------------------------------------------------
-    # Checkpointing
+    # The checkpoint store
     # ------------------------------------------------------------------
-    @staticmethod
-    def _prev_path(path: Path) -> Path:
-        """The rotated previous-generation file next to ``path``."""
-        return path.with_name(path.name + ".prev")
+    def _stored_records(self, algorithm: str, graph_or_name,
+                        device: str) -> list[dict] | None:
+        """The cell's records in the checkpoint store, kind ``stored``.
 
-    def _count_host(self, name: str, help: str) -> None:
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(name, help, scope=SCOPE_PROCESS).inc(1)
-
-    def _autosave(self) -> None:
-        """Checkpoint after a cell, surviving checkpoint-write failure.
-
-        A full scratch disk must not kill a sweep whose actual results
-        live in memory: the error is counted
-        (``repro_host_checkpoint_write_errors_total``) and the sweep
-        continues — the next cell retries the write.
+        Looked up only for a suite input, and only while neither variant
+        has an outcome: a cell this study has begun is not in the store.
         """
-        if self.checkpoint is None:
-            return
-        try:
-            self.save_checkpoint(self.checkpoint)
-        except OSError:
-            self.checkpoint_write_errors += 1
-            self._count_host(
-                "repro_host_checkpoint_write_errors_total",
-                "Checkpoint autosaves that failed with an OSError")
+        name = getattr(graph_or_name, "name", graph_or_name)
+        if isinstance(graph_or_name, CSRGraph):
+            self._direct_inputs.add(name)
+        if (self.store is None or name in self._direct_inputs
+                or any(self._cell_done((algorithm, name, device, v))
+                       for v in _VARIANTS)):
+            return None
+        records = self.store.lookup(algorithm, name, device)
+        if records is None:
+            return None
+        return [dict(record, kind="stored") for record in records]
 
-    def save_checkpoint(self, path: str | Path | None = None) -> None:
-        """Atomically persist all results *and* failures.
+    def _cell_finished(self, algorithm: str, name: str,
+                       device: str) -> None:
+        """Publish a suite input's cell once both of its variants are
+        ``ok``."""
+        if (self.store is not None and name not in self._direct_inputs
+                and all(
+                    (algorithm, name, device, v) in self._results
+                    for v in _VARIANTS)):
+            self.save_checkpoint(algorithm, name, device)
 
-        Called after every cell when a checkpoint path is configured; a
-        crash between cells loses at most the in-flight cell.  The
-        payload carries a CRC32 content checksum, and the previous
-        generation — *verified* before rotation, so a torn current file
-        never displaces a good one — is kept as ``<name>.prev`` for
-        :meth:`load_checkpoint` to fall back to.
-        """
-        path = Path(path) if path is not None else self.checkpoint
-        if path is None:
+    def save_checkpoint(self, algorithm: str, input_name: str,
+                        device: str) -> None:
+        """Publish one finished cell — both variants' results — to the
+        checkpoint store (best effort: a full disk degrades the store,
+        never the sweep)."""
+        if self.store is None:
             raise StudyError("no checkpoint path configured")
-        text = self._checkpoint_text()
-        self._rotate_generation(path)
-        atomic_write_text(path, text)
-        self._last_written = (path, text.encode())
-
-    def _checkpoint_text(self) -> str:
-        """The checkpoint file's text, byte for byte
-        ``json.dumps(payload, indent=1)`` of the format-3 payload
-        (format, reps, scale, results, failures, crc), joined from the
-        cached per-record renderings so a save costs no re-encoding of
-        the records it wrote before."""
-        self._rendered_results = _render_records(self._rendered_results,
-                                                 self._results)
-        self._rendered_failures = _render_records(self._rendered_failures,
-                                                  self._failures)
-        results = list(self._rendered_results.values())
-        failures = list(self._rendered_failures.values())
-        # checkpoint_crc's canonical body, from the same pieces
-        canonical = ("[[" + ", ".join(e[2] for e in results) + "], ["
-                     + ", ".join(e[2] for e in failures) + "]]")
-        return (f'{{\n "format": {CHECKPOINT_FORMAT},'
-                f'\n "reps": {json.dumps(self.reps)},'
-                f'\n "scale": {json.dumps(self.scale)},'
-                f'\n "results": {_indented_list(results)},'
-                f'\n "failures": {_indented_list(failures)},'
-                f'\n "crc": {zlib.crc32(canonical.encode())}\n}}')
-
-    def _rotate_generation(self, path: Path) -> None:
-        """Keep the last *good* generation as ``.prev``.
-
-        Only a generation that still parses and passes its checksum is
-        rotated; a corrupt current file (torn by an earlier injected or
-        real fault) is left in place so it cannot clobber the last good
-        ``.prev``.  A file holding exactly the bytes this study last
-        wrote there is that good generation, so only different bytes
-        pay for the full check.
-        """
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return
-        if self._last_written != (path, data):
-            try:
-                self._read_generation(path)
-            except StudyError:
-                return
-        with contextlib.suppress(OSError):
-            os.replace(path, self._prev_path(path))
-
-    def _read_generation(self, path: Path) -> dict:
-        """Parse + integrity-check one checkpoint generation.
-
-        Raises :class:`_CheckpointDamaged` for anything recovery should
-        fall back from (unreadable, undecodable, torn, checksum
-        mismatch, unknown format) and plain :class:`StudyError` for a
-        reps/scale configuration mismatch, which must surface, not be
-        papered over by the ``.prev`` generation.
-        """
-        try:
-            payload = json.loads(Path(path).read_bytes().decode())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _CheckpointDamaged(
-                f"corrupt or partial checkpoint {path}: {exc}") from exc
-        if not isinstance(payload, dict) or "results" not in payload:
-            raise _CheckpointDamaged(
-                f"{path} is not a study checkpoint file")
-        if payload.get("format") not in _LOADABLE_FORMATS:
-            raise _CheckpointDamaged(
-                f"checkpoint {path} has unsupported format "
-                f"{payload.get('format')!r} (loadable: "
-                f"{_LOADABLE_FORMATS})")
-        if "crc" in payload and payload["crc"] != checkpoint_crc(payload):
-            raise _CheckpointDamaged(
-                f"checkpoint {path} failed its content checksum "
-                "(bit rot or partial overwrite)")
-        if (payload.get("reps") != self.reps
-                or payload.get("scale") != self.scale):
-            raise StudyError(
-                "saved results were produced with a different reps/scale "
-                f"({payload.get('reps')}/{payload.get('scale')} vs "
-                f"{self.reps}/{self.scale})")
-        return payload
-
-    def _salvage_payload(self, payload: dict) -> tuple[int, int]:
-        """Stage every parseable record, skip damaged ones, commit once.
-
-        All-or-nothing against *exceptions*: the memo and failure map
-        are only touched after the whole payload has been staged into
-        locals, so a malformed record can never leave the study
-        half-loaded.  Damaged records are skipped (and counted as
-        ``checkpoint_salvaged``) rather than discarding the generation.
-        """
-        staged_results: dict[tuple, RunResult] = {}
-        staged_failures: dict[tuple, CellFailure] = {}
-        skipped = 0
-        for rec in payload.get("results", []):
-            try:
-                result = RunResult.from_record(rec)
-                staged_results[(result.algorithm, result.input_name,
-                                result.device_key, result.variant)] = result
-            except (KeyError, TypeError, ValueError):
-                skipped += 1
-        for rec in payload.get("failures", []):
-            try:
-                key = (rec["algorithm"], rec["input"], rec["device"],
-                       Variant(rec["variant"]))
-                staged_failures[key] = CellFailure.from_record(rec)
-            except (KeyError, TypeError, ValueError):
-                skipped += 1
-        if skipped:
-            self.checkpoint_salvaged += skipped
-            reg = get_registry()
-            if reg.enabled:
-                reg.counter("repro_host_checkpoint_salvaged_total",
-                            "Malformed checkpoint records skipped during "
-                            "a salvage load", scope=SCOPE_PROCESS
-                            ).inc(skipped)
-        self._results.update(staged_results)
-        self._failures.update(staged_failures)
-        return len(staged_results), len(staged_failures)
-
-    def load_checkpoint(self, path: str | Path | None = None
-                        ) -> tuple[int, int]:
-        """Resume from a checkpoint; returns (results, failures) loaded.
-
-        Loaded cells are memoized, so a subsequent :meth:`sweep`
-        executes only the missing ones (``cells_executed`` counts just
-        those).  Previously failed cells stay failed — delete their
-        records from the file to re-attempt them.
-
-        Recovery ladder: a damaged current generation (torn, checksum
-        mismatch, unknown format) falls back to the rotated ``.prev``
-        generation (counted in ``checkpoint_fallbacks`` and
-        ``repro_host_checkpoint_fallbacks_total``); within a readable
-        generation, malformed records are skipped and the rest
-        salvaged, with the commit staged so the study is never left
-        half-loaded.  Only when *every* generation is unreadable — or
-        the file was written with a different reps/scale — does this
-        raise :class:`~repro.errors.StudyError`.
-        """
-        path = Path(path) if path is not None else self.checkpoint
-        if path is None:
-            raise StudyError("no checkpoint path configured")
-        damage: _CheckpointDamaged | None = None
-        for fallback, candidate in enumerate(
-                (path, self._prev_path(path))):
-            try:
-                payload = self._read_generation(candidate)
-            except _CheckpointDamaged as exc:
-                damage = damage or exc
-                continue
-            if fallback:
-                self.checkpoint_fallbacks += 1
-                self._count_host(
-                    "repro_host_checkpoint_fallbacks_total",
-                    "Checkpoint loads served by the rotated .prev "
-                    "generation after the current one was damaged")
-            return self._salvage_payload(payload)
-        assert damage is not None
-        raise damage
+        self.store.publish(algorithm, input_name, device, [
+            {"kind": "result",
+             **self._results[(algorithm, input_name, device, v)]
+             .to_record()}
+            for v in _VARIANTS])

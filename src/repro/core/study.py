@@ -56,8 +56,8 @@ class RunResult:
 
     def to_record(self) -> dict:
         """The JSON record every writer stores for this result
-        (``save_results``, checkpoints, pool and fleet workers).  The
-        key order is part of those files' bytes."""
+        (``save_results``, the result store, pool and fleet workers).
+        The key order is part of ``save_results``' bytes."""
         return {"algorithm": self.algorithm, "input": self.input_name,
                 "device": self.device_key, "variant": self.variant.value,
                 "runtimes_ms": list(self.runtimes_ms)}
@@ -334,6 +334,12 @@ class Study:
             return
         self._results[key] = RunResult.from_record(record)
 
+    def _stored_records(self, algorithm: str, graph_or_name,
+                        device: str) -> list[dict] | None:
+        """A finished cell's records from persistent storage, or None;
+        a plain study has none (see ``ResilientStudy``)."""
+        return None
+
     def _parallel_prefetch(self, device: str, algorithms: list[str],
                            inputs: list[str], jobs: int) -> None:
         """Execute every missing (algorithm, input) pair on a pool.
@@ -341,7 +347,8 @@ class Study:
         Tasks are built — and their records merged — in the exact
         order the serial sweep would have executed them, which is what
         keeps the memo's insertion order (and therefore
-        :meth:`save_results` output) byte-identical.
+        :meth:`save_results` output) byte-identical.  A pair found in
+        storage is merged at its place in that order, not executed.
         """
         from repro.core.parallel import CellTask, execute_tasks
 
@@ -356,7 +363,9 @@ class Study:
                     v.value for v in variants
                     if not self._cell_done((a, name, device, v)))
                 if pending:
-                    tasks.append(CellTask(a, graph_or_name, device,
+                    stored = self._stored_records(a, graph_or_name, device)
+                    tasks.append(stored if stored is not None else
+                                 CellTask(a, graph_or_name, device,
                                           pending))
         execute_tasks(self._worker_config(), tasks, jobs,
                       self._merge_parallel_record,

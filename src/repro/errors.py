@@ -95,6 +95,6 @@ class ProtocolError(ServiceError):
 class SweepInterrupted(ReproError):
     """Raised when SIGINT/SIGTERM interrupts a resilient sweep.
 
-    By the time this propagates the final checkpoint write has
-    completed, so a later ``--resume`` continues from the last finished
-    cell.  The CLI maps it to a distinct exit code (3)."""
+    Every finished cell was published to the checkpoint store as it
+    finished, so a rerun with the same ``--checkpoint`` executes only
+    the rest.  The CLI maps it to a distinct exit code (3)."""

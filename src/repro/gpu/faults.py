@@ -147,7 +147,7 @@ class FaultPlan:
 
         The derivation uses a stable digest, not Python's randomized
         ``hash``, so the same plan seed and key always produce the same
-        fault stream — across processes and across ``--resume`` runs.
+        fault stream — across processes and across resumed runs.
         """
         digest = hashlib.blake2b(
             repr((self.seed,) + key).encode(), digest_size=8

@@ -21,7 +21,8 @@ NDJSON while the robustness ladder keeps it correct under load:
    trace cache serves cached results marked ``stale: true`` instead of
    erroring;
 5. **graceful drain** — SIGTERM stops admissions, finishes or
-   checkpoints in-flight cells, and exits cleanly, with ``/healthz``
+   abandons in-flight cells (every finished one is already in the
+   ``--store``), and exits cleanly, with ``/healthz``
    and ``/readyz`` backed by :mod:`repro.telemetry` gauges.
 
 See ``docs/service.md`` for the API and tuning knobs, and

@@ -2,7 +2,7 @@
 
 :class:`FleetExecutor` is a drop-in replacement for
 :class:`~repro.service.scheduler.StudyExecutor` (same ``submit`` /
-``results_payload`` / ``checkpoint_now`` / ``shutdown`` surface) that
+``results_payload`` / ``shutdown`` surface) that
 executes cells on a fleet of long-lived worker *processes* instead of
 one worker thread:
 
@@ -26,12 +26,15 @@ one worker thread:
 * completed records are staged per submission index and folded into
   the parent's ledger study **strictly in submission order** — exactly
   the :func:`repro.core.parallel.execute_tasks` discipline — so
-  ``/v1/results`` and checkpoints stay byte-identical to the
-  single-worker serial path;
-* an optional :class:`~repro.service.store.ResultStore` serves
-  published cells without dispatching (store-served cells do not count
-  as executed and carry no telemetry records, so nothing is priced
-  twice) and receives every fully-``ok`` cell for other replicas.
+  ``/v1/results`` and the published store records stay byte-identical
+  to the single-worker serial path; a cell's future resolves only once
+  its records are folded in, so a resolved cell is in ``/v1/results``
+  and, with a checkpoint, already published;
+* with a ``checkpoint`` directory the ledger study's
+  :class:`~repro.core.store.ResultStore` serves published cells
+  without dispatching (store-served cells do not count as executed and
+  carry no telemetry records, so nothing is priced twice) and receives
+  every fully-``ok`` cell as it is folded in.
 
 Worker kill/stall injection rides the host-fault layer:
 :func:`repro.core.hostfaults.maybe_disrupt_fleet` draws on the
@@ -59,7 +62,6 @@ from repro.core.variants import Variant
 from repro.errors import ServiceError
 from repro.service.breaker import CircuitBreaker
 from repro.service.protocol import CellKey
-from repro.service.store import ResultStore
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
 
 
@@ -219,9 +221,9 @@ class FleetExecutor:
     Parameters mirror :class:`~repro.service.scheduler.StudyExecutor`
     plus the fleet knobs; ``trace_cache`` backs the parent ledger and
     its ``disk_dir`` is the shared layer workers record traces into,
-    ``store`` is the optional shared result store, and ``flap_*``
-    configure the per-slot respawn circuit-breaker (``flap_threshold``
-    consecutive deaths evict the slot).
+    ``checkpoint`` is the ledger study's result-store directory, and
+    ``flap_*`` configure the per-slot respawn circuit-breaker
+    (``flap_threshold`` consecutive deaths evict the slot).
     """
 
     #: heartbeats a worker may miss before it is flagged (telemetry),
@@ -234,7 +236,6 @@ class FleetExecutor:
                  retries: int = 0, backoff_s: float = 0.0,
                  max_steps: int | None = None, faults=None,
                  trace_cache=None, checkpoint=None,
-                 store: ResultStore | None = None,
                  heartbeat_s: float = 0.5,
                  flap_threshold: int = 3,
                  flap_cooldown_s: float = 30.0,
@@ -244,7 +245,6 @@ class FleetExecutor:
         self.workers = workers
         self.jobs = 1  # cells are the parallelism unit; workers run serial
         self._max_steps = max_steps
-        self.store = store
         self.heartbeat_s = heartbeat_s
         self.task_deadline_s = task_deadline_s
         self.study = ResilientStudy(
@@ -270,7 +270,7 @@ class FleetExecutor:
         self._tasks: dict[int, _FleetTask] = {}
         self._task_seq = 0
         self._queue: deque[int] = deque()
-        self._staged: dict[int, tuple[list[dict], bool]] = {}
+        self._staged: dict[int, list[dict]] = {}
         self._flushed = 0
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else None)
@@ -309,9 +309,10 @@ class FleetExecutor:
     def submit(self, key: CellKey, budget_s: float | None) -> Future:
         """Queue one cell; returns a ``concurrent.futures.Future``.
 
-        Serving ladder: ledger memo (free) → shared store (merge
-        without execution) → dispatch to the fleet.  Cancelling the
-        future before a worker picks the cell up skips it entirely.
+        Serving ladder: ledger memo (free) → the ledger study's
+        checkpoint store (merge without execution) → dispatch to the
+        fleet.  Cancelling the future before a worker picks the cell up
+        skips it entirely.
         """
         with self._count_lock:
             if self._closed:
@@ -331,12 +332,18 @@ class FleetExecutor:
             task = _FleetTask(task_id=task_id, key=key,
                               budget_s=budget_s, future=future)
             self._tasks[task_id] = task
-            records = self._store_lookup(key)
+            with self._study_lock:
+                records = self.study._stored_records(
+                    key.algorithm, key.input_name, key.device)
             if records is not None:
-                self._stage(task_id, records, executed=False)
-                self._resolve(task, records)
+                self._stage(task_id, records)
             else:
                 self._queue.append(task_id)
+                # an idle worker takes the cell now, not at the
+                # supervisor's next tick: a cell resolves only after
+                # its record is published, so the next submission
+                # arrives once the supervisor is back to waiting
+                self._assign()
         return future
 
     def _one_done(self, _future) -> None:
@@ -351,11 +358,6 @@ class FleetExecutor:
     def save_results(self, path) -> None:
         with self._study_lock:
             self.study.save_results(path)
-
-    def checkpoint_now(self) -> None:
-        with self._study_lock:
-            if self.study.checkpoint is not None:
-                self.study.save_checkpoint()
 
     def shutdown(self) -> None:
         """Stop the fleet: workers get a stop message and a join
@@ -407,7 +409,8 @@ class FleetExecutor:
                 "redispatches": self.redispatches,
                 "heartbeat_misses": self.heartbeat_misses,
                 "evictions": self.evictions,
-                "store": self.store.status() if self.store else None}
+                "store": (self.study.store.status()
+                          if self.study.store else None)}
 
     def _emit(self, event: dict) -> None:
         callback = self.on_event
@@ -421,8 +424,8 @@ class FleetExecutor:
     # Serving without execution
     # ------------------------------------------------------------------
     def _serve_from_memo(self, key: CellKey) -> SpeedupCell | None:
-        """A cell both of whose variants are memoized (checkpoint or
-        earlier merge) is served straight from the ledger."""
+        """A cell both of whose variants are memoized (an earlier merge)
+        is served straight from the ledger."""
         with self._study_lock:
             results = self.study._results
             base = results.get((key.algorithm, key.input_name,
@@ -435,34 +438,23 @@ class FleetExecutor:
                            baseline_ms=base.median_ms,
                            racefree_ms=free.median_ms)
 
-    def _store_lookup(self, key: CellKey) -> list[dict] | None:
-        if self.store is None:
-            return None
-        return self.store.lookup(key.algorithm, key.input_name,
-                                 key.device)
-
     # ------------------------------------------------------------------
     # Ordered merge (the byte-identity discipline)
     # ------------------------------------------------------------------
-    def _stage(self, task_id: int, records: list[dict],
-               executed: bool) -> None:
+    def _stage(self, task_id: int, records: list[dict]) -> None:
+        """Seat a task's records; fold in every seat that is next in
+        submission order, and resolve its future only then."""
         with self._fleet_lock:
-            self._staged[task_id] = (records, executed)
+            self._staged[task_id] = records
             while (self._flushed in self._staged
                    and self._flushed < self._task_seq):
-                recs, ran = self._staged.pop(self._flushed)
+                task = self._tasks[self._flushed]
+                recs = self._staged.pop(self._flushed)
                 self._flushed += 1
-                self._merge(recs, ran)
-
-    def _merge(self, records: list[dict], executed: bool) -> None:
-        with self._study_lock:
-            before = self.study.cells_executed
-            for record in records:
-                self.study._merge_parallel_record(record)
-            if not executed:
-                # store-served cells were computed elsewhere: like
-                # memoized/checkpoint-loaded cells they do not count
-                self.study.cells_executed = before
+                with self._study_lock:
+                    for record in recs:
+                        self.study._merge_parallel_record(record)
+                self._resolve(task, recs)
 
     # ------------------------------------------------------------------
     # Resolution
@@ -486,10 +478,9 @@ class FleetExecutor:
             device_key=task.key.device, variant=Variant.BASELINE.value,
             reason=reason, message=message, attempts=task.dispatches,
             elapsed_s=0.0)
-        # the seat in the merge order must still be filled (or every
-        # later cell's merge would wait forever), and it must be filled
-        # before the future resolves — see _task_done
-        self._stage(task.task_id, [], executed=False)
+        # the seat in the merge order must still be filled, or every
+        # later cell's merge would wait forever
+        self._stage(task.task_id, [])
         if not task.future.done():
             task.future.set_result(cell)
 
@@ -501,7 +492,7 @@ class FleetExecutor:
         for record in records:
             if record.get("kind") == "failure":
                 return CellFailure.from_record(record)
-            if record.get("kind") == "result":
+            if record.get("kind") in ("result", "stored"):
                 runtimes[record["variant"]] = [
                     float(x) for x in record["runtimes_ms"]]
         base = runtimes.get(Variant.BASELINE.value)
@@ -645,22 +636,11 @@ class FleetExecutor:
         slot.task_id = None
         slot.completed += 1
         self.flap_breaker.record_success(self._slot_key(slot))
-        task = self._tasks.get(task_id)
-        if task is None:  # pragma: no cover - defensive
-            return
-        # stage BEFORE resolving: the moment a study's last future
-        # resolves, a client may read /v1/results — every record of
-        # every resolved cell must already be folded into the ledger
-        self._stage(task_id, records, executed=True)
-        self._resolve(task, records)
-        if (self.store is not None and records
-                and all(r.get("kind") == "result"
-                        for r in records
-                        if r.get("kind") != "telemetry")
-                and any(r.get("kind") == "result" for r in records)):
-            self.store.publish(
-                task.key.algorithm, task.key.input_name, task.key.device,
-                [r for r in records if r.get("kind") == "result"])
+        if task_id in self._tasks:
+            # the moment a study's last future resolves, a client may
+            # read /v1/results: _stage resolves a cell only once its
+            # records are folded into the ledger (and published)
+            self._stage(task_id, records)
 
     def _check_health(self) -> None:
         now = time.monotonic()
@@ -712,7 +692,7 @@ class FleetExecutor:
                 # fill its seat in the merge order
                 self._queue.popleft()
                 task.resolved = True
-                self._stage(task_id, [], executed=False)
+                self._stage(task_id, [])
                 continue
             if task.dispatches:
                 # a redispatched cell goes to the freshest survivor —

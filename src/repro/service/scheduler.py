@@ -8,8 +8,8 @@ Two pieces:
     single dedicated worker thread.  Every cell execution goes through
     ``study.sweep(device, [algo], [input])`` — the *same* code path the
     CLI sweep uses, so per-cell isolation, retries, fault plans, the
-    trace cache, per-cell checkpoint autosaves, and (with ``jobs > 1``)
-    the worker-death-tolerant process pool all apply unchanged.  The
+    trace cache, the checkpoint store, and (with ``jobs > 1``) the
+    worker-death-tolerant process pool all apply unchanged.  The
     study memo doubles as the hot-result store: a cell any client has
     completed is served without re-simulation, and a cell whose trace
     is cached replays in microseconds.
@@ -68,8 +68,8 @@ class StudyExecutor:
     """The synchronous sweep stack behind one worker thread.
 
     All study access is serialized by ``_study_lock`` — the worker
-    thread while executing a cell, the drain path while writing the
-    final checkpoint, result readers while rendering ``/v1/results``.
+    thread while executing a cell, result readers while rendering
+    ``/v1/results``.
     Counters use a separate lock so the event loop never blocks on an
     executing cell.
     """
@@ -152,12 +152,6 @@ class StudyExecutor:
     def save_results(self, path) -> None:
         with self._study_lock:
             self.study.save_results(path)
-
-    def checkpoint_now(self) -> None:
-        """Write a final checkpoint (no-op without a checkpoint path)."""
-        with self._study_lock:
-            if self.study.checkpoint is not None:
-                self.study.save_checkpoint()
 
     def shutdown(self) -> None:
         with self._count_lock:

@@ -4,16 +4,19 @@
 front, coalescing scheduler behind, one study executor at the bottom —
 and owns process lifecycle: ``SIGTERM``/``SIGINT`` trigger a graceful
 drain (stop admitting, finish or cancel in-flight cells within the
-drain deadline, write a final checkpoint, exit), and ``/healthz`` /
+drain deadline, exit), and ``/healthz`` /
 ``/readyz`` expose liveness and readiness, mirrored into
 :mod:`repro.telemetry` gauges when telemetry is enabled.
 
+With ``--store DIR`` the service study checkpoints into a
+content-addressed result store (:class:`~repro.core.store.ResultStore`):
+every finished cell is published there as it completes, and a cell in
+the store is served without executing — so a restarted server, or an
+offline ``repro sweep --checkpoint DIR``, picks up where it stopped.
 With ``--workers N`` (N > 1) the study executor is the
 :class:`~repro.service.fleet.FleetExecutor`: N supervised worker
-processes with heartbeats, crash failover, bounded respawn, and an
-optional content-addressed shared result store
-(:class:`~repro.service.store.ResultStore`, ``--store DIR``).
-``/readyz`` then reports **degraded** (503 with JSON reasons) when the
+processes with heartbeats, crash failover and bounded respawn.
+``/readyz`` reports **degraded** (503 with JSON reasons) when the
 fleet's respawn budget is exhausted or the store has sticky-degraded,
 and the drain path waits for every worker before exiting.
 
@@ -54,7 +57,6 @@ from repro.service.protocol import (
 from repro.service.quota import AdmissionController
 from repro.service.scheduler import CellScheduler, StudyExecutor
 from repro.service.breaker import CircuitBreaker
-from repro.service.store import ResultStore
 from repro.telemetry.export import to_prometheus
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
 
@@ -80,12 +82,12 @@ class ServiceConfig:
     max_steps: int | None = None
     jobs: int = 1
     trace_dir: str | None = None
-    checkpoint: str | None = None
+    #: the service study's checkpoint: a result-store directory
+    store_dir: str | None = None
     faults: object | None = None  # FaultPlan, injected by the CLI
     # fleet knobs (workers > 1 swaps in the FleetExecutor; fleet
     # workers execute serially, so ``jobs`` is ignored in fleet mode)
     workers: int = 1
-    store_dir: str | None = None
     fleet_heartbeat_s: float = 0.5
     fleet_flap_threshold: int = 3
     fleet_flap_cooldown_s: float = 30.0
@@ -118,16 +120,13 @@ class SweepService:
         trace_cache = (TraceCache(disk_dir=config.trace_dir)
                        if config.trace_dir else None)
         if config.workers > 1:
-            store = (ResultStore(config.store_dir, reps=config.reps,
-                                 scale=config.scale)
-                     if config.store_dir else None)
             self.executor = FleetExecutor(
                 workers=config.workers, reps=config.reps,
                 scale=config.scale, validate=config.validate,
                 retries=config.retries, backoff_s=config.backoff_s,
                 max_steps=config.max_steps, faults=config.faults,
-                trace_cache=trace_cache, checkpoint=config.checkpoint,
-                store=store, heartbeat_s=config.fleet_heartbeat_s,
+                trace_cache=trace_cache, checkpoint=config.store_dir,
+                heartbeat_s=config.fleet_heartbeat_s,
                 flap_threshold=config.fleet_flap_threshold,
                 flap_cooldown_s=config.fleet_flap_cooldown_s,
                 task_deadline_s=config.fleet_task_deadline_s)
@@ -137,7 +136,7 @@ class SweepService:
                 validate=config.validate, retries=config.retries,
                 backoff_s=config.backoff_s, max_steps=config.max_steps,
                 faults=config.faults, trace_cache=trace_cache,
-                checkpoint=config.checkpoint, jobs=config.jobs)
+                checkpoint=config.store_dir, jobs=config.jobs)
         self.scheduler = CellScheduler(
             self.executor,
             CircuitBreaker(threshold=config.breaker_threshold,
@@ -201,12 +200,13 @@ class SweepService:
                 self._drain())
 
     async def _drain(self) -> None:
-        """Stop admissions, let in-flight work land, checkpoint, exit.
+        """Stop admissions, let in-flight work land, exit.
 
         In-flight connections get up to ``drain_deadline_s`` to finish
         streaming; stragglers are cancelled (their subscribers drop and
-        queued cells are abandoned), and whatever cells completed are
-        in the checkpoint for a future server or ``--resume`` sweep.
+        queued cells are abandoned).  Every cell that completed was
+        published to the ``--store`` as it finished, for a future server
+        or ``repro sweep --checkpoint`` on the same directory.
         """
         self._draining = True
         self._publish_gauges()
@@ -222,7 +222,6 @@ class SweepService:
             if still:
                 await asyncio.gather(*still, return_exceptions=True)
         await self.scheduler.drain()
-        self.executor.checkpoint_now()
         self.executor.shutdown()
         self._remove_signal_handlers()
         self._publish_gauges()
@@ -344,7 +343,7 @@ class SweepService:
             reasons.append("draining")
         if getattr(self.executor, "fleet_degraded", False):
             reasons.append("fleet_respawn_exhausted")
-        store = getattr(self.executor, "store", None)
+        store = self.executor.study.store
         if store is not None and store.degraded:
             reasons.append("store_degraded")
         return not reasons, reasons

@@ -104,14 +104,13 @@ class TestChaosHarness:
             covered |= scenario.kinds()
         assert covered == set(HostFaultKind)
 
-    def test_checkpoint_fallback_scenario_end_to_end(
-            self, tmp_path, clean_bytes):
+    def test_store_record_scenario_end_to_end(self, tmp_path, clean_bytes):
         scenario = next(s for s in scenario_suite(jobs=2)
-                        if s.name == "checkpoint-fallback")
+                        if s.name == "store-record")
         outcome = run_scenario(scenario, clean_bytes, tmp_path, DEVICE,
                                ALGOS, [INPUT], reps=1, seed=0)
         assert outcome.ok and outcome.identical
-        assert "fallbacks=1" in outcome.detail
+        assert "quarantined=1 resumed=2 reran=2" in outcome.detail
         assert "ok" in outcome.describe()
 
     def test_report_rendering(self):

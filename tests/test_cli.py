@@ -118,12 +118,6 @@ class TestErrorHandling:
         assert rc == 2
         assert "unknown fault kind" in capsys.readouterr().err
 
-    def test_resume_without_checkpoint_exits_2(self, capsys):
-        rc = main(["sweep", "--inputs", "internet", "--reps", "1",
-                   "--resume"])
-        assert rc == 2
-        assert "requires --checkpoint" in capsys.readouterr().err
-
 
 class TestSweepCommand:
     def test_clean_sweep_full_coverage(self, capsys):
@@ -146,14 +140,15 @@ class TestSweepCommand:
 
     def test_checkpoint_then_resume_executes_nothing(self, tmp_path,
                                                      capsys):
-        ck = str(tmp_path / "sweep.json")
+        ck = str(tmp_path / "store")
         rc = main(["sweep", "--inputs", "internet", "--reps", "1",
                    "--checkpoint", ck])
         assert rc == 0
         assert "cells executed this run: 8" in capsys.readouterr().out
 
+        # a rerun with the same checkpoint resumes by itself
         rc = main(["sweep", "--inputs", "internet", "--reps", "1",
-                   "--checkpoint", ck, "--resume"])
+                   "--checkpoint", ck])
         assert rc == 0
         out = capsys.readouterr().out
         assert "cells executed this run: 0" in out

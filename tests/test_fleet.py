@@ -1,5 +1,6 @@
-"""Tests for the worker fleet: FleetExecutor, the shared result
-store, and the fleet-aware service endpoints.
+"""Tests for the worker fleet: FleetExecutor, the content-addressed
+result store it checkpoints into, and the fleet-aware service
+endpoints.
 
 The container has no pytest-asyncio, so async paths run under plain
 ``asyncio.run`` inside synchronous test functions.  Fleet tests fork
@@ -19,11 +20,13 @@ import pytest
 
 from repro.core import hostfaults
 from repro.core.hostfaults import HostFaultPlan
+from repro.core.resilience import ResilientStudy
+from repro.core.store import ResultStore
+from repro.gpu.faults import FaultPlan
 from repro.service.fleet import FleetExecutor
 from repro.service.protocol import CellKey
 from repro.service.scheduler import StudyExecutor
 from repro.service.server import ServiceConfig, SweepService
-from repro.service.store import ResultStore
 
 CELLS = (CellKey("cc", "internet", "titanv"),
          CellKey("mis", "internet", "titanv"))
@@ -140,7 +143,7 @@ def _records() -> list[dict]:
     return [{"kind": "result", "algorithm": "cc", "input": "internet",
              "device": "titanv", "variant": variant,
              "runtimes_ms": [1.5]} for variant in ("baseline",
-                                                   "race_free")]
+                                                   "racefree")]
 
 
 class TestResultStore:
@@ -197,26 +200,51 @@ class TestResultStore:
         assert fresh.lookup("cc", "internet", "titanv") == _records()
 
     def test_disk_failure_sticky_degrades_to_memory(self, tmp_path):
-        blocker = tmp_path / "store"
+        blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
-        store = ResultStore(blocker, reps=1, scale=1.0)
+        store = ResultStore(blocker / "store", reps=1, scale=1.0)
         for i in range(3):
             store.publish("cc", "internet", f"dev{i}", _records())
         assert store.degraded is True
-        # memory mirror still serves what this process published
-        assert store.lookup("cc", "internet", "dev0") == _records()
+        # a degraded store touches the disk no more: lookups miss
+        assert store.lookup("cc", "internet", "dev0") is None
         status = store.status()
         assert status["degraded"] is True
         assert status["disk_errors"] >= 3
+
+        # what a checkpointed study finished lives on in its memo
+        study = ResilientStudy(reps=1, checkpoint=blocker / "store")
+        first = study.sweep("titanv", ["cc", "mis"], ["internet"])
+        assert study.store.disk_errors == 2
+        executed = study.cells_executed
+        again = study.sweep("titanv", ["cc", "mis"], ["internet"])
+        assert study.cells_executed == executed
+        assert [c.speedup for c in again.cells] == \
+            [c.speedup for c in first.cells]
+
+    def test_fault_policy_is_part_of_the_address(self, tmp_path):
+        plan = FaultPlan.parse("stall=0.5", seed=3)
+        store = ResultStore(tmp_path, reps=1, scale=1.0, faults=plan)
+        clean = ResultStore(tmp_path, reps=1, scale=1.0)
+        assert store.digest("cc", "internet", "titanv") != \
+            clean.digest("cc", "internet", "titanv")
+        # under a plan, retries reseed repetitions: another address
+        retried = ResultStore(tmp_path, reps=1, scale=1.0, faults=plan,
+                              retries=2)
+        assert retried.digest("cc", "internet", "titanv") != \
+            store.digest("cc", "internet", "titanv")
+        # without one they change nothing
+        assert ResultStore(tmp_path, reps=1, scale=1.0, retries=2).digest(
+            "cc", "internet", "titanv") == \
+            clean.digest("cc", "internet", "titanv")
 
 
 class TestFleetStore:
     def test_corrupted_store_record_recomputed_byte_identical(
             self, tmp_path):
         store_dir = tmp_path / "store"
-        first = FleetExecutor(
-            workers=2, reps=1, heartbeat_s=0.1,
-            store=ResultStore(store_dir, reps=1, scale=1.0))
+        first = FleetExecutor(workers=2, reps=1, heartbeat_s=0.1,
+                              checkpoint=store_dir)
         try:
             _run_cells(first)
             baseline = _canonical(first.results_payload())
@@ -226,19 +254,81 @@ class TestFleetStore:
         assert len(published) == len(CELLS)
         published[0].write_text(published[0].read_text()[:-7])
 
-        second = FleetExecutor(
-            workers=2, reps=1, heartbeat_s=0.1,
-            store=ResultStore(store_dir, reps=1, scale=1.0))
+        second = FleetExecutor(workers=2, reps=1, heartbeat_s=0.1,
+                               checkpoint=store_dir)
         try:
             _run_cells(second)
             assert _canonical(second.results_payload()) == baseline
-            status = second.store.status()
+            status = second.study.store.status()
             assert status["quarantined"] == 1
             assert status["hits"] == len(CELLS) - 1
             # only the quarantined cell was recomputed
             assert second.study.cells_executed == 2
         finally:
             second.shutdown()
+
+
+    def test_a_resolved_cell_is_already_durable(self, tmp_path):
+        store_dir = tmp_path / "store"
+        fleet = FleetExecutor(workers=2, reps=1, heartbeat_s=0.1,
+                              checkpoint=store_dir)
+        store = fleet.study.store
+        try:
+            for n, key in enumerate(CELLS, start=1):
+                cell = fleet.submit(key, 300.0).result(timeout=60)
+                path = store._path(store.digest(
+                    key.algorithm, key.input_name, key.device))
+                record = json.loads(path.read_text())
+                assert [r["variant"] for r in record["records"]] == \
+                    ["baseline", "racefree"]
+                assert store.publishes == n
+                assert not list(store_dir.glob("*.tmp"))
+                assert hasattr(cell, "speedup")
+        finally:
+            fleet.shutdown()
+
+
+# ----------------------------------------------------------------------
+# Faulted records never answer a clean lookup
+# ----------------------------------------------------------------------
+FAULT_CELLS = tuple(CellKey(a, "internet", "titanv")
+                    for a in ("cc", "gc", "mis", "mst"))
+
+
+def _fleet_service(store_dir, faults):
+    """A two-worker service study (no listener) over ``store_dir``,
+    run over :data:`FAULT_CELLS`; returns its payload and executions."""
+    service = SweepService(ServiceConfig(
+        port=0, reps=2, scale=0.25, retries=0, workers=2,
+        store_dir=str(store_dir), faults=faults, fleet_heartbeat_s=0.1))
+    try:
+        cells = _run_cells(service.executor, FAULT_CELLS, timeout=120)
+        assert all(hasattr(c, "speedup") for c in cells)
+        return (_canonical(service.executor.results_payload()),
+                service.executor.study.cells_executed)
+    finally:
+        service.executor.shutdown()
+
+
+class TestFaultedAddresses:
+    def test_faulted_records_never_answer_a_clean_lookup(self, tmp_path):
+        plan = FaultPlan.parse("stall=0.5", seed=3)
+        store_dir = tmp_path / "store"
+        faulted, ran = _fleet_service(store_dir, plan)
+        assert ran == 2 * len(FAULT_CELLS)
+        assert len(list(store_dir.glob("cell-*.json"))) == len(FAULT_CELLS)
+        clean, _ = _fleet_service(tmp_path / "clean", None)
+        assert faulted != clean  # the plan changed the records
+
+        # a clean study on the faulted store executes every cell and
+        # gets a clean run's records
+        served, ran = _fleet_service(store_dir, None)
+        assert ran == 2 * len(FAULT_CELLS)
+        assert served == clean
+        # a study under the same plan still resumes its own records
+        again, ran = _fleet_service(store_dir, plan)
+        assert ran == 0
+        assert again == faulted
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +419,7 @@ class TestServiceFleet:
             assert "fleet_respawn_exhausted" in payload["reasons"]
 
             # a sticky-degraded store is a second, independent reason
-            service.executor.store._degraded = True
+            service.executor.study.store._degraded = True
             status, _head, body = await _fetch(host, port, "GET",
                                                "/readyz")
             assert status == 503

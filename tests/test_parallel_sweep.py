@@ -1,7 +1,8 @@
 """Tests for the parallel sweep executor (repro.core.parallel).
 
 The contract: a ``jobs > 1`` sweep produces byte-identical artifacts
-(saved results, checkpoints, speedup cells) to the serial path — the
+(saved results, published store records, speedup cells) to the serial
+path — the
 pool only changes wall-clock, never results.
 """
 
@@ -80,28 +81,33 @@ class TestParallelStudy:
         assert len(again) == len(ALGOS) * len(INPUTS)
 
 
+def _store_bytes(store_dir) -> dict[str, bytes]:
+    """Every published record of a checkpoint store, by file name."""
+    return {p.name: p.read_bytes()
+            for p in sorted(store_dir.glob("cell-*.json"))}
+
+
 class TestParallelResilientStudy:
     def test_sweep_and_checkpoint_identical_to_serial(self, tmp_path):
-        serial = ResilientStudy(reps=2,
-                                checkpoint=tmp_path / "serial.ckpt")
+        serial = ResilientStudy(reps=2, checkpoint=tmp_path / "serial")
         s_cells = serial.sweep(DEVICE, ALGOS, INPUTS, jobs=1).cells
 
-        parallel = ResilientStudy(reps=2,
-                                  checkpoint=tmp_path / "parallel.ckpt")
+        parallel = ResilientStudy(reps=2, checkpoint=tmp_path / "parallel")
         p_cells = parallel.sweep(DEVICE, ALGOS, INPUTS, jobs=2).cells
 
         assert _cells(s_cells) == _cells(p_cells)
-        assert (tmp_path / "serial.ckpt").read_bytes() == \
-            (tmp_path / "parallel.ckpt").read_bytes()
+        assert _store_bytes(tmp_path / "serial") == \
+            _store_bytes(tmp_path / "parallel")
+        assert len(_store_bytes(tmp_path / "serial")) == \
+            len(ALGOS) * len(INPUTS)
         assert parallel.cells_executed == serial.cells_executed
 
     def test_resume_executes_only_missing_cells(self, tmp_path):
-        ckpt = tmp_path / "sweep.ckpt"
-        first = ResilientStudy(reps=1, checkpoint=ckpt)
+        store_dir = tmp_path / "store"
+        first = ResilientStudy(reps=1, checkpoint=store_dir)
         first.sweep(DEVICE, ALGOS, INPUTS, jobs=2)
 
-        resumed = ResilientStudy(reps=1, checkpoint=ckpt)
-        resumed.load_checkpoint()
+        resumed = ResilientStudy(reps=1, checkpoint=store_dir)
         result = resumed.sweep(DEVICE, ALGOS, INPUTS, jobs=2)
         assert resumed.cells_executed == 0
         assert _cells(result.cells) == _cells(

@@ -244,79 +244,78 @@ class TestBitIdentity:
 
 class TestCheckpointResume:
     def test_resume_runs_only_missing_cells(self, tmp_path):
-        ck = tmp_path / "sweep.json"
+        ck = tmp_path / "store"
         first = ResilientStudy(reps=2, checkpoint=ck)
         first.sweep(DEVICE, ["cc", "gc"], [INPUT])
         assert first.cells_executed == 4  # 2 algos x 2 variants
 
-        # "crash" and resume: a fresh study loads the checkpoint and a
-        # wider sweep executes only the genuinely new cells
+        # "crash" and resume: a fresh study on the same checkpoint
+        # serves the published cells, and a wider sweep executes only
+        # the genuinely new ones
         second = ResilientStudy(reps=2, checkpoint=ck)
-        n_results, n_failures = second.load_checkpoint()
-        assert (n_results, n_failures) == (4, 0)
         second.sweep(DEVICE, ["cc", "gc"], [INPUT])
-        assert second.cells_executed == 0
+        assert (second.cells_executed, second.cells_resumed) == (0, 4)
         second.sweep(DEVICE, ["cc", "gc", "mis"], [INPUT])
         assert second.cells_executed == 2  # just mis x 2 variants
 
     def test_resumed_results_match_fresh_run(self, tmp_path):
-        ck = tmp_path / "sweep.json"
+        ck = tmp_path / "store"
         first = ResilientStudy(reps=2, checkpoint=ck)
         fresh = first.sweep(DEVICE, ["cc"], [INPUT])
 
         second = ResilientStudy(reps=2, checkpoint=ck)
-        second.load_checkpoint()
         resumed = second.sweep(DEVICE, ["cc"], [INPUT])
+        assert second.cells_executed == 0
         assert resumed.completed[0].baseline_ms == \
             fresh.completed[0].baseline_ms
         assert resumed.completed[0].racefree_ms == \
             fresh.completed[0].racefree_ms
 
-    def test_failures_checkpointed_and_reloaded(self, tmp_path):
-        ck = tmp_path / "sweep.json"
+    def test_failures_are_reattempted_on_resume(self, tmp_path):
+        ck = tmp_path / "store"
         faults = FaultPlan.parse("stuck=1.0", seed=0)
         first = ResilientStudy(reps=2, faults=faults, checkpoint=ck)
         first.sweep(DEVICE, ["cc"], [INPUT])
         assert len(first.failures()) == 1
+        assert not list(ck.glob("cell-*.json"))  # failures never publish
 
+        # the deterministic plan reaches the same failure again
         second = ResilientStudy(reps=2, faults=faults, checkpoint=ck)
-        n_results, n_failures = second.load_checkpoint()
-        assert n_failures == 1
         out = second.run_cell("cc", INPUT, DEVICE, Variant.BASELINE)
         assert isinstance(out, CellFailure)
         assert out.reason == "livelock"
-        assert second.cells_executed == 0  # failures resume too
+        assert second.cells_executed == 1
 
     def test_checkpoint_written_after_every_cell(self, tmp_path):
-        import json
-
-        ck = tmp_path / "sweep.json"
+        ck = tmp_path / "store"
         study = ResilientStudy(reps=1, checkpoint=ck)
         study.run_cell("cc", INPUT, DEVICE, Variant.BASELINE)
-        assert len(json.loads(ck.read_text())["results"]) == 1
+        assert not list(ck.glob("cell-*.json"))  # the cell is unfinished
         study.run_cell("cc", INPUT, DEVICE, Variant.RACE_FREE)
-        assert len(json.loads(ck.read_text())["results"]) == 2
+        assert len(list(ck.glob("cell-*.json"))) == 1
+        study.run_cell("gc", INPUT, DEVICE, Variant.BASELINE)
+        study.run_cell("gc", INPUT, DEVICE, Variant.RACE_FREE)
+        assert len(list(ck.glob("cell-*.json"))) == 2
+        assert study.store.publishes == 2
 
     def test_corrupt_checkpoint_raises_study_error(self, tmp_path):
         ck = tmp_path / "sweep.json"
-        ck.write_text('{"format": 2, "reps": 2, ')  # torn write
-        study = ResilientStudy(reps=2, checkpoint=ck)
-        with pytest.raises(StudyError, match="corrupt or partial"):
-            study.load_checkpoint()
+        ck.write_text('{"format": 2, "reps": 2, ')  # an old, torn file
+        with pytest.raises(StudyError, match="is a file"):
+            ResilientStudy(reps=2, checkpoint=ck)
 
     def test_reps_mismatch_rejected(self, tmp_path):
-        ck = tmp_path / "sweep.json"
-        ResilientStudy(reps=2, checkpoint=ck).run_cell(
-            "cc", INPUT, DEVICE, Variant.BASELINE)
-        with pytest.raises(StudyError, match="different reps/scale"):
-            ResilientStudy(reps=5, checkpoint=ck).load_checkpoint()
+        ck = tmp_path / "store"
+        ResilientStudy(reps=2, checkpoint=ck).sweep(DEVICE, ["cc"], [INPUT])
+        other = ResilientStudy(reps=5, checkpoint=ck)
+        other.run_cell("cc", INPUT, DEVICE, Variant.BASELINE)
+        # records of another policy live at other addresses
+        assert (other.cells_executed, other.cells_resumed) == (1, 0)
 
     def test_no_checkpoint_path_is_an_error(self):
         study = ResilientStudy(reps=1)
         with pytest.raises(StudyError, match="no checkpoint path"):
-            study.load_checkpoint()
-        with pytest.raises(StudyError, match="no checkpoint path"):
-            study.save_checkpoint()
+            study.save_checkpoint("cc", INPUT, DEVICE)
 
 
 class TestDegradedReport:

@@ -458,11 +458,11 @@ def _dechunk(body: bytes) -> list[dict]:
 
 class TestServerEndToEnd:
     def test_full_request_cycle(self, tmp_path):
-        ckpt = tmp_path / "serve.ckpt"
+        store_dir = tmp_path / "store"
 
         async def go():
             config = ServiceConfig(port=0, reps=1, scale=0.05,
-                                   retries=0, checkpoint=str(ckpt))
+                                   retries=0, store_dir=str(store_dir))
             service = SweepService(config)
             await service.start()
             host, port = service.address
@@ -508,7 +508,8 @@ class TestServerEndToEnd:
             await service.aclose()
 
         asyncio.run(go())
-        assert ckpt.exists()
+        # serial mode checkpoints into the store too: one record a cell
+        assert len(list(store_dir.glob("cell-*.json"))) == 2
 
     def test_admission_rejection_is_429_with_retry_after(self):
         async def go():

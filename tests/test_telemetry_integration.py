@@ -3,7 +3,7 @@
 The acceptance properties of the subsystem:
 
 * telemetry off (the default) leaves study results, ``save_results``
-  JSON, and resilient checkpoints byte-identical;
+  JSON, and the checkpoint store's records byte-identical;
 * the merged registry of a parallel (``jobs=N``) sweep equals the
   serial registry on every sim-scope family;
 * the engine's L1 hit-rate gauges mechanically reproduce the paper's
@@ -61,11 +61,9 @@ def test_off_and_on_save_results_identical(tmp_path):
 
 
 def test_off_and_on_checkpoints_identical(tmp_path):
-    # no fault plan: failure records carry wall-clock elapsed_s, which
-    # differs between any two runs — the telemetry-off/on comparison
-    # needs the deterministic (results-only) checkpoint payload
-    def checkpoint(name: str, enabled: bool) -> bytes:
-        path = tmp_path / f"{name}.ckpt"
+    # the checkpoint is a result store: every published record, by name
+    def checkpoint(name: str, enabled: bool) -> dict[str, bytes]:
+        path = tmp_path / f"{name}-store"
 
         def run() -> None:
             study = ResilientStudy(reps=2, trace_cache=False,
@@ -77,9 +75,12 @@ def test_off_and_on_checkpoints_identical(tmp_path):
                 run()
         else:
             run()
-        return path.read_bytes()
+        return {p.name: p.read_bytes()
+                for p in sorted(path.glob("cell-*.json"))}
 
-    assert checkpoint("off", False) == checkpoint("on", True)
+    off = checkpoint("off", False)
+    assert len(off) == len(INPUTS)
+    assert off == checkpoint("on", True)
 
 
 # ----------------------------------------------------------------------

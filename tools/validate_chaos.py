@@ -7,8 +7,8 @@ Two checks, both against a real mini-sweep:
    with no plan installed at all: the injection machinery itself must
    cost nothing and change nothing when it never fires.
 2. **Flagship recovery** — the combined chaos scenario (worker
-   SIGKILLs + torn trace-cache writes + one externally corrupted
-   checkpoint generation, resumed to completion) must reach full
+   SIGKILLs + torn trace-cache writes + one externally torn
+   result-store record, resumed to completion) must reach full
    coverage with ``save_results`` byte-identical to the uninjected
    serial baseline.
 
@@ -54,7 +54,7 @@ def _noop_plan_check(workdir: Path) -> str | None:
 
 
 def _flagship_check(workdir: Path, jobs: int, seed: int) -> str | None:
-    """The combined kill + torn + checkpoint-corruption scenario."""
+    """The combined kill + torn + store-record corruption scenario."""
     from repro.core.chaos import (
         ALGOS,
         DEVICE,

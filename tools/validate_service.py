@@ -5,7 +5,7 @@ deployment would:
 
 1. starts the server with a host fault plan installed — every
    first-generation pool worker is SIGKILLed and 40% of trace-cache
-   writes are torn — plus a checkpoint and a disk trace cache;
+   writes are torn — plus a ``--store`` and a disk trace cache;
 2. submits the same study from two concurrent clients and checks that
    every cell streams back ``ok`` and that the pair coalesced onto a
    single grid execution;
@@ -13,14 +13,14 @@ deployment would:
    are byte-identical (canonically ordered) to an uninjected, serial,
    cache-less offline sweep of the same cells run in this process;
 4. sends SIGTERM while a third client is mid-stream and asserts the
-   server drains within the deadline, exits 0, and leaves a checkpoint
-   a fresh study can load;
+   server drains within the deadline, exits 0, and leaves a store a
+   fresh offline study serves the whole grid from, executing nothing;
 5. (fleet smoke) repeats the drive against ``--workers 2`` with a
-   shared ``--store`` under the same kill plan: every first-generation
-   fleet worker is killed, cells must fail over to respawned workers,
+   ``--store`` under the same kill plan: every first-generation fleet
+   worker is killed, cells must fail over to respawned workers,
    results must stay byte-identical to the offline sweep, the store
-   must hold every published cell, and SIGTERM must still drain
-   cleanly.
+   must hold every published cell, SIGTERM must still drain cleanly,
+   and the drained store must again serve a fresh study.
 
 Usage::
 
@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     workdir = Path(tempfile.mkdtemp(prefix="repro-validate-service-"))
-    ckpt = workdir / "serve.ckpt"
+    store_dir = workdir / "store"
     n_cells = len(ALGOS) * len(INPUTS)
 
     # the truth: an uninjected serial offline sweep in this process
@@ -129,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--reps", str(REPS), "--retries", "0", "--jobs", "2",
          "--trace-cache", str(workdir / "traces"),
-         "--checkpoint", str(ckpt),
+         "--store", str(store_dir),
          "--inject-host", "kill=1.0,torn=0.4",
          "--host-targets", "trace-*.json",
          "--host-seed", str(args.seed),
@@ -224,14 +224,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"ok   SIGTERM drained cleanly in {drain_s:.2f}s")
 
-        # the drain's checkpoint must load into a fresh study
-        loader = ResilientStudy(reps=REPS, checkpoint=ckpt)
-        n_res, n_fail = loader.load_checkpoint()
-        if n_res < 2 * n_cells or n_fail:
-            print(f"FAIL: checkpoint loads {n_res} results / {n_fail} "
-                  "failures", file=sys.stderr)
+        if not _store_handoff(store_dir, n_cells, "drain"):
             return 1
-        print(f"ok   drain checkpoint loads {n_res} results")
     finally:
         if server.poll() is None:
             server.kill()
@@ -246,6 +240,23 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _store_handoff(store_dir: Path, n_cells: int, what: str) -> bool:
+    """A fresh offline study on a drained server's ``--store`` must
+    serve every result of the grid and execute none."""
+    from repro.core.resilience import ResilientStudy
+
+    loader = ResilientStudy(reps=REPS, checkpoint=store_dir)
+    loader.sweep(DEVICE, ALGOS, INPUTS, jobs=1)
+    if loader.cells_resumed != 2 * n_cells or loader.cells_executed:
+        print(f"FAIL: the {what} store served {loader.cells_resumed} of "
+              f"{2 * n_cells} results; {loader.cells_executed} were "
+              "executed", file=sys.stderr)
+        return False
+    print(f"ok   {what} store serves {loader.cells_resumed} results "
+          "to a fresh study, 0 executed")
+    return True
+
+
 def _fleet_smoke(workdir: Path, baseline: bytes, n_cells: int,
                  args) -> int:
     """Phase 5: the supervised worker fleet under the same kill plan."""
@@ -256,7 +267,6 @@ def _fleet_smoke(workdir: Path, baseline: bytes, n_cells: int,
          "--reps", str(REPS), "--retries", "0",
          "--workers", "2", "--store", str(store_dir),
          "--trace-cache", str(fleet_dir / "traces"),
-         "--checkpoint", str(fleet_dir / "fleet.ckpt"),
          "--inject-host", "kill=1.0,torn=0.4",
          "--host-targets", "trace-*.json",
          "--host-seed", str(args.seed),
@@ -350,6 +360,8 @@ def _fleet_smoke(workdir: Path, baseline: bytes, n_cells: int,
                   file=sys.stderr)
             return 1
         print(f"ok   fleet SIGTERM drained cleanly in {drain_s:.2f}s")
+        if not _store_handoff(store_dir, n_cells, "fleet drain"):
+            return 1
     finally:
         if server.poll() is None:
             server.kill()
