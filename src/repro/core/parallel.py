@@ -17,10 +17,20 @@ path.
 Each worker process owns a private study configured from the parent's
 :class:`WorkerConfig` (same reps/scale/validate/retry policy, same
 fault plan seed) plus a :class:`~repro.perf.trace.TraceCache` pointed
-at the parent's on-disk trace directory when one is configured — that
-shared disk layer is how workers pricing different devices reuse one
-functional execution per staleness class.  A parent that runs uncached
-has uncached workers, so both paths record the same executions.
+at the parent's on-disk trace directory when one is configured.  A
+parent that runs uncached has uncached workers, so both paths record
+the same executions.
+
+Only cells that must record reach a worker.  Each task reports the
+fingerprints of the graphs it built for its suite input (the weighted
+copy's too), and a later table's parent prices a cell itself when
+every repetition of every pending variant hits the trace cache under
+those fingerprints; it prices the cell when the merge reaches the
+cell's place in the submission order, where a result-store hit merges
+too.  So after the first device, a
+table whose devices share the first one's staleness class forks no
+pool.  Without an on-disk trace directory a worker's recordings end
+with its pool, so every table's pool records again.
 
 Knobs: ``Study(jobs=N)`` / ``speedup_table(..., jobs=N)`` /
 ``repro sweep --jobs N``, all defaulting to the ``REPRO_JOBS``
@@ -216,7 +226,11 @@ def _task_key(task: CellTask) -> tuple[str, str, str]:
 
 
 def _run_task(task: CellTask, generation: int = 0) -> list[dict]:
-    """Execute one task in the worker; returns one record per variant.
+    """Execute one task in the worker; returns one record per variant,
+    led by a ``graph`` record with the fingerprints of the graphs the
+    worker built for a suite input (sent for failed cells too: the
+    parent checks name clashes with it before merging the rest, and
+    keys its own trace lookups on it).
 
     ``generation`` is the pool generation submitting the task; an
     installed host-fault plan may kill or stall this worker here
@@ -225,26 +239,22 @@ def _run_task(task: CellTask, generation: int = 0) -> list[dict]:
     :func:`execute_tasks` must detect the loss and resubmit.
     """
     from repro.core import hostfaults
-    from repro.core.resilience import CellFailure, ResilientStudy
+    from repro.core.resilience import ResilientStudy
+    from repro.core.study import outcome_record
 
     hostfaults.maybe_disrupt(hostfaults.active_plan(), _task_key(task),
                              generation)
     study = _WORKER_STUDY
     if study is None:  # pragma: no cover - initializer always ran
         raise StudyError("worker pool used before initialization")
-    records: list[dict] = []
-    for value in task.variants:
-        variant = Variant(value)
-        if isinstance(study, ResilientStudy):
-            out = study.run_cell(task.algorithm, task.graph_or_name,
-                                 task.device, variant)
-            if isinstance(out, CellFailure):
-                records.append({"kind": "failure", **out.to_record()})
-                continue
-        else:
-            out = study.run(task.algorithm, task.graph_or_name,
-                            task.device, variant)
-        records.append({"kind": "result", **out.to_record()})
+    run = (study.run_cell if isinstance(study, ResilientStudy)
+           else study.run)
+    records = [outcome_record(run(task.algorithm, task.graph_or_name,
+                                  task.device, Variant(value)))
+               for value in task.variants]
+    graph = study._graph_record(task.graph_or_name)
+    if graph is not None:
+        records.insert(0, graph)
     _append_telemetry_record(records)
     return records
 
@@ -334,7 +344,8 @@ def execute_tasks(config: WorkerConfig, tasks: list, jobs: int,
     ``merge`` is invoked strictly in submission order — the order the
     serial sweep would have produced — one record per variant.  A task
     may instead be a list of records that need no execution (a cell
-    served from the result store); they are merged at its index.
+    served from the result store), or a callable returning one (a cell
+    priced in the parent), called when the merge reaches its index.
 
     Worker death is survived, not propagated: when a worker is killed
     (OOM killer, SIGKILL, a segfaulting extension) the
@@ -365,9 +376,9 @@ def execute_tasks(config: WorkerConfig, tasks: list, jobs: int,
 
     if not tasks:
         return
-    staged: dict[int, list[dict]] = {
+    staged: dict[int, list[dict] | Callable[[], list[dict]]] = {
         idx: task for idx, task in enumerate(tasks)
-        if isinstance(task, list)}
+        if isinstance(task, list) or callable(task)}
     pending: list[tuple[int, CellTask]] = [
         (idx, task) for idx, task in enumerate(tasks) if idx not in staged]
     budget = _resolve_respawns(respawn_budget)
@@ -384,7 +395,8 @@ def execute_tasks(config: WorkerConfig, tasks: list, jobs: int,
 
     def flush() -> None:
         while flushed[0] < len(tasks) and flushed[0] in staged:
-            for record in staged.pop(flushed[0]):
+            records = staged.pop(flushed[0])
+            for record in records() if callable(records) else records:
                 merge(record)
             flushed[0] += 1
 
@@ -406,6 +418,9 @@ def execute_tasks(config: WorkerConfig, tasks: list, jobs: int,
             except BrokenProcessPool:
                 # a worker died while tasks were still being enqueued
                 broke = True
+            # what needs no worker ahead of the first task merges while
+            # the workers run
+            flush()
             for idx, task, future in submitted:
                 if broke:
                     break

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.store import ResultStore
-from repro.core.study import RunResult, SpeedupCell, Study
+from repro.core.study import _VARIANTS, RunResult, SpeedupCell, Study
 from repro.core.variants import Variant, get_algorithm
 from repro.errors import (
     CellTimeoutError,
@@ -56,9 +56,6 @@ from repro.perf.engine import PerfRun, run_algorithm
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import get_spans
 from repro.utils.backoff import BackoffPolicy
-
-#: the two variants of every cell, in the order a sweep runs them
-_VARIANTS = (Variant.BASELINE, Variant.RACE_FREE)
 
 
 @dataclass(frozen=True)
@@ -348,6 +345,34 @@ class ResilientStudy(Study):
         algo = get_algorithm(algorithm)
         spec = get_device(device)
         graph = self._prepare_graph(algo, graph_or_name)
+
+        def run_rep(rep: int, attempt: int) -> PerfRun:
+            run = run_algorithm(
+                algo, graph, spec, variant,
+                seed=self._rep_seed(rep, attempt),
+                faults=self._injector(key, rep, attempt),
+                trace_cache=self.trace_cache,
+                need_output=self.validate)
+            if self.validate:
+                self._validate(algo, graph, run)
+            return run
+
+        out = self._price_cell(key, run_rep)
+        self.cells_executed += 1
+        if isinstance(out, CellFailure):
+            self._failures[key] = out
+            return out
+        self._results[key] = out
+        self._cell_finished(algorithm, name, device)
+        return out
+
+    def _price_cell(self, key: tuple,
+                    run_rep) -> RunResult | CellFailure:
+        """One cell's outcome from its repetitions, each priced by
+        ``run_rep(rep, attempt)``, under the retry and budget policy,
+        inside its ``sweep.cell`` span, counted in the cell metrics.
+        Leaves the memo and ``cells_executed`` to the caller."""
+        algorithm, name, device, variant = key
         deadline = (None if self.budget.max_seconds is None
                     else time.monotonic() + self.budget.max_seconds)
         attempts_made = [0]
@@ -363,16 +388,8 @@ class ResilientStudy(Study):
                         f"wall-clock budget after {rep} of {self.reps} "
                         "repetitions"
                     )
-                run = run_algorithm(
-                    algo, graph, spec, variant,
-                    seed=self._rep_seed(rep, attempt),
-                    faults=self._injector(key, rep, attempt),
-                    trace_cache=self.trace_cache,
-                    need_output=self.validate)
-                if self.validate:
-                    self._validate(algo, graph, run)
-                runtimes.append(run.runtime_ms)
-                last = run
+                last = run_rep(rep, attempt)
+                runtimes.append(last.runtime_ms)
             return RunResult(algorithm, name, device, variant,
                              runtimes, last)
 
@@ -385,18 +402,13 @@ class ResilientStudy(Study):
             outcome = "ok" if failure is None else failure.reason
             sp.set(outcome=outcome, attempts=attempts_made[0])
         self._count_cell(outcome, attempts_made[0])
-        self.cells_executed += 1
-        if failure is not None:
-            record = CellFailure(
-                algorithm=algorithm, input_name=name, device_key=device,
-                variant=variant.value, reason=failure.reason,
-                message=failure.message, attempts=failure.attempts,
-                elapsed_s=failure.elapsed_s)
-            self._failures[key] = record
-            return record
-        self._results[key] = value
-        self._cell_finished(algorithm, name, device)
-        return value
+        if failure is None:
+            return value
+        return CellFailure(
+            algorithm=algorithm, input_name=name, device_key=device,
+            variant=variant.value, reason=failure.reason,
+            message=failure.message, attempts=failure.attempts,
+            elapsed_s=failure.elapsed_s)
 
     def run(self, algorithm: str, graph_or_name, device: str,
             variant: Variant) -> RunResult:
@@ -454,10 +466,10 @@ class ResilientStudy(Study):
         with self._graceful_interrupt():
             with get_spans().span("study.sweep", device=device, jobs=jobs,
                                   cells=len(algorithms) * len(inputs),
-                                  resilient=True):
+                                  resilient=True) as sp:
                 if jobs > 1:
-                    self._parallel_prefetch(device, algorithms, inputs,
-                                            jobs)
+                    sp.set(**self._parallel_prefetch(device, algorithms,
+                                                     inputs, jobs))
                 cells = [
                     self.speedup_cell(a, name, device)
                     for name in inputs
@@ -509,10 +521,14 @@ class ResilientStudy(Study):
             retries=self.retries, backoff_s=self.backoff_s,
             budget=self.budget, faults=self.faults)
 
+    def _replays_in_parent(self) -> bool:
+        # faulted runs never touch the trace cache
+        return super()._replays_in_parent() and self.faults is None
+
     def _merge_parallel_record(self, record: dict) -> None:
         kind = record.get("kind")
-        if kind == "telemetry":
-            self._merge_telemetry_record(record)
+        if kind in ("telemetry", "graph"):
+            super()._merge_parallel_record(record)
             return
         variant = Variant(record["variant"])
         key = (record["algorithm"], record["input"], record["device"],

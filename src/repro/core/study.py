@@ -16,13 +16,20 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from repro.core.variants import AlgorithmInfo, Variant, get_algorithm
 from repro.errors import StudyError
 from repro.gpu.device import DeviceSpec, get_device
 from repro.graphs.csr import CSRGraph
 from repro.graphs.suite import load_suite_graph, weighted_graph
-from repro.perf.engine import PerfRun, run_algorithm
+from repro.perf.engine import (
+    PerfRun,
+    algorithm_plan,
+    cached_trace,
+    replay_run,
+    run_algorithm,
+)
 from repro.perf.trace import TraceCache
 from repro.telemetry.spans import get_spans
 from repro.utils.atomicio import atomic_write_text
@@ -31,6 +38,9 @@ from repro.utils.stats import median, relative_deviation
 TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
 """Environment variable naming the on-disk trace-cache directory used
 by studies that were not given an explicit cache."""
+
+#: the two variants of every cell, in the order a sweep runs them
+_VARIANTS = (Variant.BASELINE, Variant.RACE_FREE)
 
 
 @dataclass
@@ -69,6 +79,14 @@ class RunResult:
         return cls(record["algorithm"], record["input"], record["device"],
                    Variant(record["variant"]),
                    [float(x) for x in record["runtimes_ms"]], last_run=None)
+
+
+def outcome_record(out) -> dict:
+    """The record a pool worker sends for one variant's outcome: kind
+    ``result`` for a :class:`RunResult`, ``failure`` for a
+    :class:`~repro.core.resilience.CellFailure`."""
+    kind = "result" if isinstance(out, RunResult) else "failure"
+    return {"kind": kind, **out.to_record()}
 
 
 @dataclass
@@ -160,6 +178,14 @@ class Study:
         #: content fingerprints of graphs seen per input name, so two
         #: different graphs cannot silently share one memo entry
         self._graph_fps: dict[str, str] = {}
+        #: suite input name -> fingerprint of the graph built for it,
+        #: and graph fingerprint -> its weighted copy's.  Both hold only
+        #: graphs built in this process or its pool workers during this
+        #: study (a graph passed in directly is never a suite input's):
+        #: they key the trace lookups of cells priced without building
+        #: their graphs
+        self._suite_fps: dict[str, str] = {}
+        self._weighted_fps: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -170,15 +196,15 @@ class Study:
         reproduces the historical seeds exactly."""
         return 1000 * rep + 7 + 7919 * attempt
 
-    def _note_fingerprint(self, name: str, graph: CSRGraph) -> None:
-        """Record ``graph``'s content for ``name``; reject a clash.
+    def _note_fingerprint(self, name: str, fp: str) -> None:
+        """Record content fingerprint ``fp`` for ``name``; reject a
+        clash.
 
         A :class:`CSRGraph` passed directly whose ``.name`` collides
         with a different graph (a suite input, or an earlier passed
         graph) would otherwise silently reuse or overwrite the other's
         cached result.
         """
-        fp = graph.fingerprint()
         prev = self._graph_fps.get(name)
         if prev is not None and prev != fp:
             raise StudyError(
@@ -194,7 +220,7 @@ class Study:
         for directly-passed graphs *before* any memo lookup."""
         if isinstance(graph_or_name, CSRGraph):
             name = graph_or_name.name
-            self._note_fingerprint(name, graph_or_name)
+            self._note_fingerprint(name, graph_or_name.fingerprint())
         else:
             name = graph_or_name
         return (algorithm, name, device, variant), name
@@ -205,11 +231,14 @@ class Study:
             graph = graph_or_name
         else:
             graph = load_suite_graph(graph_or_name, scale=self.scale)
-            self._note_fingerprint(graph_or_name, graph)
+            self._note_fingerprint(graph_or_name, graph.fingerprint())
+            self._suite_fps[graph_or_name] = graph.fingerprint()
         if algo.needs_weights and not graph.has_weights:
             # process-wide cache: every study (and every repetition of
             # every device) shares one weighted copy per graph content
-            graph = weighted_graph(graph, seed=12345)
+            weighted = weighted_graph(graph, seed=12345)
+            self._weighted_fps[graph.fingerprint()] = weighted.fingerprint()
+            graph = weighted
         return graph
 
     def run(self, algorithm: str, graph_or_name, device: str,
@@ -223,27 +252,37 @@ class Study:
         spec = get_device(device)
         graph = self._prepare_graph(algo, graph_or_name)
 
+        def run_rep(rep: int, attempt: int) -> PerfRun:
+            run = run_algorithm(algo, graph, spec, variant,
+                                seed=self._rep_seed(rep),
+                                trace_cache=self.trace_cache,
+                                need_output=self.validate,
+                                memory_model=self.memory_model)
+            # every repetition is validated: reps differ in their
+            # randomization seed, so a corrupt rep 3 would be
+            # invisible if only the final repetition were checked
+            if self.validate:
+                self._validate(algo, graph, run)
+            return run
+
+        result = self._price_cell(key, run_rep)
+        self._results[key] = result
+        return result
+
+    def _price_cell(self, key: tuple, run_rep) -> RunResult:
+        """One configuration's result from its repetitions, each priced
+        by ``run_rep(rep, attempt)``, inside its ``study.run`` span.
+        Leaves the memo alone (see :meth:`_replay_task`)."""
+        algorithm, name, device, variant = key
         runtimes: list[float] = []
         last: PerfRun | None = None
         with get_spans().span("study.run", algorithm=algorithm,
                               input=name, device=device,
                               variant=variant.value, reps=self.reps):
             for rep in range(self.reps):
-                run = run_algorithm(algo, graph, spec, variant,
-                                    seed=self._rep_seed(rep),
-                                    trace_cache=self.trace_cache,
-                                    need_output=self.validate,
-                                    memory_model=self.memory_model)
-                # every repetition is validated: reps differ in their
-                # randomization seed, so a corrupt rep 3 would be
-                # invisible if only the final repetition were checked
-                if self.validate:
-                    self._validate(algo, graph, run)
-                runtimes.append(run.runtime_ms)
-                last = run
-        result = RunResult(algorithm, name, device, variant, runtimes, last)
-        self._results[key] = result
-        return result
+                last = run_rep(rep, 0)
+                runtimes.append(last.runtime_ms)
+        return RunResult(algorithm, name, device, variant, runtimes, last)
 
     def speedup(self, algorithm: str, graph_or_name,
                 device: str) -> SpeedupCell:
@@ -279,9 +318,10 @@ class Study:
         if self.memory_model is not None:
             jobs = 1  # worker protocol doesn't carry the model; stay serial
         with get_spans().span("study.sweep", device=device, jobs=jobs,
-                              cells=len(algorithms) * len(inputs)):
+                              cells=len(algorithms) * len(inputs)) as sp:
             if jobs > 1:
-                self._parallel_prefetch(device, algorithms, inputs, jobs)
+                sp.set(**self._parallel_prefetch(device, algorithms,
+                                                 inputs, jobs))
             return [
                 self.speedup(a, name, device)
                 for name in inputs
@@ -322,10 +362,30 @@ class Study:
         get_spans().merge(record.get("spans", ()),
                           worker=record.get("worker"))
 
+    def _graph_record(self, graph_or_name) -> dict | None:
+        """The fingerprints of the graphs this study built for a suite
+        input, as the record a pool worker sends along with its task's
+        outcomes (a graph passed in directly has none: the parent
+        fingerprints it)."""
+        fp = (None if isinstance(graph_or_name, CSRGraph)
+              else self._suite_fps.get(graph_or_name))
+        if fp is None:
+            return None
+        return {"kind": "graph", "input": graph_or_name, "graph_fp": fp,
+                "weighted_fp": self._weighted_fps.get(fp)}
+
     def _merge_parallel_record(self, record: dict) -> None:
         """Fold one worker record into the memo (submission order)."""
-        if record.get("kind") == "telemetry":
+        kind = record.get("kind")
+        if kind == "telemetry":
             self._merge_telemetry_record(record)
+            return
+        if kind == "graph":
+            self._note_fingerprint(record["input"], record["graph_fp"])
+            self._suite_fps[record["input"]] = record["graph_fp"]
+            if record["weighted_fp"] is not None:
+                self._weighted_fps[record["graph_fp"]] = \
+                    record["weighted_fp"]
             return
         variant = Variant(record["variant"])
         key = (record["algorithm"], record["input"], record["device"],
@@ -340,37 +400,108 @@ class Study:
         a plain study has none (see ``ResilientStudy``)."""
         return None
 
+    def _replays_in_parent(self) -> bool:
+        """Whether a parallel sweep may price cached cells itself: not
+        when outputs must be validated (disk traces carry none) or
+        there is no trace cache."""
+        return self.trace_cache is not None and not self.validate
+
+    def _replay_task(self, algorithm: str, name: str, device: str,
+                     variants: tuple[Variant, ...]
+                     ) -> Callable[[], list[dict]] | None:
+        """A callable pricing a suite input's cell here from cached
+        traces, or None when it must be dispatched.
+
+        Only for an input this study has seen built as a suite input,
+        and only when every repetition of every variant hits the trace
+        cache: all of them are looked up now, and priced only when the
+        merge reaches the cell, so a cell that is dispatched — or never
+        merged, because an earlier task failed — emits nothing here.
+        Pricing goes through :meth:`_price_cell`, so the records and
+        telemetry are those a pool worker would send; the memo is left
+        to the merge.
+        """
+        graph_fp = self._suite_fps.get(name)
+        if graph_fp is None or not self._replays_in_parent():
+            return None
+        algo = get_algorithm(algorithm)
+        if algo.needs_weights:
+            graph_fp = self._weighted_fps.get(graph_fp)
+            if graph_fp is None:
+                return None
+        spec = get_device(device)
+        plan = algorithm_plan(algo)
+        traces = {}
+        for variant in variants:
+            traces[variant] = [
+                cached_trace(self.trace_cache, algo, graph_fp, variant,
+                             self._rep_seed(rep), spec.plain_staleness_rounds,
+                             plan)
+                for rep in range(self.reps)]
+            if None in traces[variant]:
+                return None
+
+        def price() -> list[dict]:
+            records = []
+            for variant, hits in traces.items():
+                out = self._price_cell(
+                    (algorithm, name, device, variant),
+                    lambda rep, attempt: replay_run(
+                        algo, hits[rep], spec, self._rep_seed(rep, attempt),
+                        name))
+                records.append(outcome_record(out))
+            return records
+        return price
+
     def _parallel_prefetch(self, device: str, algorithms: list[str],
-                           inputs: list[str], jobs: int) -> None:
+                           inputs: list[str], jobs: int) -> dict[str, int]:
         """Execute every missing (algorithm, input) pair on a pool.
 
         Tasks are built — and their records merged — in the exact
         order the serial sweep would have executed them, which is what
         keeps the memo's insertion order (and therefore
         :meth:`save_results` output) byte-identical.  A pair found in
-        storage is merged at its place in that order, not executed.
+        storage, or priced here from cached traces
+        (:meth:`_replay_task`), is merged at its place in that order,
+        not dispatched, so a table with nothing left to record forks no
+        pool.  Returns how many pairs came from each source.
         """
         from repro.core.parallel import CellTask, execute_tasks
 
-        variants = (Variant.BASELINE, Variant.RACE_FREE)
+        sources = dict.fromkeys(("stored", "replayed", "dispatched"), 0)
+        planned: set[tuple] = set()
         tasks = []
         for graph_or_name in inputs:
-            name = (graph_or_name.name
-                    if isinstance(graph_or_name, CSRGraph)
-                    else graph_or_name)
             for a in algorithms:
-                pending = tuple(
-                    v.value for v in variants
-                    if not self._cell_done((a, name, device, v)))
-                if pending:
-                    stored = self._stored_records(a, graph_or_name, device)
-                    tasks.append(stored if stored is not None else
-                                 CellTask(a, graph_or_name, device,
-                                          pending))
+                # _memo_key makes the serial path's name-clash check
+                # before any lookup.  A key already planned for this
+                # table (a graph passed in directly under a suite
+                # input's name) is one the serial sweep finds in its
+                # memo, so it gets no second task
+                keys = [self._memo_key(a, graph_or_name, device, v)[0]
+                        for v in _VARIANTS]
+                pending = [key for key in keys
+                           if not self._cell_done(key) and key not in planned]
+                if not pending:
+                    continue
+                planned.update(pending)
+                name, variants = keys[0][1], tuple(key[3] for key in pending)
+                task = self._stored_records(a, graph_or_name, device)
+                source = "stored"
+                if task is None and not isinstance(graph_or_name, CSRGraph):
+                    task = self._replay_task(a, name, device, variants)
+                    source = "replayed"
+                if task is None:
+                    task = CellTask(a, graph_or_name, device,
+                                    tuple(v.value for v in variants))
+                    source = "dispatched"
+                tasks.append(task)
+                sources[source] += 1
         execute_tasks(self._worker_config(), tasks, jobs,
                       self._merge_parallel_record,
                       respawn_budget=self.pool_respawn_budget,
                       task_deadline_s=self.pool_task_deadline_s)
+        return sources
 
     # ------------------------------------------------------------------
     # Result persistence (the artifact's ./results/ raw-runtime logs)

@@ -18,7 +18,10 @@ and **replay** (:func:`replay_trace` — price a cached trace for a
 device and repetition), with an optional
 :class:`~repro.perf.trace.TraceCache` so a multi-device,
 multi-repetition sweep executes each configuration's functional work
-once instead of once per device and repetition.
+once instead of once per device and repetition.  Its cache half,
+:func:`cached_trace` then :func:`replay_run`, needs only the graph's
+fingerprint, which is how a parallel sweep's parent prices cached
+cells without building their graphs.
 """
 
 from __future__ import annotations
@@ -559,34 +562,55 @@ def run_algorithm(algorithm, graph, device: DeviceSpec, variant: Variant,
         return _perf_run(algorithm, variant, device, trace, runtime,
                          input_name=graph.name, source="fault")
 
-    trace = None
-    source = "record"
     if trace_cache is not None:
-        graph_fp = graph.fingerprint()
-        plan_fp = plan_fingerprint(plan)
-        # most general first: a recording that consumed neither the seed
-        # nor the constant (cc, scc, pre-weighted mst) hits on the first
-        # probe.  Any hit is valid, because an execution that never read
-        # a parameter is identical for every value of it.
-        for probe_seed, probe_staleness in ((ANY_SEED, ANY_STALENESS),
-                                            (seed, ANY_STALENESS),
-                                            (seed, staleness),
-                                            (ANY_SEED, staleness)):
-            trace = trace_cache.lookup(
-                trace_key(algorithm.key, graph_fp, variant, probe_seed,
-                          probe_staleness, plan_fp),
-                need_output=need_output)
-            if trace is not None:
-                source = "replay"
-                break
-    if trace is None:
-        trace = record_trace(algorithm, graph, variant, seed, staleness,
-                             plan=plan)
-        if trace_cache is not None:
-            trace_cache.store(trace)
+        trace = cached_trace(trace_cache, algorithm, graph.fingerprint(),
+                             variant, seed, staleness, plan,
+                             need_output=need_output)
+        if trace is not None:
+            return replay_run(algorithm, trace, device, seed, graph.name)
+    trace = record_trace(algorithm, graph, variant, seed, staleness,
+                         plan=plan)
+    if trace_cache is not None:
+        trace_cache.store(trace)
     return _perf_run(algorithm, variant, device, trace,
                      replay_trace(trace, device, seed),
-                     input_name=graph.name, source=source)
+                     input_name=graph.name, source="record")
+
+
+def cached_trace(trace_cache, algorithm, graph_fp: str, variant: Variant,
+                 seed: int, staleness_rounds: int, plan: AccessPlan,
+                 need_output: bool = False) -> Trace | None:
+    """The cached trace :func:`run_algorithm` would replay, or None.
+
+    Needs only the fingerprint of the graph the run would execute on,
+    so a caller that knows it can price a cached configuration without
+    building the graph.  Probes the most general key first: a recording
+    that consumed neither the seed nor the constant (cc, scc,
+    pre-weighted mst) hits on the first probe.  Any hit is valid,
+    because an execution that never read a parameter is identical for
+    every value of it.
+    """
+    plan_fp = plan_fingerprint(plan)
+    for probe_seed, probe_staleness in ((ANY_SEED, ANY_STALENESS),
+                                        (seed, ANY_STALENESS),
+                                        (seed, staleness_rounds),
+                                        (ANY_SEED, staleness_rounds)):
+        trace = trace_cache.lookup(
+            trace_key(algorithm.key, graph_fp, variant, probe_seed,
+                      probe_staleness, plan_fp),
+            need_output=need_output)
+        if trace is not None:
+            return trace
+    return None
+
+
+def replay_run(algorithm, trace: Trace, device: DeviceSpec, seed: int,
+               input_name: str) -> PerfRun:
+    """The run :func:`run_algorithm` returns when ``trace`` is the
+    cache hit for repetition ``seed`` on ``device``."""
+    return _perf_run(algorithm, trace.variant, device, trace,
+                     replay_trace(trace, device, seed),
+                     input_name=input_name, source="replay")
 
 
 #: cell-granularity labels of every sim-scope run metric — one pool

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from statistics import median
 
 from repro.core.resilience import CellBudget, CellFailure, ResilientStudy
-from repro.core.study import SpeedupCell
+from repro.core.study import SpeedupCell, outcome_record
 from repro.core.variants import Variant
 from repro.errors import ServiceError
 from repro.service.breaker import CircuitBreaker
@@ -153,13 +153,12 @@ def _fleet_worker_main(conn, config, worker_id: int, generation: int,
             for variant in (Variant.BASELINE, Variant.RACE_FREE):
                 out = study.run_cell(algorithm, input_name, device,
                                      variant)
+                records.append(outcome_record(out))
                 if isinstance(out, CellFailure):
-                    records.append({"kind": "failure", **out.to_record()})
                     # mirror speedup_cell: a failed baseline
                     # short-circuits the race-free run, keeping the
                     # ledger memo identical to the serial path's
                     break
-                records.append({"kind": "result", **out.to_record()})
             parallel._append_telemetry_record(records)
             try:
                 with send_lock:

@@ -112,6 +112,29 @@ def test_plain_study_parallel_sim_scope_equals_serial(tmp_path):
         json.dumps(run(2), sort_keys=True)
 
 
+def test_multi_device_parallel_sim_scope_equals_serial(tmp_path):
+    """Cells priced in the parent from cached traces (2070super's cc,
+    every a100 cell) account for themselves as a worker would."""
+    def run(jobs: int) -> tuple[str, bytes]:
+        name = f"jobs{jobs}"
+        with telemetry.session() as (registry, _spans):
+            study = ResilientStudy(reps=2, trace_cache=tmp_path / name,
+                                   checkpoint=tmp_path / f"{name}-store")
+            for device in ("titanv", "2070super", "a100"):
+                study.sweep(device, ALGOS, ["internet", "USA-road-d.NY"],
+                            jobs=jobs)
+            study.save_results(tmp_path / f"{name}.json")
+            snap = registry.snapshot(scope=SCOPE_SIM)
+        return (json.dumps(snap, sort_keys=True),
+                (tmp_path / f"{name}.json").read_bytes())
+
+    serial, parallel = run(1), run(2)
+    assert parallel == serial
+    cells = json.loads(serial[0])["families"]
+    assert "a100" in json.dumps(
+        [f for f in cells if f["name"] == "repro_perf_runs_total"])
+
+
 def test_parallel_worker_spans_are_attributed():
     with telemetry.session() as (_registry, spans):
         study = Study(reps=1, trace_cache=False, jobs=2)
