@@ -196,14 +196,10 @@ def _coerce_program(target, num_threads, setup, invariant,
 
 def _make_runner(program: Program, budget: ExploreBudget,
                  faults: FaultPlan | None,
-                 register_cache_plain: bool, weak_memory: bool,
+                 register_cache_plain: bool,
                  memory_model=None, schedulable_drains: bool = False):
     """Build the explorer's runner: one fresh, fully deterministic
     execution of ``program`` per call."""
-    if weak_memory and memory_model is None:
-        # route the legacy flag through its alias once, here, instead
-        # of warning on every exploration run
-        memory_model = "tso"
 
     def runner(scheduler, probe=None) -> RunOutcome:
         injector = (faults.injector("check", program.name)
@@ -240,13 +236,12 @@ def replay_failure(program: Program, log: DecisionLog,
                    faults: FaultPlan | None = None,
                    budget: ExploreBudget | str = "default",
                    register_cache_plain: bool = True,
-                   weak_memory: bool = False,
                    memory_model=None) -> RunOutcome:
     """Re-execute one recorded schedule bit-deterministically."""
     if isinstance(budget, str):
         budget = BUDGETS[budget]
     runner = _make_runner(program, budget, faults,
-                          register_cache_plain, weak_memory,
+                          register_cache_plain,
                           memory_model=memory_model)
     return runner(ReplayScheduler(log))
 
@@ -267,7 +262,6 @@ def check(target, num_threads: int | None = None, *,
           stop_on_failure: bool = False,
           state_dedupe: bool = False,
           register_cache_plain: bool = True,
-          weak_memory: bool = False,
           memory_model=None) -> CheckReport:
     """Systematically check a kernel/program for races and bad results.
 
@@ -297,7 +291,7 @@ def check(target, num_threads: int | None = None, *,
         faults = FaultPlan.parse(faults)
 
     runner = _make_runner(program, budget, faults,
-                          register_cache_plain, weak_memory,
+                          register_cache_plain,
                           memory_model=memory_model)
     detector = RaceDetector(engine=engine, predictive=predictive,
                             memory_model=memory_model)
@@ -337,7 +331,7 @@ def check(target, num_threads: int | None = None, *,
     naive_result: ExploreResult | None = None
     if compare_naive and mode != "naive":
         naive_runner = _make_runner(program, budget, faults,
-                                    register_cache_plain, weak_memory,
+                                    register_cache_plain,
                                     memory_model=memory_model)
         naive_result = ScheduleExplorer(
             naive_runner, mode="naive", budget=budget,

@@ -37,8 +37,8 @@ Plug-in points
   the injector.  ``targets`` globs scope the blast radius (e.g.
   ``("trace-*.json",)`` faults only the trace cache).
 * :class:`~repro.core.parallel.WorkerConfig` carries the active plan
-  into pool workers, where :func:`maybe_disrupt` is consulted once per
-  task for ``kill``/``stall``.
+  into pool and fleet workers, where :func:`maybe_disrupt` is consulted
+  once per task for ``kill``/``stall``.
 * ``disrupt_generations=N`` limits worker disruptions to the first N
   pool generations, so a chaos scenario with ``kill=1.0`` still
   converges once the pool has been respawned N times.
@@ -124,7 +124,7 @@ class HostFaultPlan:
         Root of every derived decision digest.
     targets:
         Filename globs the storage kinds apply to (matched against the
-        written file's *name*, e.g. ``"trace-*.json"`` or ``"*.ckpt"``);
+        written file's *name*, e.g. ``"trace-*.json"`` or ``"cell-*.json"``);
         empty means every atomic write is eligible.
     stall_seconds:
         How long an injected worker stall sleeps.
@@ -333,7 +333,7 @@ def installed(plan: HostFaultPlan):
 
 
 # ----------------------------------------------------------------------
-# Worker-process disruptions (consulted once per pool task)
+# Worker-process disruptions (consulted once per pool or fleet task)
 # ----------------------------------------------------------------------
 def maybe_disrupt(plan: HostFaultPlan | None, key: tuple,
                   generation: int) -> None:
@@ -341,9 +341,13 @@ def maybe_disrupt(plan: HostFaultPlan | None, key: tuple,
 
     ``key`` is the cell task identity (algorithm, input, device) and
     ``generation`` the pool incarnation executing it, so a task
-    resubmitted after a pool respawn draws a fresh decision.  A kill is
-    a real ``SIGKILL`` to the worker's own pid — the parent sees
-    ``BrokenProcessPool``, exactly as it would for the OOM killer.
+    resubmitted after a pool respawn draws a fresh decision.  A fleet
+    worker (:mod:`repro.service.fleet`) prefixes the key with
+    ``("fleet", slot id)`` and passes its slot's respawn count, so with
+    ``disrupt_generations=N`` only the first N incarnations of each
+    slot are disrupted.  A kill is a real ``SIGKILL`` to the worker's
+    own pid — the parent sees ``BrokenProcessPool`` (the fleet
+    supervisor a closed pipe), exactly as it would for the OOM killer.
     ``plan=None`` (no injection installed) is a no-op.
     """
     if plan is None:
@@ -357,22 +361,3 @@ def maybe_disrupt(plan: HostFaultPlan | None, key: tuple,
     if plan.triggers(HostFaultKind.WORKER_STALL, *key, generation):
         _count_injected(HostFaultKind.WORKER_STALL)
         time.sleep(plan.stall_seconds)
-
-
-def maybe_disrupt_fleet(plan: HostFaultPlan | None, worker_id: int,
-                        key: tuple, generation: int) -> None:
-    """Apply ``kill``/``stall`` to one *fleet* worker task.
-
-    The service fleet (:mod:`repro.service.fleet`) runs long-lived
-    worker processes rather than pool generations, so the draw is keyed
-    on the worker slot id plus the cell identity, and ``generation`` is
-    the slot's *respawn count*: with ``disrupt_generations=N`` only the
-    first N incarnations of each slot are disrupted — a respawned
-    worker picking up a redispatched cell survives, exactly like a
-    rebuilt pool.  Kills are a real ``SIGKILL`` to the worker's own
-    pid; the supervisor sees the pipe close and fails over.
-    """
-    if plan is None:
-        return
-    maybe_disrupt(plan, ("fleet", int(worker_id)) + tuple(key),
-                  generation)

@@ -226,11 +226,7 @@ def _task_key(task: CellTask) -> tuple[str, str, str]:
 
 
 def _run_task(task: CellTask, generation: int = 0) -> list[dict]:
-    """Execute one task in the worker; returns one record per variant,
-    led by a ``graph`` record with the fingerprints of the graphs the
-    worker built for a suite input (sent for failed cells too: the
-    parent checks name clashes with it before merging the rest, and
-    keys its own trace lookups on it).
+    """Execute one task in a pool worker (see :func:`_task_records`).
 
     ``generation`` is the pool generation submitting the task; an
     installed host-fault plan may kill or stall this worker here
@@ -239,14 +235,27 @@ def _run_task(task: CellTask, generation: int = 0) -> list[dict]:
     :func:`execute_tasks` must detect the loss and resubmit.
     """
     from repro.core import hostfaults
-    from repro.core.resilience import ResilientStudy
-    from repro.core.study import outcome_record
 
     hostfaults.maybe_disrupt(hostfaults.active_plan(), _task_key(task),
                              generation)
-    study = _WORKER_STUDY
-    if study is None:  # pragma: no cover - initializer always ran
+    if _WORKER_STUDY is None:  # pragma: no cover - initializer always ran
         raise StudyError("worker pool used before initialization")
+    return _task_records(_WORKER_STUDY, task)
+
+
+def _task_records(study, task: CellTask) -> list[dict]:
+    """Run ``task`` on a worker's ``study``; returns one record per
+    variant, every variant run even after a failed one, as the serial
+    path does.  They are led by a ``graph`` record with the
+    fingerprints of the graphs the worker built for a suite input (sent
+    for failed cells too: the parent checks name clashes with it before
+    merging the rest, keys its own trace lookups on it, and publishes
+    it with the cell) and followed by the telemetry record, if any.
+    Pool and fleet workers both run their cells here.
+    """
+    from repro.core.resilience import ResilientStudy
+    from repro.core.study import outcome_record
+
     run = (study.run_cell if isinstance(study, ResilientStudy)
            else study.run)
     records = [outcome_record(run(task.algorithm, task.graph_or_name,

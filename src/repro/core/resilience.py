@@ -569,9 +569,17 @@ class ResilientStudy(Study):
                 or any(self._cell_done((algorithm, name, device, v))
                        for v in _VARIANTS)):
             return None
-        records = self.store.lookup(algorithm, name, device)
-        if records is None:
+        found = self.store.lookup(algorithm, name, device)
+        if found is None:
             return None
+        records, graph_fp = found
+        if graph_fp is not None:
+            if self._graph_fps.get(name, graph_fp) != graph_fp:
+                # published for other content under this suite name (a
+                # build whose graph generator differed): recompute
+                return None
+            # the name-clash check the graph build would have made
+            self._note_fingerprint(name, graph_fp)
         return [dict(record, kind="stored") for record in records]
 
     def _cell_finished(self, algorithm: str, name: str,
@@ -595,4 +603,4 @@ class ResilientStudy(Study):
             {"kind": "result",
              **self._results[(algorithm, input_name, device, v)]
              .to_record()}
-            for v in _VARIANTS])
+            for v in _VARIANTS], graph_fp=self._graph_fps.get(input_name))

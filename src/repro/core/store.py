@@ -11,45 +11,24 @@ resumes by itself.  The digest is a blake2b hash of the cell identity
 ``retries`` (a retry reseeds its repetitions).  A store never serves
 records produced under a different policy.
 
-The durability ladder is the trace cache's (see
-:class:`~repro.perf.trace.TraceCache`), applied record by record:
-
-* **atomic publish** — every record is written through
-  :func:`repro.utils.atomicio.atomic_write_text` (temp file + fsync +
-  rename), so a crash or injected torn write never leaves a partially
-  visible record under the final name;
-* **CRC self-checking** — each record embeds a CRC32 of its canonical
-  JSON; a torn, truncated, or bit-flipped record fails validation on
-  read and is **quarantined** (renamed to ``*.corrupt``) rather than
-  served, and the cell is simply recomputed;
-* **sticky degrade** — after :data:`DEGRADE_AFTER` consecutive publish
-  failures (disk full, I/O errors) the store stops touching the disk.
-  The study's memo still holds every result, so only resumption is
-  lost; ``/readyz`` reports the degraded state.
-
-Publishing is *best effort* and lookups are *advisory*: a store failure
-never fails a cell, it only costs a recomputation.
+The directory is a :class:`~repro.utils.durable.DurableDir`, which
+holds the durability ladder.  Publishing is *best effort* and lookups
+are *advisory*: a store failure never fails a cell, it only costs a
+recomputation.  The study's memo still holds every result, so a
+degraded store loses only resumption; ``/readyz`` reports it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-from pathlib import Path
 
 from repro.core.variants import Variant
-from repro.perf.trace import payload_crc
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
-from repro.utils.atomicio import atomic_write_text
+from repro.utils.durable import DurableDir
 
 STORE_FORMAT = 2
 """Format 2 addresses cover the kernel fault plan.  Format-1 stores may
 hold faulted records under clean addresses, so they are never read."""
-
-DEGRADE_AFTER = 3
-"""Consecutive publish failures after which the store sticky-degrades
-(mirrors the trace cache's ladder)."""
 
 
 def _count_event(event: str) -> None:
@@ -58,14 +37,6 @@ def _count_event(event: str) -> None:
         reg.counter("repro_fleet_store_events_total",
                     "Shared result store events, by kind", ("event",),
                     scope=SCOPE_PROCESS).inc(1, event)
-
-
-def _set_degraded_gauge(value: int) -> None:
-    reg = get_registry()
-    if reg.enabled:
-        reg.gauge("repro_fleet_store_degraded",
-                  "1 once the shared result store has stopped disk I/O",
-                  scope=SCOPE_PROCESS).set(value)
 
 
 def fault_policy(faults, retries: int) -> str | None:
@@ -92,7 +63,18 @@ def _is_result(record, cell: tuple[str, str, str]) -> bool:
             and isinstance(record.get("runtimes_ms"), list))
 
 
-class ResultStore:
+def _holds_results(payload: dict, cell: tuple[str, str, str]) -> bool:
+    records = payload.get("records")
+    return (isinstance(records, list) and bool(records)
+            and all(_is_result(r, cell) for r in records))
+
+
+#: the payload fields that must match the looked-up cell and the
+#: store's policy, in that order
+_ADDRESS = ("algorithm", "input", "device", "reps", "scale", "faults")
+
+
+class ResultStore(DurableDir):
     """One directory of content-addressed, CRC-checked cell records.
 
     Parameters
@@ -107,35 +89,38 @@ class ResultStore:
         :func:`fault_policy`.
     """
 
+    prefix = "cell-"
+    format = STORE_FORMAT
+
     def __init__(self, disk_dir, *, reps: int, scale: float,
                  faults=None, retries: int = 0) -> None:
-        self.disk_dir = Path(disk_dir)
+        super().__init__(disk_dir)
         self.reps = int(reps)
         self.scale = float(scale)
         self.policy = fault_policy(faults, retries)
-        self._degraded = False
-        self._consecutive_errors = 0
         #: observability counters (also exported as telemetry)
         self.hits = 0
         self.misses = 0
         self.publishes = 0
-        self.quarantined = 0
-        self.disk_errors = 0
+
+    def _note(self, event: str, count: int = 1) -> None:
+        if event == "degraded":
+            reg = get_registry()
+            if reg.enabled:
+                reg.gauge("repro_fleet_store_degraded",
+                          "1 once the shared result store has stopped "
+                          "disk I/O", scope=SCOPE_PROCESS).set(1)
+        elif event in ("disk_error", "quarantined"):
+            _count_event(event)
 
     # ------------------------------------------------------------------
-    @property
-    def degraded(self) -> bool:
-        """True once the store has sticky-degraded (no disk I/O)."""
-        return self._degraded
-
     def status(self) -> dict:
-        return {"dir": str(self.disk_dir), "degraded": self._degraded,
+        return {"dir": str(self.disk_dir), "degraded": self.degraded,
                 "hits": self.hits, "misses": self.misses,
                 "publishes": self.publishes,
                 "quarantined": self.quarantined,
                 "disk_errors": self.disk_errors}
 
-    # ------------------------------------------------------------------
     def digest(self, algorithm: str, input_name: str, device: str) -> str:
         """The content address of one cell under this store's policy."""
         identity = repr((STORE_FORMAT, self.reps, self.scale, self.policy,
@@ -143,109 +128,45 @@ class ResultStore:
         return hashlib.blake2b(identity.encode("utf-8"),
                                digest_size=16).hexdigest()
 
-    def _path(self, digest: str) -> Path:
-        return self.disk_dir / f"cell-{digest}.json"
-
     # ------------------------------------------------------------------
     def publish(self, algorithm: str, input_name: str, device: str,
-                records: list[dict]) -> None:
-        """Publish one finished cell's ``result`` records.
+                records: list[dict], graph_fp: str | None = None) -> None:
+        """Publish one finished cell's ``result`` records, with the
+        fingerprint of its input graph when known.
 
         Failures are never published: they depend on budgets and
         deadlines, and a deterministic fault plan reaches them again.
         Publish errors degrade the store, never the cell.
         """
-        if self._degraded:
-            return
-        payload = {"format": STORE_FORMAT, "reps": self.reps,
-                   "scale": self.scale, "faults": self.policy,
-                   "algorithm": algorithm, "input": input_name,
-                   "device": device, "records": records}
-        payload["crc"] = payload_crc(payload)
-        try:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(
-                self._path(self.digest(algorithm, input_name, device)),
-                json.dumps(payload, sort_keys=True))
-        except OSError:
-            self.disk_errors += 1
-            self._consecutive_errors += 1
-            _count_event("disk_error")
-            if self._consecutive_errors >= DEGRADE_AFTER:
-                self._degraded = True
-                _set_degraded_gauge(1)
-            return
-        self._consecutive_errors = 0
-        self.publishes += 1
-        _count_event("publish")
+        body = {"reps": self.reps, "scale": self.scale,
+                "faults": self.policy, "algorithm": algorithm,
+                "input": input_name, "device": device, "records": records,
+                "graph_fp": graph_fp}
+        if self._publish(self.digest(algorithm, input_name, device), body):
+            self.publishes += 1
+            _count_event("publish")
 
-    # ------------------------------------------------------------------
-    def lookup(self, algorithm: str, input_name: str,
-               device: str) -> list[dict] | None:
-        """The cell's published ``result`` records, or None.
+    def lookup(self, algorithm: str, input_name: str, device: str
+               ) -> tuple[list[dict], str | None] | None:
+        """The cell's published ``result`` records and input graph
+        fingerprint (None in a record that does not carry one), or None.
 
-        Validation mirrors the trace cache's read ladder: unreadable is
-        a miss, unparsable/mis-shapen/checksum-failed records are
-        quarantined as ``*.corrupt``, and identity or policy mismatches
-        (a digest collision would be the only path here) are misses.
+        A verified record whose records are not the cell's ``result``
+        records is quarantined as ``shape``; an identity or policy
+        mismatch (a digest collision would be the only path here) is a
+        miss.
         """
-        records = self._read_disk(algorithm, input_name, device)
-        if records is None:
+        cell = (algorithm, input_name, device)
+        digest = self.digest(*cell)
+        payload = self._read(digest)
+        if payload is not None and not _holds_results(payload, cell):
+            self._quarantine(self._path(digest), "shape")
+            payload = None
+        if (payload is None or tuple(payload.get(k) for k in _ADDRESS)
+                != (*cell, self.reps, self.scale, self.policy)):
             self.misses += 1
             _count_event("miss")
             return None
         self.hits += 1
         _count_event("hit")
-        return records
-
-    def _read_disk(self, algorithm: str, input_name: str,
-                   device: str) -> list[dict] | None:
-        if self._degraded:
-            return None
-        path = self._path(self.digest(algorithm, input_name, device))
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            payload = json.loads(data)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self._quarantine(path, "torn")
-            return None
-        if not isinstance(payload, dict):
-            self._quarantine(path, "shape")
-            return None
-        if payload.get("format") != STORE_FORMAT:
-            return None
-        if payload_crc(payload) != payload.get("crc"):
-            self._quarantine(path, "checksum")
-            return None
-        cell = (algorithm, input_name, device)
-        records = payload.get("records")
-        if (not isinstance(records, list) or not records
-                or not all(_is_result(r, cell) for r in records)):
-            self._quarantine(path, "shape")
-            return None
-        if (payload.get("algorithm") != algorithm
-                or payload.get("input") != input_name
-                or payload.get("device") != device
-                or payload.get("reps") != self.reps
-                or payload.get("scale") != self.scale
-                or payload.get("faults") != self.policy):
-            return None
-        return records
-
-    def _quarantine(self, path: Path, cause: str) -> None:
-        """Move a failed record aside so it is never re-read, and the
-        bad bytes remain available for a post-mortem."""
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:  # pragma: no cover - already gone
-            pass
-        self.quarantined += 1
-        _count_event("quarantined")
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter("repro_host_corrupt_quarantined_total",
-                        "Corrupt artifacts quarantined, by cause",
-                        ("cause",), scope=SCOPE_PROCESS).inc(1, cause)
+        return payload["records"], payload.get("graph_fp")

@@ -33,7 +33,6 @@ Example kernel::
 from __future__ import annotations
 
 import enum
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple
@@ -420,7 +419,6 @@ class SimtExecutor:
         max_steps: int = 2_000_000,
         warp_lockstep: bool = False,
         warp_size: int = 32,
-        weak_memory: bool = False,
         store_buffer_capacity: int = 8,
         faults: "FaultInjector | None" = None,
         batch: bool | None = None,
@@ -440,17 +438,6 @@ class SimtExecutor:
                 f"store_buffer_capacity must be positive, got "
                 f"{store_buffer_capacity}"
             )
-        if weak_memory:
-            if memory_model is not None:
-                raise KernelError(
-                    "pass memory_model= or the deprecated weak_memory= "
-                    "flag, not both")
-            warnings.warn(
-                "SimtExecutor(weak_memory=True) is deprecated; use "
-                "memory_model='tso' (per-thread FIFO store buffers with "
-                "forwarding) or memory_model='relaxed_gpu' (out-of-order "
-                "drain)", DeprecationWarning, stacklevel=2)
-            memory_model = "tso"
         #: the consistency semantics this executor runs under (see
         #: :mod:`repro.memmodel.models`); structural knobs below are
         #: resolved from it once, here

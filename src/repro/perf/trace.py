@@ -41,18 +41,16 @@ Layers
   :class:`~repro.core.study.Study` (and everything else holding the
   cache object).  Retains output arrays by default so ``last_run``
   consumers and validation keep working.
-* **on-disk** (optional) — one JSON file per trace under ``disk_dir``,
-  written atomically, holding the stats and the output *fingerprint*
-  but never the output arrays.  This is what lets parallel sweep
-  workers and successive bench sessions share recordings.
+* **on-disk** (optional) — one ``trace-*.json`` file per trace under
+  ``disk_dir``, a :mod:`repro.utils.durable` directory, holding the
+  stats and the output *fingerprint* but never the output arrays.  This
+  is what lets parallel sweep workers and successive bench sessions
+  share recordings.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import json
-import os
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -60,16 +58,12 @@ from pathlib import Path
 from repro.core.variants import Variant
 from repro.gpu.timing import AccessStats
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
-from repro.utils.atomicio import atomic_write_text
+from repro.utils.durable import DurableDir
 
 TRACE_FORMAT = 2
 """On-disk trace format version; bump to invalidate persisted traces.
 Format 2 adds a CRC32 content checksum (``crc``) over the payload so
 bit-flipped or hand-edited files are quarantined instead of trusted."""
-
-DEGRADE_AFTER = 3
-"""Consecutive disk-write errors before the cache degrades to
-memory-only operation."""
 
 ANY_STALENESS = -1
 """Wildcard staleness class for recordings that never consumed the
@@ -186,15 +180,6 @@ def stable_config_hash(algorithm: str, variant: Variant) -> int:
     return zlib.crc32(f"{algorithm}:{variant.value}".encode())
 
 
-def payload_crc(payload: dict) -> int:
-    """CRC32 of a disk payload's content, excluding the ``crc`` field.
-
-    Canonical (sorted-keys) JSON, so the digest is independent of the
-    key order the file happens to use."""
-    body = {k: v for k, v in payload.items() if k != "crc"}
-    return zlib.crc32(json.dumps(body, sort_keys=True).encode())
-
-
 def _stats_to_dict(stats: AccessStats) -> dict:
     return {f.name: getattr(stats, f.name) for f in fields(stats)}
 
@@ -208,8 +193,12 @@ def _stats_from_dict(data: dict) -> AccessStats:
     return stats
 
 
-class TraceCache:
+class TraceCache(DurableDir):
     """In-memory + optional on-disk store of recorded traces.
+
+    The disk layer is a :class:`~repro.utils.durable.DurableDir` of
+    ``trace-*.json`` files; once it degrades, the cache runs
+    memory-only.
 
     Parameters
     ----------
@@ -222,23 +211,17 @@ class TraceCache:
         ``last_run.output`` consumers).  Outputs never reach disk.
     """
 
+    prefix = "trace-"
+    format = TRACE_FORMAT
+
     def __init__(self, disk_dir: str | Path | None = None,
                  retain_outputs: bool = True) -> None:
-        self.disk_dir = Path(disk_dir) if disk_dir is not None else None
+        super().__init__(disk_dir)
         self.retain_outputs = retain_outputs
         self._memory: dict[tuple, Trace] = {}
         self.recorded = 0
         self.memory_hits = 0
         self.disk_hits = 0
-        #: corrupt disk files moved aside (self-healing storage)
-        self.quarantined = 0
-        #: total disk-write failures observed (ENOSPC, EIO, ...)
-        self.disk_errors = 0
-        #: true once the disk layer has been abandoned after
-        #: ``DEGRADE_AFTER`` consecutive write errors; sticky for the
-        #: cache's lifetime — recreate the cache to retry the disk
-        self.degraded = False
-        self._consecutive_disk_errors = 0
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -249,6 +232,26 @@ class TraceCache:
             reg.counter("repro_trace_cache_events_total",
                         "Trace cache lookups and stores by outcome",
                         ("event",), scope=SCOPE_PROCESS).inc(1, event)
+
+    def _note(self, event: str, count: int = 1) -> None:
+        reg = get_registry()
+        if not reg.enabled:
+            return
+        if event == "disk_error":
+            reg.counter("repro_host_disk_errors_total",
+                        "Trace-cache disk writes that failed",
+                        scope=SCOPE_PROCESS).inc(1)
+        elif event == "degraded":
+            reg.gauge("repro_host_degraded_mode",
+                      "1 while the trace cache runs memory-only "
+                      "after repeated disk errors",
+                      scope=SCOPE_PROCESS).set(1)
+        elif event == "pruned":
+            if count:
+                reg.counter("repro_trace_prune_quarantined",
+                            "Quarantined (*.corrupt) trace files evicted "
+                            "by prune", scope=SCOPE_PROCESS).inc(count)
+            self._publish_disk()
 
     def _publish_disk(self) -> None:
         reg = get_registry()
@@ -279,10 +282,8 @@ class TraceCache:
             # cached but output-stripped: the caller must re-record
             self._count_event("re_record_miss")
             return None
-        if need_output or self.disk_dir is None or self.degraded:
-            self._count_event("miss")
-            return None
-        trace = self._read_disk(key)
+        payload = None if need_output else self._read(_file_digest(key))
+        trace = None if payload is None else _trace_from(payload, key)
         if trace is not None:
             self.disk_hits += 1
             self._count_event("disk_hit")
@@ -295,198 +296,45 @@ class TraceCache:
         """Insert a freshly recorded trace into both layers.
 
         A disk-write failure never loses the trace (the memory layer
-        already has it); after ``DEGRADE_AFTER`` consecutive failures
-        the cache stops touching the disk entirely (memory-only
-        degraded mode) instead of paying a doomed syscall per record.
+        already has it); a degraded cache stops touching the disk.
+        Re-recording a trace rewrites its file, which refreshes the
+        mtime :meth:`prune` evicts by.
         """
         self.recorded += 1
         self._count_event("record")
         key = trace.key()
         self._memory[key] = (trace if self.retain_outputs
                              else trace.without_output())
-        if self.disk_dir is None or self.degraded:
-            return
-        try:
-            self._write_disk(key, trace)
-        except OSError:
-            self.disk_errors += 1
-            self._consecutive_disk_errors += 1
-            reg = get_registry()
-            if reg.enabled:
-                reg.counter("repro_host_disk_errors_total",
-                            "Trace-cache disk writes that failed",
-                            scope=SCOPE_PROCESS).inc(1)
-            if self._consecutive_disk_errors >= DEGRADE_AFTER:
-                self.degraded = True
-                if reg.enabled:
-                    reg.gauge("repro_host_degraded_mode",
-                              "1 while the trace cache runs memory-only "
-                              "after repeated disk errors",
-                              scope=SCOPE_PROCESS).set(1)
-        else:
-            self._consecutive_disk_errors = 0
+        body = {"algorithm": trace.algorithm,
+                "variant": trace.variant.value, "seed": trace.seed,
+                "staleness_rounds": trace.staleness_rounds,
+                "graph_fp": trace.graph_fp, "plan_fp": trace.plan_fp,
+                "stats": _stats_to_dict(trace.stats),
+                "output_fp": trace.output_fp}
+        if self._publish(_file_digest(key), body):
             self._publish_disk()
 
-    # ------------------------------------------------------------------
-    # Disk layer maintenance
-    # ------------------------------------------------------------------
-    def _disk_files(self) -> list[Path]:
-        if self.disk_dir is None or not self.disk_dir.is_dir():
-            return []
-        return sorted(self.disk_dir.glob("trace-*.json"))
 
-    def disk_usage(self) -> tuple[int, int]:
-        """(entry count, total bytes) of the on-disk layer."""
-        entries = 0
-        nbytes = 0
-        for path in self._disk_files():
-            try:
-                nbytes += path.stat().st_size
-            except OSError:
-                continue  # concurrently pruned by another process
-            entries += 1
-        return entries, nbytes
+def _file_digest(key: tuple) -> str:
+    return hashlib.sha256(repr(key).encode()).hexdigest()[:32]
 
-    def _quarantine_files(self) -> list[Path]:
-        """``*.corrupt`` files parked by :meth:`_quarantine`."""
-        if self.disk_dir is None or not self.disk_dir.is_dir():
-            return []
-        return sorted(self.disk_dir.glob("trace-*.json.corrupt"))
 
-    def prune(self, max_bytes: int) -> tuple[int, int]:
-        """Evict traces until the disk layer fits ``max_bytes``;
-        returns (files removed, bytes freed).
-
-        The on-disk layer otherwise grows without bound — every new
-        (algorithm, graph, variant, seed, staleness, plan) combination
-        adds a file and nothing ever removes one.  ``*.corrupt``
-        quarantine files count toward the byte budget too (they occupy
-        the same disk) and are evicted *first*: they serve no lookup
-        and exist only for post-mortems, so they must never crowd out
-        live traces (evictions are counted in
-        ``repro_trace_prune_quarantined``).  Live traces then go
-        oldest-first by mtime, approximating LRU: :meth:`_write_disk`
-        timestamps recordings and re-recorded traces overwrite
-        (refreshing) their file.  The in-memory layer is untouched.
-        Safe to run while other processes read the cache: a
-        concurrently deleted file is simply treated as a miss by them.
-        """
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        stamped = []
-        total = 0
-        # quarantined files sort ahead of every live trace (rank 0)
-        for rank, paths in ((0, self._quarantine_files()),
-                            (1, self._disk_files())):
-            for path in paths:
-                try:
-                    st = path.stat()
-                except OSError:
-                    continue
-                stamped.append((rank, st.st_mtime, path, st.st_size))
-                total += st.st_size
-        stamped.sort()
-        removed = 0
-        freed = 0
-        quarantined_removed = 0
-        for rank, _, path, size in stamped:
-            if total <= max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            freed += size
-            removed += 1
-            if rank == 0:
-                quarantined_removed += 1
-        if quarantined_removed:
-            reg = get_registry()
-            if reg.enabled:
-                reg.counter("repro_trace_prune_quarantined",
-                            "Quarantined (*.corrupt) trace files evicted "
-                            "by prune", scope=SCOPE_PROCESS
-                            ).inc(quarantined_removed)
-        self._publish_disk()
-        return removed, freed
-
-    # ------------------------------------------------------------------
-    def _path(self, key: tuple) -> Path:
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()[:32]
-        return self.disk_dir / f"trace-{digest}.json"
-
-    def _write_disk(self, key: tuple, trace: Trace) -> None:
-        self.disk_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "format": TRACE_FORMAT,
-            "algorithm": trace.algorithm,
-            "variant": trace.variant.value,
-            "seed": trace.seed,
-            "staleness_rounds": trace.staleness_rounds,
-            "graph_fp": trace.graph_fp,
-            "plan_fp": trace.plan_fp,
-            "stats": _stats_to_dict(trace.stats),
-            "output_fp": trace.output_fp,
-        }
-        payload["crc"] = payload_crc(payload)
-        atomic_write_text(self._path(key), json.dumps(payload))
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupt disk file aside and count it.
-
-        The ``.corrupt`` name falls outside the ``trace-*.json`` glob,
-        so quarantined files stop being read or served — they stay on
-        disk for post-mortem inspection, count toward :meth:`prune`'s
-        byte budget, and are the first thing prune evicts.  The slot
-        becomes a plain miss and the next recording heals it.
-        """
-        with contextlib.suppress(OSError):
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        self.quarantined += 1
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter("repro_host_corrupt_quarantined_total",
-                        "Corrupt trace-cache files moved aside, by cause",
-                        ("cause",), scope=SCOPE_PROCESS).inc(1, reason)
-
-    def _read_disk(self, key: tuple) -> Trace | None:
-        path = self._path(key)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None  # missing (or unreadable) file: treat as a miss
-        try:
-            payload = json.loads(data)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self._quarantine(path, "torn")
-            return None
-        if not isinstance(payload, dict):
-            self._quarantine(path, "shape")
-            return None
-        if payload.get("format") != TRACE_FORMAT:
-            return None  # older build's file: a miss, re-recorded over
-        if payload.get("crc") != payload_crc(payload):
-            self._quarantine(path, "checksum")
-            return None
-        recovered = (payload.get("algorithm"), payload.get("graph_fp"),
-                     payload.get("variant"), payload.get("seed"),
-                     payload.get("staleness_rounds"),
-                     payload.get("plan_fp"))
-        if recovered != key:
-            return None  # hash-prefix collision or stale schema
-        try:
-            stats = _stats_from_dict(payload["stats"])
-        except (KeyError, TypeError, ValueError):
-            return None
-        return Trace(
-            algorithm=payload["algorithm"],
-            variant=Variant(payload["variant"]),
-            seed=int(payload["seed"]),
-            staleness_rounds=int(payload["staleness_rounds"]),
-            graph_fp=payload["graph_fp"],
-            plan_fp=payload["plan_fp"],
-            stats=stats,
-            output_fp=payload.get("output_fp", ""),
-            output=None,
-        )
+def _trace_from(payload: dict, key: tuple) -> Trace | None:
+    """The trace a verified disk payload holds, or None when it is not
+    ``key``'s (a digest-prefix collision or a stale schema)."""
+    recovered = (payload.get("algorithm"), payload.get("graph_fp"),
+                 payload.get("variant"), payload.get("seed"),
+                 payload.get("staleness_rounds"), payload.get("plan_fp"))
+    if recovered != key:
+        return None
+    try:
+        stats = _stats_from_dict(payload["stats"])
+    except (KeyError, TypeError, ValueError):
+        return None
+    return Trace(algorithm=payload["algorithm"],
+                 variant=Variant(payload["variant"]),
+                 seed=int(payload["seed"]),
+                 staleness_rounds=int(payload["staleness_rounds"]),
+                 graph_fp=payload["graph_fp"], plan_fp=payload["plan_fp"],
+                 stats=stats, output_fp=payload.get("output_fp", ""),
+                 output=None)

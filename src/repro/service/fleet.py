@@ -36,11 +36,17 @@ one worker thread:
   carry no telemetry records, so nothing is priced twice) and receives
   every fully-``ok`` cell as it is folded in.
 
+A worker runs each cell through
+:func:`repro.core.parallel._task_records`, as a pool worker does: both
+variants, led by the ``graph`` record and followed by the telemetry
+record.
+
 Worker kill/stall injection rides the host-fault layer:
-:func:`repro.core.hostfaults.maybe_disrupt_fleet` draws on the
-installed plan keyed on (worker id, cell identity) and the worker's
-*generation*, so ``disrupt_generations=1`` kills every first-generation
-worker exactly once and lets respawns make progress.
+:func:`repro.core.hostfaults.maybe_disrupt` draws on the installed plan
+keyed on ``("fleet", worker id, *cell identity)`` and the slot's
+*generation* (its respawn count), so ``disrupt_generations=1`` kills
+every first-generation worker exactly once and lets respawns make
+progress.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from statistics import median
 from repro.core.resilience import CellBudget, CellFailure, ResilientStudy
 from repro.core.study import SpeedupCell, outcome_record
 from repro.core.variants import Variant
-from repro.errors import ServiceError
+from repro.errors import ServiceError, StudyError
 from repro.service.breaker import CircuitBreaker
 from repro.service.protocol import CellKey
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
@@ -140,8 +146,8 @@ def _fleet_worker_main(conn, config, worker_id: int, generation: int,
             algorithm, input_name, device = key
             # the injected kill/stall window: deterministic on the
             # (worker, cell) identity, bounded by the worker generation
-            hostfaults.maybe_disrupt_fleet(
-                hostfaults.active_plan(), worker_id, key, generation)
+            hostfaults.maybe_disrupt(hostfaults.active_plan(),
+                                     ("fleet", worker_id, *key), generation)
             # a service-level retry of a failed cell must actually
             # execute: re-arm the failure memo, like StudyExecutor
             for variant in Variant:
@@ -149,17 +155,9 @@ def _fleet_worker_main(conn, config, worker_id: int, generation: int,
                     (algorithm, input_name, device, variant), None)
             study.budget = CellBudget(max_seconds=budget_s,
                                       max_steps=max_steps)
-            records: list[dict] = []
-            for variant in (Variant.BASELINE, Variant.RACE_FREE):
-                out = study.run_cell(algorithm, input_name, device,
-                                     variant)
-                records.append(outcome_record(out))
-                if isinstance(out, CellFailure):
-                    # mirror speedup_cell: a failed baseline
-                    # short-circuits the race-free run, keeping the
-                    # ledger memo identical to the serial path's
-                    break
-            parallel._append_telemetry_record(records)
+            records = parallel._task_records(study, parallel.CellTask(
+                algorithm, input_name, device,
+                tuple(v.value for v in Variant)))
             try:
                 with send_lock:
                     conn.send(("done", task_id, records))
@@ -451,8 +449,19 @@ class FleetExecutor:
                 recs = self._staged.pop(self._flushed)
                 self._flushed += 1
                 with self._study_lock:
-                    for record in recs:
-                        self.study._merge_parallel_record(record)
+                    try:
+                        for record in recs:
+                            self.study._merge_parallel_record(record)
+                    except StudyError as exc:
+                        # where the serial path raises — a worker's graph
+                        # fingerprint contradicts the one a stored record
+                        # carried, published by a build whose graph
+                        # generator differed — the cell fails; the
+                        # supervisor keeps merging
+                        recs = [outcome_record(CellFailure(
+                            task.key.algorithm, task.key.input_name,
+                            task.key.device, Variant.BASELINE.value,
+                            "error", str(exc), 1, 0.0))]
                 self._resolve(task, recs)
 
     # ------------------------------------------------------------------

@@ -255,7 +255,7 @@ def test_warp_lockstep_forces_interpreter(tiny_graph):
 
 
 def test_weak_memory_forces_interpreter(tiny_graph):
-    ex = SimtExecutor(GlobalMemory(), weak_memory=True, batch=True)
+    ex = SimtExecutor(GlobalMemory(), memory_model="tso", batch=True)
     _run_tiny(ex, tiny_graph)
     assert ex.batch_stats.batched_launches == 0
 

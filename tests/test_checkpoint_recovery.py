@@ -7,7 +7,8 @@ missing cells up there.  Covers the reader kept for checkpoint files of
 older builds (``Study.load_results`` reads formats 2 and 3), the
 all-or-nothing ``load_results`` commit, a malformed record costing only
 its cell, the published records' exact bytes, graphs passed in
-directly staying out of the store, publishing under a full disk, the
+directly staying out of the store, a store hit still refusing a graph
+name clash, publishing under a full disk, the
 double-crash resume drill, resume ordering under ``jobs=2`` over a
 half-filled store with a torn record, and SIGINT-to-
 ``SweepInterrupted`` conversion with every finished cell checkpointed.
@@ -29,7 +30,10 @@ from repro.core.resilience import ResilientStudy
 from repro.core.store import STORE_FORMAT
 from repro.errors import StudyError, SweepInterrupted
 from repro.graphs.csr import CSRGraph
-from repro.perf.trace import payload_crc
+from repro.graphs.generators import grid2d
+from repro.graphs.suite import load_suite_graph
+from repro.utils.durable import envelope_crc
+from tests.durable_ladder import restamp
 
 DEVICE = "titanv"
 INPUT = "internet"
@@ -128,7 +132,7 @@ class TestSalvage:
         path = _records(store_dir)[0]
         payload = json.loads(path.read_text())
         del payload["records"][0]["runtimes_ms"]
-        payload["crc"] = payload_crc(payload)
+        payload["crc"] = envelope_crc(payload)
         path.write_text(json.dumps(payload))
 
         second = ResilientStudy(reps=1, checkpoint=store_dir)
@@ -159,12 +163,13 @@ class TestCheckpointRendering:
         study = ResilientStudy(reps=1, scale=0.5, checkpoint=store_dir)
         result = study.sweep(DEVICE, ALGOS, [INPUT])
         assert not result.failures
+        graph_fp = load_suite_graph(INPUT, scale=0.5).fingerprint()
         expected = set()
         for algorithm in ALGOS:
             payload = {
                 "format": STORE_FORMAT, "reps": 1, "scale": 0.5,
                 "faults": None, "algorithm": algorithm, "input": INPUT,
-                "device": DEVICE,
+                "device": DEVICE, "graph_fp": graph_fp,
                 "records": [
                     {"kind": "result", "algorithm": r.algorithm,
                      "input": r.input_name, "device": r.device_key,
@@ -172,7 +177,7 @@ class TestCheckpointRendering:
                      "runtimes_ms": r.runtimes_ms}
                     for key, r in study._results.items()
                     if key[0] == algorithm]}
-            payload["crc"] = payload_crc(payload)
+            payload["crc"] = envelope_crc(payload)
             expected.add(json.dumps(payload, sort_keys=True))
         assert {p.read_text() for p in _records(store_dir)} == expected
 
@@ -197,6 +202,34 @@ class TestDirectGraphs:
         assert (study.cells_executed, study.cells_resumed) == (2, 0)
         fresh = ResilientStudy(reps=1).speedup_cell("cc", star, DEVICE)
         assert cell.baseline_ms == fresh.baseline_ms
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_store_hit_still_refuses_a_name_clash(self, tmp_path, jobs):
+        """A suite input served from the store is noted under its
+        published graph fingerprint, so a different graph passed in
+        under its name is refused as it is without a store."""
+        store_dir = tmp_path / "store"
+        ResilientStudy(reps=1, checkpoint=store_dir).sweep(
+            DEVICE, ["cc"], [INPUT])
+        study = ResilientStudy(reps=1, checkpoint=store_dir)
+        with pytest.raises(StudyError, match="already used"):
+            study.sweep(DEVICE, ["cc"], [INPUT, grid2d(12, name=INPUT)],
+                        jobs=jobs)
+
+    def test_a_record_of_other_content_is_recomputed(self, tmp_path):
+        """A stored record whose graph fingerprint contradicts the graph
+        the study built for its input (a build whose generator differed
+        published it) is a miss: the cell runs again and republishes."""
+        store_dir = tmp_path / "store"
+        ResilientStudy(reps=1, checkpoint=store_dir).sweep(
+            DEVICE, ["cc"], [INPUT])
+        (path,) = _records(store_dir)
+        restamp(path, graph_fp="other")
+        study = ResilientStudy(reps=1, checkpoint=store_dir)
+        study.sweep(DEVICE, ["mis", "cc"], [INPUT])
+        assert (study.cells_executed, study.cells_resumed) == (4, 0)
+        assert json.loads(path.read_text())["graph_fp"] == \
+            load_suite_graph(INPUT).fingerprint()
 
 
 class TestAutosaveUnderDiskFailure:

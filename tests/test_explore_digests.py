@@ -166,7 +166,7 @@ def generate() -> dict:
         for variant in Variant:
             for dedupe in (False, True):
                 runner = _make_runner(program_from_pattern(name, variant),
-                                      budget, None, True, False)
+                                      budget, None, True)
                 with capture() as explorations:
                     ScheduleExplorer(runner, budget=budget,
                                      on_run=lambda outcome, log: False,
@@ -210,7 +210,7 @@ class TestDigestData:
             if not invariant_ok:
                 program = dataclasses.replace(
                     program, invariant=lambda mem, handles: False)
-            runner = _make_runner(program, budget, None, True, False)
+            runner = _make_runner(program, budget, None, True)
             with capture() as explorations:
                 ScheduleExplorer(runner, budget=budget).explore()
             return explorations

@@ -27,6 +27,7 @@ from repro.service.fleet import FleetExecutor
 from repro.service.protocol import CellKey
 from repro.service.scheduler import StudyExecutor
 from repro.service.server import ServiceConfig, SweepService
+from tests.durable_ladder import LadderCases, StoreAdapter, restamp
 
 CELLS = (CellKey("cc", "internet", "titanv"),
          CellKey("mis", "internet", "titanv"))
@@ -66,6 +67,36 @@ class TestFleetByteIdentity:
             for ours, theirs in zip(fleet_cells, serial_cells):
                 assert ours.speedup == theirs.speedup
             assert fleet.study.cells_executed == 2 * len(CELLS)
+        finally:
+            fleet.shutdown()
+            serial.shutdown()
+
+    def test_a_failed_baseline_keeps_its_racefree_result(self):
+        """A fleet worker runs both variants of a cell whose baseline
+        fails, as the serial executor does: the payloads and the
+        failure memos are equal."""
+        faults = FaultPlan.parse("tear=0.9,stuck=0.7,abort=0.25")
+        cells = tuple(CellKey(a, "internet", "titanv")
+                      for a in ("cc", "mst", "gc"))
+        policy = dict(reps=3, validate=True, retries=3, faults=faults)
+        serial = StudyExecutor(**policy)
+        fleet = FleetExecutor(workers=2, heartbeat_s=0.1, **policy)
+        try:
+            serial_cells = [serial.submit(k, 300.0).result(timeout=60)
+                            for k in cells]
+            fleet_cells = _run_cells(fleet, cells)
+            assert _canonical(fleet.results_payload()) == \
+                _canonical(serial.results_payload())
+            racefree = {(r["algorithm"], r["variant"])
+                        for r in serial.results_payload()["results"]}
+            assert {("cc", "racefree"), ("mst", "racefree")} <= racefree
+
+            def memo(executor):
+                return {key: (f.variant, f.reason, f.message, f.attempts)
+                        for key, f in executor.study._failures.items()}
+            assert memo(fleet) == memo(serial)
+            assert [c.describe() for c in fleet_cells[:2]] == \
+                [c.describe() for c in serial_cells[:2]]
         finally:
             fleet.shutdown()
             serial.shutdown()
@@ -146,58 +177,25 @@ def _records() -> list[dict]:
                                                    "racefree")]
 
 
-class TestResultStore:
+class TestResultStore(LadderCases):
+    """The store's own checks; the ladder's cases come with
+    :class:`~tests.durable_ladder.LadderCases`."""
+
+    adapter = StoreAdapter
+
     def test_publish_lookup_roundtrip(self, tmp_path):
         store = ResultStore(tmp_path / "store", reps=1, scale=1.0)
         store.publish("cc", "internet", "titanv", _records())
-        assert store.lookup("cc", "internet", "titanv") == _records()
+        assert store.lookup("cc", "internet", "titanv") == (_records(), None)
         # a cold replica sees the published record from disk
         other = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        assert other.lookup("cc", "internet", "titanv") == _records()
+        assert other.lookup("cc", "internet", "titanv") == (_records(), None)
 
     def test_policy_mismatch_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path / "store", reps=1, scale=1.0)
         store.publish("cc", "internet", "titanv", _records())
         other = ResultStore(tmp_path / "store", reps=3, scale=1.0)
         assert other.lookup("cc", "internet", "titanv") is None
-
-    def test_corrupt_record_is_quarantined(self, tmp_path):
-        store = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        store.publish("cc", "internet", "titanv", _records())
-        (path,) = list((tmp_path / "store").glob("cell-*.json"))
-        blob = json.loads(path.read_text())
-        blob["records"][0]["runtimes_ms"] = [999.0]  # CRC now stale
-        path.write_text(json.dumps(blob))
-        cold = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        assert cold.lookup("cc", "internet", "titanv") is None
-        assert cold.quarantined == 1
-        assert list((tmp_path / "store").glob("*.corrupt"))
-        assert not path.exists()
-
-    def test_torn_write_is_quarantined(self, tmp_path):
-        store = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        store.publish("cc", "internet", "titanv", _records())
-        (path,) = list((tmp_path / "store").glob("cell-*.json"))
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
-        cold = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        assert cold.lookup("cc", "internet", "titanv") is None
-        assert cold.quarantined == 1
-
-    def test_undecodable_record_is_quarantined(self, tmp_path):
-        store = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        store.publish("cc", "internet", "titanv", _records())
-        (path,) = list((tmp_path / "store").glob("cell-*.json"))
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] |= 0x80
-        path.write_bytes(bytes(data))
-        cold = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        assert cold.lookup("cc", "internet", "titanv") is None
-        assert cold.quarantined == 1
-        assert not path.exists()
-        # the recomputed cell publishes over the quarantined slot
-        cold.publish("cc", "internet", "titanv", _records())
-        fresh = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        assert fresh.lookup("cc", "internet", "titanv") == _records()
 
     def test_disk_failure_sticky_degrades_to_memory(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -267,6 +265,31 @@ class TestFleetStore:
         finally:
             second.shutdown()
 
+
+    def test_a_contradicted_stored_record_fails_cells_not_the_fleet(
+            self, tmp_path):
+        """A stored record carrying another graph's fingerprint is
+        served while nothing contradicts it; a worker's build of the
+        input then does, and the cell fails where the serial sweep
+        raises.  The supervisor keeps merging."""
+        store_dir = tmp_path / "store"
+        ResilientStudy(reps=1, checkpoint=store_dir).sweep(
+            "titanv", ["cc"], ["internet"])
+        (path,) = store_dir.glob("cell-*.json")
+        restamp(path, graph_fp="other")
+        fleet = FleetExecutor(workers=2, reps=1, heartbeat_s=0.1,
+                              checkpoint=store_dir)
+        try:
+            stored, failed, other = _run_cells(fleet, (
+                CellKey("cc", "internet", "titanv"),
+                CellKey("mis", "internet", "titanv"),
+                CellKey("mis", "rmat16.sym", "titanv")))
+            assert hasattr(stored, "speedup")
+            assert failed.reason == "error"
+            assert "already used" in failed.message
+            assert hasattr(other, "speedup")
+        finally:
+            fleet.shutdown()
 
     def test_a_resolved_cell_is_already_durable(self, tmp_path):
         store_dir = tmp_path / "store"
@@ -419,7 +442,7 @@ class TestServiceFleet:
             assert "fleet_respawn_exhausted" in payload["reasons"]
 
             # a sticky-degraded store is a second, independent reason
-            service.executor.study.store._degraded = True
+            service.executor.study.store.degraded = True
             status, _head, body = await _fetch(host, port, "GET",
                                                "/readyz")
             assert status == 503

@@ -5,7 +5,8 @@ Covers spec parsing/validation, deterministic seeded draws, filename
 targeting, each storage fault's observable effect through
 ``atomic_write_text``, the no-op byte-identity guarantee (no plan, and
 an installed all-zero-rate plan), the parent-directory fsync, and the
-trace cache's quarantine / checksum / degrade-to-memory behaviour.
+trace cache's quarantine / checksum / degrade-to-memory behaviour (the
+cases of tests/durable_ladder.py, plus a sweep over undecodable traces).
 """
 
 from __future__ import annotations
@@ -27,18 +28,12 @@ from repro.core.hostfaults import (
     HostFaultPlan,
     HostFaultSpec,
 )
-from repro.core.variants import Variant
 from repro.errors import FaultConfigError
-from repro.gpu.timing import AccessStats
-from repro.perf.trace import (
-    DEGRADE_AFTER,
-    TRACE_FORMAT,
-    Trace,
-    TraceCache,
-    payload_crc,
-)
+from repro.perf.trace import TRACE_FORMAT, TraceCache
 from repro.utils import atomicio
 from repro.utils.atomicio import atomic_write_text
+from repro.utils.durable import envelope_crc
+from tests.durable_ladder import LadderCases, TraceAdapter
 
 
 @pytest.fixture(autouse=True)
@@ -248,16 +243,8 @@ def test_atomic_write_fsyncs_parent_directory(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Self-healing trace cache
+# Self-healing trace cache (the ladder's cases: tests/durable_ladder.py)
 # ----------------------------------------------------------------------
-def _trace(seed: int = 0) -> Trace:
-    stats = AccessStats()
-    stats.rounds = 3
-    return Trace(algorithm="cc", variant=Variant.BASELINE, seed=seed,
-                 staleness_rounds=-1, graph_fp=f"graph{seed}",
-                 plan_fp="plan", stats=stats, output_fp="out", output=None)
-
-
 def _set_high_bit(path) -> None:
     """Set bit 7 of one byte: the file no longer decodes as text."""
     data = bytearray(path.read_bytes())
@@ -265,62 +252,22 @@ def _set_high_bit(path) -> None:
     path.write_bytes(bytes(data))
 
 
-class TestTraceCacheSelfHealing:
+class TestTraceCacheSelfHealing(LadderCases):
+    adapter = TraceAdapter
+
     def test_disk_roundtrip_with_checksum(self, tmp_path):
         writer = TraceCache(disk_dir=tmp_path)
-        trace = _trace()
+        trace = TraceAdapter.value(0)
         writer.store(trace)
         files = list(tmp_path.glob("trace-*.json"))
         assert len(files) == 1
         payload = json.loads(files[0].read_text())
         assert payload["format"] == TRACE_FORMAT
-        assert payload["crc"] == payload_crc(payload)
+        assert payload["crc"] == envelope_crc(payload)
         reader = TraceCache(disk_dir=tmp_path)
         hit = reader.lookup(trace.key())
         assert hit is not None and hit.rounds == 3 and hit.output is None
         assert reader.disk_hits == 1 and reader.quarantined == 0
-
-    def test_torn_file_quarantined_then_healed(self, tmp_path):
-        writer = TraceCache(disk_dir=tmp_path)
-        trace = _trace()
-        writer.store(trace)
-        path = next(tmp_path.glob("trace-*.json"))
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
-
-        reader = TraceCache(disk_dir=tmp_path)
-        assert reader.lookup(trace.key()) is None
-        assert reader.quarantined == 1
-        assert not path.exists()
-        corpses = list(tmp_path.glob("*.corrupt"))
-        assert len(corpses) == 1
-        # re-recording heals the slot; the corpse stays for post-mortem
-        reader.store(trace)
-        healed = TraceCache(disk_dir=tmp_path)
-        assert healed.lookup(trace.key()) is not None
-        assert list(tmp_path.glob("*.corrupt")) == corpses
-
-    def test_bitflip_caught_by_checksum(self, tmp_path):
-        writer = TraceCache(disk_dir=tmp_path)
-        trace = _trace()
-        writer.store(trace)
-        path = next(tmp_path.glob("trace-*.json"))
-        path.write_text(path.read_text().replace('"output_fp": "out"',
-                                                 '"output_fp": "oot"'))
-        reader = TraceCache(disk_dir=tmp_path)
-        assert reader.lookup(trace.key()) is None
-        assert reader.quarantined == 1
-        assert list(tmp_path.glob("*.corrupt"))
-
-    def test_undecodable_file_quarantined_as_torn(self, tmp_path):
-        writer = TraceCache(disk_dir=tmp_path)
-        trace = _trace()
-        writer.store(trace)
-        path = next(tmp_path.glob("trace-*.json"))
-        _set_high_bit(path)
-        reader = TraceCache(disk_dir=tmp_path)
-        assert reader.lookup(trace.key()) is None
-        assert reader.quarantined == 1
-        assert not path.exists()
 
     def test_sweep_rerecords_over_undecodable_traces(self, tmp_path):
         from repro.core.resilience import ResilientStudy
@@ -336,60 +283,3 @@ class TestTraceCacheSelfHealing:
         assert not result.failures
         assert second.trace_cache.quarantined == len(files)
         assert second._result_records() == first._result_records()
-
-    def test_wrong_shape_quarantined(self, tmp_path):
-        writer = TraceCache(disk_dir=tmp_path)
-        trace = _trace()
-        writer.store(trace)
-        path = next(tmp_path.glob("trace-*.json"))
-        path.write_text("[1, 2, 3]")
-        reader = TraceCache(disk_dir=tmp_path)
-        assert reader.lookup(trace.key()) is None
-        assert reader.quarantined == 1
-
-    def test_old_format_is_a_plain_miss_not_a_quarantine(self, tmp_path):
-        writer = TraceCache(disk_dir=tmp_path)
-        trace = _trace()
-        writer.store(trace)
-        path = next(tmp_path.glob("trace-*.json"))
-        payload = json.loads(path.read_text())
-        payload["format"] = 1
-        path.write_text(json.dumps(payload))
-        reader = TraceCache(disk_dir=tmp_path)
-        assert reader.lookup(trace.key()) is None
-        assert reader.quarantined == 0
-        assert path.exists()  # left in place to be re-recorded over
-
-    def test_degrades_to_memory_after_consecutive_disk_errors(
-            self, tmp_path):
-        plan = HostFaultPlan.parse("enospc=1.0",
-                                   targets=("trace-*.json",))
-        cache = TraceCache(disk_dir=tmp_path)
-        with hostfaults.installed(plan):
-            for seed in range(DEGRADE_AFTER):
-                cache.store(_trace(seed))
-            assert cache.degraded
-            assert cache.disk_errors == DEGRADE_AFTER
-            # degraded mode stops touching the disk entirely
-            cache.store(_trace(DEGRADE_AFTER))
-            assert cache.disk_errors == DEGRADE_AFTER
-        # the memory layer never lost anything
-        assert len(cache) == DEGRADE_AFTER + 1
-        for seed in range(DEGRADE_AFTER + 1):
-            assert cache.lookup(_trace(seed).key()) is not None
-        assert not list(tmp_path.glob("trace-*.json"))
-
-    def test_intervening_success_resets_the_degrade_counter(
-            self, tmp_path):
-        plan = HostFaultPlan.parse("enospc=1.0",
-                                   targets=("trace-*.json",))
-        cache = TraceCache(disk_dir=tmp_path)
-        with hostfaults.installed(plan):
-            cache.store(_trace(0))
-            cache.store(_trace(1))
-        cache.store(_trace(2))  # uninjected: succeeds, resets the run
-        with hostfaults.installed(plan):
-            cache.store(_trace(3))
-            cache.store(_trace(4))
-        assert cache.disk_errors == 4
-        assert not cache.degraded

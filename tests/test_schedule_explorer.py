@@ -208,7 +208,7 @@ class TestExplorationControls:
         explore() must not prune with the states the first one saw."""
         program = program_from_pattern(name)
         explorer = ScheduleExplorer(
-            _make_runner(program, BUDGETS["smoke"], None, True, False),
+            _make_runner(program, BUDGETS["smoke"], None, True),
             budget="smoke", state_dedupe=True)
         first = explorer.explore()
         second = explorer.explore()
@@ -446,7 +446,7 @@ class TestBacktrackScanAgainstHistoryWalk:
         budget = BUDGETS["smoke"]
         with capture() as explorations:
             new, reference = explore_with_both_scans(
-                lambda: _make_runner(program, budget, None, True, False),
+                lambda: _make_runner(program, budget, None, True),
                 budget, state_dedupe=state_dedupe)
         assert new == reference
         key = pattern_key(name, variant, state_dedupe)
@@ -481,6 +481,6 @@ class TestBacktrackScanAgainstHistoryWalk:
             program = target.build_program(fixset.barriers())
             with site_kind_overrides(fixset.kinds()):
                 new, reference = explore_with_both_scans(
-                    lambda: _make_runner(program, budget, None, True, False),
+                    lambda: _make_runner(program, budget, None, True),
                     budget)
             assert new == reference, fixset.describe()

@@ -85,7 +85,7 @@ _EXECUTORS = [
                              record_events=False),
     lambda mem: SimtExecutor(mem, warp_lockstep=True, warp_size=2,
                              record_events=False),
-    lambda mem: SimtExecutor(mem, weak_memory=True,
+    lambda mem: SimtExecutor(mem, memory_model="tso",
                              scheduler=AdversarialScheduler(3),
                              record_events=False),
 ]

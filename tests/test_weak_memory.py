@@ -5,8 +5,8 @@ The memory-model zoo (:mod:`repro.memmodel`) supplies the semantics:
 *out of program order* (lowest address first), so the classic
 unsynchronized message-passing idiom breaks; ``tso`` keeps FIFO buffers
 with store-to-load forwarding, which forbids that reorder but still
-exhibits store buffering.  The deprecated ``weak_memory=True`` executor
-flag is kept as an alias for ``memory_model="tso"``.
+exhibits store buffering.  ``memory_model="tso"`` replaces the removed
+``weak_memory=True`` executor flag.
 """
 
 from __future__ import annotations
@@ -33,30 +33,18 @@ def weak_exec(seed=0, capacity=8, model="relaxed_gpu"):
 
 
 class TestLegacyFlag:
-    """`weak_memory=True` survives as a deprecated alias for TSO."""
-
-    def test_alias_warns_and_maps_to_tso(self):
-        with pytest.warns(DeprecationWarning):
-            ex = SimtExecutor(GlobalMemory(), weak_memory=True,
-                              record_events=False)
-        assert ex.memory_model.key == "tso"
-        assert ex.weak_memory is True
-
-    def test_alias_conflicts_with_explicit_model(self):
-        with pytest.raises(KernelError):
-            SimtExecutor(GlobalMemory(), weak_memory=True,
-                         memory_model="sc")
+    """``memory_model="tso"``, what the removed ``weak_memory=True``
+    flag meant."""
 
     def test_legacy_message_passing_stays_ordered(self):
-        """Under the TSO alias the buffer is FIFO: the payload always
-        drains before the flag, so legacy weak-memory runs of the
-        publication idiom are *correct* (stronger, never weaker)."""
+        """Under TSO the buffer is FIFO: the payload always drains
+        before the flag, so runs of the publication idiom are *correct*
+        (stronger, never weaker)."""
         for seed in range(40):
             mem = GlobalMemory()
-            with pytest.warns(DeprecationWarning):
-                ex = SimtExecutor(mem, scheduler=AdversarialScheduler(seed),
-                                  weak_memory=True, store_buffer_capacity=1,
-                                  record_events=False)
+            ex = SimtExecutor(mem, scheduler=AdversarialScheduler(seed),
+                              memory_model="tso", store_buffer_capacity=1,
+                              record_events=False)
             buf = mem.alloc("buf", 2, DType.I32)
             scratch = mem.alloc("scratch", 1, DType.I32)
             result = []
