@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import edge_sources, segment_max
+from repro.algorithms.common import edge_sources
 from repro.core.transform import AccessPlan, AccessSite, site_kind
 from repro.core.variants import AlgorithmInfo, Variant, register_algorithm
 from repro.gpu.accesses import AccessKind
@@ -82,15 +82,15 @@ def run_perf(graph, recorder, stale_fraction: float | None = None) -> dict:
     """
     n = graph.num_vertices
     m = graph.num_edges
-    src = edge_sources(graph)
-    dst = graph.col_indices.astype(np.int64)
     seed = recorder.repetition_seed()
     prio = make_priorities(graph, seed)
     status = np.full(n, UNDECIDED, dtype=np.int8)
 
     if stale_fraction is None:
         stale_fraction = BASELINE_STALE_FRACTION
-    poll_kind = site_kind(recorder.plan, recorder.variant, "mis.nstat.poll")
+    # the poll's kind decides how the rounds converge, so this run is
+    # its own variant's alone (the recorder counts no sibling)
+    poll_kind = recorder.site_kind("mis.nstat.poll")
     if poll_kind is AccessKind.ATOMIC or stale_fraction == 0.0:
         # atomic polls are immediately visible: the staleness constant
         # is never consumed, so this trace serves every device.  Keyed
@@ -107,26 +107,41 @@ def run_perf(graph, recorder, stale_fraction: float | None = None) -> dict:
     recorder.store("mis.nstat.write", count=n)  # init kernel
     recorder.round()
 
+    degrees = graph.degrees().astype(np.int64)
+    # the live edges: grouped by source, as in the CSR, and only those
+    # whose source is still undecided — a decided vertex polls no more
+    src = edge_sources(graph)
+    dst = graph.col_indices.astype(np.int64)
     while True:
         undecided = status == UNDECIDED
         if not np.any(undecided):
             break
         recorder.round()
         seen = view.read()
-        active = undecided[src]
-        n_polls = int(np.count_nonzero(active))
+        live = undecided[src]
+        if not live.all():
+            src, dst = src[live], dst[live]
+        n_polls = int(src.shape[0])
         recorder.structure(n_polls)
         recorder.load("mis.nstat.poll", count=n_polls)
         recorder.load("mis.prio.read", count=n_polls)
         recorder.compute(2 * n_polls)
 
-        nbr_status = seen[dst]
-        # OUT if any neighbor is (observed to be) IN
-        in_nbr = segment_max((nbr_status == IN).astype(np.int64),
-                             graph.row_offsets, 0).astype(bool)
-        # IN if highest priority among (observed) undecided neighbors
-        nbr_prio = np.where(nbr_status == UNDECIDED, prio[dst], -1)
-        max_undecided_nbr = segment_max(nbr_prio, graph.row_offsets, -1)
+        # every edge of an undecided vertex is live, so its segment of
+        # the live edges is as long as its degree
+        polling = np.flatnonzero(undecided & (degrees > 0))
+        starts = np.zeros(polling.shape[0], dtype=np.int64)
+        np.cumsum(degrees[polling][:-1], out=starts[1:])
+        in_nbr = np.zeros(n, dtype=bool)
+        max_undecided_nbr = np.full(n, -1, dtype=np.int64)
+        if n_polls:
+            nbr_status = seen[dst]
+            # OUT if any neighbor is (observed to be) IN
+            in_nbr[polling] = np.maximum.reduceat(nbr_status == IN, starts)
+            # IN if highest priority among (observed) undecided neighbors
+            nbr_prio = np.where(nbr_status == UNDECIDED, prio[dst], -1)
+            max_undecided_nbr[polling] = np.maximum.reduceat(nbr_prio,
+                                                             starts)
         wins = undecided & ~in_nbr & (prio > max_undecided_nbr)
         outs = undecided & in_nbr
 

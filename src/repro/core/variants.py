@@ -24,9 +24,12 @@ class AlgorithmInfo:
     ``perf_runner(graph, recorder, **options)`` runs the vectorized
     algorithm against a :class:`repro.perf.engine.Recorder` and returns
     its output arrays (a dict of name to array).  It reads the
-    repetition seed only through ``recorder.repetition_seed()`` and the
-    staleness constant only through ``recorder.visibility_delay()``, so
-    the recorder knows which of the two the trace depends on.
+    repetition seed only through ``recorder.repetition_seed()``, the
+    staleness constant only through ``recorder.visibility_delay()`` and
+    the variant only through ``recorder.site_kind(name)``, so the
+    recorder knows which of the three the trace depends on: a runner
+    that never reads a site's kind executes identically for both
+    variants, and one execution yields both traces.
     ``options`` are per-algorithm ablation knobs with defaults (e.g.
     SCC's ``trim``).  The SIMT kernels are reachable through the
     algorithm's module for race checking on small inputs.

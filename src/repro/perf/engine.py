@@ -3,17 +3,18 @@
 Algorithms at the performance level are ordinary numpy code, but every
 access to *shared* data goes through a :class:`Recorder`, which
 
-* looks up the access kind of the named site under the active variant
+* looks up the access kind of the named site under each variant
   (consulting the algorithm's :class:`~repro.core.transform.AccessPlan`
   and the race-removal transform),
-* counts the access into the matching bucket of
+* counts the access into the matching bucket of each variant's
   :class:`~repro.gpu.timing.AccessStats`, and
 * for atomic streams, measures same-address contention (collisions
   within the round's access vector — CC/MST's hot set representatives).
 
 ``run_algorithm`` is the single entry point the study framework uses.
 It is internally split into **record** (:func:`record_trace` — run the
-vectorized algorithm once per staleness class and seed it consumed)
+vectorized algorithm once per staleness class and seed it consumed,
+and once for both variants unless it read one)
 and **replay** (:func:`replay_trace` — price a cached trace for a
 device and repetition), with an optional
 :class:`~repro.perf.trace.TraceCache` so a multi-device,
@@ -81,6 +82,16 @@ class Recorder:
     identical for every value of it, so its trace is keyed with the
     matching wildcard (:data:`~repro.perf.trace.ANY_STALENESS`,
     :data:`~repro.perf.trace.ANY_SEED`).
+
+    The variant is tracked the same way.  The two variants of a code
+    differ only in the access kind of each site, so one execution is
+    counted for every variant at once: each :meth:`load`, :meth:`store`
+    and :meth:`rmw` lands in every variant's buckets, priced by that
+    variant's kind of the site, and :meth:`stats_for` reads any of them
+    (:attr:`stats` is ``variant``'s).  A runner reads a site's kind only
+    through :meth:`site_kind`; that consumes the variant, since the
+    execution may now differ between variants, and from then on the
+    recorder counts ``variant`` alone (:attr:`variants`).
     """
 
     def __init__(self, plan: AccessPlan, variant: Variant,
@@ -102,8 +113,25 @@ class Recorder:
         #: set when an execution actually reads the seed; traces that
         #: never do are valid for every repetition
         self.seed_consulted = False
-        self.stats = AccessStats()
+        #: the variants this execution is counted for, ``variant``
+        #: first; :meth:`site_kind` narrows it to ``(variant,)``
+        self.variants = (variant,) + tuple(v for v in Variant
+                                           if v is not variant)
+        self._plans = tuple(plan_for(plan, v) for v in self.variants)
+        #: per counted variant, in :attr:`variants` order
+        self._tallies = [AccessStats() for _ in self.variants]
+        #: site name -> per counted variant, its (kind, order weight)
+        self._resolved: dict[str, tuple[tuple[AccessKind, float], ...]] = {}
         self._footprints: dict[str, float] = {}
+
+    @property
+    def stats(self) -> AccessStats:
+        """The traffic counted for ``variant``."""
+        return self.stats_for(self.variant)
+
+    def stats_for(self, variant: Variant) -> AccessStats:
+        """The traffic counted for ``variant``, one of :attr:`variants`."""
+        return self._tallies[self.variants.index(variant)]
 
     # ------------------------------------------------------------------
     def _count(self, indices: np.ndarray | None, count: float | None) -> float:
@@ -127,8 +155,9 @@ class Recorder:
             return float(n - distinct)
         return self._contention(indices)
 
-    def _bucket(self, kind: AccessKind, n: float, store: bool) -> None:
-        s = self.stats
+    @staticmethod
+    def _bucket(s: AccessStats, kind: AccessKind, n: float,
+                store: bool) -> None:
         if kind is AccessKind.PLAIN:
             if store:
                 s.plain_stores += n
@@ -147,7 +176,8 @@ class Recorder:
 
     # ------------------------------------------------------------------
     def _site(self, name: str):
-        return plan_for(self.plan, self.variant).site(name)
+        """Site ``name`` of ``variant``'s effective plan."""
+        return self._plans[0].site(name)
 
     #: relative fence strength per memory order (relaxed is free;
     #: seq_cst forbids all reordering and costs double the one-sided
@@ -160,17 +190,26 @@ class Recorder:
         MemoryOrder.SEQ_CST: 2.0,
     }
 
-    def _order_extra(self, site, n: float) -> None:
-        if site.kind is AccessKind.ATOMIC:
-            self.stats.ordered_atomics += n * self.ORDER_WEIGHT[site.order]
+    def _resolve(self, name: str) -> tuple[tuple[AccessKind, float], ...]:
+        """Per counted variant, the kind of site ``name`` and the fence
+        weight an access to it carries; resolved once per site."""
+        entry = self._resolved.get(name)
+        if entry is None:
+            entry = tuple(
+                (site.kind, self.ORDER_WEIGHT[site.order]
+                 if site.kind is AccessKind.ATOMIC else 0.0)
+                for site in (p.site(name) for p in self._plans))
+            self._resolved[name] = entry
+        return entry
 
     def load(self, site: str, indices: np.ndarray | None = None,
              count: float | None = None) -> None:
         """Record loads at ``site`` (one per index, or ``count``)."""
-        s = self._site(site)
         n = self._count(indices, count)
-        self._bucket(s.kind, n, store=False)
-        self._order_extra(s, n)
+        for s, (kind, weight) in zip(self._tallies, self._resolve(site)):
+            self._bucket(s, kind, n, store=False)
+            if weight:
+                s.ordered_atomics += n * weight
         # same-address atomic *loads* do not serialize on the modelled
         # hardware (L2 read combining); only stores and RMWs contend
 
@@ -186,51 +225,83 @@ class Recorder:
         ``count`` entries and ``distinct`` different values would
         charge.
         """
-        s = self._site(site)
         n = self._count(indices, count)
-        self._bucket(s.kind, n, store=True)
-        self._order_extra(s, n)
-        if s.kind is AccessKind.ATOMIC:
-            self.stats.contended_atomics += self._store_contention(
-                indices, n, distinct)
+        contended = None
+        for s, (kind, weight) in zip(self._tallies, self._resolve(site)):
+            self._bucket(s, kind, n, store=True)
+            if weight:
+                s.ordered_atomics += n * weight
+            if kind is AccessKind.ATOMIC:
+                if contended is None:
+                    contended = self._store_contention(indices, n, distinct)
+                s.contended_atomics += contended
 
     def rmw(self, site: str, indices: np.ndarray | None = None,
             count: float | None = None) -> None:
         """Record read-modify-write atomics (atomic in *both* variants)."""
-        s = self._site(site)
         n = self._count(indices, count)
-        self.stats.atomic_rmws += n
-        self._order_extra(s, n)
-        self.stats.contended_atomics += self._contention(indices)
+        contended = self._contention(indices)
+        for s, (_kind, weight) in zip(self._tallies, self._resolve(site)):
+            s.atomic_rmws += n
+            if weight:
+                s.ordered_atomics += n * weight
+            s.contended_atomics += contended
 
     def structure(self, count: float) -> None:
         """Read-only CSR structure loads: plain in both variants (no
         thread ever writes the graph, so these cannot race)."""
-        self.stats.plain_loads += float(count)
+        for s in self._tallies:
+            s.plain_loads += float(count)
 
     def compute(self, ops: float) -> None:
         """Non-memory work (index arithmetic, comparisons)."""
-        self.stats.compute_ops += float(ops)
+        for s in self._tallies:
+            s.compute_ops += float(ops)
 
     def round(self, launches: int = 1) -> None:
         """One host-side iteration: ``launches`` kernel launches."""
-        self.stats.rounds += launches
+        for s in self._tallies:
+            s.rounds += launches
 
     def touch(self, name: str, nbytes: float) -> None:
         """Declare data footprint (unique bytes) of array ``name``."""
         self._footprints[name] = max(self._footprints.get(name, 0.0),
                                      float(nbytes))
-        self.stats.footprint_bytes = sum(self._footprints.values())
+        total = sum(self._footprints.values())
+        for s in self._tallies:
+            s.footprint_bytes = total
 
     # ------------------------------------------------------------------
+    def site_kind(self, name: str) -> AccessKind:
+        """Consume the variant: the access kind of site ``name`` under
+        ``variant``, the one way a runner may read it.
+
+        An execution that branches on the answer may differ between
+        variants, so the recorder drops every other variant's counts
+        and the recording yields ``variant``'s trace alone.  Honours
+        :func:`repro.gpu.overrides.site_kind_overrides`, like the SIMT
+        kernels' lookup.
+        """
+        if len(self.variants) > 1:
+            self._narrow()
+        return site_kind(self.plan, self.variant, name)
+
+    def _narrow(self) -> None:
+        """Count ``variant`` alone from now on."""
+        self.variants = self.variants[:1]
+        self._plans = self._plans[:1]
+        self._tallies = self._tallies[:1]
+        self._resolved = {name: entry[:1]
+                          for name, entry in self._resolved.items()}
+
     def staleness(self, site: str) -> int:
         """Visibility delay (rounds) readers of ``site`` experience.
 
         Non-zero only for PLAIN sites — the register-caching compiler
-        model — and scaled by the device's staleness constant.
+        model — and scaled by the device's staleness constant.  Reads
+        the site's kind, so it consumes the variant.
         """
-        kind = site_kind(self.plan, self.variant, site)
-        if kind is AccessKind.PLAIN:
+        if self.site_kind(site) is AccessKind.PLAIN:
             return self.visibility_delay()
         return 0
 
@@ -264,13 +335,13 @@ _RMW_IDX, _ORDERED_IDX, _CONTENDED_IDX, _COMPUTE_IDX = 6, 7, 8, 9
 class BatchedRecorder(Recorder):
     """Vectorized :class:`Recorder`: ndarray scratch, flushed per round.
 
-    Per-site bucket increments land in a 10-slot float64 scratch vector
-    and are folded into :class:`~repro.gpu.timing.AccessStats` once per
-    :meth:`round` (and on final :attr:`stats` access) instead of once
-    per call.  Site kinds and order weights are resolved once per site
-    and cached.  Every increment the engine produces is integer-valued,
-    so the regrouped float additions are exact and the resulting stats
-    are byte-identical to the per-call recorder's.
+    Per-site bucket increments land in a float64 scratch matrix, one
+    10-slot row per counted variant, and are folded into each variant's
+    :class:`~repro.gpu.timing.AccessStats` once per :meth:`round` (and
+    on every :meth:`stats_for` read) instead of once per call.  Every
+    increment the engine produces is integer-valued, so the regrouped
+    float additions are exact and the resulting stats are
+    byte-identical to the per-call recorder's.
 
     The contention measure replaces the base recorder's per-call
     :func:`~repro.utils.arrays.sorted_unique` (a sort, O(n log n)) with
@@ -285,39 +356,30 @@ class BatchedRecorder(Recorder):
                  seed: int = 0) -> None:
         super().__init__(plan, variant, device,
                          staleness_rounds=staleness_rounds, seed=seed)
-        self._scratch = np.zeros(len(_BUCKETS))
-        self._resolved: dict[str, tuple[AccessKind, float]] = {}
-        self._effective_plan = plan_for(self.plan, self.variant)
+        self._scratch = np.zeros((len(self.variants), len(_BUCKETS)))
         self.flushes = 0
 
-    # base __init__ assigns ``self.stats``; route it through a property
-    # so every external read sees a flushed view
-    @property
-    def stats(self) -> AccessStats:
+    def stats_for(self, variant: Variant) -> AccessStats:
         self._flush()
-        return self._stats
-
-    @stats.setter
-    def stats(self, value: AccessStats) -> None:
-        self._stats = value
+        return super().stats_for(variant)
 
     def _flush(self) -> None:
-        sc = getattr(self, "_scratch", None)
-        if sc is None or not sc.any():
+        sc = self._scratch
+        if not sc.any():
             return
         # plain floats, not np.float64: stats values flow into metric
         # gauges and JSON exports that expect native scalars
-        s = self._stats
-        s.plain_loads += float(sc[0])
-        s.plain_stores += float(sc[1])
-        s.volatile_loads += float(sc[2])
-        s.volatile_stores += float(sc[3])
-        s.atomic_loads += float(sc[4])
-        s.atomic_stores += float(sc[5])
-        s.atomic_rmws += float(sc[6])
-        s.ordered_atomics += float(sc[7])
-        s.contended_atomics += float(sc[8])
-        s.compute_ops += float(sc[9])
+        for s, row in zip(self._tallies, sc.tolist()):
+            s.plain_loads += row[0]
+            s.plain_stores += row[1]
+            s.volatile_loads += row[2]
+            s.volatile_stores += row[3]
+            s.atomic_loads += row[4]
+            s.atomic_stores += row[5]
+            s.atomic_rmws += row[6]
+            s.ordered_atomics += row[7]
+            s.contended_atomics += row[8]
+            s.compute_ops += row[9]
         sc[:] = 0.0
         self.flushes += 1
         reg = get_registry()
@@ -326,15 +388,9 @@ class BatchedRecorder(Recorder):
                         "Scratch-to-stats flushes of the batched recorder",
                         ("algorithm",)).inc(1, self.plan.algorithm)
 
-    def _resolve(self, name: str) -> tuple[AccessKind, float]:
-        entry = self._resolved.get(name)
-        if entry is None:
-            site = self._effective_plan.site(name)
-            weight = (self.ORDER_WEIGHT[site.order]
-                      if site.kind is AccessKind.ATOMIC else 0.0)
-            entry = (site.kind, weight)
-            self._resolved[name] = entry
-        return entry
+    def _narrow(self) -> None:
+        super()._narrow()
+        self._scratch = self._scratch[:1]
 
     def _contention(self, indices: np.ndarray | None) -> float:
         if indices is None:
@@ -353,50 +409,45 @@ class BatchedRecorder(Recorder):
     # ------------------------------------------------------------------
     def load(self, site: str, indices: np.ndarray | None = None,
              count: float | None = None) -> None:
-        kind, weight = self._resolve(site)
         n = self._count(indices, count)
-        sc = self._scratch
-        sc[_LOAD_IDX[kind]] += n
-        if weight:
-            sc[_ORDERED_IDX] += n * weight
+        for row, (kind, weight) in zip(self._scratch, self._resolve(site)):
+            row[_LOAD_IDX[kind]] += n
+            if weight:
+                row[_ORDERED_IDX] += n * weight
 
     def store(self, site: str, indices: np.ndarray | None = None,
               count: float | None = None,
               distinct: int | None = None) -> None:
-        kind, weight = self._resolve(site)
         n = self._count(indices, count)
-        sc = self._scratch
-        sc[_STORE_IDX[kind]] += n
-        if weight:
-            sc[_ORDERED_IDX] += n * weight
-        if kind is AccessKind.ATOMIC:
-            sc[_CONTENDED_IDX] += self._store_contention(indices, n,
-                                                         distinct)
+        contended = None
+        for row, (kind, weight) in zip(self._scratch, self._resolve(site)):
+            row[_STORE_IDX[kind]] += n
+            if weight:
+                row[_ORDERED_IDX] += n * weight
+            if kind is AccessKind.ATOMIC:
+                if contended is None:
+                    contended = self._store_contention(indices, n, distinct)
+                row[_CONTENDED_IDX] += contended
 
     def rmw(self, site: str, indices: np.ndarray | None = None,
             count: float | None = None) -> None:
-        kind, weight = self._resolve(site)
         n = self._count(indices, count)
         sc = self._scratch
-        sc[_RMW_IDX] += n
-        if kind is AccessKind.ATOMIC and weight:
-            sc[_ORDERED_IDX] += n * weight
-        sc[_CONTENDED_IDX] += self._contention(indices)
+        sc[:, _RMW_IDX] += n
+        for row, (_kind, weight) in zip(sc, self._resolve(site)):
+            if weight:
+                row[_ORDERED_IDX] += n * weight
+        sc[:, _CONTENDED_IDX] += self._contention(indices)
 
     def structure(self, count: float) -> None:
-        self._scratch[0] += float(count)
+        self._scratch[:, 0] += float(count)
 
     def compute(self, ops: float) -> None:
-        self._scratch[_COMPUTE_IDX] += float(ops)
+        self._scratch[:, _COMPUTE_IDX] += float(ops)
 
     def round(self, launches: int = 1) -> None:
         self._flush()
-        self._stats.rounds += launches
-
-    def touch(self, name: str, nbytes: float) -> None:
-        self._footprints[name] = max(self._footprints.get(name, 0.0),
-                                     float(nbytes))
-        self._stats.footprint_bytes = sum(self._footprints.values())
+        super().round(launches)
 
 
 def make_recorder(plan: AccessPlan, variant: Variant,
@@ -455,6 +506,11 @@ def record_trace(algorithm, graph, variant: Variant, seed: int,
     :data:`~repro.perf.trace.ANY_SEED`), so the one recording serves
     every device class, or every repetition, it is identical for.
 
+    The trace is ``variant``'s.  When the runner never read a site's
+    kind (:meth:`Recorder.site_kind`), the execution is the other
+    variants' too, and their traces ride along as ``trace.siblings``:
+    each equals what a recording of its own variant would return.
+
     ``engine`` picks the recorder tier (see :func:`make_recorder`);
     the recorded stats are byte-identical either way.
     """
@@ -469,19 +525,22 @@ def record_trace(algorithm, graph, variant: Variant, seed: int,
     with get_spans().span("perf.record", algorithm=algorithm.key,
                           variant=variant.value, seed=seed):
         output = algorithm.perf_runner(graph, recorder)
-    return Trace(
+    common = dict(
         algorithm=algorithm.key,
-        variant=variant,
         seed=int(seed) if recorder.seed_consulted else ANY_SEED,
         staleness_rounds=(int(staleness_rounds)
                           if recorder.staleness_consulted
                           else ANY_STALENESS),
         graph_fp=graph.fingerprint(),
         plan_fp=plan_fingerprint(plan),
-        stats=recorder.stats,
         output_fp=output_fingerprint(output),
         output=output,
     )
+    siblings = tuple(Trace(variant=other, stats=recorder.stats_for(other),
+                           sibling_of=variant, **common)
+                     for other in recorder.variants[1:])
+    return Trace(variant=variant, stats=recorder.stats, siblings=siblings,
+                 **common)
 
 
 def replay_trace(trace: Trace, device: DeviceSpec, seed: int) -> float:
@@ -521,7 +580,10 @@ def run_algorithm(algorithm, graph, device: DeviceSpec, variant: Variant,
     forces a fresh recording when the cached trace carries no output
     arrays (disk-loaded traces never do); callers that validate
     outputs must set it.  Replayed runs may therefore have
-    ``output=None`` when ``need_output`` is false.
+    ``output=None`` when ``need_output`` is false.  A recording's
+    siblings (see :func:`record_trace`) are stored too, each under its
+    own key unless a lookup finds that key held, so the same
+    configuration's other variant replays instead of executing again.
 
     ``faults`` is an optional
     :class:`~repro.gpu.faults.FaultInjector`: it may abort the run with
@@ -572,6 +634,13 @@ def run_algorithm(algorithm, graph, device: DeviceSpec, variant: Variant,
                          plan=plan)
     if trace_cache is not None:
         trace_cache.store(trace)
+        for sibling in trace.siblings:
+            # a lookup first, as the sibling's own run would make: the
+            # read ladder quarantines a corrupt file before the store
+            # replaces it, and a trace already held is not rewritten
+            if trace_cache.lookup(sibling.key(),
+                                  need_output=need_output) is None:
+                trace_cache.store(sibling)
     return _perf_run(algorithm, variant, device, trace,
                      replay_trace(trace, device, seed),
                      input_name=graph.name, source="record")

@@ -14,6 +14,15 @@ algorithm 36 times: devices sharing a staleness constant and
 repetitions whose seed the runner ignores replay one cached trace, and
 pricing a trace costs microseconds instead of a full numpy execution.
 
+The variant is a parameter of the same kind.  The race-free conversion
+changes only the access kind of each racy site, so a runner that never
+branches on a kind computes the same thing for both variants; runners
+read a site's kind only through ``recorder.site_kind(name)``, and one
+that never does yields every variant's trace from one execution (the
+other variant's rides along as a *sibling*, stored under its own key).
+MIS reads its poll site's kind, because fresher polls converge
+differently, so it records each variant itself.
+
 This module holds the cache; the record/replay entry points live in
 :mod:`repro.perf.engine` (``record_trace`` / ``replay_trace``), which
 remains the single place that runs ``perf_runner``.
@@ -52,7 +61,7 @@ from __future__ import annotations
 
 import hashlib
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.core.variants import Variant
@@ -104,6 +113,13 @@ class Trace:
     #: output arrays of the recording run; ``None`` when the trace was
     #: re-loaded from disk (outputs are never persisted)
     output: dict | None
+    #: the same execution's traces for the other variants (see
+    #: :func:`~repro.perf.engine.record_trace`); never persisted
+    siblings: tuple["Trace", ...] = field(default=(), compare=False,
+                                          repr=False)
+    #: for a sibling, the variant whose run executed it; ``None`` for a
+    #: trace of its own run
+    sibling_of: Variant | None = field(default=None, compare=False)
 
     @property
     def rounds(self) -> int:
@@ -298,10 +314,15 @@ class TraceCache(DurableDir):
         A disk-write failure never loses the trace (the memory layer
         already has it); a degraded cache stops touching the disk.
         Re-recording a trace rewrites its file, which refreshes the
-        mtime :meth:`prune` evicts by.
+        mtime :meth:`prune` evicts by.  A sibling (``trace.sibling_of``)
+        counts as the ``sibling`` event, not in :attr:`recorded`, which
+        counts functional executions.
         """
-        self.recorded += 1
-        self._count_event("record")
+        if trace.sibling_of is None:
+            self.recorded += 1
+            self._count_event("record")
+        else:
+            self._count_event("sibling")
         key = trace.key()
         self._memory[key] = (trace if self.retain_outputs
                              else trace.without_output())

@@ -65,7 +65,7 @@ from statistics import median
 from repro.core.resilience import CellBudget, CellFailure, ResilientStudy
 from repro.core.study import SpeedupCell, outcome_record
 from repro.core.variants import Variant
-from repro.errors import ServiceError, StudyError
+from repro.errors import ServiceError
 from repro.service.breaker import CircuitBreaker
 from repro.service.protocol import CellKey
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
@@ -329,9 +329,15 @@ class FleetExecutor:
             task = _FleetTask(task_id=task_id, key=key,
                               budget_s=budget_s, future=future)
             self._tasks[task_id] = task
-            with self._study_lock:
-                records = self.study._stored_records(
-                    key.algorithm, key.input_name, key.device)
+            try:
+                with self._study_lock:
+                    records = self.study._stored_records(
+                        key.algorithm, key.input_name, key.device)
+            except Exception as exc:
+                # the task already holds a seat in the merge order;
+                # failing the cell fills it, or every later cell waits
+                self._resolve_failure(task, "error", str(exc))
+                return future
             if records is not None:
                 self._stage(task_id, records)
             else:
@@ -452,12 +458,12 @@ class FleetExecutor:
                     try:
                         for record in recs:
                             self.study._merge_parallel_record(record)
-                    except StudyError as exc:
-                        # where the serial path raises — a worker's graph
-                        # fingerprint contradicts the one a stored record
-                        # carried, published by a build whose graph
-                        # generator differed — the cell fails; the
-                        # supervisor keeps merging
+                    except Exception as exc:
+                        # where the serial path raises (say a worker's
+                        # graph fingerprint contradicts the one a stored
+                        # record carried, published by a build whose
+                        # graph generator differed) the cell fails; the
+                        # supervisor thread this may run in keeps merging
                         recs = [outcome_record(CellFailure(
                             task.key.algorithm, task.key.input_name,
                             task.key.device, Variant.BASELINE.value,

@@ -166,6 +166,47 @@ class TestFleetFailover:
         finally:
             fleet.shutdown()
 
+    def test_lookup_and_merge_errors_fail_cells_not_the_fleet(
+            self, monkeypatch):
+        """A store lookup that raises in ``submit`` and a merge that
+        raises in the supervisor thread each fail their own cell: the
+        merge order moves on, later cells resolve, the supervisor
+        lives."""
+        fleet = FleetExecutor(workers=2, reps=1, heartbeat_s=0.1)
+        study = fleet.study
+        lookup, merge = study._stored_records, study._merge_parallel_record
+        merge_raised = []
+
+        def failing_lookup(algorithm, graph_or_name, device):
+            if algorithm == "cc":
+                raise RuntimeError("store lookup failed")
+            return lookup(algorithm, graph_or_name, device)
+
+        def failing_merge(record):
+            if not merge_raised:
+                merge_raised.append(record)
+                raise ValueError("merge failed")
+            return merge(record)
+
+        monkeypatch.setattr(study, "_stored_records", failing_lookup)
+        monkeypatch.setattr(study, "_merge_parallel_record", failing_merge)
+        try:
+            looked_up = fleet.submit(CellKey("cc", "internet", "titanv"),
+                                     300.0)
+            merged = fleet.submit(CellKey("mis", "internet", "titanv"),
+                                  300.0)
+            later = fleet.submit(CellKey("mis", "rmat16.sym", "titanv"),
+                                 300.0)
+            assert looked_up.result(timeout=60).reason == "error"
+            failed = merged.result(timeout=60)
+            assert failed.reason == "error"
+            assert "merge failed" in failed.message
+            assert hasattr(later.result(timeout=15), "speedup")
+            assert merge_raised
+            assert fleet._supervisor.is_alive()
+        finally:
+            fleet.shutdown()
+
 
 # ----------------------------------------------------------------------
 # The content-addressed shared result store

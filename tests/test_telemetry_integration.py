@@ -173,7 +173,8 @@ def test_atomic_bypass_counts_rise_in_race_free_cc():
 def test_record_replay_source_counter(tmp_path):
     # replay happens when a second study prices the same configuration
     # from the shared disk layer (gc reads each rep's own seed, so one
-    # study's reps all record)
+    # study's reps all record; each recording also stores its race-free
+    # sibling, which is not a recording)
     with telemetry.session() as (registry, _spans):
         first = Study(reps=2, trace_cache=str(tmp_path / "tc"))
         first.run("gc", "internet", "titanv", Variant.BASELINE)
@@ -184,8 +185,9 @@ def test_record_replay_source_counter(tmp_path):
         assert fam.value("replay") == 2
         events = registry.get("repro_trace_cache_events_total")
         assert events.value("record") == 2
+        assert events.value("sibling") == 2
         assert events.value("disk_hit") == 2
-        assert registry.get("repro_trace_cache_disk_entries").value() == 2
+        assert registry.get("repro_trace_cache_disk_entries").value() == 4
 
 
 def test_cells_total_counts_outcomes():

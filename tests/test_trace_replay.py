@@ -9,10 +9,13 @@ any input that could change the trace.
 
 from __future__ import annotations
 
+import itertools
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from repro.gpu.accesses import AccessKind
 from repro.gpu.device import DEVICE_ORDER, PAPER_GPUS, get_device
 from repro.gpu.faults import FaultPlan
 from repro.graphs import generators as gen
+from repro.graphs.suite import load_suite_graph, weighted_graph
 from repro.perf.engine import noise_multiplier, record_trace, run_algorithm
 from repro.perf.trace import ANY_SEED, TraceCache, plan_fingerprint
 from repro.perf.trace import stable_config_hash
@@ -186,6 +190,130 @@ class TestSeedWildcard:
                          ANY_SEED, 2)
 
 
+#: three small suite inputs per algorithm at :data:`SIBLING_SCALE`
+#: (APSP's distance matrix is dense, so it takes the smallest three)
+SIBLING_INPUTS = {"apsp": ("rmat16.sym", "2d-2e20.sym", "toroid-wedge"),
+                  "scc": ("toroid-wedge", "star", "cold-flow")}
+SIBLING_UNDIRECTED = ("internet", "rmat16.sym", "USA-road-d.NY")
+SIBLING_SCALE = 0.0625
+
+
+def _suite_graph(algo, name: str):
+    """A suite input as a study prepares it for ``algo``."""
+    graph = load_suite_graph(name, SIBLING_SCALE)
+    if algo.needs_weights and not graph.has_weights:
+        graph = weighted_graph(graph, seed=12345)
+    return graph
+
+
+class DirectOnlyCache(TraceCache):
+    """The cache of a build that records every variant with its own
+    execution: siblings are never stored."""
+
+    def store(self, trace):
+        if trace.sibling_of is None:
+            super().store(trace)
+
+
+class TestSiblings:
+    @pytest.mark.parametrize("algo_key", [a.key for a in list_algorithms()])
+    def test_sibling_equals_a_direct_recording(self, algo_key):
+        """Differential guard on the sibling's premise: a runner that
+        never reads a site's kind executes identically for both
+        variants, so each sibling equals its own variant's direct
+        recording: stats, wildcards and output, on both tiers (a runner
+        branching on the variant behind the recorder's back fails)."""
+        algo = get_algorithm(algo_key)
+        for name in SIBLING_INPUTS.get(algo_key, SIBLING_UNDIRECTED):
+            graph = _suite_graph(algo, name)
+            for seed, staleness, tier in itertools.product(
+                    SEEDS[:2], (2, 3), ("interp", "batched")):
+                direct = {v: record_trace(algo, graph, v, seed, staleness,
+                                          engine=tier) for v in Variant}
+                for variant, trace in direct.items():
+                    if algo_key == "mis":
+                        assert trace.siblings == ()
+                        continue
+                    (sibling,) = trace.siblings
+                    assert sibling.sibling_of is variant
+                    other = direct[sibling.variant]
+                    assert sibling.variant is not variant
+                    assert sibling.key() == other.key()
+                    assert sibling.stats == other.stats, (name, seed, tier)
+                    assert sibling.output_fp == other.output_fp
+
+    def test_reading_a_site_kind_drops_the_sibling(self):
+        plan = AccessPlan("toy", (
+            AccessSite("toy.x", AccessKind.PLAIN, is_store=True),))
+
+        def blind(graph, recorder):
+            recorder.store("toy.x", count=3)
+            return {"x": np.zeros(1)}
+
+        def reading(graph, recorder):
+            recorder.store("toy.x", count=3)
+            recorder.site_kind("toy.x")
+            recorder.store("toy.x", count=2)
+            return {"x": np.zeros(1)}
+
+        graph = gen.random_uniform(8, 2.0, seed=1)
+        for tier in ("interp", "batched"):
+            toy = SimpleNamespace(key="toy", perf_runner=blind)
+            trace = record_trace(toy, graph, Variant.BASELINE, 1, 2,
+                                 plan=plan, engine=tier)
+            (sibling,) = trace.siblings
+            assert trace.stats.plain_stores == 3
+            assert sibling.stats.atomic_stores == 3
+            assert sibling.stats.plain_stores == 0
+
+            toy = SimpleNamespace(key="toy", perf_runner=reading)
+            trace = record_trace(toy, graph, Variant.BASELINE, 1, 2,
+                                 plan=plan, engine=tier)
+            assert trace.siblings == ()
+            assert trace.stats.plain_stores == 5
+
+    def test_mis_reads_its_poll_kind(self):
+        algo = get_algorithm("mis")
+        graph = _suite_graph(algo, "internet")
+        for variant in Variant:
+            assert record_trace(algo, graph, variant, 7, 2).siblings == ()
+
+    def test_a_sweep_records_each_execution_once(self, tmp_path):
+        """A serial resilient sweep records every (input, seed class,
+        staleness class) once, and its trace files are those of a
+        build whose every variant records itself, byte for byte."""
+        from repro.core.resilience import ResilientStudy
+
+        def sweep(cache):
+            study = ResilientStudy(reps=2, scale=SIBLING_SCALE,
+                                   trace_cache=cache)
+            for device in ("titanv", "2070super"):
+                study.sweep(device, ["cc", "gc", "mis", "mst"],
+                            ["internet", "rmat16.sym"])
+                study.sweep(device, ["scc"], ["toroid-wedge"])
+            return study._result_records()
+
+        shared = TraceCache(disk_dir=tmp_path / "shared")
+        direct = DirectOnlyCache(disk_dir=tmp_path / "direct")
+        assert sweep(shared) == sweep(direct)
+        files = {p.name: p.read_bytes()
+                 for p in (tmp_path / "shared").glob("trace-*.json")}
+        assert files == {p.name: p.read_bytes()
+                         for p in (tmp_path / "direct").glob("trace-*.json")}
+        assert direct.recorded == len(files)
+        executions = set()
+        for body in files.values():
+            trace = json.loads(body)
+            executions.add((trace["algorithm"], trace["graph_fp"],
+                            trace["seed"], trace["staleness_rounds"],
+                            trace["variant"] if trace["algorithm"] == "mis"
+                            else None))
+        assert shared.recorded == len(executions)
+        # cc, mst, scc: one; gc: one per seed; mis: per variant, seed
+        # and (baseline only) staleness class, all per input
+        assert shared.recorded == 2 * (1 + 1 + 2 + 2 * 2 + 2) + 1
+
+
 class TestTraceCache:
     def test_disk_roundtrip(self, tmp_path):
         algo = get_algorithm("mis")
@@ -259,10 +387,11 @@ class TestTraceCache:
 class TestPrune:
     def _fill(self, tmp_path, n: int) -> TraceCache:
         """Record n distinct traces into a disk-backed cache with
-        strictly increasing mtimes (oldest = lowest seed).  gc reads
-        its seed, so every seed is its own recording."""
+        strictly increasing mtimes (oldest = lowest seed).  mis reads
+        its seed and its poll site's kind, so every seed is its own
+        recording and writes no sibling."""
         cache = TraceCache(disk_dir=tmp_path)
-        algo = get_algorithm("gc")
+        algo = get_algorithm("mis")
         graph = _graph_for(algo)
         spec = get_device("titanv")
         for seed in range(n):
