@@ -7,7 +7,7 @@ variant, ``REPRO_REPS`` repetitions) three ways:
   every repetition re-executes the vectorized algorithm.
 * **replay** — the default engine: the functional execution is recorded
   once per staleness class and re-priced per device/repetition.
-* **parallel** — replay plus ``jobs`` pool workers sharing one on-disk
+* **parallel** — replay plus ``jobs`` workers sharing one on-disk
   trace directory.
 * **telemetry** — replay with the metric registry and span recorder
   enabled, measuring observability overhead (the acceptance target is
@@ -50,7 +50,7 @@ RESULT_PATH = REPO_ROOT / "BENCH_sweep.json"
 def _prewarm(inputs: list[str]) -> None:
     """Build every input once up front so graph generation (shared by
     all modes via the process-wide suite cache, and inherited by forked
-    pool workers) is excluded from the engine timings."""
+    workers) is excluded from the engine timings."""
     for name in inputs:
         load_suite_graph(name, scale=SCALE)
 

@@ -288,7 +288,7 @@ def _cmd_serve(args) -> int:
     config = ServiceConfig(
         host=args.host, port=args.port, reps=args.reps, scale=args.scale,
         validate=args.validate, retries=args.retries,
-        backoff_s=args.backoff, max_steps=args.max_steps, jobs=args.jobs,
+        backoff_s=args.backoff, max_steps=args.max_steps,
         trace_dir=args.trace_cache or None, store_dir=args.store or None,
         faults=faults, workers=args.workers,
         max_pending_cells=args.max_pending_cells,
@@ -608,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "1 = serial); results are bit-identical")
     sweep.add_argument("--trace-cache", default=None, metavar="DIR",
                        help="on-disk trace cache directory (default: "
-                            "REPRO_TRACE_CACHE; shared by pool workers)")
+                            "REPRO_TRACE_CACHE; shared by the workers)")
     sweep.add_argument("--telemetry", default=None, metavar="PATH",
                        help="enable telemetry and export the sweep's "
                             "metrics/spans to PATH")
@@ -633,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "small built-in grid)")
     chaos.add_argument("--reps", type=int, default=2)
     chaos.add_argument("--jobs", type=int, default=4,
-                       help="pool width for the worker kill/stall "
+                       help="worker count for the worker kill/stall "
                             "scenarios")
     chaos.add_argument("--seed", type=int, default=0,
                        help="host fault plan seed (replays exactly)")
@@ -660,9 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "with full jitter, deadline-capped)")
     serve.add_argument("--max-steps", type=int, default=None,
                        help="per-kernel step budget (livelock guard)")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="worker pool width per cell (>1 exercises "
-                            "the worker-death-tolerant pool)")
     serve.add_argument("--workers", type=int, default=1,
                        help="sweep worker processes (>1 runs the "
                             "supervised fleet: heartbeats, crash "
@@ -685,8 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated filename globs the storage "
                             "host faults apply to")
     serve.add_argument("--disrupt-generations", type=int, default=None,
-                       help="worker kill/stall only while the pool "
-                            "generation is below this bound")
+                       help="worker kill/stall only while the worker "
+                            "slot's generation is below this bound")
     serve.add_argument("--max-pending-cells", type=int, default=256,
                        help="global admission bound on reserved cells")
     serve.add_argument("--per-tenant-cells", type=int, default=64,

@@ -1,7 +1,7 @@
 """Chaos harness: prove the sweep stack survives host failures.
 
 Each :class:`ChaosScenario` runs a *real* mini-sweep (the same
-:class:`~repro.core.resilience.ResilientStudy` + pool-executor path the
+:class:`~repro.core.resilience.ResilientStudy` + worker-fleet path the
 paper tables use) under one injected host failure mode from
 :mod:`repro.core.hostfaults`, then asserts the two invariants the
 robustness layer promises:
@@ -21,8 +21,8 @@ an externally corrupted store record, resumed to completion — which is
 the acceptance bar for the whole robustness layer.  On top of
 the per-kind scenarios, :func:`run_serve_scenario` drills the
 sweep-as-a-service layer (:mod:`repro.service`): two concurrent clients
-against the job server under worker kills and torn trace writes must
-get results byte-identical to an uninjected offline sweep, and a
+against the serial job server under torn trace writes must get results
+byte-identical to an uninjected offline sweep, and a
 SIGTERM delivered mid-stream must drain within the deadline and leave
 a ``--store`` a fresh offline study resumes the whole grid from.
 :func:`run_fleet_scenario` repeats the drill against the multi-process
@@ -49,7 +49,7 @@ from repro.core.resilience import ResilientStudy
 from repro.errors import StudyError
 
 #: mini-sweep grid: small suite inputs, two racy algorithms — large
-#: enough to need the pool and the trace cache, small enough for CI
+#: enough to need the workers and the trace cache, small enough for CI
 ALGOS = ("cc", "mis")
 INPUTS = ("internet", "USA-road-d.NY")
 DEVICE = "titanv"
@@ -142,7 +142,7 @@ def scenario_suite(jobs: int = 4) -> list[ChaosScenario]:
             two_phase_traces=True),
         ChaosScenario(
             name="worker-kill",
-            description="every first-generation pool worker is SIGKILLed",
+            description="every first-generation worker is SIGKILLed",
             spec="kill=1.0", disrupt_generations=1, jobs=jobs),
         ChaosScenario(
             name="worker-stall",
@@ -305,13 +305,11 @@ def _store_handoff(store_dir: Path, device: str, algorithms: list[str],
 
 def run_serve_scenario(workdir: Path, device: str,
                        algorithms: list[str], inputs: list[str],
-                       reps: int, seed: int,
-                       jobs: int = 2) -> ChaosOutcome:
-    """Chaos-drill the job server end to end.
+                       reps: int, seed: int) -> ChaosOutcome:
+    """Chaos-drill the serial job server end to end.
 
-    Under worker kills (every first-generation pool worker) plus torn
-    trace writes, two concurrent clients request the same study over
-    real sockets; the scenario asserts that
+    Under torn trace writes, two concurrent clients request the same
+    study over real sockets; the scenario asserts that
 
     * both clients receive every cell with ``status: ok``,
     * the grid was *executed* exactly once (coalescing + the study
@@ -346,11 +344,12 @@ def run_serve_scenario(workdir: Path, device: str,
         {"reps": offline.reps, "scale": offline.scale,
          "results": offline._result_records()})
 
-    plan = HostFaultPlan.parse(
-        "kill=1.0,torn=0.4", seed=seed, targets=("trace-*.json",),
-        disrupt_generations=1)
+    # the serial executor runs no worker process, so worker kills are
+    # the fleet scenario's to drill
+    plan = HostFaultPlan.parse("torn=0.4", seed=seed,
+                               targets=("trace-*.json",))
     config = ServiceConfig(
-        port=0, reps=reps, retries=0, jobs=jobs,
+        port=0, reps=reps, retries=0,
         trace_dir=str(root / "traces"), store_dir=str(store_dir),
         drain_deadline_s=60.0)
     body = {"algorithms": list(algorithms), "inputs": list(inputs),
@@ -407,8 +406,8 @@ def run_serve_scenario(workdir: Path, device: str,
                 problems.append(
                     f"{tenant} got {len(good)} ok of {len(cells)} "
                     f"cells, wanted {n_cells}")
-        # the pool path executes each cell's two variants as separate
-        # records; two clients must still cost exactly one grid
+        # each cell's two variants are separate records; two clients
+        # must still cost exactly one grid
         executed = service.executor.study.cells_executed
         if executed != 2 * n_cells:
             problems.append(f"executed {executed} variant records for "
@@ -452,8 +451,8 @@ def run_serve_scenario(workdir: Path, device: str,
     if not identical:
         problems.append("server results diverge from offline sweep")
     detail = "; ".join(
-        ["worker kills + torn trace writes under 2 concurrent "
-         "clients, SIGTERM drain mid-stream"] + notes + problems)
+        ["torn trace writes under 2 concurrent clients, SIGTERM drain "
+         "mid-stream"] + notes + problems)
     return ChaosOutcome(scenario="serve", ok=not problems and identical,
                         identical=identical, coverage=coverage,
                         detail=detail)
@@ -721,8 +720,7 @@ def run_chaos(device: str = DEVICE, inputs: list[str] | None = None,
         for s in scenarios
     ]
     outcomes.append(run_serve_scenario(
-        workdir, device, algorithms, inputs, reps, seed,
-        jobs=max(2, min(jobs, 4))))
+        workdir, device, algorithms, inputs, reps, seed))
     outcomes.append(run_fleet_scenario(
         workdir, device, algorithms, inputs, reps, seed))
     return ChaosReport(

@@ -2,7 +2,7 @@
 
 :mod:`repro.gpu.faults` makes the simulated GPU adversarial; this
 module does the same for the infrastructure the sweep itself runs on —
-the disk that holds checkpoints and trace-cache files, and the pool
+the disk that holds checkpoints and trace-cache files, and the fleet
 worker processes that execute cells.  The paper's methodology (Section
 V: nine repetitions, medians, multi-hour sweeps over 4 GPUs x 27
 inputs) only holds up if a campaign survives the host failing under it,
@@ -16,14 +16,14 @@ measurement harnesses:
 * ``enospc``  — the write fails with ``ENOSPC`` (the scratch disk
   filled up under the sweep).
 * ``eio``     — the write fails with ``EIO`` (a dying disk).
-* ``kill``    — the pool worker executing a task is SIGKILLed mid-task
+* ``kill``    — the worker executing a task is SIGKILLed mid-task
   (the OOM killer; an operator's stray ``kill -9``).
 * ``stall``   — the worker stops making progress for a long window
   (NFS hang, cgroup freeze, paging storm).
 
 Everything is *seeded and deterministic*: storage decisions derive from
 a stable digest of (plan seed, kind, file name, per-file write index),
-worker disruptions from (plan seed, kind, cell key, pool generation) —
+worker disruptions from (plan seed, kind, cell key, slot generation) —
 never Python's randomized ``hash()`` — so a failing chaos run replays
 exactly.  With no plan installed the hooks are absent and every write
 is byte-identical to an uninjected tree.
@@ -37,11 +37,12 @@ Plug-in points
   the injector.  ``targets`` globs scope the blast radius (e.g.
   ``("trace-*.json",)`` faults only the trace cache).
 * :class:`~repro.core.parallel.WorkerConfig` carries the active plan
-  into pool and fleet workers, where :func:`maybe_disrupt` is consulted
+  into the fleet's workers, where :func:`maybe_disrupt` is consulted
   once per task for ``kill``/``stall``.
 * ``disrupt_generations=N`` limits worker disruptions to the first N
-  pool generations, so a chaos scenario with ``kill=1.0`` still
-  converges once the pool has been respawned N times.
+  generations of each worker slot, so a chaos scenario with
+  ``kill=1.0`` still converges once each slot has been respawned N
+  times.
 
 See ``docs/robustness.md`` ("Host faults") for the fault -> detection
 -> recovery -> telemetry matrix, and :mod:`repro.core.chaos` for the
@@ -87,7 +88,7 @@ STORAGE_KINDS = frozenset({
     HostFaultKind.IO_ERROR,
 })
 
-#: kinds applied to pool worker processes, once per task
+#: kinds applied to worker processes, once per task
 DISRUPTION_KINDS = frozenset({
     HostFaultKind.WORKER_KILL,
     HostFaultKind.WORKER_STALL,
@@ -99,7 +100,7 @@ class HostFaultSpec:
     """One host fault kind with its per-opportunity trigger probability.
 
     The opportunity is one atomic write for the storage kinds and one
-    (task, pool generation) execution for the worker kinds.
+    (task, slot generation) execution for the worker kinds.
     """
 
     kind: HostFaultKind
@@ -129,13 +130,13 @@ class HostFaultPlan:
     stall_seconds:
         How long an injected worker stall sleeps.
     disrupt_generations:
-        Worker ``kill``/``stall`` fire only while the pool generation is
+        Worker ``kill``/``stall`` fire only while the slot generation is
         below this bound (``None`` = always eligible).  A plan with
         ``kill=1.0, disrupt_generations=1`` kills every first-generation
-        worker and lets the respawned pool finish — the deterministic
+        worker and lets the respawned workers finish — the deterministic
         "every worker OOMs once" scenario.
 
-    The plan is picklable (it is shipped to pool workers inside
+    The plan is picklable (it is shipped to workers inside
     :class:`~repro.core.parallel.WorkerConfig`) and holds no mutable
     state; per-write counters live in the :class:`HostFaultInjector`.
     """
@@ -296,7 +297,7 @@ _INJECTOR: HostFaultInjector | None = None
 def install(plan: HostFaultPlan) -> HostFaultInjector:
     """Activate ``plan`` process-wide: register the atomicio write
     filter and make the plan visible to :func:`active_plan` (which is
-    how pool workers inherit it via ``WorkerConfig``)."""
+    how workers inherit it via ``WorkerConfig``)."""
     global _PLAN, _INJECTOR
     _PLAN = plan
     _INJECTOR = HostFaultInjector(plan)
@@ -333,22 +334,20 @@ def installed(plan: HostFaultPlan):
 
 
 # ----------------------------------------------------------------------
-# Worker-process disruptions (consulted once per pool or fleet task)
+# Worker-process disruptions (consulted once per worker task)
 # ----------------------------------------------------------------------
 def maybe_disrupt(plan: HostFaultPlan | None, key: tuple,
                   generation: int) -> None:
     """Apply ``kill``/``stall`` for one worker task.
 
     ``key`` is the cell task identity (algorithm, input, device) and
-    ``generation`` the pool incarnation executing it, so a task
-    resubmitted after a pool respawn draws a fresh decision.  A fleet
-    worker (:mod:`repro.service.fleet`) prefixes the key with
-    ``("fleet", slot id)`` and passes its slot's respawn count, so with
-    ``disrupt_generations=N`` only the first N incarnations of each
-    slot are disrupted.  A kill is a real ``SIGKILL`` to the worker's
-    own pid — the parent sees ``BrokenProcessPool`` (the fleet
-    supervisor a closed pipe), exactly as it would for the OOM killer.
-    ``plan=None`` (no injection installed) is a no-op.
+    ``generation`` the slot generation (respawn count) of the worker
+    running it, so a cell redispatched to a respawned worker draws a
+    fresh decision, and with ``disrupt_generations=N`` only the first N
+    generations of each slot are disrupted.  A kill is a real
+    ``SIGKILL`` to the worker's own pid — the fleet supervisor sees a
+    closed pipe, exactly as it would for the OOM killer.  ``plan=None``
+    (no injection installed) is a no-op.
     """
     if plan is None:
         return

@@ -88,7 +88,7 @@ class CellFailure:
     input_name: str
     device_key: str
     variant: str
-    reason: str           # livelock | timeout | validation | fault | error
+    reason: str           # livelock | timeout | validation | fault | error | fleet
     message: str
     attempts: int
     elapsed_s: float
@@ -98,7 +98,7 @@ class CellFailure:
                 f"{self.device_key}/{self.variant}")
 
     def to_record(self) -> dict:
-        """The JSON record pool and fleet workers send for this
+        """The JSON record fleet workers send for this
         failure."""
         return {"algorithm": self.algorithm, "input": self.input_name,
                 "device": self.device_key, "variant": self.variant,
@@ -456,7 +456,7 @@ class ResilientStudy(Study):
               inputs: list[str], jobs: int | None = None) -> SweepResult:
         """All cells of one device table, surviving per-cell failures.
 
-        ``jobs > 1`` runs the missing cells on a process pool (workers
+        ``jobs > 1`` runs the missing cells on worker processes (workers
         apply the same retry/budget/fault policy and return picklable
         outcome records), then assembles the table from the memo; the
         cells, published store records, and ``save_results`` output

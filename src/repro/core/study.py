@@ -66,7 +66,7 @@ class RunResult:
 
     def to_record(self) -> dict:
         """The JSON record every writer stores for this result
-        (``save_results``, the result store, pool and fleet workers).
+        (``save_results``, the result store, fleet workers).
         The key order is part of ``save_results``' bytes."""
         return {"algorithm": self.algorithm, "input": self.input_name,
                 "device": self.device_key, "variant": self.variant.value,
@@ -82,7 +82,7 @@ class RunResult:
 
 
 def outcome_record(out) -> dict:
-    """The record a pool worker sends for one variant's outcome: kind
+    """The record a worker sends for one variant's outcome: kind
     ``result`` for a :class:`RunResult`, ``failure`` for a
     :class:`~repro.core.resilience.CellFailure`."""
     kind = "result" if isinstance(out, RunResult) else "failure"
@@ -137,15 +137,13 @@ class Study:
         model's order floor before recording, e.g. ``"ptx:acq_rel"``
         prices the acquire/release world.  None keeps the paper's
         relaxed default.  Model-priced sweeps run serially (the
-        pool-worker protocol does not carry the model).
+        worker protocol does not carry the model).
     """
 
-    #: pool-worker respawn budget for parallel sweeps (None reads
-    #: ``REPRO_POOL_RESPAWNS``, default 3) — see
-    #: :func:`repro.core.parallel.execute_tasks`
-    pool_respawn_budget: int | None = None
-    #: per-task wall-clock deadline in seconds for pool workers (None
-    #: reads ``REPRO_TASK_DEADLINE_S``; unset means wait forever)
+    #: per-task wall-clock deadline in seconds for the workers of
+    #: parallel sweeps: a worker still busy past it is killed and its
+    #: cell redispatched (None waits forever) — see
+    #: :mod:`repro.core.fleet`
     pool_task_deadline_s: float | None = None
 
     def __init__(self, reps: int = 9, scale: float = 1.0,
@@ -180,7 +178,7 @@ class Study:
         self._graph_fps: dict[str, str] = {}
         #: suite input name -> fingerprint of the graph built for it,
         #: and graph fingerprint -> its weighted copy's.  Both hold only
-        #: graphs built in this process or its pool workers during this
+        #: graphs built in this process or its workers during this
         #: study (a graph passed in directly is never a suite input's):
         #: they key the trace lookups of cells priced without building
         #: their graphs
@@ -308,7 +306,7 @@ class Study:
                       jobs: int | None = None) -> list[SpeedupCell]:
         """All cells of one of Tables IV-VIII.
 
-        ``jobs > 1`` executes the missing cells on a process pool
+        ``jobs > 1`` executes the missing cells on worker processes
         first (see :mod:`repro.core.parallel`), then assembles the
         table from the memo — the cells, their order, and any
         subsequently saved results are bit-identical to the serial
@@ -336,7 +334,7 @@ class Study:
         return key in self._results
 
     def _worker_config(self):
-        """The picklable policy a pool worker rebuilds this study from."""
+        """The picklable policy a worker rebuilds this study from."""
         from repro.core.parallel import WorkerConfig
 
         trace_dir = (str(self.trace_cache.disk_dir)
@@ -350,7 +348,8 @@ class Study:
                             trace_dir=trace_dir,
                             trace_cache=self.trace_cache is not None,
                             telemetry=telemetry_enabled(),
-                            hostfaults=hostfaults.active_plan())
+                            hostfaults=hostfaults.active_plan(),
+                            task_deadline_s=self.pool_task_deadline_s)
 
     def _merge_telemetry_record(self, record: dict) -> None:
         """Fold one worker's shipped metric/span deltas into the
@@ -364,7 +363,7 @@ class Study:
 
     def _graph_record(self, graph_or_name) -> dict | None:
         """The fingerprints of the graphs this study built for a suite
-        input, as the record a pool worker sends along with its task's
+        input, as the record a worker sends along with its task's
         outcomes (a graph passed in directly has none: the parent
         fingerprints it)."""
         fp = (None if isinstance(graph_or_name, CSRGraph)
@@ -418,7 +417,7 @@ class Study:
         merge reaches the cell, so a cell that is dispatched — or never
         merged, because an earlier task failed — emits nothing here.
         Pricing goes through :meth:`_price_cell`, so the records and
-        telemetry are those a pool worker would send; the memo is left
+        telemetry are those a worker would send; the memo is left
         to the merge.
         """
         graph_fp = self._suite_fps.get(name)
@@ -455,7 +454,7 @@ class Study:
 
     def _parallel_prefetch(self, device: str, algorithms: list[str],
                            inputs: list[str], jobs: int) -> dict[str, int]:
-        """Execute every missing (algorithm, input) pair on a pool.
+        """Execute every missing (algorithm, input) pair on workers.
 
         Tasks are built — and their records merged — in the exact
         order the serial sweep would have executed them, which is what
@@ -463,8 +462,8 @@ class Study:
         :meth:`save_results` output) byte-identical.  A pair found in
         storage, or priced here from cached traces
         (:meth:`_replay_task`), is merged at its place in that order,
-        not dispatched, so a table with nothing left to record forks no
-        pool.  Returns how many pairs came from each source.
+        not dispatched, so a table with nothing left to record starts no
+        worker.  Returns how many pairs came from each source.
         """
         from repro.core.parallel import CellTask, execute_tasks
 
@@ -498,9 +497,7 @@ class Study:
                 tasks.append(task)
                 sources[source] += 1
         execute_tasks(self._worker_config(), tasks, jobs,
-                      self._merge_parallel_record,
-                      respawn_budget=self.pool_respawn_budget,
-                      task_deadline_s=self.pool_task_deadline_s)
+                      self._merge_parallel_record)
         return sources
 
     # ------------------------------------------------------------------

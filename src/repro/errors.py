@@ -75,11 +75,22 @@ class StudyError(ReproError):
 
 
 class WorkerTaskError(StudyError):
-    """Raised when a sweep cell task fails inside a pool worker.
+    """Raised when a sweep cell task fails inside a worker process.
 
     Wraps the worker's exception with the (algorithm, input, device)
     task key, so a parallel sweep failure names the cell that caused it
     instead of surfacing an anonymous traceback."""
+
+
+class WorkerLostError(StudyError):
+    """Raised when the worker fleet loses a cell task: two workers died
+    running it (a lost cell is redispatched at most once), no live
+    worker remained, or the fleet shut down first.  ``attempts`` counts
+    the cell's dispatches."""
+
+    def __init__(self, message: str, attempts: int = 0) -> None:
+        super().__init__(message)
+        self.attempts = attempts
 
 
 class ServiceError(ReproError):

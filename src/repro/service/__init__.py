@@ -15,7 +15,7 @@ NDJSON while the robustness ladder keeps it correct under load:
    every subscriber has abandoned are cancelled, not computed
    (:mod:`repro.service.scheduler`);
 3. **per-cell circuit breakers** — repeatedly failing cells stop
-   burning pool workers and return their degraded ``FAIL(reason)``
+   burning workers and return their degraded ``FAIL(reason)``
    record instantly (:mod:`repro.service.breaker`);
 4. **graceful degradation** — a saturated executor or a sticky-degraded
    trace cache serves cached results marked ``stale: true`` instead of

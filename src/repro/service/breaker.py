@@ -4,8 +4,8 @@ keep failing.
 A cell that livelocks, times out, or validates wrong once may succeed
 on a retry (the resilient study's own policy covers that); a cell that
 fails on *every* service-level attempt is a different animal — each new
-client asking for it would re-burn a full cell budget (and, with
-``jobs > 1``, a pool spin-up) to reproduce a known failure.  The
+client asking for it would re-burn a full cell budget to reproduce a
+known failure.  The
 breaker is the service-level memo for those: after ``threshold``
 consecutive failed executions the cell's breaker **opens**, and further
 requests are short-circuited to the cached degraded ``FAIL(reason)``

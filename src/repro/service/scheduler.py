@@ -6,13 +6,12 @@ Two pieces:
 :class:`StudyExecutor`
     Owns one :class:`~repro.core.resilience.ResilientStudy` and a
     single dedicated worker thread.  Every cell execution goes through
-    ``study.sweep(device, [algo], [input])`` — the *same* code path the
-    CLI sweep uses, so per-cell isolation, retries, fault plans, the
-    trace cache, the checkpoint store, and (with ``jobs > 1``) the
-    worker-death-tolerant process pool all apply unchanged.  The
-    study memo doubles as the hot-result store: a cell any client has
-    completed is served without re-simulation, and a cell whose trace
-    is cached replays in microseconds.
+    ``study.sweep(device, [algo], [input], jobs=1)`` — the *same* code
+    path the serial CLI sweep uses, so per-cell isolation, retries,
+    fault plans, the trace cache and the checkpoint store all apply
+    unchanged.  The study memo doubles as the hot-result store: a cell
+    any client has completed is served without re-simulation, and a
+    cell whose trace is cached replays in microseconds.
 
 :class:`CellScheduler`
     The asyncio side.  Identical in-flight cells from different
@@ -78,9 +77,8 @@ class StudyExecutor:
                  validate: bool = False, retries: int = 0,
                  backoff_s: float = 0.0, max_steps: int | None = None,
                  faults=None, trace_cache=None,
-                 checkpoint=None, jobs: int = 1) -> None:
+                 checkpoint=None) -> None:
         self._max_steps = max_steps
-        self.jobs = jobs
         self.study = ResilientStudy(
             reps=reps, scale=scale, validate=validate, retries=retries,
             backoff_s=backoff_s, budget=CellBudget(max_steps=max_steps),
@@ -138,8 +136,10 @@ class StudyExecutor:
                     None)
             study.budget = CellBudget(max_seconds=budget_s,
                                       max_steps=self._max_steps)
+            # one cell per call: a worker process would run it no
+            # sooner than this thread does
             result = study.sweep(key.device, [key.algorithm],
-                                 [key.input_name], jobs=self.jobs)
+                                 [key.input_name], jobs=1)
             return result.cells[0]
 
     # ------------------------------------------------------------------

@@ -80,17 +80,14 @@ class ServiceConfig:
     retries: int = 1
     backoff_s: float = 0.05
     max_steps: int | None = None
-    jobs: int = 1
     trace_dir: str | None = None
     #: the service study's checkpoint: a result-store directory
     store_dir: str | None = None
     faults: object | None = None  # FaultPlan, injected by the CLI
-    # fleet knobs (workers > 1 swaps in the FleetExecutor; fleet
-    # workers execute serially, so ``jobs`` is ignored in fleet mode)
+    # fleet knobs (workers > 1 swaps in the FleetExecutor)
     workers: int = 1
     fleet_heartbeat_s: float = 0.5
     fleet_flap_threshold: int = 3
-    fleet_flap_cooldown_s: float = 30.0
     fleet_task_deadline_s: float | None = None
     # robustness ladder knobs
     max_pending_cells: int = 256
@@ -128,7 +125,6 @@ class SweepService:
                 trace_cache=trace_cache, checkpoint=config.store_dir,
                 heartbeat_s=config.fleet_heartbeat_s,
                 flap_threshold=config.fleet_flap_threshold,
-                flap_cooldown_s=config.fleet_flap_cooldown_s,
                 task_deadline_s=config.fleet_task_deadline_s)
         else:
             self.executor = StudyExecutor(
@@ -136,7 +132,7 @@ class SweepService:
                 validate=config.validate, retries=config.retries,
                 backoff_s=config.backoff_s, max_steps=config.max_steps,
                 faults=config.faults, trace_cache=trace_cache,
-                checkpoint=config.store_dir, jobs=config.jobs)
+                checkpoint=config.store_dir)
         self.scheduler = CellScheduler(
             self.executor,
             CircuitBreaker(threshold=config.breaker_threshold,

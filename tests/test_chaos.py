@@ -1,14 +1,18 @@
-"""Tests for worker-death-tolerant pool execution
-(repro.core.parallel) and the chaos harness (repro.core.chaos).
+"""Tests for worker-death-tolerant parallel sweeps (repro.core.parallel
+on the repro.core.fleet supervisor) and the chaos harness
+(repro.core.chaos).
 
 Covers SIGKILLed and stalled workers recovering to byte-identical
-results, the bounded respawn budget, worker-raised exceptions wrapped
-as :class:`~repro.errors.WorkerTaskError` naming the cell, the chaos
+results, cells lost twice failing instead of looping, worker-raised
+exceptions wrapped as :class:`~repro.errors.WorkerTaskError` naming
+the cell, the chaos
 scenario suite's kind coverage, one end-to-end scenario run, and the
 CLI wiring (``repro chaos`` exit codes, exit 3 on interruption).
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
@@ -24,6 +28,7 @@ from repro.core.chaos import (
 from repro.core.hostfaults import HostFaultKind, HostFaultPlan
 from repro.core.parallel import CellTask, execute_tasks
 from repro.core.resilience import ResilientStudy
+from repro.core.study import Study
 from repro.errors import StudyError, SweepInterrupted, WorkerTaskError
 
 DEVICE = "titanv"
@@ -58,8 +63,11 @@ class TestWorkerDeathRecovery:
             with hostfaults.installed(plan):
                 study = ResilientStudy(reps=1)
                 result = study.sweep(DEVICE, ALGOS, [INPUT], jobs=2)
-            respawns = registry.get("repro_host_pool_respawns_total")
-            assert respawns is not None and respawns.value() == 1
+            # each of the two workers dies on its first cell; its slot
+            # respawns and the cell runs once more, on the respawn
+            for name in ("repro_fleet_respawns_total",
+                         "repro_fleet_redispatches_total"):
+                assert registry.get(name).value() == len(ALGOS)
         assert not result.failures
         assert result.coverage[0] == result.coverage[1]
         out = tmp_path / "results.json"
@@ -80,14 +88,21 @@ class TestWorkerDeathRecovery:
         study.save_results(out)
         assert out.read_bytes() == clean_bytes
 
-    def test_respawn_budget_exhaustion_raises(self):
-        # no generation bound: every incarnation of every worker dies
+    def test_cells_lost_twice_fail_and_leave_no_worker(self):
+        # no generation bound: every incarnation of every worker dies,
+        # so each cell is lost, redispatched once and lost again
         plan = HostFaultPlan.parse("kill=1.0", seed=0)
         with hostfaults.installed(plan):
-            study = ResilientStudy(reps=1)
-            study.pool_respawn_budget = 1
-            with pytest.raises(StudyError, match="respawn budget"):
-                study.sweep(DEVICE, ["cc"], [INPUT], jobs=2)
+            result = ResilientStudy(reps=1).sweep(DEVICE, ALGOS, [INPUT],
+                                                  jobs=2)
+            assert result.coverage == (0, len(ALGOS))
+            assert {f.reason for f in result.failures} == {"fleet"}
+            assert multiprocessing.active_children() == []
+            with pytest.raises(StudyError,
+                               match=r"cc/internet/titanv lost twice"):
+                Study(reps=1).speedup_table(DEVICE, ["cc"], [INPUT],
+                                            jobs=2)
+            assert multiprocessing.active_children() == []
 
     def test_worker_raised_error_names_the_cell(self):
         config = ResilientStudy(reps=1)._worker_config()

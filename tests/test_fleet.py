@@ -18,14 +18,15 @@ import time
 
 import pytest
 
-from repro.core import hostfaults
+from repro import telemetry
+from repro.core import hostfaults, parallel
 from repro.core.hostfaults import HostFaultPlan
 from repro.core.resilience import ResilientStudy
 from repro.core.store import ResultStore
 from repro.gpu.faults import FaultPlan
 from repro.service.fleet import FleetExecutor
 from repro.service.protocol import CellKey
-from repro.service.scheduler import StudyExecutor
+from repro.service.scheduler import CellScheduler, StudyExecutor
 from repro.service.server import ServiceConfig, SweepService
 from tests.durable_ladder import LadderCases, StoreAdapter, restamp
 
@@ -114,8 +115,18 @@ class TestFleetByteIdentity:
             fleet.shutdown()
 
 
+_TASK_RECORDS = parallel._task_records
+
+
+def _failing_task_records(study, task):
+    """``_task_records`` raising in the worker for every mis cell."""
+    if task.algorithm == "mis":
+        raise RuntimeError("harness fault")
+    return _TASK_RECORDS(study, task)
+
+
 # ----------------------------------------------------------------------
-# Failover: kills, redispatch, and the flap circuit-breaker
+# Failover: kills, redispatch, and slot eviction
 # ----------------------------------------------------------------------
 class TestFleetFailover:
     def test_killed_workers_redispatch_each_cell_at_most_once(self):
@@ -135,11 +146,19 @@ class TestFleetFailover:
                 fleet.shutdown()
 
     def test_restart_storm_evicts_flapping_slot_but_serves(self):
-        # a worker SIGKILLed every time it comes back trips its flap
-        # breaker: the slot is evicted, its sibling keeps serving, and
-        # the fleet reports itself degraded instead of looping forever
+        # a worker SIGKILLed every time it comes back is evicted after
+        # flap_threshold deaths in a row: its sibling keeps serving,
+        # and the fleet reports itself degraded instead of looping
+        with telemetry.session() as (registry, _spans):
+            self._restart_storm()
+            assert registry.get("repro_fleet_evictions_total").value() == 1
+            # a slot is not a cell: the per-cell breakers saw nothing
+            assert registry.get("repro_service_breaker_events_total") \
+                is None
+
+    def _restart_storm(self):
         fleet = FleetExecutor(workers=2, reps=1, heartbeat_s=0.05,
-                              flap_threshold=2, flap_cooldown_s=3600.0)
+                              flap_threshold=2)
         try:
             for kill in range(2):
                 status = fleet.fleet_status()["workers"][0]
@@ -203,7 +222,33 @@ class TestFleetFailover:
             assert "merge failed" in failed.message
             assert hasattr(later.result(timeout=15), "speedup")
             assert merge_raised
-            assert fleet._supervisor.is_alive()
+            assert fleet.fleet._supervisor.is_alive()
+        finally:
+            fleet.shutdown()
+
+    def test_a_harness_bug_fails_its_cell_and_kills_no_worker(
+            self, monkeypatch):
+        """A cell whose worker raises is answered like the serial
+        executor's: the scheduler's ``internal`` record, naming the
+        cell.  The worker survives it, so nothing is respawned or
+        redispatched, and the other cell completes."""
+        monkeypatch.setattr(parallel, "_task_records",
+                            _failing_task_records)
+        fleet = FleetExecutor(workers=2, reps=1, heartbeat_s=0.1)
+        scheduler = CellScheduler(fleet)
+
+        async def go():
+            return await asyncio.gather(
+                *(scheduler.request_cell(key) for key in CELLS))
+
+        try:
+            good, bad = asyncio.run(go())
+            assert good["status"] == "ok"
+            assert bad["reason"] == "internal"
+            assert "mis/internet/titanv" in bad["message"]
+            status = fleet.fleet_status()
+            assert status["respawns"] == 0
+            assert status["redispatches"] == 0
         finally:
             fleet.shutdown()
 
@@ -473,8 +518,8 @@ class TestServiceFleet:
             await service.start()
             host, port = service.address
 
-            # respawn budget exhausted: a slot evicted by its breaker
-            service.executor._slots[0].state = "evicted"
+            # respawn budget exhausted: a slot evicted
+            service.executor.fleet._slots[0].state = "evicted"
             status, _head, body = await _fetch(host, port, "GET",
                                                "/readyz")
             assert status == 503
@@ -488,7 +533,7 @@ class TestServiceFleet:
                                                "/readyz")
             assert status == 503
             assert "store_degraded" in json.loads(body)["reasons"]
-            service.executor._slots[0].state = "idle"
+            service.executor.fleet._slots[0].state = "idle"
             await service.aclose()
 
         asyncio.run(go())

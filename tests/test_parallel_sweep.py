@@ -2,11 +2,15 @@
 
 The contract: a ``jobs > 1`` sweep produces byte-identical artifacts
 (saved results, published store records, speedup cells) to the serial
-path — the
-pool only changes wall-clock, never results.
+path — the workers only change wall-clock, never results.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
@@ -14,8 +18,9 @@ from repro import ResilientStudy, Study, telemetry
 from repro.cli import main as cli_main
 from repro.core import parallel
 from repro.core.parallel import JOBS_ENV, resolve_jobs
+from repro.core.resilience import CellBudget
 from repro.core.study import SpeedupCell
-from repro.errors import StudyError, WorkerTaskError
+from repro.errors import StudyError, SweepInterrupted, WorkerTaskError
 from repro.gpu.faults import FaultPlan
 from repro.graphs.generators import grid2d
 from repro.graphs.suite import load_suite_graph
@@ -32,14 +37,14 @@ _RUN_TASK = parallel._run_task
 
 def _logged_run_task(task, generation=0):
     """``_run_task`` logging one line per execution.  Module-level, so
-    the pool pickles it by name and forked workers resolve it."""
+    forked workers resolve it by name."""
     with open(_EXECUTION_LOG, "a") as log:
         log.write("/".join(parallel._task_key(task)) + "\n")
     return _RUN_TASK(task, generation)
 
 
 def _log_executions(tmp_path, monkeypatch):
-    """Route every pool task through :func:`_logged_run_task`; returns
+    """Route every worker task through :func:`_logged_run_task`; returns
     a function reading the log as a list of ``algo/input/device``."""
     log = tmp_path / "executions.log"
     monkeypatch.setitem(globals(), "_EXECUTION_LOG", str(log))
@@ -88,7 +93,7 @@ class TestParallelStudy:
     def test_parallel_fills_the_memo(self):
         study = Study(reps=1)
         study.speedup_table(DEVICE, ALGOS, INPUTS, jobs=2)
-        # a second pass needs no pool: everything is memoized
+        # a second pass needs no worker: everything is memoized
         again = study.speedup_table(DEVICE, ALGOS, INPUTS, jobs=1)
         assert len(again) == len(ALGOS) * len(INPUTS)
 
@@ -152,20 +157,34 @@ class TestParallelResilientStudy:
         assert _cells(cells_a) == _cells(cells_b)
 
 
-class TestOneGenerationPerCleanPool:
+class TestOneGenerationPerCleanFleet:
     def test_each_task_executes_once(self, tmp_path, monkeypatch):
         executions = _log_executions(tmp_path, monkeypatch)
         ResilientStudy(reps=1).sweep(DEVICE, ALGOS, INPUTS, jobs=2)
         assert executions() == sorted(
             f"{a}/{i}/{DEVICE}" for i in INPUTS for a in ALGOS)
 
-    def test_clean_pool_never_respawns(self):
+    def test_clean_fleet_never_respawns(self):
         with telemetry.session() as (registry, _spans):
-            study = ResilientStudy(reps=1)
-            study.pool_respawn_budget = 0
-            result = study.sweep(DEVICE, ALGOS, INPUTS, jobs=2)
-            assert registry.get("repro_host_pool_respawns_total") is None
+            result = ResilientStudy(reps=1).sweep(DEVICE, ALGOS, INPUTS,
+                                                  jobs=2)
+            assert registry.get("repro_fleet_respawns_total") is None
+            assert registry.get("repro_fleet_redispatches_total") is None
         assert result.coverage[0] == result.coverage[1] == 4
+
+    def test_workers_run_under_the_study_budget(self):
+        """Each worker task runs under the parent's cell budget: a
+        wall-clock budget too short for one repetition fails every
+        cell with ``timeout``, as the serial sweep does."""
+        budget = CellBudget(max_seconds=1e-9)
+        serial = ResilientStudy(reps=2, budget=budget).sweep(
+            DEVICE, ALGOS, INPUTS, jobs=1)
+        par = ResilientStudy(reps=2, budget=budget).sweep(
+            DEVICE, ALGOS, INPUTS, jobs=2)
+        assert [c.describe() for c in par.failures] == \
+            [c.describe() for c in serial.failures]
+        assert {c.reason for c in par.failures} == {"timeout"}
+        assert len(par.failures) == len(ALGOS) * len(INPUTS)
 
 
 def test_cli_sweep_jobs_smoke(capsys):
@@ -419,3 +438,35 @@ def test_parent_pricing_waits_for_the_merge(tmp_path, monkeypatch):
                     if d == "2070super")
     assert priced == merged
     assert [(a, i) for a, i, _ in merged] == [("cc", "internet")] * 2
+
+
+def _interrupting_run_task(task, generation=0):
+    """``_run_task`` stalling in the worker; the cc cell's worker first
+    interrupts the parent, as a Ctrl-C mid-sweep would."""
+    if task.algorithm == "cc":
+        os.kill(os.getppid(), signal.SIGINT)
+    time.sleep(60)
+
+
+class TestWorkersAreReaped:
+    """However the sweep ends, no worker outlives it: the ledger counts
+    only reaped children's CPU time and memory."""
+
+    def test_after_a_normal_return(self):
+        ResilientStudy(reps=1).sweep(DEVICE, ALGOS, INPUTS, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_after_a_worker_task_error(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_run_task", _failing_run_task)
+        with pytest.raises(WorkerTaskError, match="mis/internet/titanv"):
+            ResilientStudy(reps=1).sweep(DEVICE, ALGOS, INPUTS, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_after_an_interrupt(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_run_task", _interrupting_run_task)
+        started = time.monotonic()
+        with pytest.raises(SweepInterrupted):
+            ResilientStudy(reps=1).sweep(DEVICE, ALGOS, INPUTS, jobs=2)
+        assert multiprocessing.active_children() == []
+        # busy workers are killed, not waited for
+        assert time.monotonic() - started < 30

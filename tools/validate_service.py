@@ -3,9 +3,9 @@
 Drives a real ``python -m repro serve`` subprocess the way an unlucky
 deployment would:
 
-1. starts the server with a host fault plan installed — every
-   first-generation pool worker is SIGKILLed and 40% of trace-cache
-   writes are torn — plus a ``--store`` and a disk trace cache;
+1. starts the serial server (no worker processes) with a host fault
+   plan installed — 40% of trace-cache writes are torn — plus a
+   ``--store`` and a disk trace cache;
 2. submits the same study from two concurrent clients and checks that
    every cell streams back ``ok`` and that the pair coalesced onto a
    single grid execution;
@@ -16,9 +16,10 @@ deployment would:
    server drains within the deadline, exits 0, and leaves a store a
    fresh offline study serves the whole grid from, executing nothing;
 5. (fleet smoke) repeats the drive against ``--workers 2`` with a
-   ``--store`` under the same kill plan: every first-generation fleet
-   worker is killed, cells must fail over to respawned workers,
-   results must stay byte-identical to the offline sweep, the store
+   ``--store`` under a plan that also kills workers: every
+   first-generation fleet worker is killed, cells must fail over to
+   respawned workers, results must stay byte-identical to the offline
+   sweep, the store
    must hold every published cell, SIGTERM must still drain cleanly,
    and the drained store must again serve a fresh study.
 
@@ -127,13 +128,12 @@ def main(argv: list[str] | None = None) -> int:
 
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--reps", str(REPS), "--retries", "0", "--jobs", "2",
+         "--reps", str(REPS), "--retries", "0",
          "--trace-cache", str(workdir / "traces"),
          "--store", str(store_dir),
-         "--inject-host", "kill=1.0,torn=0.4",
+         "--inject-host", "torn=0.4",
          "--host-targets", "trace-*.json",
          "--host-seed", str(args.seed),
-         "--disrupt-generations", "1",
          "--drain-deadline", str(args.drain_deadline)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
@@ -141,8 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         if "listening on" not in banner:
             raise RuntimeError(f"unexpected banner {banner!r}")
         port = int(banner.rsplit(":", 1)[1])
-        print(f"ok   server up on port {port} "
-              "(worker kills + torn writes injected)")
+        print(f"ok   server up on port {port} (torn writes injected)")
 
         # two concurrent clients, one cold study
         records: dict[str, list[dict] | Exception] = {}
@@ -259,7 +258,8 @@ def _store_handoff(store_dir: Path, n_cells: int, what: str) -> bool:
 
 def _fleet_smoke(workdir: Path, baseline: bytes, n_cells: int,
                  args) -> int:
-    """Phase 5: the supervised worker fleet under the same kill plan."""
+    """Phase 5: the supervised worker fleet under worker kills and torn
+    writes."""
     fleet_dir = workdir / "fleet"
     store_dir = fleet_dir / "store"
     server = subprocess.Popen(
