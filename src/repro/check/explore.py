@@ -20,10 +20,22 @@ depth-first search over scheduling decisions with:
   search space finite for spinning kernels;
 * **state-fingerprint deduplication** (optional): a branch whose
   (executor state, choice) pair was already expanded is skipped.  The
-  fingerprint covers global memory plus each thread's generator frame,
-  so it is precise for the kernels in this repository; it trades a
-  little completeness of backtrack propagation for a lot of pruning
-  and is therefore off in ``exhaustive`` mode;
+  fingerprint hashes the memory image, the barrier epochs and every
+  thread's exact :func:`~repro.gpu.simt.thread_signature` (each frame's
+  resume point, locals and loop iterators, its registers and queued
+  operations), so two states merge only when they behave alike; a
+  state holding a value the signature can only name by its type gets no
+  fingerprint and is never merged.  Deduplication still trades a little
+  completeness of backtrack propagation for pruning, so it is off by
+  default;
+* **proven spins** (dpor mode): once the free phase's stay policy has
+  kept one thread running alone for ``_WATCH_STAY`` decisions, an exact
+  repeat of the launch state ends the run with
+  :class:`~repro.errors.DeadlockError` — the run could only spin the
+  same cycle to the step cap — and it counts as truncated, as the cap
+  would have made it.  The cut-off tail would have added no stack node
+  with a choice left and no backtrack point, so no schedule or verdict
+  changes; naive mode, which branches at every node, keeps its runs;
 * **budgets**: schedule count, per-run micro-steps, and wall-clock.
 
 The explorer is program-agnostic: it re-executes via a caller-supplied
@@ -42,10 +54,11 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.errors import ExplorationError
+from repro.errors import DeadlockError, ExplorationError
 from repro.gpu.accesses import AccessKind
 from repro.gpu.interleave import PendingOp, Scheduler
-from repro.gpu.simt import DRAIN_BASE, AccessEvent
+from repro.gpu.simt import (DRAIN_BASE, AccessEvent, RepeatWatch,
+                            thread_signature)
 from repro.check.replay import DecisionLog, stay_policy
 
 __all__ = ["ExploreBudget", "BUDGETS", "RunOutcome", "ExploreResult",
@@ -99,59 +112,28 @@ class RunOutcome:
 
 #: runner contract: execute the program once from scratch under the
 #: given scheduler; ``step_probe`` (when not None) must be installed as
-#: ``executor.step_probe``.
+#: ``executor.step_probe`` with the executor bound as
+#: ``step_probe.executor``.
 Runner = Callable[[Scheduler, Callable | None], RunOutcome]
 
-
-def _stable_encode(value: object) -> str:
-    """Deterministic encoding of a generator-frame local across runs
-    (default reprs embed object addresses, which change per run)."""
-    if value is None or isinstance(value, (bool, str)):
-        return repr(value)
-    if isinstance(value, int):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return "[" + ",".join(_stable_encode(v) for v in value) + "]"
-    if isinstance(value, dict):
-        return "{" + ",".join(
-            f"{_stable_encode(k)}:{_stable_encode(v)}"
-            for k, v in sorted(value.items(), key=lambda kv: repr(kv[0]))
-        ) + "}"
-    try:
-        return f"<{type(value).__name__}:{int(value)}>"  # numpy scalars
-    except (TypeError, ValueError):
-        return f"<{type(value).__name__}>"
+#: decisions the stay policy must keep one thread running alone before
+#: the probe starts watching for a repeated launch state; the corpus's
+#: terminating threads run alone for fewer, so watching costs them
+#: nothing
+_WATCH_STAY = 32
 
 
-def state_fingerprint(memory, threads, epochs) -> int:
-    """Hash of the executor's full logical state at a decision point:
-    the memory image plus, per thread, the generator's instruction
-    pointer and locals, queued micro-ops, register cache, and control
-    bits.  Two runs at equal fingerprints behave identically from here
-    on under the same decisions."""
-    parts: list[str] = [memory.fingerprint().hex(), repr(sorted(epochs.items()))]
-    for t in threads:
-        frame = getattr(t.gen, "gi_frame", None)
-        if frame is not None:
-            frame_sig = (f"@{frame.f_lasti}:"
-                         + _stable_encode(frame.f_locals))
-        else:
-            frame_sig = "@done"
-        micro_sig = ";".join(
-            f"{m.span}:{int(m.is_read)}{int(m.is_write)}:{m.value}:{m.operand}"
-            for m in t.micro)
-        pieces_sig = ",".join(str(p) for p in t.pieces)
-        reg_sig = ",".join(f"{s}={v}" for s, v in
-                           sorted(t.reg_cache.items(),
-                                  key=lambda kv: (kv[0].array, kv[0].start)))
-        buf_sig = ",".join(f"{e.span}={e.value}@{e.seq}:{e.vis}"
-                           for e in t.store_buffer)
-        parts.append(f"t{t.tid}:{int(t.done)}{int(t.at_barrier)}"
-                     f"{int(t.started)}:{_stable_encode(t.send_value)}:"
-                     f"{frame_sig}|{micro_sig}|{pieces_sig}|{reg_sig}|{buf_sig}")
-    return hash("\n".join(parts))
+def state_fingerprint(memory, threads, epochs) -> int | None:
+    """Hash of the executor's exact logical state at a decision point:
+    the memory image, the barrier epochs and every thread's
+    :func:`~repro.gpu.simt.thread_signature`.  Two runs at equal
+    fingerprints behave identically from here on under the same
+    decisions.  None when some thread has no signature."""
+    signatures = tuple(map(thread_signature, threads))
+    if None in signatures:
+        return None
+    return hash((memory.fingerprint(), tuple(sorted(epochs.items())),
+                 signatures))
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +167,9 @@ class _DirectedScheduler(Scheduler):
         self._snapshot: dict[int, PendingOp] | None = None
         self.launch_starts: list[int] = []
         self.redundant = False
+        #: (thread, picks) the stay policy would still have made when a
+        #: proven spin ended the run: the log replays them to the cap
+        self.spin: tuple[int, int] | None = None
         self._pending: Mapping[int, PendingOp] = {}
         self._last: int | None = None
 
@@ -241,7 +226,11 @@ class _DirectedScheduler(Scheduler):
         return ("directed", len(self.picks))
 
     def log(self) -> DecisionLog:
-        return DecisionLog.from_decisions(self.picks, self.launch_starts)
+        picks = self.picks
+        if self.spin is not None:
+            tid, remaining = self.spin
+            picks = picks + [tid] * remaining
+        return DecisionLog.from_decisions(picks, self.launch_starts)
 
 
 def _dependent(a: PendingOp, b: PendingOp) -> bool:
@@ -391,9 +380,9 @@ class ScheduleExplorer:
                 break
 
             sched = _DirectedScheduler(forced, branch_depth, branch_sleep)
-            fingerprints: list[int] = []
-            probe = (self._make_probe(fingerprints)
-                     if self.state_dedupe else None)
+            fingerprints: list[int | None] = []
+            probe = self._make_probe(
+                sched, fingerprints if self.state_dedupe else None)
             try:
                 outcome = self.runner(sched, probe)
             except _RedundantScheduleAbort:
@@ -433,15 +422,69 @@ class ScheduleExplorer:
         return result
 
     # ------------------------------------------------------------------
-    def _make_probe(self, sink: list[int]):
+    def _make_probe(self, sched: _DirectedScheduler,
+                    fingerprints: list[int | None] | None):
+        """The executor's step probe for one run (None if it needs
+        none).  With ``fingerprints`` it appends each decision's
+        :func:`state_fingerprint`.  In dpor mode it proves spins: while
+        the stay policy keeps picking one runnable, awake thread, with
+        no store-buffer entry anywhere, no fault injector and no warp
+        lockstep, only that thread changes anything — the others move
+        only when a barrier releases them, which bumps the epochs — so
+        an exact repeat of (memory image, barrier epochs, its signature)
+        means the stay policy would run the same cycle until the step
+        cap.  The repeat raises :class:`DeadlockError` at once, and the
+        scheduler's log keeps the picks the cap would have taken."""
+        watch_spins = self.mode == "dpor"
+        if fingerprints is None and not watch_spins:
+            return None
+        picks = sched.picks
+        sleep = sched._sleep
+        free_from = len(sched.forced)
+        run = 0
+        watch: RepeatWatch | None = None
+
         def probe(threads, epochs, stats):
-            # the runner hands us memory via closure-free route: the
-            # first thread's reg_cache spans name arrays, but we need
-            # the memory object itself — runners install this probe on
-            # the executor, whose memory we reach through the closure
-            # set below by the runner (see harness._make_runner).
-            sink.append(state_fingerprint(probe.memory, threads, epochs))
-        probe.memory = None  # assigned by the runner before launching
+            nonlocal run, watch
+            executor = probe.executor
+            if fingerprints is not None:
+                fingerprints.append(
+                    state_fingerprint(executor.memory, threads, epochs))
+            tid = sched._last
+            if (not watch_spins or len(picks) < free_from or tid is None
+                    or tid >= DRAIN_BASE or tid in sleep):
+                run = 0
+                return
+            thread = threads[tid]
+            if thread.done or thread.at_barrier or thread.store_buffer:
+                run = 0
+                return
+            run += 1
+            if run < _WATCH_STAY:
+                return
+            memory = executor.memory
+            if run == _WATCH_STAY:
+                alone = not (executor.warp_lockstep
+                             or executor.faults is not None
+                             or memory.faults is not None
+                             or any(t.store_buffer for t in threads))
+                watch = RepeatWatch() if alone else None
+            if watch is None:
+                return
+            signature = thread_signature(thread)
+            if watch.repeats(None if signature is None else (
+                    memory.fingerprint(), tuple(epochs.values()),
+                    signature)):
+                sched.spin = (tid, executor.max_steps - stats.steps + 1)
+                raise DeadlockError(
+                    f"thread {tid} re-entered the exact launch state it "
+                    f"held {watch.since} decision(s) earlier (memory, "
+                    "barrier epochs, its frames and registers equal; no "
+                    "other thread ran) while the stay policy kept it "
+                    "running alone: a spin to the "
+                    f"{executor.max_steps}-step cap")
+
+        probe.executor = None  # bound by the runner before launching
         return probe
 
     def _integrate(self, stack: list[_Node], sched: _DirectedScheduler,

@@ -215,7 +215,7 @@ def _make_runner(program: Program, budget: ExploreBudget,
             schedulable_drains=schedulable_drains,
             faults=injector)
         if probe is not None:
-            probe.memory = mem
+            probe.executor = executor
             executor.step_probe = probe
         error: Exception | None = None
         check_ok: bool | None = None

@@ -419,6 +419,7 @@ def _cmd_check(args) -> int:
                     "complete": report.explore.complete,
                     "stop_reason": report.explore.stop_reason,
                     "truncated_runs": report.explore.truncated_runs,
+                    "total_steps": report.explore.total_steps,
                     "races": [r.to_json() for r in report.races],
                     "failures": [
                         {"kind": f.kind, "detail": f.detail,

@@ -73,12 +73,14 @@ def ineligible_reason(ex: SimtExecutor) -> str | None:
         return "weak_memory"
     if not ex.memory_model.batch_eligible:
         return "memory_model"
-    if ex.step_probe is not None:
-        return "step_probe"
     if ex.faults is not None or ex.memory.faults is not None:
         return "faults"
     if type(ex.scheduler) is not RoundRobinScheduler:
         return "scheduler"
+    # last: every dpor exploration installs a probe, and its launches
+    # are labelled by their scheduler
+    if ex.step_probe is not None:
+        return "step_probe"
     return None
 
 

@@ -33,6 +33,8 @@ Example kernel::
 from __future__ import annotations
 
 import enum
+import gc
+import types
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple
@@ -319,6 +321,162 @@ class _Thread:
     reg_cache: dict[MemSpan, int] = field(default_factory=dict)
     #: buffered-store models: issued but not yet globally visible stores
     store_buffer: list[_BufEntry] = field(default_factory=list)
+
+
+# ----------------------------------------------------------------------
+# Exact thread-state signatures
+# ----------------------------------------------------------------------
+
+class _Unprovable(Exception):
+    """A value the signature can only name by its type."""
+
+
+#: marks the value-stack slot holding the frame's ``yield from``
+#: delegate, whose own frame follows in the signature
+_DELEGATE = ("yield from",)
+
+#: builtin iterators a kernel loop may hold on its value stack; each
+#: ``__reduce__`` exposes what is left to iterate (and where it stands)
+_ITERATOR_TYPES = frozenset(type(it) for it in (
+    iter(range(0)), iter(range(1 << 64)), iter(()), iter([])))
+
+
+def _encode(value):
+    """``value`` as a hashable key that two values share only if they
+    behave alike.  Immutable scalars stand for themselves (tagged with
+    their type where ``==`` would merge kinds, e.g. ``True == 1``);
+    tuples, lists, loop iterators, closures and cells are encoded by
+    content; the launch's fixed runtime objects (:class:`ThreadCtx`, the
+    frozen :class:`ArrayHandle`) by their fields.  Anything else raises
+    :class:`_Unprovable`."""
+    cls = type(value)
+    if cls is int or cls is str or value is None:
+        return value
+    if cls is tuple or cls is list:
+        return (cls, *map(_encode, value))
+    if cls is bool or cls is float:
+        return (cls, value)
+    if cls is ArrayHandle or isinstance(value, enum.Enum):
+        return value
+    if cls is ThreadCtx:
+        return (cls, value.tid, value.block, value.lane, value.num_threads,
+                value.block_dim, tuple(value._shared.items()))
+    if cls in _ITERATOR_TYPES:
+        # drop the rebuild callable (``iter``); the type names it
+        return (cls, *map(_encode, value.__reduce__()[1:]))
+    if cls is range:
+        return (range, value.start, value.stop, value.step)
+    if cls is types.CellType:
+        try:
+            return (cls, _encode(value.cell_contents))
+        except ValueError:  # an empty cell
+            return (cls,)
+    if cls is types.FunctionType:
+        # kernel helpers bound in closures: code, defaults and closure
+        # contents; module globals are taken as fixed
+        return (cls, value.__code__, _encode(value.__defaults__),
+                _encode(value.__kwdefaults__),
+                _encode(value.__closure__))
+    if isinstance(value, tuple):  # NamedTuples: MemSpan, Op, ...
+        return (cls, *map(_encode, value))
+    raise _Unprovable(cls.__name__)
+
+
+def _frame_signature(gen) -> tuple:
+    """One generator frame: code, resume point, locals by name, and the
+    value stack (loop iterators and their positions, pending operands,
+    the ``yield from`` delegate).  CPython exposes a suspended frame's
+    live slots through ``gc.get_referents``: a header ending in the
+    frame's function and code object, then every bound fast local,
+    cell and value-stack entry in order."""
+    frame = gen.gi_frame
+    code = gen.gi_code
+    refs = gc.get_referents(gen)
+    for i in range(1, len(refs)):
+        if refs[i] is code and type(refs[i - 1]) is types.FunctionType:
+            break
+    else:
+        raise _Unprovable("generator layout")
+    delegate = gen.gi_yieldfrom
+    return (code, frame.f_lasti,
+            tuple((name, _encode(v)) for name, v in frame.f_locals.items()),
+            tuple(_DELEGATE if r is delegate else _encode(r)
+                  for r in refs[i + 1:]))
+
+
+def thread_signature(thread: _Thread) -> tuple | None:
+    """An exact key of everything that decides ``thread``'s future
+    given the memory it reads: every generator frame down the
+    ``yield from`` chain (:func:`_frame_signature`), the queued
+    micro-ops, the current op, loaded pieces, register cache, store
+    buffer, control flags and the value to send next.  Two equal
+    signatures mean the same behaviour from here on; a thread holding a
+    value the encoding can only name by its type (say a generator it
+    iterates, or an object of a kernel-defined class) has no
+    signature — None — and so never counts as a repeat.
+
+    Module globals are not part of the state: kernels must not keep
+    state there (re-executing a program per schedule already asks
+    that)."""
+    try:
+        frames = []
+        gen = thread.gen
+        while gen is not None:
+            if type(gen) is not types.GeneratorType:
+                frames.append(_encode(gen))  # iter(()) for a no-op thread
+                break
+            if gen.gi_frame is None:
+                frames.append(None)  # finished
+                break
+            frames.append(_frame_signature(gen))
+            gen = gen.gi_yieldfrom
+        send = _encode(thread.send_value)
+        op = _encode(thread.current_op)
+    except (_Unprovable, RecursionError):
+        return None
+    return (tuple(frames), send,
+            tuple((m.span, m.is_read, m.is_write, m.access, m.value, m.rmw,
+                   m.operand, m.expected, m.site, m.order, m.scope)
+                  for m in thread.micro),
+            op, tuple(thread.pieces),
+            frozenset(thread.reg_cache.items()), tuple(thread.store_buffer),
+            thread.started, thread.done, thread.at_barrier)
+
+
+class RepeatWatch:
+    """Finds an exact repeat in a deterministic sequence of states with
+    O(1) memory (Brent's cycle detection).
+
+    :meth:`repeats` takes one state per step and answers True once the
+    state equals the one kept: the first state, and then, whenever
+    ``window`` steps pass without a match, the newest, with the window
+    doubling.  A cycle of at most 64 steps already running when the
+    watch starts is caught at its first repeat, any other within a few
+    of its periods.  A None state (no signature) never matches."""
+
+    __slots__ = ("kept", "window", "since")
+
+    def __init__(self) -> None:
+        self.kept: tuple | None = None
+        self.window = 64
+        #: steps since the kept state
+        self.since = 0
+
+    def repeats(self, state: tuple | None) -> bool:
+        if state is None:
+            self.since += 1
+            return False
+        if self.kept is None:
+            self.kept = state
+            return False
+        self.since += 1
+        if state == self.kept:
+            return True
+        if self.since >= self.window:
+            self.kept = state
+            self.since = 0
+            self.window *= 2
+        return False
 
 
 def _apply_rmw(op: RMWOp, old: int, operand: int, expected: int | None,
@@ -895,9 +1053,15 @@ class SimtExecutor:
             return [op.span]
         return split_native_words(op.span)
 
-    #: register-hit ops one thread may satisfy without reaching memory
-    #: before we declare it stuck in a stale-value polling loop
+    #: free ops (register hits, fences) one thread may take in a row
+    #: before we declare it stuck: the bound for loops whose state never
+    #: repeats exactly
     MAX_FREE_OPS = 65_536
+
+    #: register hits in a row after which ``_advance`` starts watching
+    #: for an exact repeat of the thread's state; the kernels here take
+    #: at most a handful, so the watch costs them nothing
+    WATCH_REGISTER_HITS = 16
 
     def _advance(self, thread: _Thread, stats: LaunchStats,
                  threads: list[_Thread] | None = None,
@@ -905,11 +1069,19 @@ class SimtExecutor:
         """Run the generator until it yields the next op (or finishes),
         translating the op into micro-operations.  Pure compute between
         memory operations is free, and so is a plain load the register
-        cache serves."""
+        cache serves.
+
+        Between two register hits only this thread's own Python code
+        runs, and nothing touches memory, so once its exact state
+        (:func:`thread_signature`) recurs at a hit it would recur
+        forever.  Watched from the ``WATCH_REGISTER_HITS``-th hit in a
+        row, the first repeat raises :class:`DeadlockError` instead of
+        the ``MAX_FREE_OPS`` bound."""
         gen = thread.gen
         reg_cache = thread.reg_cache
         cache_plain = self.register_cache_plain
         free_ops = 0
+        watch: RepeatWatch | None = None
         while True:
             free_ops += 1
             if free_ops > self.MAX_FREE_OPS:
@@ -947,6 +1119,21 @@ class SimtExecutor:
                         # register hit: no memory traffic, loop on
                         stats.register_hits += 1
                         thread.send_value = value
+                        # a fence empties the cache, so every free op so
+                        # far was a register hit
+                        if free_ops >= self.WATCH_REGISTER_HITS:
+                            if watch is None:
+                                watch = RepeatWatch()
+                            if watch.repeats(thread_signature(thread)):
+                                raise DeadlockError(
+                                    f"thread {thread.tid} re-entered the "
+                                    f"exact state it held {watch.since} "
+                                    "register-served load(s) earlier "
+                                    "(frames, locals, registers and sent "
+                                    f"value equal) while polling {op.span} "
+                                    "— an infinite polling loop on a "
+                                    "stale register-cached value (Fig. 1's "
+                                    "thread T4)")
                         continue
             elif kind is _FENCE:
                 reg_cache.clear()

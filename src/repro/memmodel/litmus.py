@@ -354,7 +354,7 @@ def _make_runner(test: LitmusTest, model: MemoryModel,
                           memory_model=model,
                           schedulable_drains=True)
         if probe is not None:
-            probe.memory = mem
+            probe.executor = ex
             ex.step_probe = probe
         error: Exception | None = None
         try:

@@ -242,6 +242,8 @@ class FleetExecutor:
                 task, recs = self._staged.pop(self._flushed)
                 self._flushed += 1
                 with self._study_lock:
+                    if recs:
+                        self._rearm(task.key)
                     try:
                         for record in recs:
                             self.study._merge_parallel_record(record)
@@ -256,6 +258,19 @@ class FleetExecutor:
                             task.key.device, Variant.BASELINE.value,
                             "error", str(exc), 1, 0.0))]
                 self._resolve(task, recs)
+
+    def _rearm(self, key: CellKey) -> None:
+        """Forget the ledger's memoized failures of ``key``'s variants
+        before an attempt's records are folded in: the ledger drops
+        records of a failed key, so a cell that failed once and then
+        succeeded would never reach ``/v1/results`` or the store.
+        :class:`~repro.service.scheduler.StudyExecutor` re-arms before
+        each run; here it happens at the merge, in submission order, so
+        the failure of an earlier attempt still in flight at submission
+        cannot hide a later attempt's success either."""
+        for variant in Variant:
+            self.study._failures.pop(
+                (key.algorithm, key.input_name, key.device, variant), None)
 
     # ------------------------------------------------------------------
     # Resolution

@@ -194,6 +194,29 @@ def test_step_budget_deadlock_identical():
     assert messages[0] == messages[1]
 
 
+def test_register_poll_proof_identical():
+    """A stale register-served poll ends on the repeated-state proof,
+    with the same message after the same steps, on both tiers."""
+
+    def kernel(ctx: ThreadCtx, arr):
+        while True:
+            v = yield ctx.load(arr, ctx.tid % 2, AccessKind.PLAIN)
+            if v != -1:
+                return
+
+    outcomes = []
+    for batch in (False, True):
+        mem = GlobalMemory()
+        ex = SimtExecutor(mem, batch=batch)
+        arr = mem.alloc("x", 2, DType.I32, fill=-1)
+        with pytest.raises(DeadlockError) as info:
+            ex.launch(kernel, 64, arr)
+        outcomes.append((str(info.value), ex.events[-1].step))
+        assert ex.batch_stats.batched_launches == int(batch)
+    assert outcomes[0] == outcomes[1]
+    assert "re-entered the exact state" in outcomes[0][0]
+
+
 def test_barrier_divergence_identical(two_triangles):
     """Barrier-divergence deadlocks report the same waiting set."""
 

@@ -114,6 +114,31 @@ class TestFleetByteIdentity:
         finally:
             fleet.shutdown()
 
+    def test_a_retried_cell_reaches_the_ledger_and_the_store(
+            self, tmp_path):
+        """A cell that failed once and then succeeds is folded into the
+        ledger, published once and then served from the memo (the
+        ledger used to keep the failure and drop the retry's records)."""
+        key = CellKey("cc", "internet", "titanv")
+        fleet = FleetExecutor(workers=1, reps=1, heartbeat_s=0.1,
+                              checkpoint=tmp_path / "store")
+        try:
+            failed = fleet.submit(key, 1e-9).result(timeout=60)
+            assert failed.reason == "timeout"
+            retried = fleet.submit(key, None).result(timeout=60)
+            assert retried.speedup > 0
+            results = fleet.results_payload()["results"]
+            assert sorted(r["variant"] for r in results) == \
+                ["baseline", "racefree"]
+            assert not fleet.study._failures
+            assert fleet.study.store.status()["publishes"] == 1
+            executed = fleet.study.cells_executed
+            again = fleet.submit(key, None).result(timeout=60)
+            assert again.speedup == retried.speedup
+            assert fleet.study.cells_executed == executed
+        finally:
+            fleet.shutdown()
+
 
 _TASK_RECORDS = parallel._task_records
 

@@ -237,8 +237,13 @@ class TestRegisterCaching:
             else:
                 yield ctx.store(arr, 0, 0, AccessKind.PLAIN)
 
-        with pytest.raises(DeadlockError):
+        with pytest.raises(DeadlockError) as info:
             ex.launch(kernel, 2, arr)
+        # ended on the proof that the poll's state recurs, not on the
+        # MAX_FREE_OPS bound
+        assert "re-entered the exact state" in str(info.value)
+        assert "a[0:4]" in str(info.value)
+        assert str(SimtExecutor.MAX_FREE_OPS) not in str(info.value)
 
 
 class TestBarriers:
