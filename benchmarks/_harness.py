@@ -27,11 +27,6 @@ Environment knobs:
   the metric registry and span recorder are enabled for the whole bench
   session and written to the named file at interpreter exit (unset =
   telemetry off, the zero-overhead default).
-* ``REPRO_SIMT_BATCH`` — force the SIMT batched warp-wide tier on
-  (``1``) or off (``0``) for every executor in the session whose tier
-  was not pinned in code; unset defers to ``REPRO_ENGINE`` and the
-  ``auto`` tier-selection rules (docs/performance.md).  Runs are
-  bit-identical either way — this knob only moves wall-clock time.
 
 The harness runs on the resilient study (same results, memoized and
 bit-identical when nothing fails), so one bad cell cannot take down a
@@ -58,12 +53,6 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 TRACE_CACHE = os.environ.get(
     "REPRO_TRACE_CACHE", str(OUTPUT_DIR / "trace_cache"))
 JOBS = int(os.environ.get("REPRO_JOBS", "1"))
-
-#: tri-state SIMT tier override: True / False when the env knob pins a
-#: tier, None to follow the ``auto`` selection rules
-SIMT_BATCH = (None if os.environ.get("REPRO_SIMT_BATCH") is None
-              else os.environ["REPRO_SIMT_BATCH"].strip().lower()
-              not in ("", "0", "false", "no", "off"))
 
 TELEMETRY = os.environ.get("REPRO_TELEMETRY") or None
 if TELEMETRY:

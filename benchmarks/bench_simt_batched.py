@@ -18,10 +18,8 @@ analog's max degree overflows (the perf level handles those sizes; the
 batched-tier GC bit-identity is pinned on tiny graphs by
 ``tests/test_batched_equivalence.py``).
 
-Tier selection is forced per run via ``SimtExecutor(batch=...)``; the
-``REPRO_SIMT_BATCH`` / ``REPRO_ENGINE`` environment knobs (see
-``benchmarks/_harness.py`` and docs/performance.md) are deliberately
-bypassed so one bench session measures both tiers.
+Each run picks its tier with ``SimtExecutor(batch=...)``, so one bench
+session measures both tiers.
 
 Run directly for the full measurement::
 
@@ -39,10 +37,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from _harness import SIMT_BATCH  # noqa: F401  (documented knob, re-exported)
 
 from repro.algorithms import cc, mis, mst
 from repro.core.variants import Variant

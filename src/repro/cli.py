@@ -231,13 +231,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    from repro.gpu import tiers
-
-    tiers.set_engine(args.engine)
     faults = (FaultPlan.parse(args.inject, seed=args.fault_seed)
               if args.inject else None)
-    budget = CellBudget(max_seconds=args.max_seconds,
-                        max_steps=args.max_steps)
+    budget = CellBudget(max_seconds=args.max_seconds)
     study = ResilientStudy(
         reps=args.reps, validate=args.validate, retries=args.retries,
         backoff_s=args.backoff, budget=budget, faults=faults,
@@ -278,17 +274,13 @@ def _cmd_chaos(args) -> int:
 def _cmd_serve(args) -> int:
     """Run the sweep engine as a hardened async job server."""
     from repro.core import hostfaults
-    from repro.gpu import tiers
     from repro.service.server import ServiceConfig, serve_forever
-
-    tiers.set_engine(args.engine)
 
     faults = (FaultPlan.parse(args.inject, seed=args.fault_seed)
               if args.inject else None)
     config = ServiceConfig(
         host=args.host, port=args.port, reps=args.reps, scale=args.scale,
-        validate=args.validate, retries=args.retries,
-        backoff_s=args.backoff, max_steps=args.max_steps,
+        validate=args.validate, retries=args.retries, backoff_s=args.backoff,
         trace_dir=args.trace_cache or None, store_dir=args.store or None,
         faults=faults, workers=args.workers,
         max_pending_cells=args.max_pending_cells,
@@ -595,8 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--backoff", type=float, default=0.0,
                        help="base retry backoff in seconds (exponential "
                             "with full jitter, deadline-capped)")
-    sweep.add_argument("--max-steps", type=int, default=None,
-                       help="SIMT micro-step budget per kernel launch")
     sweep.add_argument("--max-seconds", type=float, default=None,
                        help="wall-clock budget per cell")
     sweep.add_argument("--inject", default=None, metavar="SPEC",
@@ -616,11 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--metrics-format", default="jsonl",
                        choices=["jsonl", "prom", "console"],
                        help="telemetry export format (default: jsonl)")
-    sweep.add_argument("--engine", default="auto",
-                       choices=["interp", "batched", "auto"],
-                       help="execution tier: scalar interpreter, batched "
-                            "warp-wide numpy fast path, or automatic "
-                            "selection (default; see docs/performance.md)")
 
     chaos = sub.add_parser(
         "chaos",
@@ -659,8 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--backoff", type=float, default=0.05,
                        help="base retry backoff in seconds (exponential "
                             "with full jitter, deadline-capped)")
-    serve.add_argument("--max-steps", type=int, default=None,
-                       help="per-kernel step budget (livelock guard)")
     serve.add_argument("--workers", type=int, default=1,
                        help="sweep worker processes (>1 runs the "
                             "supervised fleet: heartbeats, crash "
@@ -708,10 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "PATH after the drain")
     serve.add_argument("--metrics-format", default="jsonl",
                        choices=["jsonl", "prom", "console"])
-    serve.add_argument("--engine", default="auto",
-                       choices=["interp", "batched", "auto"],
-                       help="execution tier for served cells (default: "
-                            "auto; see docs/performance.md)")
 
     metrics = sub.add_parser(
         "metrics", help="post-process exported telemetry")

@@ -40,6 +40,7 @@ environment variable (unset = 1 = serial, no worker is ever started).
 from __future__ import annotations
 
 import os
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable
 
@@ -268,8 +269,14 @@ def _preload_task_modules(tasks: list[CellTask]) -> None:
             continue
 
 
+#: seconds between two calls of ``execute_tasks``' ``check`` while a
+#: dispatched cell is awaited
+CHECK_S = 0.1
+
+
 def execute_tasks(config: WorkerConfig, tasks: list, jobs: int,
-                  merge: Callable[[dict], None]) -> None:
+                  merge: Callable[[dict], None],
+                  check: Callable[[], None] | None = None) -> None:
     """Run ``tasks`` on up to ``jobs`` workers, merging records serially.
 
     A task is a :class:`CellTask`, or a list of records that need no
@@ -293,6 +300,11 @@ def execute_tasks(config: WorkerConfig, tasks: list, jobs: int,
     host fault: it raises :class:`~repro.errors.WorkerTaskError` naming
     the (algorithm, input, device) cell when the merge reaches it, and
     ends the sweep.
+
+    While a dispatched cell is awaited, ``check`` runs every
+    :data:`CHECK_S` seconds, and whatever it raises ends the sweep:
+    a resilient study raises there an interrupt whose first exception
+    a finalizer swallowed.
     """
     from repro.core.fleet import Fleet
 
@@ -306,7 +318,7 @@ def execute_tasks(config: WorkerConfig, tasks: list, jobs: int,
         for task in tasks:
             if isinstance(task, CellTask):
                 records = _dispatched_records(config, task,
-                                              next(dispatched))
+                                              next(dispatched), check)
             elif callable(task):
                 records = task()
             else:
@@ -318,13 +330,16 @@ def execute_tasks(config: WorkerConfig, tasks: list, jobs: int,
             fleet.shutdown()
 
 
-def _dispatched_records(config: WorkerConfig, task: CellTask,
-                        future) -> list[dict]:
+def _dispatched_records(config: WorkerConfig, task: CellTask, future,
+                        check: Callable[[], None] | None) -> list[dict]:
     """A dispatched cell's records; a resilient study records a lost
     cell as a ``fleet`` failure of each of its variants."""
     from repro.core.resilience import CellFailure
     from repro.core.study import outcome_record
 
+    if check is not None:
+        while not futures.wait((future,), timeout=CHECK_S).done:
+            check()
     try:
         return future.result()
     except WorkerLostError as exc:

@@ -10,8 +10,8 @@ sweep layer survive, record, and report those failures instead:
 
 * a failing cell becomes a structured :class:`CellFailure` record and
   the sweep continues (per-cell isolation);
-* :class:`DeadlockError` livelocks become recorded failures, bounded by
-  the :class:`CellBudget` step/wall-clock limits, not crashes;
+* :class:`DeadlockError` livelocks become recorded failures, and the
+  :class:`CellBudget` wall-clock limit bounds each cell, not crashes;
 * transient faults (:class:`~repro.errors.TransientKernelFault`) are
   retried with fresh schedule seeds and exponential backoff;
 * with a checkpoint directory, every cell whose two variants finish
@@ -63,17 +63,12 @@ class CellBudget:
     """Per-cell execution limits.
 
     ``max_seconds`` is a wall-clock budget checked between repetitions
-    and attempts; exceeding it records a ``timeout`` failure.
-    ``max_steps`` is the SIMT micro-step budget for kernel-level
-    execution (forwarded to :class:`~repro.gpu.simt.SimtExecutor`),
-    which converts infinite polling loops into
-    :class:`~repro.errors.DeadlockError` — recorded here as
-    ``livelock``.  Performance-level runs always terminate, so for them
-    only the wall-clock limit and injected livelocks apply.
+    and attempts; exceeding it records a ``timeout`` failure.  Sweep
+    cells run at the performance level, which always terminates, so a
+    cell's ``livelock`` comes only from an injected stuck-stale fault.
     """
 
     max_seconds: float | None = None
-    max_steps: int | None = None
 
 
 @dataclass(frozen=True)
@@ -146,10 +141,11 @@ def run_guarded(
       the wall-clock budget's remaining time so a retry can never
       sleep past its own deadline; ``fn``
       receives the attempt index so it can derive fresh schedule seeds.
-    * :class:`DeadlockError` — recorded as ``livelock`` (the step
-      budget turned an infinite polling loop into this error); no
-      retry, livelocks are schedule-lottery losses the caller should
-      see.
+    * :class:`DeadlockError` — recorded as ``livelock`` (an injected
+      stuck-stale fault, or a :class:`~repro.gpu.simt.SimtExecutor`
+      step budget in kernel-level code, turned an infinite polling
+      loop into this error); no retry, livelocks are schedule-lottery
+      losses the caller should see.
     * :class:`CellTimeoutError` — recorded as ``timeout``.
     * :class:`ValidationError` — recorded as ``validation`` (silent
       corruption caught by the reference checkers).
@@ -243,7 +239,7 @@ class ResilientStudy(Study):
         (:class:`~repro.utils.backoff.BackoffPolicy`; 0 disables
         sleeping).
     budget:
-        Per-cell :class:`CellBudget` (wall-clock and SIMT step limits).
+        Per-cell :class:`CellBudget` (the wall-clock limit).
     faults:
         Optional :class:`~repro.gpu.faults.FaultPlan`; every repetition
         of every cell gets its own deterministic injector derived from
@@ -293,6 +289,8 @@ class ResilientStudy(Study):
         #: names of inputs passed in as graphs, whose cells the store
         #: never holds: its address names an input, not its content
         self._direct_inputs: set[str] = set()
+        #: the signal the running sweep's handler received, if any
+        self._interrupted: int | None = None
 
     # ------------------------------------------------------------------
     # Cell execution
@@ -487,16 +485,20 @@ class ResilientStudy(Study):
         executes only the rest.  The CLI maps the exception to exit
         code 3.  Outside the main thread — or on platforms without
         these signals — the sweep runs unguarded, unchanged.
+
+        A handler that runs while a finalizer or weakref callback does
+        raises inside it, where Python only reports the exception.  So
+        the handler records the signal, and :meth:`_check_interrupt`
+        raises it again: the parallel path calls it while it awaits a
+        cell, and the sweep calls it as it ends.
         """
         if threading.current_thread() is not threading.main_thread():
             yield
             return
 
         def _handler(signum, frame):
-            name = signal.Signals(signum).name
-            raise SweepInterrupted(
-                f"sweep interrupted by {name}; every finished cell is "
-                "checkpointed — rerun with the same --checkpoint")
+            self._interrupted = signum
+            self._check_interrupt()
 
         previous = {}
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -504,10 +506,20 @@ class ResilientStudy(Study):
                 previous[sig] = signal.signal(sig, _handler)
         try:
             yield
+            self._check_interrupt()
         finally:
             for sig, old in previous.items():
                 with contextlib.suppress(OSError, ValueError):
                     signal.signal(sig, old)
+            self._interrupted = None
+
+    def _check_interrupt(self) -> None:
+        """Raise the interrupt the running sweep's handler recorded."""
+        if self._interrupted is not None:
+            name = signal.Signals(self._interrupted).name
+            raise SweepInterrupted(
+                f"sweep interrupted by {name}; every finished cell is "
+                "checkpointed — rerun with the same --checkpoint")
 
     # ------------------------------------------------------------------
     # Parallel execution hooks (see repro.core.parallel)

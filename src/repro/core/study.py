@@ -333,6 +333,10 @@ class Study:
         """Whether the sweep already has an outcome for ``key``."""
         return key in self._results
 
+    def _check_interrupt(self) -> None:
+        """Raise a stop request the sweep received while it awaits a
+        worker; a plain study takes none."""
+
     def _worker_config(self):
         """The picklable policy a worker rebuilds this study from."""
         from repro.core.parallel import WorkerConfig
@@ -497,7 +501,7 @@ class Study:
                 tasks.append(task)
                 sources[source] += 1
         execute_tasks(self._worker_config(), tasks, jobs,
-                      self._merge_parallel_record)
+                      self._merge_parallel_record, self._check_interrupt)
         return sources
 
     # ------------------------------------------------------------------

@@ -43,7 +43,6 @@ from repro.errors import DeadlockError, KernelError, MemoryAccessError
 from repro.gpu.accesses import AccessKind, DType, MemoryOrder, MemSpan, RMWOp, Scope
 from repro.memmodel.models import MemoryModel, resolve_model
 from repro.gpu.interleave import RoundRobinScheduler, Scheduler
-from repro.gpu import tiers
 from repro.gpu.memory import (
     NATIVE_WORD_BYTES,
     ArrayHandle,
@@ -566,6 +565,13 @@ class SimtExecutor:
         — and the DPOR explorer — decides drain timing.  Only
         meaningful under a buffered model; the litmus harness turns it
         on.  Incompatible with warp lockstep and fault injection.
+    batch:
+        Run each launch on the batched warp-wide tier
+        (:mod:`repro.gpu.batch`) whenever
+        :func:`~repro.gpu.batch.ineligible_reason` allows it — any hook
+        that observes single micro-steps keeps the interpreter.  False
+        keeps every launch on the interpreter (reason ``disabled``).
+        Both tiers compute bit-identical results.
     """
 
     def __init__(
@@ -579,7 +585,7 @@ class SimtExecutor:
         warp_size: int = 32,
         store_buffer_capacity: int = 8,
         faults: "FaultInjector | None" = None,
-        batch: bool | None = None,
+        batch: bool = True,
         memory_model: "MemoryModel | str | None" = None,
         schedulable_drains: bool = False,
     ) -> None:
@@ -638,8 +644,6 @@ class SimtExecutor:
         #: memory-level faults ride on the injector installed in
         #: ``memory`` — pass the same injector to both for a full plan
         self.faults = faults
-        #: batched-tier selection: True/False force it on/off, None
-        #: defers to :mod:`repro.gpu.tiers` (env knobs, then ``auto``)
         self.batch = batch
         self.batch_stats = BatchStats()
         self.events: list[AccessEvent] = []
@@ -763,7 +767,7 @@ class SimtExecutor:
             self._advance(t, stats, threads, epochs)
 
         reason = None
-        if tiers.simt_batch_enabled(self.batch):
+        if self.batch:
             from repro.gpu import batch as _batch  # deferred: imports simt
             reason = _batch.ineligible_reason(self)
             if reason is None:

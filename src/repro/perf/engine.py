@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.transform import AccessPlan, plan_for, site_kind
 from repro.core.variants import Variant
 from repro.errors import StudyError
-from repro.gpu import tiers
 from repro.gpu.accesses import AccessKind, MemoryOrder
 from repro.gpu.device import DeviceSpec, device_key
 from repro.gpu.timing import AccessStats, TimingModel
@@ -283,16 +282,12 @@ class Recorder:
         kernels' lookup.
         """
         if len(self.variants) > 1:
-            self._narrow()
+            self.variants = self.variants[:1]
+            self._plans = self._plans[:1]
+            self._tallies = self._tallies[:1]
+            self._resolved = {site: entry[:1]
+                              for site, entry in self._resolved.items()}
         return site_kind(self.plan, self.variant, name)
-
-    def _narrow(self) -> None:
-        """Count ``variant`` alone from now on."""
-        self.variants = self.variants[:1]
-        self._plans = self._plans[:1]
-        self._tallies = self._tallies[:1]
-        self._resolved = {name: entry[:1]
-                          for name, entry in self._resolved.items()}
 
     def staleness(self, site: str) -> int:
         """Visibility delay (rounds) readers of ``site`` experience.
@@ -317,152 +312,6 @@ class Recorder:
         seed-dependent; see :data:`~repro.perf.trace.ANY_SEED`)."""
         self.seed_consulted = True
         return self._seed
-
-
-#: scratch-vector bucket layout of :class:`BatchedRecorder`
-_BUCKETS = (
-    "plain_loads", "plain_stores", "volatile_loads", "volatile_stores",
-    "atomic_loads", "atomic_stores", "atomic_rmws", "ordered_atomics",
-    "contended_atomics", "compute_ops",
-)
-_LOAD_IDX = {AccessKind.PLAIN: 0, AccessKind.VOLATILE: 2,
-             AccessKind.ATOMIC: 4}
-_STORE_IDX = {AccessKind.PLAIN: 1, AccessKind.VOLATILE: 3,
-              AccessKind.ATOMIC: 5}
-_RMW_IDX, _ORDERED_IDX, _CONTENDED_IDX, _COMPUTE_IDX = 6, 7, 8, 9
-
-
-class BatchedRecorder(Recorder):
-    """Vectorized :class:`Recorder`: ndarray scratch, flushed per round.
-
-    Per-site bucket increments land in a float64 scratch matrix, one
-    10-slot row per counted variant, and are folded into each variant's
-    :class:`~repro.gpu.timing.AccessStats` once per :meth:`round` (and
-    on every :meth:`stats_for` read) instead of once per call.  Every
-    increment the engine produces is integer-valued, so the regrouped
-    float additions are exact and the resulting stats are
-    byte-identical to the per-call recorder's.
-
-    The contention measure replaces the base recorder's per-call
-    :func:`~repro.utils.arrays.sorted_unique` (a sort, O(n log n)) with
-    ``np.bincount`` collision counting (O(n + range)) whenever the index
-    range is comparable to the stream length, falling back to the sort
-    for sparse ranges.
-    """
-
-    def __init__(self, plan: AccessPlan, variant: Variant,
-                 device: DeviceSpec | None = None, *,
-                 staleness_rounds: int | None = None,
-                 seed: int = 0) -> None:
-        super().__init__(plan, variant, device,
-                         staleness_rounds=staleness_rounds, seed=seed)
-        self._scratch = np.zeros((len(self.variants), len(_BUCKETS)))
-        self.flushes = 0
-
-    def stats_for(self, variant: Variant) -> AccessStats:
-        self._flush()
-        return super().stats_for(variant)
-
-    def _flush(self) -> None:
-        sc = self._scratch
-        if not sc.any():
-            return
-        # plain floats, not np.float64: stats values flow into metric
-        # gauges and JSON exports that expect native scalars
-        for s, row in zip(self._tallies, sc.tolist()):
-            s.plain_loads += row[0]
-            s.plain_stores += row[1]
-            s.volatile_loads += row[2]
-            s.volatile_stores += row[3]
-            s.atomic_loads += row[4]
-            s.atomic_stores += row[5]
-            s.atomic_rmws += row[6]
-            s.ordered_atomics += row[7]
-            s.contended_atomics += row[8]
-            s.compute_ops += row[9]
-        sc[:] = 0.0
-        self.flushes += 1
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter("repro_simt_batch_recorder_flushes_total",
-                        "Scratch-to-stats flushes of the batched recorder",
-                        ("algorithm",)).inc(1, self.plan.algorithm)
-
-    def _narrow(self) -> None:
-        super()._narrow()
-        self._scratch = self._scratch[:1]
-
-    def _contention(self, indices: np.ndarray | None) -> float:
-        if indices is None:
-            return 0.0
-        idx = np.asarray(indices)
-        if idx.size == 0:
-            return 0.0
-        lo = int(idx.min())
-        span = int(idx.max()) - lo + 1
-        if span <= 4 * idx.size + 1024:
-            occupied = np.count_nonzero(
-                np.bincount(idx.astype(np.int64) - lo, minlength=span))
-            return float(idx.shape[0] - occupied)
-        return float(idx.shape[0] - sorted_unique(idx).shape[0])
-
-    # ------------------------------------------------------------------
-    def load(self, site: str, indices: np.ndarray | None = None,
-             count: float | None = None) -> None:
-        n = self._count(indices, count)
-        for row, (kind, weight) in zip(self._scratch, self._resolve(site)):
-            row[_LOAD_IDX[kind]] += n
-            if weight:
-                row[_ORDERED_IDX] += n * weight
-
-    def store(self, site: str, indices: np.ndarray | None = None,
-              count: float | None = None,
-              distinct: int | None = None) -> None:
-        n = self._count(indices, count)
-        contended = None
-        for row, (kind, weight) in zip(self._scratch, self._resolve(site)):
-            row[_STORE_IDX[kind]] += n
-            if weight:
-                row[_ORDERED_IDX] += n * weight
-            if kind is AccessKind.ATOMIC:
-                if contended is None:
-                    contended = self._store_contention(indices, n, distinct)
-                row[_CONTENDED_IDX] += contended
-
-    def rmw(self, site: str, indices: np.ndarray | None = None,
-            count: float | None = None) -> None:
-        n = self._count(indices, count)
-        sc = self._scratch
-        sc[:, _RMW_IDX] += n
-        for row, (_kind, weight) in zip(sc, self._resolve(site)):
-            if weight:
-                row[_ORDERED_IDX] += n * weight
-        sc[:, _CONTENDED_IDX] += self._contention(indices)
-
-    def structure(self, count: float) -> None:
-        self._scratch[:, 0] += float(count)
-
-    def compute(self, ops: float) -> None:
-        self._scratch[:, _COMPUTE_IDX] += float(ops)
-
-    def round(self, launches: int = 1) -> None:
-        self._flush()
-        super().round(launches)
-
-
-def make_recorder(plan: AccessPlan, variant: Variant,
-                  device: DeviceSpec | None = None, *,
-                  staleness_rounds: int | None = None, seed: int = 0,
-                  engine: str | None = None) -> Recorder:
-    """Build the recorder for the selected execution tier.
-
-    ``engine`` overrides the process-wide mode from
-    :mod:`repro.gpu.tiers` (``interp``/``batched``/``auto``); both
-    recorders produce byte-identical :class:`AccessStats`.
-    """
-    cls = BatchedRecorder if tiers.recorder_batch_enabled(engine) else Recorder
-    return cls(plan, variant, device, staleness_rounds=staleness_rounds,
-               seed=seed)
 
 
 #: relative sigma of the run-to-run noise model (the paper reports a
@@ -492,8 +341,8 @@ def noise_multiplier(algorithm_key: str, variant: Variant,
 
 
 def record_trace(algorithm, graph, variant: Variant, seed: int,
-                 staleness_rounds: int, plan: AccessPlan | None = None,
-                 engine: str | None = None) -> Trace:
+                 staleness_rounds: int, plan: AccessPlan | None = None
+                 ) -> Trace:
     """Run the functional execution once and capture its trace.
 
     This is the expensive half of the record/replay split: it executes
@@ -510,18 +359,14 @@ def record_trace(algorithm, graph, variant: Variant, seed: int,
     kind (:meth:`Recorder.site_kind`), the execution is the other
     variants' too, and their traces ride along as ``trace.siblings``:
     each equals what a recording of its own variant would return.
-
-    ``engine`` picks the recorder tier (see :func:`make_recorder`);
-    the recorded stats are byte-identical either way.
     """
     if seed == ANY_SEED:
         raise StudyError(f"seed {ANY_SEED} is reserved for the ANY_SEED "
                          "wildcard")
     if plan is None:
         plan = algorithm_plan(algorithm)
-    recorder = make_recorder(plan, variant,
-                             staleness_rounds=staleness_rounds, seed=seed,
-                             engine=engine)
+    recorder = Recorder(plan, variant, staleness_rounds=staleness_rounds,
+                        seed=seed)
     with get_spans().span("perf.record", algorithm=algorithm.key,
                           variant=variant.value, seed=seed):
         output = algorithm.perf_runner(graph, recorder)
@@ -615,10 +460,8 @@ def run_algorithm(algorithm, graph, device: DeviceSpec, variant: Variant,
 
     if faults is not None:
         faults.begin_perf_run(algorithm.key, variant, plan)
-        # faulted runs stay on the per-call interpreter recorder: fault
-        # plans are exercised and validated against its exact behavior
         trace = record_trace(algorithm, graph, variant, seed, staleness,
-                             plan=plan, engine=tiers.ENGINE_INTERP)
+                             plan=plan)
         runtime = replay_trace(trace, device, seed)
         runtime = faults.perf_finish(trace.output, runtime)
         return _perf_run(algorithm, variant, device, trace, runtime,

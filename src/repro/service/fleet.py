@@ -41,7 +41,7 @@ from statistics import median
 
 from repro.core.fleet import Fleet
 from repro.core.parallel import CellTask
-from repro.core.resilience import CellBudget, CellFailure, ResilientStudy
+from repro.core.resilience import CellFailure, ResilientStudy
 from repro.core.study import SpeedupCell, outcome_record
 from repro.core.variants import Variant
 from repro.errors import ServiceError, WorkerLostError
@@ -84,8 +84,7 @@ class FleetExecutor:
     def __init__(self, *, workers: int = 2, reps: int = 3,
                  scale: float = 1.0, validate: bool = False,
                  retries: int = 0, backoff_s: float = 0.0,
-                 max_steps: int | None = None, faults=None,
-                 trace_cache=None, checkpoint=None,
+                 faults=None, trace_cache=None, checkpoint=None,
                  heartbeat_s: float = 0.5,
                  flap_threshold: int = 3,
                  task_deadline_s: float | None = None) -> None:
@@ -93,8 +92,8 @@ class FleetExecutor:
             raise ServiceError(f"fleet needs >= 1 worker, got {workers}")
         self.study = ResilientStudy(
             reps=reps, scale=scale, validate=validate, retries=retries,
-            backoff_s=backoff_s, budget=CellBudget(max_steps=max_steps),
-            faults=faults, checkpoint=checkpoint, trace_cache=trace_cache)
+            backoff_s=backoff_s, faults=faults, checkpoint=checkpoint,
+            trace_cache=trace_cache)
         self._study_lock = threading.RLock()
         self._count_lock = threading.Lock()
         self._merge_lock = threading.RLock()

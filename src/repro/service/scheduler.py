@@ -75,14 +75,11 @@ class StudyExecutor:
 
     def __init__(self, *, reps: int = 3, scale: float = 1.0,
                  validate: bool = False, retries: int = 0,
-                 backoff_s: float = 0.0, max_steps: int | None = None,
-                 faults=None, trace_cache=None,
+                 backoff_s: float = 0.0, faults=None, trace_cache=None,
                  checkpoint=None) -> None:
-        self._max_steps = max_steps
         self.study = ResilientStudy(
             reps=reps, scale=scale, validate=validate, retries=retries,
-            backoff_s=backoff_s, budget=CellBudget(max_steps=max_steps),
-            faults=faults, checkpoint=checkpoint,
+            backoff_s=backoff_s, faults=faults, checkpoint=checkpoint,
             trace_cache=trace_cache)
         self._study_lock = threading.RLock()
         self._count_lock = threading.Lock()
@@ -134,8 +131,7 @@ class StudyExecutor:
                 study._failures.pop(
                     (key.algorithm, key.input_name, key.device, variant),
                     None)
-            study.budget = CellBudget(max_seconds=budget_s,
-                                      max_steps=self._max_steps)
+            study.budget = CellBudget(max_seconds=budget_s)
             # one cell per call: a worker process would run it no
             # sooner than this thread does
             result = study.sweep(key.device, [key.algorithm],

@@ -79,7 +79,6 @@ class ServiceConfig:
     validate: bool = False
     retries: int = 1
     backoff_s: float = 0.05
-    max_steps: int | None = None
     trace_dir: str | None = None
     #: the service study's checkpoint: a result-store directory
     store_dir: str | None = None
@@ -121,8 +120,8 @@ class SweepService:
                 workers=config.workers, reps=config.reps,
                 scale=config.scale, validate=config.validate,
                 retries=config.retries, backoff_s=config.backoff_s,
-                max_steps=config.max_steps, faults=config.faults,
-                trace_cache=trace_cache, checkpoint=config.store_dir,
+                faults=config.faults, trace_cache=trace_cache,
+                checkpoint=config.store_dir,
                 heartbeat_s=config.fleet_heartbeat_s,
                 flap_threshold=config.fleet_flap_threshold,
                 task_deadline_s=config.fleet_task_deadline_s)
@@ -130,9 +129,8 @@ class SweepService:
             self.executor = StudyExecutor(
                 reps=config.reps, scale=config.scale,
                 validate=config.validate, retries=config.retries,
-                backoff_s=config.backoff_s, max_steps=config.max_steps,
-                faults=config.faults, trace_cache=trace_cache,
-                checkpoint=config.store_dir)
+                backoff_s=config.backoff_s, faults=config.faults,
+                trace_cache=trace_cache, checkpoint=config.store_dir)
         self.scheduler = CellScheduler(
             self.executor,
             CircuitBreaker(threshold=config.breaker_threshold,

@@ -17,7 +17,7 @@ from repro.graphs.suite import load_suite_graph, suite_names
 from repro.gpu.device import get_device
 from repro.gpu.interleave import AdversarialScheduler, RandomScheduler
 from repro.gpu.racecheck import RaceDetector
-from repro.perf.engine import algorithm_plan, make_recorder, run_algorithm
+from repro.perf.engine import Recorder, algorithm_plan, run_algorithm
 
 ALGO = lambda: get_algorithm("gc")
 DEV = lambda: get_device("titanv")
@@ -184,21 +184,16 @@ def _reference_run_perf(graph, recorder) -> dict:
 
 def _assert_matches_reference(graph: CSRGraph, seed: int) -> None:
     """Equal colors and equal ``AccessStats`` (every field) on both
-    recorder tiers and both variants.  The reference runs once per
-    variant, on the interp tier: the tiers' stats are byte-identical
-    for one call sequence, so both tiers must match it."""
+    variants."""
     plan = algorithm_plan(ALGO())
     for variant in Variant:
-        ref = make_recorder(plan, variant, staleness_rounds=2, seed=seed,
-                            engine="interp")
+        ref = Recorder(plan, variant, staleness_rounds=2, seed=seed)
         expected = _reference_run_perf(graph, ref)["colors"]
-        for engine in ("interp", "batched"):
-            rec = make_recorder(plan, variant, staleness_rounds=2,
-                                seed=seed, engine=engine)
-            colors = gc.run_perf(graph, rec)["colors"]
-            assert colors.dtype == expected.dtype
-            assert np.array_equal(colors, expected), (variant, engine)
-            assert rec.stats == ref.stats, (variant, engine)
+        rec = Recorder(plan, variant, staleness_rounds=2, seed=seed)
+        colors = gc.run_perf(graph, rec)["colors"]
+        assert colors.dtype == expected.dtype
+        assert np.array_equal(colors, expected), variant
+        assert rec.stats == ref.stats, variant
 
 
 def _raw_graph(n: int, edges, symmetric: bool) -> CSRGraph:

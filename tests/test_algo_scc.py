@@ -17,7 +17,7 @@ from repro.graphs.suite import load_suite_graph, suite_names
 from repro.gpu.device import get_device
 from repro.gpu.interleave import AdversarialScheduler, RandomScheduler
 from repro.gpu.racecheck import RaceDetector
-from repro.perf.engine import algorithm_plan, make_recorder, run_algorithm
+from repro.perf.engine import Recorder, algorithm_plan, run_algorithm
 from tests.test_algo_gc import _raw_graph
 
 ALGO = lambda: get_algorithm("scc")
@@ -219,21 +219,16 @@ def _reference_run_perf(graph, recorder, trim: bool = False) -> dict:
 
 def _assert_matches_reference(graph: CSRGraph, trim: bool = False) -> None:
     """Equal labels (and dtype) and equal ``AccessStats``, every field,
-    on both recorder tiers and both variants.  The reference runs on
-    the interp tier: the tiers' stats are byte-identical for one call
-    sequence, so both tiers must match it."""
+    on both variants."""
     plan = algorithm_plan(ALGO())
     for variant in Variant:
-        ref = make_recorder(plan, variant, staleness_rounds=2, seed=7,
-                            engine="interp")
+        ref = Recorder(plan, variant, staleness_rounds=2, seed=7)
         expected = _reference_run_perf(graph, ref, trim=trim)["labels"]
-        for engine in ("interp", "batched"):
-            rec = make_recorder(plan, variant, staleness_rounds=2, seed=7,
-                                engine=engine)
-            labels = scc.run_perf(graph, rec, trim=trim)["labels"]
-            assert labels.dtype == expected.dtype
-            assert np.array_equal(labels, expected), (variant, engine)
-            assert rec.stats == ref.stats, (variant, engine)
+        rec = Recorder(plan, variant, staleness_rounds=2, seed=7)
+        labels = scc.run_perf(graph, rec, trim=trim)["labels"]
+        assert labels.dtype == expected.dtype
+        assert np.array_equal(labels, expected), variant
+        assert rec.stats == ref.stats, variant
 
 
 def _hub_graph() -> CSRGraph:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import apsp, cc, gc, mis, mst, scc
-from repro.core.variants import Variant, get_algorithm
+from repro.core.variants import Variant
 from repro.errors import DeadlockError
 from repro.gpu.accesses import AccessKind, DType, RMWOp
 from repro.gpu.faults import FaultInjector, FaultPlan
@@ -23,7 +23,6 @@ from repro.gpu.interleave import RandomScheduler
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.simt import SimtExecutor, ThreadCtx
 from repro.gpu.timing import stats_from_launches
-from repro.perf.engine import record_trace
 
 
 def _executors():
@@ -283,68 +282,21 @@ def test_weak_memory_forces_interpreter(tiny_graph):
     assert ex.batch_stats.batched_launches == 0
 
 
-def test_env_knob_controls_default_tier(tiny_graph, monkeypatch):
-    monkeypatch.setenv("REPRO_SIMT_BATCH", "0")
-    ex = SimtExecutor(GlobalMemory())  # batch=None -> defer to tiers
-    _run_tiny(ex, tiny_graph)
-    assert ex.batch_stats.batched_launches == 0
+def test_default_tier(tiny_graph):
+    """An executor built without ``batch`` runs an eligible launch on
+    the batched tier; ``batch=False`` keeps it on the interpreter, with
+    reason ``disabled``."""
+    from repro import telemetry
 
-    monkeypatch.setenv("REPRO_SIMT_BATCH", "1")
-    ex2 = SimtExecutor(GlobalMemory())
-    _run_tiny(ex2, tiny_graph)
-    assert ex2.batch_stats.batched_launches > 0
-
-
-def test_engine_env_knob(tiny_graph, monkeypatch):
-    monkeypatch.delenv("REPRO_SIMT_BATCH", raising=False)
-    monkeypatch.setenv("REPRO_ENGINE", "interp")
     ex = SimtExecutor(GlobalMemory())
     _run_tiny(ex, tiny_graph)
-    assert ex.batch_stats.batched_launches == 0
+    assert ex.batch_stats.batched_launches > 0
+    assert ex.batch_stats.interp_launches == 0
 
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
-    ex2 = SimtExecutor(GlobalMemory())
-    _run_tiny(ex2, tiny_graph)
-    assert ex2.batch_stats.batched_launches > 0
-
-
-# ----------------------------------------------------------------------
-# Performance-engine recorder tier (satellite f: contention via bincount)
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("variant", list(Variant))
-@pytest.mark.parametrize("key", ["cc", "gc", "mis", "mst", "scc", "apsp"])
-def test_recorder_tier_stats_identical(key, variant, tiny_graph,
-                                       tiny_directed):
-    algo = get_algorithm(key)
-    g = tiny_directed if algo.directed else tiny_graph
-    t_i = record_trace(algo, g, variant, 3, 2, engine="interp")
-    t_b = record_trace(algo, g, variant, 3, 2, engine="batched")
-    assert t_i.stats == t_b.stats  # includes contended_atomics
-    assert t_i.output_fp == t_b.output_fp
-    assert t_i.staleness_rounds == t_b.staleness_rounds
-
-
-def test_recorder_contention_totals_equal_on_adversarial_indices():
-    """np.bincount and np.unique collision counting must agree, on both
-    the dense-window fast path and the sparse fallback."""
-    from repro.perf.engine import (BatchedRecorder, Recorder,
-                                   algorithm_plan, make_recorder)
-
-    plan = algorithm_plan(get_algorithm("cc"))
-    for indices in (
-        np.zeros(64, dtype=np.int64),                  # total pile-up
-        np.arange(64, dtype=np.int64),                 # no collisions
-        np.arange(64, dtype=np.int64) % 7,             # dense window
-        np.arange(64, dtype=np.int64) * 10 ** 7,       # sparse fallback
-        np.array([5], dtype=np.int64),                 # single access
-    ):
-        base = Recorder(plan, Variant.BASELINE, staleness_rounds=2)
-        fast = BatchedRecorder(plan, Variant.BASELINE, staleness_rounds=2)
-        assert base._contention(indices) == fast._contention(indices)
-    assert isinstance(
-        make_recorder(plan, Variant.BASELINE, staleness_rounds=2,
-                      engine="batched"), BatchedRecorder)
-    assert not isinstance(
-        make_recorder(plan, Variant.BASELINE, staleness_rounds=2,
-                      engine="interp"), BatchedRecorder)
+    with telemetry.session() as (registry, _spans):
+        ex2 = SimtExecutor(GlobalMemory(), batch=False)
+        _run_tiny(ex2, tiny_graph)
+    assert ex2.batch_stats.batched_launches == 0
+    assert ex2.batch_stats.interp_launches > 0
+    family = registry.get("repro_simt_batch_interp_launches_total")
+    assert {labels[1] for labels, _ in family.samples()} == {"disabled"}

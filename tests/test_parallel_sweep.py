@@ -7,6 +7,7 @@ path — the workers only change wall-clock, never results.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -469,4 +470,45 @@ class TestWorkersAreReaped:
             ResilientStudy(reps=1).sweep(DEVICE, ALGOS, INPUTS, jobs=2)
         assert multiprocessing.active_children() == []
         # busy workers are killed, not waited for
+        assert time.monotonic() - started < 30
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnraisableExceptionWarning")
+    def test_after_an_interrupt_a_finalizer_swallowed(self, monkeypatch):
+        """The parent is running a finalizer when the SIGINT lands, so
+        the handler's exception is raised there and Python only reports
+        it; the sweep still stops while it awaits the first cell."""
+        from repro.core.fleet import Fleet
+
+        study = ResilientStudy(reps=1)
+
+        class Finalized:
+            def __init__(self):
+                self.cycle = self  # only the collector frees it
+
+            def __del__(self):
+                # the SIGINT lands in this loop, or in a finalizer of
+                # garbage collected before this one
+                deadline = time.monotonic() + 30
+                while (study._interrupted is None
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+
+        dispatch = Fleet.dispatch
+        dispatched = []
+
+        def dispatch_then_collect(fleet, task, budget_s=None):
+            future = dispatch(fleet, task, budget_s)
+            if not dispatched:  # a worker now runs the cc cell
+                Finalized()
+                gc.collect()
+            dispatched.append(task)
+            return future
+
+        monkeypatch.setattr(parallel, "_run_task", _interrupting_run_task)
+        monkeypatch.setattr(Fleet, "dispatch", dispatch_then_collect)
+        started = time.monotonic()
+        with pytest.raises(SweepInterrupted):
+            study.sweep(DEVICE, ALGOS, INPUTS, jobs=2)
+        assert multiprocessing.active_children() == []
         assert time.monotonic() - started < 30

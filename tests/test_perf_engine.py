@@ -1,6 +1,21 @@
-"""Tests for the performance engine: recorder and delayed views."""
+"""Tests for the performance engine: recorder and delayed views.
+
+``tests/data/recorder_stats.json`` pins what the recorder counts for
+every (algorithm, variant) of :data:`PINNED_ALGORITHMS` on the tiny
+test graphs: each field of the ``AccessStats``, the output fingerprint
+and the staleness class.  For a change that must keep recordings
+identical, generate the file from the commit before it, never from the
+changed code::
+
+    PYTHONPATH=<that commit's src> python tests/test_perf_engine.py
+"""
 
 from __future__ import annotations
+
+import dataclasses
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +23,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.transform import AccessPlan, AccessSite
-from repro.core.variants import Variant
+from repro.core.variants import Variant, get_algorithm
 from repro.errors import StudyError
 from repro.gpu.accesses import AccessKind
 from repro.gpu.device import get_device
+from repro.graphs import generators as gen
 from repro.perf import engine
 from repro.perf.engine import Recorder
 from repro.perf.visibility import DelayedView
+
+RECORDER_PIN = Path(__file__).parent / "data" / "recorder_stats.json"
+PINNED_ALGORITHMS = ("cc", "gc", "mis", "mst", "scc", "apsp")
 
 
 def make_recorder(variant=Variant.BASELINE) -> Recorder:
@@ -94,18 +113,14 @@ class TestRecorder:
     def test_count_and_distinct_store_matches_indices(self, values):
         """``store(count=k, distinct=d)`` charges what an index array
         with k entries and d distinct values charges: on the PLAIN
-        site (baseline) and the ATOMIC one (race-free), on both tiers."""
+        site (baseline) and the ATOMIC one (race-free)."""
         indices = np.asarray(values, dtype=np.int64)
-        plan = make_recorder().plan
         for variant in Variant:
-            for tier in ("interp", "batched"):
-                by_index, by_count = (
-                    engine.make_recorder(plan, variant, staleness_rounds=2,
-                                         engine=tier) for _ in range(2))
-                by_index.store("t.store", indices=indices)
-                by_count.store("t.store", count=len(values),
-                               distinct=len(set(values)))
-                assert by_count.stats == by_index.stats, (variant, tier)
+            by_index, by_count = make_recorder(variant), make_recorder(variant)
+            by_index.store("t.store", indices=indices)
+            by_count.store("t.store", count=len(values),
+                           distinct=len(set(values)))
+            assert by_count.stats == by_index.stats, variant
 
     def test_staleness_only_for_plain_sites(self):
         r = make_recorder(Variant.BASELINE)
@@ -166,3 +181,38 @@ class TestDelayedView:
         v1.commit()
         v2.commit()
         assert np.array_equal(v1.read(), v2.read())
+
+
+# ----------------------------------------------------------------------
+# Pinned recordings
+# ----------------------------------------------------------------------
+
+def _pinned_recording(key: str, variant: Variant) -> dict:
+    """One recording on conftest's ``tiny_graph`` / ``tiny_directed``."""
+    algo = get_algorithm(key)
+    graph = (gen.directed_powerlaw(20, 2.5, seed=3, name="tinyd")
+             if algo.directed
+             else gen.random_uniform(24, 3.0, seed=5, name="tiny"))
+    trace = engine.record_trace(algo, graph, variant, 3, 2)
+    return {"stats": dataclasses.asdict(trace.stats),
+            "output_fp": trace.output_fp,
+            "staleness_rounds": trace.staleness_rounds}
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("key", PINNED_ALGORITHMS)
+def test_recorder_stats_pinned(key, variant):
+    """Every ``AccessStats`` field (contended atomics included), the
+    output fingerprint and the staleness class equal the pin."""
+    pinned = json.loads(RECORDER_PIN.read_text())
+    assert _pinned_recording(key, variant) == pinned[
+        f"{key}/{variant.value}"]
+
+
+if __name__ == "__main__":
+    records = {f"{key}/{variant.value}": _pinned_recording(key, variant)
+               for key in PINNED_ALGORITHMS for variant in Variant}
+    RECORDER_PIN.write_text(json.dumps(records, indent=1, sort_keys=True)
+                            + "\n")
+    print(f"wrote {len(records)} recordings to {RECORDER_PIN}",
+          file=sys.stderr)

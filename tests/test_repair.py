@@ -217,6 +217,26 @@ class TestVerify:
         assert not verdict.accepted
         assert not verdict.race_free
 
+    def test_verification_replays_no_failing_schedule(self, monkeypatch):
+        """A verdict reads the races and failure details exploration
+        found, never a failure's replay, minimization or certification,
+        so verifying a racy candidate replays no schedule."""
+        from repro.check import harness
+
+        replays = []
+        real = harness.ReplayScheduler
+        monkeypatch.setattr(harness, "ReplayScheduler",
+                            lambda log: replays.append(log) or real(log))
+        verdict = verify_candidate(get_target("cc"),
+                                   FixSet(label="noop", fixes=()),
+                                   budget="smoke")
+        assert replays == []
+        assert verdict.verdict == "racy"
+        assert verdict.detail == (
+            "read-write race on cc_label byte 4: thread 1 (atomic write) "
+            "vs thread 2 (plain read) [cc.label.hook/atomic-write vs "
+            "cc.label.jump_read/plain-read]")
+
     def test_unusable_candidate_rejected_not_raised(self):
         # a 1-byte site promoted to ATOMIC while the write stays
         # volatile cannot execute without the typecast helpers on the

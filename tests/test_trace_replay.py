@@ -221,15 +221,14 @@ class TestSiblings:
         """Differential guard on the sibling's premise: a runner that
         never reads a site's kind executes identically for both
         variants, so each sibling equals its own variant's direct
-        recording: stats, wildcards and output, on both tiers (a runner
-        branching on the variant behind the recorder's back fails)."""
+        recording: stats, wildcards and output (a runner branching on
+        the variant behind the recorder's back fails)."""
         algo = get_algorithm(algo_key)
         for name in SIBLING_INPUTS.get(algo_key, SIBLING_UNDIRECTED):
             graph = _suite_graph(algo, name)
-            for seed, staleness, tier in itertools.product(
-                    SEEDS[:2], (2, 3), ("interp", "batched")):
-                direct = {v: record_trace(algo, graph, v, seed, staleness,
-                                          engine=tier) for v in Variant}
+            for seed, staleness in itertools.product(SEEDS[:2], (2, 3)):
+                direct = {v: record_trace(algo, graph, v, seed, staleness)
+                          for v in Variant}
                 for variant, trace in direct.items():
                     if algo_key == "mis":
                         assert trace.siblings == ()
@@ -239,7 +238,7 @@ class TestSiblings:
                     other = direct[sibling.variant]
                     assert sibling.variant is not variant
                     assert sibling.key() == other.key()
-                    assert sibling.stats == other.stats, (name, seed, tier)
+                    assert sibling.stats == other.stats, (name, seed)
                     assert sibling.output_fp == other.output_fp
 
     def test_reading_a_site_kind_drops_the_sibling(self):
@@ -257,20 +256,17 @@ class TestSiblings:
             return {"x": np.zeros(1)}
 
         graph = gen.random_uniform(8, 2.0, seed=1)
-        for tier in ("interp", "batched"):
-            toy = SimpleNamespace(key="toy", perf_runner=blind)
-            trace = record_trace(toy, graph, Variant.BASELINE, 1, 2,
-                                 plan=plan, engine=tier)
-            (sibling,) = trace.siblings
-            assert trace.stats.plain_stores == 3
-            assert sibling.stats.atomic_stores == 3
-            assert sibling.stats.plain_stores == 0
+        toy = SimpleNamespace(key="toy", perf_runner=blind)
+        trace = record_trace(toy, graph, Variant.BASELINE, 1, 2, plan=plan)
+        (sibling,) = trace.siblings
+        assert trace.stats.plain_stores == 3
+        assert sibling.stats.atomic_stores == 3
+        assert sibling.stats.plain_stores == 0
 
-            toy = SimpleNamespace(key="toy", perf_runner=reading)
-            trace = record_trace(toy, graph, Variant.BASELINE, 1, 2,
-                                 plan=plan, engine=tier)
-            assert trace.siblings == ()
-            assert trace.stats.plain_stores == 5
+        toy = SimpleNamespace(key="toy", perf_runner=reading)
+        trace = record_trace(toy, graph, Variant.BASELINE, 1, 2, plan=plan)
+        assert trace.siblings == ()
+        assert trace.stats.plain_stores == 5
 
     def test_mis_reads_its_poll_kind(self):
         algo = get_algorithm("mis")

@@ -2,7 +2,7 @@
 
 The batched warp-wide tier (:mod:`repro.gpu.batch`) is only allowed to
 exist because it changes *nothing observable*.  This gate proves it
-end to end, with the batched tier forced on globally:
+end to end:
 
 1. **SIMT differential** — every algorithm (cc/gc/mis/mst/scc/apsp,
    both variants where applicable) run on the interpreter and on the
@@ -11,14 +11,11 @@ end to end, with the batched tier forced on globally:
 2. **Memory fingerprint** — a manual CC launch sequence with arrays
    left live: ``GlobalMemory.fingerprint()`` and the aggregated
    ``LaunchStats`` identical across tiers.
-3. **Recorder differential** — ``record_trace`` under both recorder
-   tiers for every algorithm x variant: ``AccessStats`` (including
-   contended-atomic counts), output fingerprints, and staleness classes
-   identical.
-4. **Verification tools keep the interpreter** — with the engine forced
-   to ``batched``, race detection (RandomScheduler) and systematic DPOR
-   exploration (step probes, replay schedulers) must still run on the
-   scalar interpreter, and must still find the seeded races.
+3. **Verification tools keep the interpreter** — on the default tier,
+   which batches every eligible launch, race detection
+   (RandomScheduler) and systematic DPOR exploration (step probes,
+   replay schedulers) must still run on the scalar interpreter, and
+   must still find the seeded races.
 
 Usage::
 
@@ -114,53 +111,26 @@ def _fingerprint_check() -> str | None:
     return None
 
 
-def _recorder_differential() -> str | None:
-    from repro.core.variants import Variant, list_algorithms
-    from repro.graphs.suite import load_suite_graph, suite_names
-    from repro.perf.engine import record_trace
-
-    graph = load_suite_graph("internet", 1)
-    directed = load_suite_graph(suite_names(directed=True)[0], 1)
-    for algo in list_algorithms():
-        g = directed if algo.directed else graph
-        for variant in Variant:
-            t_i = record_trace(algo, g, variant, 3, 2, engine="interp")
-            t_b = record_trace(algo, g, variant, 3, 2, engine="batched")
-            tag = f"{algo.key}/{variant.value}"
-            if t_i.stats != t_b.stats:
-                return f"{tag}: AccessStats differ between recorder tiers"
-            if t_i.output_fp != t_b.output_fp:
-                return f"{tag}: output fingerprints differ"
-            if t_i.staleness_rounds != t_b.staleness_rounds:
-                return f"{tag}: staleness classes differ"
-    return None
-
-
 def _verification_forces_interpreter() -> str | None:
     from repro.algorithms import cc
     from repro.check import check
     from repro.core.variants import Variant
-    from repro.gpu import tiers
     from repro.gpu.interleave import RandomScheduler
     from repro.gpu.racecheck import RaceDetector
+    from repro.graphs import generators as gen
 
-    tiers.set_engine(tiers.ENGINE_BATCHED)
-    try:
-        from repro.graphs import generators as gen
-        graph = gen.random_uniform(24, 3.0, seed=5, name="tiny")
-        _, ex = cc.run_simt(graph, Variant.BASELINE,
-                            scheduler=RandomScheduler(7))
-        if ex.batch_stats.batched_launches:
-            return "racecheck run used the batched tier"
-        if not RaceDetector().check(ex):
-            return "racecheck under forced-batched engine found no races"
+    graph = gen.random_uniform(24, 3.0, seed=5, name="tiny")
+    _, ex = cc.run_simt(graph, Variant.BASELINE,
+                        scheduler=RandomScheduler(7))
+    if ex.batch_stats.batched_launches:
+        return "racecheck run used the batched tier"
+    if not RaceDetector().check(ex):
+        return "racecheck on the default tier found no races"
 
-        report = check("lost_update", variant=Variant.BASELINE,
-                       budget="smoke")
-        if report.ok:
-            return "DPOR under forced-batched engine missed the race"
-    finally:
-        tiers.set_engine(tiers.ENGINE_AUTO)
+    report = check("lost_update", variant=Variant.BASELINE,
+                   budget="smoke")
+    if report.ok:
+        return "DPOR on the default tier missed the race"
     return None
 
 
@@ -168,7 +138,6 @@ def main() -> int:
     gates = [
         ("SIMT differential", _simt_differential),
         ("memory fingerprint", _fingerprint_check),
-        ("recorder differential", _recorder_differential),
         ("verification tier forcing", _verification_forces_interpreter),
     ]
     for name, gate in gates:
