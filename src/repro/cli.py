@@ -645,9 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="base retry backoff in seconds (exponential "
                             "with full jitter, deadline-capped)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="sweep worker processes (>1 runs the "
-                            "supervised fleet: heartbeats, crash "
-                            "failover, bounded respawn)")
+                       help="supervised sweep worker processes every "
+                            "cell runs on (heartbeats, crash failover, "
+                            "bounded respawn); at least 1")
     serve.add_argument("--store", default=None, metavar="DIR",
                        help="result-store directory, the service study's "
                             "checkpoint: finished cells are published "

@@ -19,17 +19,15 @@ HostFaultKind` (the harness refuses to report success otherwise) and
 ends with a combined flagship run — worker kills + torn trace writes +
 an externally corrupted store record, resumed to completion — which is
 the acceptance bar for the whole robustness layer.  On top of
-the per-kind scenarios, :func:`run_serve_scenario` drills the
-sweep-as-a-service layer (:mod:`repro.service`): two concurrent clients
-against the serial job server under torn trace writes must get results
-byte-identical to an uninjected offline sweep, and a
-SIGTERM delivered mid-stream must drain within the deadline and leave
-a ``--store`` a fresh offline study resumes the whole grid from.
-:func:`run_fleet_scenario` repeats the drill against the multi-process
-worker fleet (``--workers 2``), adding fleet-worker kills with
-redispatch, an externally corrupted store record that must be
-quarantined and recomputed, and a second server recovering the rest of
-the grid from the store.
+the per-kind scenarios, :func:`run_fleet_scenario` drills the
+sweep-as-a-service layer (:mod:`repro.service`) on a two-worker fleet:
+two concurrent clients under worker kills and torn trace writes must
+get results byte-identical to an uninjected offline sweep with every
+cell dispatched once plus its redispatches, a SIGTERM delivered
+mid-stream must drain within the deadline and leave a ``--store`` a
+fresh offline study resumes the whole grid from, and a second server
+must quarantine and recompute an externally corrupted store record and
+serve the rest of the grid from the store.
 
 Run it via ``python -m repro chaos`` (``--quick`` for the CI-sized
 variant) or :func:`run_chaos` directly; ``tools/validate_chaos.py``
@@ -303,164 +301,6 @@ def _store_handoff(store_dir: Path, device: str, algorithms: list[str],
     return []
 
 
-def run_serve_scenario(workdir: Path, device: str,
-                       algorithms: list[str], inputs: list[str],
-                       reps: int, seed: int) -> ChaosOutcome:
-    """Chaos-drill the serial job server end to end.
-
-    Under torn trace writes, two concurrent clients request the same
-    study over real sockets; the scenario asserts that
-
-    * both clients receive every cell with ``status: ok``,
-    * the grid was *executed* exactly once (coalescing + the study
-      memo dedupe across clients),
-    * the server's accumulated raw runtimes are byte-identical (after
-      canonical ordering) to an uninjected, serial, cache-less offline
-      sweep of the same cells,
-    * a SIGTERM delivered while a third client is mid-stream drains
-      within the configured deadline, and
-    * a fresh offline study on the server's ``--store`` serves the
-      whole grid without executing a cell.
-    """
-    import asyncio
-    import os
-    import signal as _signal
-
-    from repro.service.server import ServiceConfig, SweepService
-
-    root = workdir / "serve"
-    root.mkdir(parents=True, exist_ok=True)
-    store_dir = root / "store"
-    notes: list[str] = []
-    problems: list[str] = []
-    n_cells = len(algorithms) * len(inputs)
-
-    # the truth: an uninjected serial offline sweep of the same cells
-    offline = ResilientStudy(reps=reps)
-    result = offline.sweep(device, algorithms, inputs, jobs=1)
-    if result.failures:
-        raise StudyError("serve scenario offline baseline failed")
-    baseline = _canonical_payload(
-        {"reps": offline.reps, "scale": offline.scale,
-         "results": offline._result_records()})
-
-    # the serial executor runs no worker process, so worker kills are
-    # the fleet scenario's to drill
-    plan = HostFaultPlan.parse("torn=0.4", seed=seed,
-                               targets=("trace-*.json",))
-    config = ServiceConfig(
-        port=0, reps=reps, retries=0,
-        trace_dir=str(root / "traces"), store_dir=str(store_dir),
-        drain_deadline_s=60.0)
-    body = {"algorithms": list(algorithms), "inputs": list(inputs),
-            "device": device, "deadline_s": 300}
-
-    async def client(host: str, port: int, tenant: str) -> list[dict]:
-        reader, writer = await asyncio.open_connection(host, port)
-        payload = json.dumps(dict(body, tenant=tenant)).encode()
-        writer.write((f"POST /v1/study HTTP/1.1\r\nHost: chaos\r\n"
-                      f"Content-Length: {len(payload)}\r\n\r\n"
-                      ).encode() + payload)
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-        head, _, rest = raw.partition(b"\r\n\r\n")
-        if not head.startswith(b"HTTP/1.1 200"):
-            raise StudyError(
-                f"serve scenario: {tenant} got {head.splitlines()[0]!r}")
-        return [json.loads(line)
-                for line in _dechunk(rest).splitlines() if line]
-
-    async def fetch_results(host: str, port: int) -> dict:
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(b"GET /v1/results HTTP/1.1\r\nHost: chaos\r\n"
-                     b"Content-Length: 0\r\n\r\n")
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-        return json.loads(raw.partition(b"\r\n\r\n")[2])
-
-    async def drive() -> tuple[bytes, tuple[int, int]]:
-        service = SweepService(config)
-        await service.start()
-        host, port = service.address
-        loop = asyncio.get_running_loop()
-
-        # two concurrent clients, same cold study: the coalescing path
-        records_a, records_b = await asyncio.gather(
-            client(host, port, "alice"), client(host, port, "bob"))
-        covered = n_cells
-        for tenant, records in (("alice", records_a), ("bob", records_b)):
-            cells = [r for r in records if "cell" in r]
-            good = [r for r in cells if r.get("status") == "ok"]
-            covered = min(covered, len(good))
-            if len(cells) != n_cells or len(good) != n_cells:
-                problems.append(
-                    f"{tenant} got {len(good)} ok of {len(cells)} "
-                    f"cells, wanted {n_cells}")
-        # each cell's two variants are separate records; two clients
-        # must still cost exactly one grid
-        executed = service.executor.study.cells_executed
-        if executed != 2 * n_cells:
-            problems.append(f"executed {executed} variant records for "
-                            f"two clients, expected {2 * n_cells}")
-        notes.append(f"coalesced={service.scheduler.coalesced}")
-
-        server_payload = await fetch_results(host, port)
-
-        # third client mid-stream, then SIGTERM: the drain must let the
-        # stream finish and still beat the deadline
-        third = asyncio.create_task(client(host, port, "carol"))
-        await asyncio.sleep(0.05)
-        drain_started = loop.time()
-        os.kill(os.getpid(), _signal.SIGTERM)
-        try:
-            await asyncio.wait_for(
-                service.wait_drained(),
-                timeout=config.drain_deadline_s + 15.0)
-        except asyncio.TimeoutError:
-            problems.append("drain never completed")
-        drain_s = loop.time() - drain_started
-        if drain_s > config.drain_deadline_s:
-            problems.append(f"drain took {drain_s:.1f}s, over the "
-                            f"{config.drain_deadline_s:.0f}s deadline")
-        notes.append(f"drained in {drain_s:.2f}s")
-        try:
-            records_c = await third
-            ok_c = sum(1 for r in records_c
-                       if "cell" in r and r.get("status") == "ok")
-            notes.append(f"mid-drain client finished {ok_c}/{n_cells}")
-        except (StudyError, ConnectionError, OSError, EOFError) as exc:
-            notes.append(f"mid-drain client cut off ({exc})")
-        return _canonical_payload(server_payload), (covered, n_cells)
-
-    with hostfaults.installed(plan):
-        server_bytes, coverage = asyncio.run(drive())
-    problems.extend(_store_handoff(store_dir, device, algorithms, inputs,
-                                   reps, notes))
-
-    identical = server_bytes == baseline
-    if not identical:
-        problems.append("server results diverge from offline sweep")
-    detail = "; ".join(
-        ["torn trace writes under 2 concurrent clients, SIGTERM drain "
-         "mid-stream"] + notes + problems)
-    return ChaosOutcome(scenario="serve", ok=not problems and identical,
-                        identical=identical, coverage=coverage,
-                        detail=detail)
-
-
-# ----------------------------------------------------------------------
-# The fleet scenario
-# ----------------------------------------------------------------------
 def run_fleet_scenario(workdir: Path, device: str,
                        algorithms: list[str], inputs: list[str],
                        reps: int, seed: int) -> ChaosOutcome:
@@ -470,9 +310,11 @@ def run_fleet_scenario(workdir: Path, device: str,
     first-incarnation fleet worker dies on its first dispatched cell)
     plus torn trace writes, with a ``--store``; two concurrent clients
     must get every cell ``ok``, each lost cell must be redispatched
-    exactly once (so the grid is still *executed* exactly once), and
-    the accumulated results must be byte-identical to an uninjected
-    serial offline sweep.  A SIGTERM delivered while a third client is
+    exactly once (so the grid is still *executed* exactly once), the
+    workers' dispatch counts less the redispatches must equal the grid
+    (the clients' identical cells coalesced), and the accumulated
+    results must be byte-identical to an uninjected serial offline
+    sweep.  A SIGTERM delivered while a third client is
     mid-stream must drain within the deadline, and a fresh offline
     study on the store must serve the whole grid without executing.
 
@@ -574,11 +416,20 @@ def run_fleet_scenario(workdir: Path, device: str,
                 f"expected {2 * n_cells} (each lost cell redispatched "
                 "at most once)")
         status = service.executor.fleet_status()
+        dispatched = sum(w["dispatched"] for w in status["workers"])
         notes.append(f"respawns={status['respawns']} "
-                     f"redispatches={status['redispatches']}")
+                     f"redispatches={status['redispatches']} "
+                     f"dispatched={dispatched}")
         if status["respawns"] < 1 or status["redispatches"] < 1:
             problems.append("phase1: the kill plan never cost a worker "
                             "(scenario exercised nothing)")
+        if dispatched - status["redispatches"] != n_cells:
+            # the ledger drops a duplicate record before it counts it,
+            # so only the dispatches show a cell that ran twice
+            problems.append(
+                f"phase1: {dispatched} dispatches less "
+                f"{status['redispatches']} redispatches for two clients "
+                f"of a {n_cells}-cell study (coalescing broke)")
         server_payload = await get_json(host, port, "/v1/results")
 
         third = asyncio.create_task(client(host, port, "carol"))
@@ -719,8 +570,6 @@ def run_chaos(device: str = DEVICE, inputs: list[str] | None = None,
                      reps, seed)
         for s in scenarios
     ]
-    outcomes.append(run_serve_scenario(
-        workdir, device, algorithms, inputs, reps, seed))
     outcomes.append(run_fleet_scenario(
         workdir, device, algorithms, inputs, reps, seed))
     return ChaosReport(

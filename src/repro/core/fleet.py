@@ -2,9 +2,9 @@
 
 :class:`Fleet` is the one multi-process cell executor.  An offline
 ``--jobs N`` table runs on one (:func:`repro.core.parallel.execute_tasks`
-starts it, merges, and stops it), and so does the service's
-``--workers N`` (:class:`repro.service.fleet.FleetExecutor` keeps one
-for its lifetime):
+starts it, merges, and stops it), and so does every ``repro serve``
+(:class:`repro.service.fleet.FleetExecutor` keeps one of ``--workers``
+processes for its lifetime):
 
 * **workers** are forked processes, each owning a private study built
   from the parent's :class:`~repro.core.parallel.WorkerConfig` by
@@ -12,7 +12,8 @@ for its lifetime):
   through :func:`~repro.core.parallel._run_task` under the parent's
   :class:`~repro.core.resilience.CellBudget` (its ``max_seconds``
   replaced only when the dispatcher passes a budget for that cell) and
-  sends back the records, or the error the cell raised;
+  sends back the records, with whether its trace cache has degraded
+  (:attr:`Fleet.cache_degraded`), or the error the cell raised;
 * a **supervisor thread** health-checks them over duplex pipes:
   heartbeats every ``heartbeat_s``, pipe EOF detects kills instantly,
   a missing heartbeat or an expired per-task deadline
@@ -102,6 +103,7 @@ def _worker_main(conn, config: WorkerConfig, generation: int,
     _close_foreign_sockets(conn.fileno())
     parallel._init_worker(config)
     study = parallel._WORKER_STUDY
+    cache = study.trace_cache
     send_lock = threading.Lock()
     stop_beat = threading.Event()
 
@@ -139,7 +141,8 @@ def _worker_main(conn, config: WorkerConfig, generation: int,
                                 replace(config.budget, max_seconds=budget_s))
             try:
                 reply = ("done", task_id,
-                         parallel._run_task(task, generation))
+                         parallel._run_task(task, generation),
+                         cache is not None and cache.degraded)
             except Exception as exc:
                 reply = ("error", task_id, repr(exc),
                          traceback.format_exc())
@@ -228,6 +231,9 @@ class Fleet:
         self.redispatches = 0
         self.heartbeat_misses = 0
         self.evictions = 0
+        #: sticky: True once a worker reported that its trace cache
+        #: degraded to memory-only operation (repeated disk errors)
+        self.cache_degraded = False
         self._lock = threading.RLock()
         self._tasks: dict[int, _Task] = {}
         self._task_seq = 0
@@ -348,7 +354,9 @@ class Fleet:
         slot.deaths = 0
         task = self._tasks.pop(task_id)
         if kind == "done":
-            task.future.set_result(body[0])
+            records, cache_degraded = body
+            self.cache_degraded = self.cache_degraded or cache_degraded
+            task.future.set_result(records)
             return
         text, trace = body
         error = WorkerTaskError(

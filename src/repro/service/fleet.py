@@ -1,22 +1,20 @@
-"""The service's worker fleet: N supervised sweep processes behind one
+"""The service's executor: N supervised sweep processes behind one
 listener.
 
-:class:`FleetExecutor` is a drop-in replacement for
-:class:`~repro.service.scheduler.StudyExecutor` (same ``submit`` /
-``results_payload`` / ``shutdown`` surface) that executes cells on a
-:class:`repro.core.fleet.Fleet` — the supervised worker processes an
-offline ``--jobs`` sweep runs on too (heartbeats, the per-task
-deadline, redispatch at most once, eviction of a slot that keeps
-dying) — instead of one worker thread.  On top of it the executor adds
-what a service needs:
+:class:`FleetExecutor` runs every cell of ``repro serve`` (``--workers
+N``, default 1) on a :class:`repro.core.fleet.Fleet` — the supervised
+worker processes an offline ``--jobs`` sweep runs on too (heartbeats,
+the per-task deadline, redispatch at most once, eviction of a slot
+that keeps dying).  On top of it the executor adds what a service
+needs:
 
 * a **ledger study** that every cell's records are folded into
   **strictly in submission order** — the
   :func:`repro.core.parallel.execute_tasks` discipline — so
   ``/v1/results`` and the published store records stay byte-identical
-  to the single-worker serial path; a cell's future resolves only once
-  its records are folded in, so a resolved cell is in ``/v1/results``
-  and, with a checkpoint, already published;
+  to an offline serial sweep of the same cells; a cell's future
+  resolves only once its records are folded in, so a resolved cell is
+  in ``/v1/results`` and, with a checkpoint, already published;
 * serving without execution: a cell in the ledger's memo resolves at
   once, and with a ``checkpoint`` directory the ledger study's
   :class:`~repro.core.store.ResultStore` serves published cells
@@ -25,8 +23,13 @@ what a service needs:
   every fully-``ok`` cell as it is folded in;
 * a cell the fleet loses resolves as ``CellFailure(reason="fleet")``
   (``"shutdown"`` once the executor is shutting down); a cell that
-  raised in its worker fails its future, as it would under
-  :class:`~repro.service.scheduler.StudyExecutor`;
+  raised in its worker fails its future, which
+  :class:`~repro.service.scheduler.CellScheduler` answers with an
+  ``internal`` record;
+* :attr:`FleetExecutor.degraded` (a worker's trace cache has
+  sticky-degraded) and :attr:`FleetExecutor.fleet_degraded` (the
+  respawn budget is spent), the health the scheduler's stale-serving
+  rung reads;
 * :meth:`FleetExecutor.fleet_status` (``/readyz``'s ``fleet`` block)
   and :attr:`FleetExecutor.on_event`, which receives the fleet's
   lifecycle events for the study event streams.
@@ -71,10 +74,12 @@ class _FleetTask:
 
 
 class FleetExecutor:
-    """N supervised worker processes behind the StudyExecutor surface.
+    """N supervised worker processes behind the scheduler's surface
+    (``submit`` / ``queued`` / ``degraded`` / ``fleet_degraded``).
 
-    Parameters mirror :class:`~repro.service.scheduler.StudyExecutor`
-    plus the fleet's: ``trace_cache`` backs the parent ledger and its
+    ``reps`` through ``faults`` are the ledger study's
+    :class:`~repro.core.resilience.ResilientStudy` policy, which every
+    worker rebuilds; ``trace_cache`` backs the parent ledger and its
     ``disk_dir`` is the shared layer workers record traces into,
     ``checkpoint`` is the ledger study's result-store directory,
     ``flap_threshold`` deaths in a row evict a worker slot, and
@@ -109,7 +114,7 @@ class FleetExecutor:
             flap_threshold=flap_threshold)
 
     # ------------------------------------------------------------------
-    # StudyExecutor surface
+    # The scheduler's surface
     # ------------------------------------------------------------------
     @property
     def queued(self) -> int:
@@ -119,8 +124,10 @@ class FleetExecutor:
 
     @property
     def degraded(self) -> bool:
-        cache = self.study.trace_cache
-        return cache is not None and cache.degraded
+        """True once a worker's trace cache has sticky-degraded to
+        memory-only operation (repeated disk errors): the host is
+        unhealthy."""
+        return self.fleet.cache_degraded
 
     @property
     def fleet_degraded(self) -> bool:
@@ -182,10 +189,6 @@ class FleetExecutor:
         with self._study_lock:
             return {"reps": self.study.reps, "scale": self.study.scale,
                     "results": self.study._result_records()}
-
-    def save_results(self, path) -> None:
-        with self._study_lock:
-            self.study.save_results(path)
 
     def shutdown(self) -> None:
         """Stop the fleet (see :meth:`repro.core.fleet.Fleet.shutdown`);
@@ -262,11 +265,10 @@ class FleetExecutor:
         """Forget the ledger's memoized failures of ``key``'s variants
         before an attempt's records are folded in: the ledger drops
         records of a failed key, so a cell that failed once and then
-        succeeded would never reach ``/v1/results`` or the store.
-        :class:`~repro.service.scheduler.StudyExecutor` re-arms before
-        each run; here it happens at the merge, in submission order, so
-        the failure of an earlier attempt still in flight at submission
-        cannot hide a later attempt's success either."""
+        succeeded would never reach ``/v1/results`` or the store.  It
+        happens at the merge, in submission order, so the failure of an
+        earlier attempt still in flight at submission cannot hide a
+        later attempt's success either."""
         for variant in Variant:
             self.study._failures.pop(
                 (key.algorithm, key.input_name, key.device, variant), None)
@@ -293,7 +295,7 @@ class FleetExecutor:
                 error.attempts)
         else:
             # the cell raised in its worker: a harness bug, which fails
-            # the future as StudyExecutor's would
+            # the future (the scheduler answers it ``internal``)
             task.resolved = True
             self._stage(task, [])
             if not task.future.done():

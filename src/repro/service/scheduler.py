@@ -1,56 +1,33 @@
 """Cell scheduling: coalescing, deadline propagation, hot/stale
-serving, and the bridge from asyncio to the synchronous sweep stack.
+serving, and the bridge from asyncio to the service's executor.
 
-Two pieces:
-
-:class:`StudyExecutor`
-    Owns one :class:`~repro.core.resilience.ResilientStudy` and a
-    single dedicated worker thread.  Every cell execution goes through
-    ``study.sweep(device, [algo], [input], jobs=1)`` — the *same* code
-    path the serial CLI sweep uses, so per-cell isolation, retries,
-    fault plans, the trace cache and the checkpoint store all apply
-    unchanged.  The study memo doubles as the hot-result store: a cell
-    any client has completed is served without re-simulation, and a
-    cell whose trace is cached replays in microseconds.
-
-:class:`CellScheduler`
-    The asyncio side.  Identical in-flight cells from different
-    clients **coalesce** onto one execution (one record, many
-    subscribers); client deadlines propagate into the cell's
-    :class:`~repro.core.resilience.CellBudget` wall-clock watchdog; a
-    cell whose every subscriber has abandoned it (deadline expired,
-    connection gone) is cancelled while still queued instead of
-    computed; per-cell :class:`~repro.service.breaker.CircuitBreaker`
-    state short-circuits known-bad cells to their cached degraded
-    record; and when the executor is saturated or the trace cache has
-    sticky-degraded, cached records are served with an explicit
-    ``stale: true`` marker instead of queueing more work.
-
-The scheduler is executor-shape agnostic: anything with the
-``submit(key, budget_s) -> concurrent.futures.Future`` /
-``queued`` / ``degraded`` surface plugs in.  ``repro serve --workers
-N`` swaps in :class:`~repro.service.fleet.FleetExecutor`, whose
-futures resolve from supervised worker *processes* with crash
-failover; a limping fleet (``fleet_degraded``: an evicted worker
-slot, or no live workers at all) counts toward
-:meth:`CellScheduler.degraded_mode` so stale serving kicks in before
-clients pile onto a reduced fleet.
+:class:`CellScheduler` is the asyncio side of ``repro serve``; every
+execution it starts runs on the
+:class:`~repro.service.fleet.FleetExecutor` beneath it (supervised
+worker processes with crash failover).  Identical in-flight cells from
+different clients **coalesce** onto one execution (one record, many
+subscribers); client deadlines propagate into the cell's
+:class:`~repro.core.resilience.CellBudget` wall-clock watchdog; a cell
+whose every subscriber has abandoned it (deadline expired, connection
+gone) is cancelled while still queued instead of computed; per-cell
+:class:`~repro.service.breaker.CircuitBreaker` state short-circuits
+known-bad cells to their cached degraded record; and when the executor
+is saturated, a worker's trace cache has sticky-degraded, or the fleet
+is limping (``fleet_degraded``: an evicted worker slot, or no live
+workers at all), cached records are served with an explicit ``stale:
+true`` marker instead of queueing more work.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.resilience import CellBudget, ResilientStudy
 from repro.core.study import SpeedupCell
-from repro.core.variants import Variant
-from repro.errors import ServiceError
 from repro.service.breaker import BreakerState, CircuitBreaker
+from repro.service.fleet import FleetExecutor
 from repro.service.protocol import CellKey
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
 
@@ -61,98 +38,6 @@ def _count_cell(outcome: str) -> None:
         reg.counter("repro_service_cells_total",
                     "Cells served by the service, by how", ("outcome",),
                     scope=SCOPE_PROCESS).inc(1, outcome)
-
-
-class StudyExecutor:
-    """The synchronous sweep stack behind one worker thread.
-
-    All study access is serialized by ``_study_lock`` — the worker
-    thread while executing a cell, result readers while rendering
-    ``/v1/results``.
-    Counters use a separate lock so the event loop never blocks on an
-    executing cell.
-    """
-
-    def __init__(self, *, reps: int = 3, scale: float = 1.0,
-                 validate: bool = False, retries: int = 0,
-                 backoff_s: float = 0.0, faults=None, trace_cache=None,
-                 checkpoint=None) -> None:
-        self.study = ResilientStudy(
-            reps=reps, scale=scale, validate=validate, retries=retries,
-            backoff_s=backoff_s, faults=faults, checkpoint=checkpoint,
-            trace_cache=trace_cache)
-        self._study_lock = threading.RLock()
-        self._count_lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-service-cell")
-        self._queued = 0
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    @property
-    def queued(self) -> int:
-        """Cell executions queued or running on the worker thread."""
-        with self._count_lock:
-            return self._queued
-
-    @property
-    def degraded(self) -> bool:
-        """True once the trace cache has sticky-degraded to memory-only
-        operation (repeated disk errors) — the host is unhealthy."""
-        cache = self.study.trace_cache
-        return cache is not None and cache.degraded
-
-    def submit(self, key: CellKey, budget_s: float | None):
-        """Queue one cell; returns the ``concurrent.futures.Future``.
-
-        Cancelling the future before the worker thread picks it up
-        skips the execution entirely (the abandoned-work path).
-        """
-        with self._count_lock:
-            if self._closed:
-                raise ServiceError("study executor is shut down")
-            self._queued += 1
-        future = self._pool.submit(self._run, key, budget_s)
-        future.add_done_callback(self._one_done)
-        return future
-
-    def _one_done(self, _future) -> None:
-        with self._count_lock:
-            self._queued -= 1
-
-    def _run(self, key: CellKey, budget_s: float | None):
-        with self._study_lock:
-            study = self.study
-            # a previously failed cell is memoized as failed for the
-            # study's lifetime; a fresh service-level attempt must
-            # actually execute, so re-arm it (the breaker — not the
-            # memo — is the service's failure memory)
-            for variant in Variant:
-                study._failures.pop(
-                    (key.algorithm, key.input_name, key.device, variant),
-                    None)
-            study.budget = CellBudget(max_seconds=budget_s)
-            # one cell per call: a worker process would run it no
-            # sooner than this thread does
-            result = study.sweep(key.device, [key.algorithm],
-                                 [key.input_name], jobs=1)
-            return result.cells[0]
-
-    # ------------------------------------------------------------------
-    def results_payload(self) -> dict:
-        """The ``save_results`` JSON of everything computed so far."""
-        with self._study_lock:
-            return {"reps": self.study.reps, "scale": self.study.scale,
-                    "results": self.study._result_records()}
-
-    def save_results(self, path) -> None:
-        with self._study_lock:
-            self.study.save_results(path)
-
-    def shutdown(self) -> None:
-        with self._count_lock:
-            self._closed = True
-        self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +60,7 @@ class _InFlight:
 
 
 class CellScheduler:
-    """Coalescing scheduler over a :class:`StudyExecutor`.
+    """Coalescing scheduler over a :class:`FleetExecutor`.
 
     Parameters
     ----------
@@ -191,7 +76,7 @@ class CellScheduler:
         Monotonic time source (injectable for tests).
     """
 
-    def __init__(self, executor: StudyExecutor,
+    def __init__(self, executor: FleetExecutor,
                  breaker: CircuitBreaker | None = None, *,
                  saturation_threshold: int = 8,
                  clock: Callable[[], float] = time.monotonic) -> None:
@@ -212,7 +97,7 @@ class CellScheduler:
         """Whether the ladder's serve-stale rung is active."""
         return (self.executor.queued >= self.saturation_threshold
                 or self.executor.degraded
-                or bool(getattr(self.executor, "fleet_degraded", False)))
+                or self.executor.fleet_degraded)
 
     def inflight_cells(self) -> int:
         return len(self._inflight)
@@ -324,9 +209,9 @@ class CellScheduler:
         if not subscriber.future.done():
             subscriber.future.cancel()
         if not job.subscribers and job.exec_future is not None:
-            # nobody is waiting any more: cancel the execution if the
-            # worker thread has not picked it up yet (abandoned work is
-            # cancelled, not computed)
+            # nobody is waiting any more: cancel the execution if no
+            # worker has picked it up yet (abandoned work is cancelled,
+            # not computed)
             job.exec_future.cancel()
 
     def _job_budget(self, job: _InFlight) -> float | None:

@@ -1,8 +1,9 @@
 """The asyncio HTTP server: routing, lifecycle, and graceful drain.
 
 :class:`SweepService` wires the pieces together — admission gate in
-front, coalescing scheduler behind, one study executor at the bottom —
-and owns process lifecycle: ``SIGTERM``/``SIGINT`` trigger a graceful
+front, coalescing scheduler behind, the
+:class:`~repro.service.fleet.FleetExecutor` at the bottom — and owns
+process lifecycle: ``SIGTERM``/``SIGINT`` trigger a graceful
 drain (stop admitting, finish or cancel in-flight cells within the
 drain deadline, exit), and ``/healthz`` /
 ``/readyz`` expose liveness and readiness, mirrored into
@@ -13,12 +14,12 @@ content-addressed result store (:class:`~repro.core.store.ResultStore`):
 every finished cell is published there as it completes, and a cell in
 the store is served without executing — so a restarted server, or an
 offline ``repro sweep --checkpoint DIR``, picks up where it stopped.
-With ``--workers N`` (N > 1) the study executor is the
-:class:`~repro.service.fleet.FleetExecutor`: N supervised worker
-processes with heartbeats, crash failover and bounded respawn.
-``/readyz`` reports **degraded** (503 with JSON reasons) when the
-fleet's respawn budget is exhausted or the store has sticky-degraded,
-and the drain path waits for every worker before exiting.
+Cells run on ``--workers N`` (default 1) supervised worker processes
+with heartbeats, crash failover and bounded respawn.  ``/readyz``
+carries the fleet's status and reports **degraded** (503 with JSON
+reasons) when the fleet's respawn budget is exhausted or the store has
+sticky-degraded, and the drain path waits for every worker before
+exiting.
 
 Routes::
 
@@ -55,7 +56,7 @@ from repro.service.protocol import (
     start_ndjson,
 )
 from repro.service.quota import AdmissionController
-from repro.service.scheduler import CellScheduler, StudyExecutor
+from repro.service.scheduler import CellScheduler
 from repro.service.breaker import CircuitBreaker
 from repro.telemetry.export import to_prometheus
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
@@ -83,7 +84,7 @@ class ServiceConfig:
     #: the service study's checkpoint: a result-store directory
     store_dir: str | None = None
     faults: object | None = None  # FaultPlan, injected by the CLI
-    # fleet knobs (workers > 1 swaps in the FleetExecutor)
+    # fleet knobs: the supervised worker processes every cell runs on
     workers: int = 1
     fleet_heartbeat_s: float = 0.5
     fleet_flap_threshold: int = 3
@@ -115,22 +116,14 @@ class SweepService:
         self.config = config
         trace_cache = (TraceCache(disk_dir=config.trace_dir)
                        if config.trace_dir else None)
-        if config.workers > 1:
-            self.executor = FleetExecutor(
-                workers=config.workers, reps=config.reps,
-                scale=config.scale, validate=config.validate,
-                retries=config.retries, backoff_s=config.backoff_s,
-                faults=config.faults, trace_cache=trace_cache,
-                checkpoint=config.store_dir,
-                heartbeat_s=config.fleet_heartbeat_s,
-                flap_threshold=config.fleet_flap_threshold,
-                task_deadline_s=config.fleet_task_deadline_s)
-        else:
-            self.executor = StudyExecutor(
-                reps=config.reps, scale=config.scale,
-                validate=config.validate, retries=config.retries,
-                backoff_s=config.backoff_s, faults=config.faults,
-                trace_cache=trace_cache, checkpoint=config.store_dir)
+        self.executor = FleetExecutor(
+            workers=config.workers, reps=config.reps, scale=config.scale,
+            validate=config.validate, retries=config.retries,
+            backoff_s=config.backoff_s, faults=config.faults,
+            trace_cache=trace_cache, checkpoint=config.store_dir,
+            heartbeat_s=config.fleet_heartbeat_s,
+            flap_threshold=config.fleet_flap_threshold,
+            task_deadline_s=config.fleet_task_deadline_s)
         self.scheduler = CellScheduler(
             self.executor,
             CircuitBreaker(threshold=config.breaker_threshold,
@@ -165,15 +158,21 @@ class SweepService:
         return self._draining
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
-            family=socket.AF_INET)
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, self.config.host,
+                self.config.port, family=socket.AF_INET)
+        except OSError as exc:
+            # the fleet's workers were forked in __init__: a server that
+            # cannot listen stops them instead of leaving them running
+            self.executor.shutdown()
+            raise ServiceError(
+                f"cannot listen: {exc.strerror or exc}") from exc
         self._loop = asyncio.get_running_loop()
-        if isinstance(self.executor, FleetExecutor):
-            # fleet events (failover, respawn, eviction) arrive from
-            # the supervisor thread; hop onto the loop and fan them out
-            # to every active study's event stream
-            self.executor.on_event = self._fleet_event_threadsafe
+        # fleet events (failover, respawn, eviction) arrive from the
+        # supervisor thread; hop onto the loop and fan them out to every
+        # active study's event stream
+        self.executor.on_event = self._fleet_event_threadsafe
         self._install_signal_handlers()
         self._publish_gauges()
 
@@ -335,7 +334,7 @@ class SweepService:
         reasons: list[str] = []
         if self._draining:
             reasons.append("draining")
-        if getattr(self.executor, "fleet_degraded", False):
+        if self.executor.fleet_degraded:
             reasons.append("fleet_respawn_exhausted")
         store = self.executor.study.store
         if store is not None and store.degraded:
@@ -343,22 +342,19 @@ class SweepService:
         return not reasons, reasons
 
     def _ready_payload(self, ready: bool, reasons: list[str]) -> dict:
-        payload = {"ready": ready,
-                   "reasons": reasons,
-                   "draining": self._draining,
-                   "degraded": self.scheduler.degraded_mode(),
-                   "pending_cells": self.admission.pending_cells,
-                   "queued_executions": self.executor.queued,
-                   "inflight_cells": self.scheduler.inflight_cells(),
-                   "open_breakers": [
-                       getattr(k, "describe", lambda: str(k))()
-                       for k in self.scheduler.breaker.open_keys()],
-                   "coalesced": self.scheduler.coalesced,
-                   "stale_served": self.scheduler.stale_served}
-        status = getattr(self.executor, "fleet_status", None)
-        if status is not None:
-            payload["fleet"] = status()
-        return payload
+        return {"ready": ready,
+                "reasons": reasons,
+                "draining": self._draining,
+                "degraded": self.scheduler.degraded_mode(),
+                "pending_cells": self.admission.pending_cells,
+                "queued_executions": self.executor.queued,
+                "inflight_cells": self.scheduler.inflight_cells(),
+                "open_breakers": [
+                    getattr(k, "describe", lambda: str(k))()
+                    for k in self.scheduler.breaker.open_keys()],
+                "coalesced": self.scheduler.coalesced,
+                "stale_served": self.scheduler.stale_served,
+                "fleet": self.executor.fleet_status()}
 
     # ------------------------------------------------------------------
     # The study route

@@ -24,9 +24,10 @@ from repro.core.hostfaults import HostFaultPlan
 from repro.core.resilience import ResilientStudy
 from repro.core.store import ResultStore
 from repro.gpu.faults import FaultPlan
+from repro.perf.trace import TraceCache
 from repro.service.fleet import FleetExecutor
 from repro.service.protocol import CellKey
-from repro.service.scheduler import CellScheduler, StudyExecutor
+from repro.service.scheduler import CellScheduler
 from repro.service.server import ServiceConfig, SweepService
 from tests.durable_ladder import LadderCases, StoreAdapter, restamp
 
@@ -43,6 +44,20 @@ def _canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _offline(cells=CELLS, **policy):
+    """An offline study with the fleet's policy that sweeps each cell on
+    its own, serially, in submission order; returns it and the cells."""
+    study = ResilientStudy(**policy)
+    return study, [study.sweep(key.device, [key.algorithm],
+                               [key.input_name], jobs=1).cells[0]
+                   for key in cells]
+
+
+def _payload(study) -> dict:
+    return {"reps": study.reps, "scale": study.scale,
+            "results": study._result_records()}
+
+
 def _wait_for(predicate, timeout=15.0, interval=0.02, what="condition"):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -57,50 +72,44 @@ def _wait_for(predicate, timeout=15.0, interval=0.02, what="condition"):
 # ----------------------------------------------------------------------
 class TestFleetByteIdentity:
     def test_two_workers_match_single_worker_payload(self):
-        serial = StudyExecutor(reps=1)
+        serial, serial_cells = _offline(reps=1)
         fleet = FleetExecutor(workers=2, reps=1, heartbeat_s=0.1)
         try:
-            serial_cells = [serial.submit(k, 300.0).result(timeout=60)
-                            for k in CELLS]
             fleet_cells = _run_cells(fleet)
             assert _canonical(fleet.results_payload()) == \
-                _canonical(serial.results_payload())
+                _canonical(_payload(serial))
             for ours, theirs in zip(fleet_cells, serial_cells):
                 assert ours.speedup == theirs.speedup
             assert fleet.study.cells_executed == 2 * len(CELLS)
         finally:
             fleet.shutdown()
-            serial.shutdown()
 
     def test_a_failed_baseline_keeps_its_racefree_result(self):
         """A fleet worker runs both variants of a cell whose baseline
-        fails, as the serial executor does: the payloads and the
-        failure memos are equal."""
+        fails, as the serial sweep does: the payloads and the failure
+        memos are equal."""
         faults = FaultPlan.parse("tear=0.9,stuck=0.7,abort=0.25")
         cells = tuple(CellKey(a, "internet", "titanv")
                       for a in ("cc", "mst", "gc"))
         policy = dict(reps=3, validate=True, retries=3, faults=faults)
-        serial = StudyExecutor(**policy)
+        serial, serial_cells = _offline(cells, **policy)
         fleet = FleetExecutor(workers=2, heartbeat_s=0.1, **policy)
         try:
-            serial_cells = [serial.submit(k, 300.0).result(timeout=60)
-                            for k in cells]
             fleet_cells = _run_cells(fleet, cells)
             assert _canonical(fleet.results_payload()) == \
-                _canonical(serial.results_payload())
+                _canonical(_payload(serial))
             racefree = {(r["algorithm"], r["variant"])
-                        for r in serial.results_payload()["results"]}
+                        for r in _payload(serial)["results"]}
             assert {("cc", "racefree"), ("mst", "racefree")} <= racefree
 
-            def memo(executor):
+            def memo(study):
                 return {key: (f.variant, f.reason, f.message, f.attempts)
-                        for key, f in executor.study._failures.items()}
-            assert memo(fleet) == memo(serial)
+                        for key, f in study._failures.items()}
+            assert memo(fleet.study) == memo(serial)
             assert [c.describe() for c in fleet_cells[:2]] == \
                 [c.describe() for c in serial_cells[:2]]
         finally:
             fleet.shutdown()
-            serial.shutdown()
 
     def test_memo_serves_repeat_submission_without_execution(self):
         fleet = FleetExecutor(workers=2, reps=1, heartbeat_s=0.1)
@@ -463,6 +472,32 @@ class TestFaultedAddresses:
         again, ran = _fleet_service(store_dir, plan)
         assert ran == 0
         assert again == faulted
+
+
+# ----------------------------------------------------------------------
+# A worker's degraded trace cache reaches the scheduler
+# ----------------------------------------------------------------------
+class TestWorkerCacheDegrade:
+    def test_a_full_trace_disk_degrades_the_executor(self, tmp_path):
+        """Every trace write of the worker fails with ENOSPC, so its
+        cache sticky-degrades to memory-only: the executor reports it
+        and the scheduler serves stale, while the fleet itself spent no
+        respawn."""
+        plan = HostFaultPlan.parse("enospc=1.0", seed=0,
+                                   targets=("trace-*.json",))
+        with hostfaults.installed(plan):
+            fleet = FleetExecutor(
+                workers=1, reps=1, heartbeat_s=0.1,
+                trace_cache=TraceCache(disk_dir=tmp_path / "traces"))
+        try:
+            assert fleet.degraded is False
+            cells = _run_cells(fleet, FAULT_CELLS)
+            assert all(hasattr(c, "speedup") for c in cells)
+            assert fleet.degraded is True
+            assert CellScheduler(fleet).degraded_mode() is True
+            assert fleet.fleet_degraded is False
+        finally:
+            fleet.shutdown()
 
 
 # ----------------------------------------------------------------------

@@ -10,12 +10,14 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import json
+import socket
 
 import pytest
 
 from repro.errors import ProtocolError, ServiceError
 from repro.gpu.faults import FaultPlan
 from repro.service.breaker import BreakerState, CircuitBreaker
+from repro.service.fleet import FleetExecutor
 from repro.service.protocol import (
     CellKey,
     parse_study_request,
@@ -23,7 +25,7 @@ from repro.service.protocol import (
     response_bytes,
 )
 from repro.service.quota import AdmissionController
-from repro.service.scheduler import CellScheduler, StudyExecutor
+from repro.service.scheduler import CellScheduler
 from repro.service.server import ServiceConfig, SweepService
 
 CELL = CellKey("cc", "internet", "titanv")
@@ -287,21 +289,27 @@ class TestBreaker:
 # ----------------------------------------------------------------------
 # Scheduler: coalescing, caching, breaker integration, deadlines
 # ----------------------------------------------------------------------
-def _executor(**kw) -> StudyExecutor:
+def _executor(**kw) -> FleetExecutor:
     kw.setdefault("reps", 1)
     kw.setdefault("scale", 0.05)
-    return StudyExecutor(**kw)
+    return FleetExecutor(workers=1, heartbeat_s=0.1, **kw)
+
+
+def _cells_run(executor) -> int:
+    """Cells the fleet ran: every dispatch less the redispatches."""
+    status = executor.fleet_status()
+    return (sum(w["dispatched"] for w in status["workers"])
+            - status["redispatches"])
 
 
 class TestSchedulerCoalescing:
-    def test_concurrent_cold_cell_executes_once(self, tmp_path):
-        # the satellite acceptance: two clients, one cold cell, exactly
-        # one recorded execution — observed via both the study's
-        # execution counter and the trace cache's recording counter
-        from repro.perf.trace import TraceCache
-
-        cache = TraceCache(disk_dir=tmp_path / "traces")
-        executor = _executor(trace_cache=cache)
+    def test_concurrent_cold_cell_executes_once(self):
+        # two clients, one cold cell, exactly one execution — observed
+        # via both the study's execution counter and the fleet's
+        # dispatch count (the ledger drops a duplicate record before
+        # counting it, so only the dispatches show a cell that ran
+        # twice)
+        executor = _executor()
         scheduler = CellScheduler(executor)
 
         async def go():
@@ -318,11 +326,9 @@ class TestSchedulerCoalescing:
         assert a["speedup"] == b["speedup"]
         # one cell = its two variant executions, exactly once
         assert executor.study.cells_executed == 2
+        assert _cells_run(executor) == 1
         assert scheduler.coalesced == 1
         assert sum(1 for r in (a, b) if r.get("coalesced")) == 1
-        # the trace cache recorded one cell's worth of traces, not two
-        recorded_once = cache.recorded
-        assert recorded_once > 0
 
     def test_completed_cell_serves_from_cache(self):
         executor = _executor()
@@ -381,6 +387,7 @@ class _StuckExecutor:
     def __init__(self):
         self.queued = 0
         self.degraded = False
+        self.fleet_degraded = False
         self.futures = []
 
     def submit(self, key, budget_s):
@@ -508,8 +515,43 @@ class TestServerEndToEnd:
             await service.aclose()
 
         asyncio.run(go())
-        # serial mode checkpoints into the store too: one record a cell
+        # the server checkpoints into the store: one record a cell
         assert len(list(store_dir.glob("cell-*.json"))) == 2
+
+    def test_default_server_runs_one_fleet_worker(self):
+        async def go():
+            service = SweepService(ServiceConfig(port=0, reps=1))
+            await service.start()
+            host, port = service.address
+            status, _head, body = await _fetch(host, port, "GET",
+                                               "/readyz")
+            await service.aclose()
+            return status, json.loads(body)
+
+        status, payload = asyncio.run(go())
+        assert status == 200
+        (worker,) = payload["fleet"]["workers"]
+        assert worker["state"] == "idle"
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_no_worker_count_is_refused(self, workers):
+        with pytest.raises(ServiceError, match=">= 1 worker"):
+            SweepService(ServiceConfig(port=0, workers=workers))
+
+    def test_a_taken_port_is_refused_and_stops_the_fleet(self):
+        async def go():
+            with socket.socket() as taken:
+                taken.bind(("127.0.0.1", 0))
+                taken.listen()
+                service = SweepService(ServiceConfig(
+                    port=taken.getsockname()[1], reps=1))
+                with pytest.raises(ServiceError, match="already in use"):
+                    await service.start()
+            return service
+
+        service = asyncio.run(go())
+        assert not any(slot.proc.is_alive()
+                       for slot in service.executor.fleet._slots)
 
     def test_admission_rejection_is_429_with_retry_after(self):
         async def go():

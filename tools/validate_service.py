@@ -3,12 +3,13 @@
 Drives a real ``python -m repro serve`` subprocess the way an unlucky
 deployment would:
 
-1. starts the serial server (no worker processes) with a host fault
-   plan installed — 40% of trace-cache writes are torn — plus a
-   ``--store`` and a disk trace cache;
+1. starts a one-worker server (``repro serve``'s default ``--workers
+   1``) with a host fault plan installed — 40% of trace-cache writes
+   are torn — plus a ``--store`` and a disk trace cache;
 2. submits the same study from two concurrent clients and checks that
    every cell streams back ``ok`` and that the pair coalesced onto a
-   single grid execution;
+   single grid execution: in ``/readyz``'s fleet block the workers'
+   dispatch counts less the redispatches equal the grid's cells;
 3. fetches ``/v1/results`` and asserts the accumulated raw runtimes
    are byte-identical (canonically ordered) to an uninjected, serial,
    cache-less offline sweep of the same cells run in this process;
@@ -18,10 +19,11 @@ deployment would:
 5. (fleet smoke) repeats the drive against ``--workers 2`` with a
    ``--store`` under a plan that also kills workers: every
    first-generation fleet worker is killed, cells must fail over to
-   respawned workers, results must stay byte-identical to the offline
-   sweep, the store
-   must hold every published cell, SIGTERM must still drain cleanly,
-   and the drained store must again serve a fresh study.
+   respawned workers while each is still dispatched once plus its
+   redispatches, results must stay byte-identical to the offline
+   sweep, the store must hold every published cell, SIGTERM must
+   still drain cleanly, and the drained store must again serve a
+   fresh study.
 
 Usage::
 
@@ -141,7 +143,8 @@ def main(argv: list[str] | None = None) -> int:
         if "listening on" not in banner:
             raise RuntimeError(f"unexpected banner {banner!r}")
         port = int(banner.rsplit(":", 1)[1])
-        print(f"ok   server up on port {port} (torn writes injected)")
+        print(f"ok   server up on port {port} "
+              "(1 worker, torn writes injected)")
 
         # two concurrent clients, one cold study
         records: dict[str, list[dict] | Exception] = {}
@@ -170,15 +173,17 @@ def main(argv: list[str] | None = None) -> int:
                       f"{len(bad)} not ok: {bad}", file=sys.stderr)
                 return 1
         print(f"ok   two concurrent clients, all {n_cells} cells ok")
+        if _fleet_block(port, 1, n_cells, "server") is None:
+            return 1
 
         # byte-identity against the offline sweep
         raw = _request(port, "GET", "/v1/results")
         server_payload = json.loads(raw.partition(b"\r\n\r\n")[2])
         if len(server_payload.get("results", [])) != 2 * n_cells:
-            print("FAIL: server computed "
+            print("FAIL: /v1/results holds "
                   f"{len(server_payload.get('results', []))} variant "
-                  f"records for two clients, expected {2 * n_cells} "
-                  "(coalescing broke)", file=sys.stderr)
+                  f"records, expected {2 * n_cells} (a cell's records "
+                  "are missing)", file=sys.stderr)
             return 1
         if _canonical(server_payload) != baseline:
             print("FAIL: server results diverge from the uninjected "
@@ -237,6 +242,30 @@ def main(argv: list[str] | None = None) -> int:
     print("service validation: coalescing, byte-identity, fleet "
           "failover, and SIGTERM drain hold under injected host faults")
     return 0
+
+
+def _fleet_block(port: int, workers: int, n_cells: int,
+                 what: str) -> dict | None:
+    """``/readyz``'s fleet block if it shows ``workers`` workers that
+    dispatched every cell once plus its redispatches (two clients of one
+    study coalesce onto one execution per cell), else None after a FAIL
+    line."""
+    raw = _request(port, "GET", "/readyz")
+    fleet = json.loads(raw.partition(b"\r\n\r\n")[2]).get("fleet") or {}
+    if len(fleet.get("workers", [])) != workers:
+        print(f"FAIL: {what} /readyz fleet block: {fleet!r}",
+              file=sys.stderr)
+        return None
+    dispatched = sum(w["dispatched"] for w in fleet["workers"])
+    redispatched = fleet["redispatches"]
+    if dispatched - redispatched != n_cells:
+        print(f"FAIL: {what} dispatched {dispatched} cells less "
+              f"{redispatched} redispatches for two clients of a "
+              f"{n_cells}-cell study (coalescing broke)", file=sys.stderr)
+        return None
+    print(f"ok   {what} dispatched each cell once: {dispatched} "
+          f"dispatches - {redispatched} redispatches = {n_cells} cells")
+    return fleet
 
 
 def _store_handoff(store_dir: Path, n_cells: int, what: str) -> bool:
@@ -309,12 +338,8 @@ def _fleet_smoke(workdir: Path, baseline: bytes, n_cells: int,
                 return 1
         print(f"ok   fleet served all {n_cells} cells to both clients")
 
-        raw = _request(port, "GET", "/readyz")
-        ready = json.loads(raw.partition(b"\r\n\r\n")[2])
-        fleet = ready.get("fleet") or {}
-        if len(fleet.get("workers", [])) != 2:
-            print(f"FAIL: /readyz fleet block: {fleet!r}",
-                  file=sys.stderr)
+        fleet = _fleet_block(port, 2, n_cells, "fleet")
+        if fleet is None:
             return 1
         if fleet.get("respawns", 0) < 1 or fleet.get(
                 "redispatches", 0) < 1:
