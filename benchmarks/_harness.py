@@ -28,9 +28,9 @@ Environment knobs:
   session and written to the named file at interpreter exit (unset =
   telemetry off, the zero-overhead default).
 
-The harness runs on the resilient study (same results, memoized and
-bit-identical when nothing fails), so one bad cell cannot take down a
-whole bench session.  Each bench prints the regenerated rows and writes
+The harness's study prices every cell through its one guarded path
+(memoized; with no fault plan the guard changes no result), so one bad
+cell cannot take down a whole bench session.  Each bench prints the regenerated rows and writes
 them to ``benchmarks/output/`` as markdown + CSV, mirroring the
 artifact's ``output/`` directory.
 """

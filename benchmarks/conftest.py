@@ -6,17 +6,16 @@ import pytest
 
 from _harness import CHECKPOINT, JOBS, REPS, RETRIES, SCALE, TRACE_CACHE
 
-from repro import ResilientStudy
+from repro import Study
 
 
 @pytest.fixture(scope="session")
-def study() -> ResilientStudy:
-    """The shared memoized study, on the resilient execution path.
+def study() -> Study:
+    """The shared memoized study.
 
-    With no faults injected this produces bit-identical results to the
-    plain :class:`repro.Study`, but a failing cell surfaces as a
-    :class:`~repro.errors.StudyError` for just that bench instead of
-    aborting the whole session, transient faults are retried, and an
+    A failing cell surfaces as a :class:`~repro.errors.StudyError` for
+    just that bench instead of aborting the whole session, transient
+    faults are retried, and an
     optional checkpoint store (``REPRO_CHECKPOINT``) lets an
     interrupted session resume: a cell published there is served, not
     recomputed.
@@ -25,6 +24,6 @@ def study() -> ResilientStudy:
     recorded for one device is re-priced for the other devices of the
     same staleness class, and recordings persist across bench sessions.
     """
-    return ResilientStudy(reps=REPS, scale=SCALE, retries=RETRIES,
-                          checkpoint=CHECKPOINT, trace_cache=TRACE_CACHE,
-                          jobs=JOBS)
+    return Study(reps=REPS, scale=SCALE, retries=RETRIES,
+                 checkpoint=CHECKPOINT, trace_cache=TRACE_CACHE,
+                 jobs=JOBS)

@@ -5,7 +5,7 @@ hazard: torn wide stores plant chimera values, register-cached plain
 loads can poll stale data forever, and none of it is guaranteed to be
 caught.  This demo turns that hazard into a seeded adversary
 (:class:`repro.gpu.FaultPlan`) and runs the paper's Table IV comparison
-through the resilient sweep driver (:class:`repro.ResilientStudy`):
+through the study's guarded cell path (:class:`repro.Study`):
 
 * **Racy baselines** are exposed: torn/dropped non-atomic stores
   silently corrupt outputs (caught here only because validation is on),
@@ -24,8 +24,9 @@ Run:  python examples/fault_injection_demo.py
 
 from __future__ import annotations
 
-from repro.core.report import resilient_speedup_table
-from repro.core.resilience import CellFailure, ResilientStudy
+from repro.core.report import speedup_table
+from repro.core.resilience import CellFailure
+from repro.core.study import Study
 from repro.core.variants import Variant
 from repro.gpu.faults import FaultPlan
 
@@ -41,8 +42,8 @@ DEVICE = "titanv"
 REPS = 3
 
 
-def run_sweep(retries: int) -> ResilientStudy:
-    study = ResilientStudy(
+def run_sweep(retries: int) -> Study:
+    study = Study(
         reps=REPS, validate=True, retries=retries,
         faults=FaultPlan.parse(PLAN, seed=SEED))
     for algo in ALGOS:
@@ -51,7 +52,7 @@ def run_sweep(retries: int) -> ResilientStudy:
     return study
 
 
-def describe(study: ResilientStudy) -> None:
+def describe(study: Study) -> None:
     for algo in ALGOS:
         for variant in (Variant.BASELINE, Variant.RACE_FREE):
             out = study.run_cell(algo, INPUT, DEVICE, variant)
@@ -87,7 +88,7 @@ def main() -> None:
           "survived the same adversity\n")
 
     cells = [study.speedup_cell(a, INPUT, DEVICE) for a in ALGOS]
-    print(resilient_speedup_table(
+    print(speedup_table(
         cells, title="Table IV analog under injected adversity"))
 
     reasons = {f.reason for f in study.failures()}

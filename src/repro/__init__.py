@@ -24,13 +24,12 @@ The study (Section V methodology)::
     cell = study.speedup("mis", "amazon0601", "titanv")
     print(cell.speedup)   # > 1 means the race-free code is faster
 
-Resilient sweeps (fault injection, isolation, a checkpoint store a
-rerun resumes from)::
+Sweeps that survive failures (fault injection, isolation, a
+checkpoint store a rerun resumes from) — the same study::
 
-    from repro import ResilientStudy
     from repro.gpu import FaultPlan
-    study = ResilientStudy(reps=9, retries=2, checkpoint="sweep-store",
-                           faults=FaultPlan.parse("tear=0.3,abort=0.1"))
+    study = Study(reps=9, retries=2, checkpoint="sweep-store",
+                  faults=FaultPlan.parse("tear=0.3,abort=0.1"))
     result = study.sweep("titanv", ["cc", "mis"], ["internet"])
 
 Host-fault chaos (see docs/robustness.md, "Host faults")::
@@ -41,7 +40,7 @@ Host-fault chaos (see docs/robustness.md, "Host faults")::
                                targets=("trace-*.json",),
                                disrupt_generations=1)
     with hostfaults.installed(plan):
-        ResilientStudy(reps=3, checkpoint="sweep-store").sweep(
+        Study(reps=3, checkpoint="sweep-store").sweep(
             "titanv", ["cc", "mis"], ["internet"], jobs=4)
 
 Telemetry (off by default; see docs/observability.md)::
@@ -55,7 +54,6 @@ Telemetry (off by default; see docs/observability.md)::
 from repro.core.resilience import (
     CellBudget,
     CellFailure,
-    ResilientStudy,
     SweepResult,
 )
 from repro.core.hostfaults import HostFaultKind, HostFaultPlan
@@ -71,7 +69,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Study",
-    "ResilientStudy",
     "CellBudget",
     "CellFailure",
     "SweepResult",

@@ -15,9 +15,9 @@ Commands
 * ``races``   — SIMT race detection for one algorithm (Section IV).
 * ``patterns`` — run the Indigo-style microbenchmark corpus: every racy
   idiom, its detected races and failure mode, and its race-free fix.
-* ``sweep``   — the resilient sweep driver: per-cell fault isolation,
-  retries, budgets, fault injection, and a checkpoint store that a
-  rerun resumes from; with
+* ``sweep``   — the sweep driver: per-cell fault isolation, retries,
+  budgets, fault injection, and a checkpoint store that a rerun
+  resumes from; failed cells print as ``FAIL(reason)``; with
   ``--telemetry`` it exports the run's metric registry and span tree.
 * ``check``   — systematic schedule exploration (DPOR) of one pattern:
   enumerate interleavings, race-check each, minimize failing schedules.
@@ -32,8 +32,9 @@ Commands
   records) and assert byte-identical recovery.
 
 Exit codes: 0 success, 1 command-specific failure (e.g. a chaos
-scenario diverged), 2 operational error, 3 sweep interrupted by
-SIGINT/SIGTERM (every finished cell is already checkpointed).
+scenario diverged), 2 operational error, 3 sweep, table or figure
+interrupted by SIGINT/SIGTERM (with ``--checkpoint``, every finished
+cell is already in the store).
 """
 
 from __future__ import annotations
@@ -42,13 +43,8 @@ import argparse
 import sys
 
 from repro import Study, Variant
-from repro.core.report import (
-    fig6_bars,
-    geomean_summary,
-    resilient_speedup_table,
-    speedup_table,
-)
-from repro.core.resilience import CellBudget, ResilientStudy
+from repro.core.report import fig6_bars, geomean_summary, speedup_table
+from repro.core.resilience import CellBudget
 from repro.core.variants import get_algorithm, list_algorithms
 from repro.errors import ReproError, SweepInterrupted
 from repro.gpu.device import DEVICE_ORDER, PAPER_GPUS
@@ -234,7 +230,7 @@ def _run_sweep(args) -> int:
     faults = (FaultPlan.parse(args.inject, seed=args.fault_seed)
               if args.inject else None)
     budget = CellBudget(max_seconds=args.max_seconds)
-    study = ResilientStudy(
+    study = Study(
         reps=args.reps, validate=args.validate, retries=args.retries,
         backoff_s=args.backoff, budget=budget, faults=faults,
         checkpoint=args.checkpoint, trace_cache=args.trace_cache or None)
@@ -252,7 +248,7 @@ def _run_sweep(args) -> int:
     injected = f", inject: {faults.describe()}" if faults else ""
     title = (f"Resilient speedups on {args.device} "
              f"(median of {args.reps}{injected})")
-    print(resilient_speedup_table(sweep.cells, title=title))
+    print(speedup_table(sweep.cells, title=title))
     print(f"cells executed this run: {study.cells_executed} "
           f"(resumed {study.cells_resumed} results)")
     if args.telemetry:
@@ -797,8 +793,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except SweepInterrupted as exc:
-        # a deliberate operator stop, not a failure: every finished
-        # cell is checkpointed, so the distinct code lets wrappers rerun
+        # a deliberate operator stop, not a failure: with a checkpoint
+        # every finished cell is stored, so the distinct code lets
+        # wrappers rerun
         print(f"interrupted: {exc}", file=sys.stderr)
         return 3
     except ReproError as exc:

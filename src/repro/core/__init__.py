@@ -8,11 +8,12 @@
   the registry of algorithm implementations.
 * :mod:`repro.core.study` — the experimental methodology of Section V:
   run variant x input x device for nine repetitions, take medians,
-  compute speedups.
+  compute speedups — every cell through one guarded path, with resume
+  from a checkpoint store.
 * :mod:`repro.core.report` — speedup tables (Tables IV-VIII), geometric
   means (Fig. 6), and property correlations (Table IX).
-* :mod:`repro.core.resilience` — the resilient sweep layer: per-cell
-  fault isolation, budgets, retries, and resume from a checkpoint store.
+* :mod:`repro.core.resilience` — the policy vocabulary every cell runs
+  under: per-cell fault isolation, budgets, and retries.
 * :mod:`repro.core.store` — the content-addressed result store that
   checkpointed studies publish finished cells to and resume from.
 * :mod:`repro.core.hostfaults` — deterministic injection of *host*
@@ -29,14 +30,12 @@ from repro.core.chaos import ChaosReport, ChaosScenario, run_chaos
 from repro.core.resilience import (
     CellBudget,
     CellFailure,
-    ResilientStudy,
     SweepResult,
     run_guarded,
 )
 from repro.core.report import (
     correlation_table,
     geomean_summary,
-    resilient_speedup_table,
     speedup_table,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "Study",
     "RunResult",
     "SpeedupCell",
-    "ResilientStudy",
     "CellBudget",
     "CellFailure",
     "SweepResult",
@@ -63,7 +61,6 @@ __all__ = [
     "ChaosScenario",
     "run_chaos",
     "speedup_table",
-    "resilient_speedup_table",
     "geomean_summary",
     "correlation_table",
 ]

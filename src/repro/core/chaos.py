@@ -1,7 +1,7 @@
 """Chaos harness: prove the sweep stack survives host failures.
 
 Each :class:`ChaosScenario` runs a *real* mini-sweep (the same
-:class:`~repro.core.resilience.ResilientStudy` + worker-fleet path the
+:class:`~repro.core.study.Study` + worker-fleet path the
 paper tables use) under one injected host failure mode from
 :mod:`repro.core.hostfaults`, then asserts the two invariants the
 robustness layer promises:
@@ -43,7 +43,7 @@ from pathlib import Path
 
 from repro.core import hostfaults
 from repro.core.hostfaults import HostFaultKind, HostFaultPlan
-from repro.core.resilience import ResilientStudy
+from repro.core.study import Study
 from repro.errors import StudyError
 
 #: mini-sweep grid: small suite inputs, two racy algorithms — large
@@ -165,8 +165,8 @@ def scenario_suite(jobs: int = 4) -> list[ChaosScenario]:
 
 def _study(reps: int, checkpoint: Path | None,
            trace_dir: Path | None,
-           task_deadline_s: float | None) -> ResilientStudy:
-    study = ResilientStudy(
+           task_deadline_s: float | None) -> Study:
+    study = Study(
         reps=reps, checkpoint=checkpoint,
         trace_cache=trace_dir if trace_dir is not None else False)
     if task_deadline_s is not None:
@@ -174,7 +174,7 @@ def _study(reps: int, checkpoint: Path | None,
     return study
 
 
-def _sweep_bytes(study: ResilientStudy, out: Path, device: str,
+def _sweep_bytes(study: Study, out: Path, device: str,
                  algorithms: list[str], inputs: list[str],
                  jobs: int) -> tuple[bytes, tuple[int, int], int]:
     """Run one sweep, persist its results, and return
@@ -291,7 +291,7 @@ def _store_handoff(store_dir: Path, device: str, algorithms: list[str],
                    notes: list[str]) -> list[str]:
     """The drain hand-off: a fresh offline study on a drained server's
     ``--store`` must serve every result of the grid, executing none."""
-    loader = ResilientStudy(reps=reps, checkpoint=store_dir)
+    loader = Study(reps=reps, checkpoint=store_dir)
     loader.sweep(device, algorithms, inputs, jobs=1)
     notes.append(f"store serves {loader.cells_resumed} results")
     want = 2 * len(algorithms) * len(inputs)
@@ -340,7 +340,7 @@ def run_fleet_scenario(workdir: Path, device: str,
             "device": device, "deadline_s": 300}
 
     # the truth: an uninjected serial offline sweep of the same cells
-    offline = ResilientStudy(reps=reps)
+    offline = Study(reps=reps)
     result = offline.sweep(device, algorithms, inputs, jobs=1)
     if result.failures:
         raise StudyError("fleet scenario offline baseline failed")

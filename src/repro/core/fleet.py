@@ -6,10 +6,12 @@ starts it, merges, and stops it), and so does every ``repro serve``
 (:class:`repro.service.fleet.FleetExecutor` keeps one of ``--workers``
 processes for its lifetime):
 
-* **workers** are forked processes, each owning a private study built
-  from the parent's :class:`~repro.core.parallel.WorkerConfig` by
+* **workers** are forked processes, each owning a private
+  :class:`~repro.core.study.Study` built from the parent's
+  :class:`~repro.core.parallel.WorkerConfig` by
   :func:`~repro.core.parallel._init_worker`.  A worker runs each cell
-  through :func:`~repro.core.parallel._run_task` under the parent's
+  through :func:`~repro.core.parallel._run_task` — the study's one
+  guarded cell path — under the parent's
   :class:`~repro.core.resilience.CellBudget` (its ``max_seconds``
   replaced only when the dispatcher passes a budget for that cell) and
   sends back the records, with whether its trace cache has degraded
@@ -104,6 +106,7 @@ def _worker_main(conn, config: WorkerConfig, generation: int,
     parallel._init_worker(config)
     study = parallel._WORKER_STUDY
     cache = study.trace_cache
+    budget = study.budget
     send_lock = threading.Lock()
     stop_beat = threading.Event()
 
@@ -130,15 +133,13 @@ def _worker_main(conn, config: WorkerConfig, generation: int,
             if msg[0] == "stop":
                 break
             _, task_id, task, budget_s = msg
-            if config.resilient:
-                # a service-level retry of a failed cell must actually
-                # execute: re-arm the failure memo
-                algorithm, name, device = _task_key(task)
-                for variant in Variant:
-                    study._failures.pop((algorithm, name, device, variant),
-                                        None)
-                study.budget = (config.budget if budget_s is None else
-                                replace(config.budget, max_seconds=budget_s))
+            # a service-level retry of a failed cell must actually
+            # execute: re-arm the failure memo
+            algorithm, name, device = _task_key(task)
+            for variant in Variant:
+                study._failures.pop((algorithm, name, device, variant), None)
+            study.budget = (budget if budget_s is None
+                            else replace(budget, max_seconds=budget_s))
             try:
                 reply = ("done", task_id,
                          parallel._run_task(task, generation),

@@ -5,21 +5,22 @@ reps) grid of *independent* cells — every simulated runtime depends
 only on its own (algorithm, graph, variant, seed, staleness class) and
 the device constants, never on other cells.  That makes the sweep
 embarrassingly parallel, and this module is the executor:
-:meth:`repro.core.study.Study.speedup_table` and
-:meth:`repro.core.resilience.ResilientStudy.sweep` build one
-:class:`CellTask` per missing (algorithm, input) pair and hand them to
+:meth:`repro.core.study.Study.sweep` builds one :class:`CellTask` per
+missing (algorithm, input) pair and hands them to
 :func:`execute_tasks`, which runs them on a
 :class:`~repro.core.fleet.Fleet` of supervised workers and feeds
 picklable result records back to the study **in submission order** —
 so the memo (and therefore ``save_results`` output, speedup tables,
 and published store records) is byte-identical to the serial path.
 
-Each worker process owns a private study configured from the parent's
-:class:`WorkerConfig` (same reps/scale/validate/retry policy, same
-fault plan seed) plus a :class:`~repro.perf.trace.TraceCache` pointed
-at the parent's on-disk trace directory when one is configured.  A
-parent that runs uncached has uncached workers, so both paths record
-the same executions.
+Each worker process owns a private :class:`~repro.core.study.Study`
+configured from the parent's :class:`WorkerConfig` (same
+reps/scale/validate/retry policy, same fault plan seed), which prices
+every cell through the one guarded path,
+:meth:`~repro.core.study.Study.run_cell`, plus a
+:class:`~repro.perf.trace.TraceCache` pointed at the parent's on-disk
+trace directory when one is configured.  A parent that runs uncached
+has uncached workers, so both paths record the same executions.
 
 Only cells that must record reach a worker.  Each task reports the
 fingerprints of the graphs it built for its suite input (the weighted
@@ -32,7 +33,7 @@ table whose devices share the first one's staleness class starts no
 workers.  Without an on-disk trace directory a worker's recordings end
 with its fleet, so every table's workers record again.
 
-Knobs: ``Study(jobs=N)`` / ``speedup_table(..., jobs=N)`` /
+Knobs: ``Study(jobs=N)`` / ``sweep(..., jobs=N)`` /
 ``repro sweep --jobs N``, all defaulting to the ``REPRO_JOBS``
 environment variable (unset = 1 = serial, no worker is ever started).
 """
@@ -75,12 +76,11 @@ class WorkerConfig:
     the deadline its supervisor holds each task to.
 
     All fields are picklable; ``faults`` and ``budget`` carry the
-    resilient study's fault plan and cell budget so injected fault
-    streams (derived from the plan seed plus the cell key) are
-    identical to the serial path's.
+    study's fault plan and cell budget so injected fault streams
+    (derived from the plan seed plus the cell key) are identical to
+    the serial path's.
     """
 
-    resilient: bool
     reps: int
     scale: float
     validate: bool
@@ -127,7 +127,6 @@ def _init_worker(config: WorkerConfig) -> None:
     import signal
 
     from repro import telemetry
-    from repro.core.resilience import ResilientStudy
     from repro.core.study import Study
     from repro.perf.trace import TraceCache
 
@@ -162,15 +161,11 @@ def _init_worker(config: WorkerConfig) -> None:
     cache = (TraceCache(disk_dir=config.trace_dir,
                         retain_outputs=config.validate)
              if config.trace_cache else False)
-    if config.resilient:
-        _WORKER_STUDY = ResilientStudy(
-            reps=config.reps, scale=config.scale, validate=config.validate,
-            retries=config.retries, backoff_s=config.backoff_s,
-            budget=config.budget, faults=config.faults,
-            trace_cache=cache)
-    else:
-        _WORKER_STUDY = Study(reps=config.reps, scale=config.scale,
-                              validate=config.validate, trace_cache=cache)
+    _WORKER_STUDY = Study(
+        reps=config.reps, scale=config.scale, validate=config.validate,
+        trace_cache=cache, retries=config.retries,
+        backoff_s=config.backoff_s, budget=config.budget,
+        faults=config.faults)
 
 
 def _task_key(task: CellTask) -> tuple[str, str, str]:
@@ -208,14 +203,11 @@ def _task_records(study, task: CellTask) -> list[dict]:
     merging the rest, keys its own trace lookups on it, and publishes
     it with the cell) and followed by the telemetry record, if any.
     """
-    from repro.core.resilience import ResilientStudy
     from repro.core.study import outcome_record
 
-    run = (study.run_cell if isinstance(study, ResilientStudy)
-           else study.run)
-    records = [outcome_record(run(task.algorithm, task.graph_or_name,
-                                  task.device, Variant(value)))
-               for value in task.variants]
+    records = [outcome_record(study.run_cell(
+        task.algorithm, task.graph_or_name, task.device, Variant(value)))
+        for value in task.variants]
     graph = study._graph_record(task.graph_or_name)
     if graph is not None:
         records.insert(0, graph)
@@ -294,17 +286,15 @@ def execute_tasks(config: WorkerConfig, tasks: list, jobs: int,
     Worker death is survived, not propagated: the fleet redispatches a
     cell whose worker died (or stalled past ``config.task_deadline_s``)
     once.  A cell lost a second time becomes a ``fleet`` failure of
-    each of its variants in a resilient study and raises
-    :class:`~repro.errors.WorkerLostError` naming the cell in a plain
-    one.  A cell that *raises* in its worker is a harness bug, not a
-    host fault: it raises :class:`~repro.errors.WorkerTaskError` naming
-    the (algorithm, input, device) cell when the merge reaches it, and
-    ends the sweep.
+    each of its variants.  A cell that *raises* in its worker is a
+    harness bug, not a host fault: it raises
+    :class:`~repro.errors.WorkerTaskError` naming the (algorithm,
+    input, device) cell when the merge reaches it, and ends the sweep.
 
     While a dispatched cell is awaited, ``check`` runs every
     :data:`CHECK_S` seconds, and whatever it raises ends the sweep:
-    a resilient study raises there an interrupt whose first exception
-    a finalizer swallowed.
+    the study raises there an interrupt whose first exception a
+    finalizer swallowed.
     """
     from repro.core.fleet import Fleet
 
@@ -317,8 +307,8 @@ def execute_tasks(config: WorkerConfig, tasks: list, jobs: int,
         dispatched = iter([fleet.dispatch(task) for task in cells])
         for task in tasks:
             if isinstance(task, CellTask):
-                records = _dispatched_records(config, task,
-                                              next(dispatched), check)
+                records = _dispatched_records(task, next(dispatched),
+                                              check)
             elif callable(task):
                 records = task()
             else:
@@ -330,10 +320,10 @@ def execute_tasks(config: WorkerConfig, tasks: list, jobs: int,
             fleet.shutdown()
 
 
-def _dispatched_records(config: WorkerConfig, task: CellTask, future,
+def _dispatched_records(task: CellTask, future,
                         check: Callable[[], None] | None) -> list[dict]:
-    """A dispatched cell's records; a resilient study records a lost
-    cell as a ``fleet`` failure of each of its variants."""
+    """A dispatched cell's records; a lost cell's are a ``fleet``
+    failure of each of its variants."""
     from repro.core.resilience import CellFailure
     from repro.core.study import outcome_record
 
@@ -343,8 +333,6 @@ def _dispatched_records(config: WorkerConfig, task: CellTask, future,
     try:
         return future.result()
     except WorkerLostError as exc:
-        if not config.resilient:
-            raise
         algorithm, name, device = _task_key(task)
         return [outcome_record(CellFailure(
             algorithm, name, device, variant, "fleet", str(exc),

@@ -1,7 +1,8 @@
 """Report generation: the paper's tables and figure as text/CSV.
 
 * :func:`speedup_table` — Tables IV-VIII layout (inputs x algorithms,
-  with Min / Geomean / Max footer rows).
+  with Min / Geomean / Max footer rows and a coverage line; failed
+  cells render as ``FAIL(reason)``).
 * :func:`geomean_summary` + :func:`fig6_bars` — Fig. 6's geometric-mean
   bars per algorithm per device.
 * :func:`correlation_table` — Table IX: Pearson correlation of the
@@ -20,52 +21,9 @@ from repro.utils.stats import geometric_mean
 from repro.utils.tables import format_table
 
 
-def _grid(cells: list[SpeedupCell]) -> tuple[list[str], list[str], dict]:
-    inputs: list[str] = []
-    algos: list[str] = []
-    values: dict[tuple[str, str], float] = {}
-    for c in cells:
-        if c.input_name not in inputs:
-            inputs.append(c.input_name)
-        if c.algorithm not in algos:
-            algos.append(c.algorithm)
-        values[(c.input_name, c.algorithm)] = c.speedup
-    return inputs, algos, values
-
-
-def speedup_table(cells: list[SpeedupCell], title: str = "") -> str:
-    """Render cells as one of Tables IV-VIII (markdown)."""
-    if not cells:
-        raise StudyError("no cells to tabulate")
-    inputs, algos, values = _grid(cells)
-    headers = ["Input"] + [a.upper() for a in algos]
-    rows: list[list[object]] = []
-    for name in inputs:
-        rows.append([name] + [values.get((name, a), float("nan"))
-                              for a in algos])
-    per_algo = {a: [values[(i, a)] for i in inputs if (i, a) in values]
-                for a in algos}
-    rows.append(["Min Speedup"] + [min(per_algo[a]) for a in algos])
-    rows.append(["Geomean Speedup"]
-                + [geometric_mean(per_algo[a]) for a in algos])
-    rows.append(["Max Speedup"] + [max(per_algo[a]) for a in algos])
-    table = format_table(headers, rows)
-    return f"{title}\n{table}" if title else table
-
-
-def resilient_speedup_table(cells: list, title: str = "") -> str:
-    """Degraded-mode rendering of Tables IV-VIII.
-
-    ``cells`` may mix :class:`SpeedupCell` with
-    :class:`~repro.core.resilience.CellFailure`: failed cells render as
-    ``FAIL(reason)``, the Min/Geomean/Max footer covers only the
-    completed cells of each column, and any column with failures gets a
-    ``[k/n]`` coverage annotation on its geomean so a partial sweep
-    cannot masquerade as a complete one.  A failure list follows the
-    table.
-    """
-    if not cells:
-        raise StudyError("no cells to tabulate")
+def _grid(cells: list) -> tuple[list[str], list[str], dict]:
+    """(inputs, algorithms, values) in first-seen order; a failed
+    cell's value is its ``FAIL(reason)`` label."""
     inputs: list[str] = []
     algos: list[str] = []
     values: dict[tuple[str, str], object] = {}
@@ -74,47 +32,49 @@ def resilient_speedup_table(cells: list, title: str = "") -> str:
             inputs.append(c.input_name)
         if c.algorithm not in algos:
             algos.append(c.algorithm)
-        if isinstance(c, SpeedupCell):
-            values[(c.input_name, c.algorithm)] = c.speedup
-        else:
-            values[(c.input_name, c.algorithm)] = f"FAIL({c.reason})"
+        values[(c.input_name, c.algorithm)] = (
+            c.speedup if isinstance(c, SpeedupCell) else f"FAIL({c.reason})")
+    return inputs, algos, values
 
-    headers = ["Input"] + [a.upper() for a in algos]
-    rows: list[list[object]] = []
-    for name in inputs:
-        rows.append([name] + [values.get((name, a), "")
-                              for a in algos])
 
-    def column(a: str) -> tuple[list[float], int]:
-        cells_of_a = [values[(i, a)] for i in inputs if (i, a) in values]
-        ok = [v for v in cells_of_a if isinstance(v, float)]
-        return ok, len(cells_of_a)
+def speedup_table(cells: list, title: str = "") -> str:
+    """Render cells as one of Tables IV-VIII (markdown).
 
-    min_row: list[object] = ["Min Speedup"]
-    geo_row: list[object] = ["Geomean Speedup"]
-    max_row: list[object] = ["Max Speedup"]
+    ``cells`` may mix :class:`SpeedupCell` with
+    :class:`~repro.core.resilience.CellFailure`: failed cells render as
+    ``FAIL(reason)``, the Min/Geomean/Max footer covers only the
+    completed cells of each column, and any column with failures gets a
+    ``[k/n]`` coverage annotation on its geomean so a partial sweep
+    cannot masquerade as a complete one.  A coverage line follows the
+    table, then one line per failure.
+    """
+    if not cells:
+        raise StudyError("no cells to tabulate")
+    inputs, algos, values = _grid(cells)
+    rows: list[list[object]] = [
+        [name] + [values.get((name, a), "") for a in algos]
+        for name in inputs]
+    footer: list[list[object]] = [
+        ["Min Speedup"], ["Geomean Speedup"], ["Max Speedup"]]
     for a in algos:
-        ok, total = column(a)
+        column = [values[(i, a)] for i in inputs if (i, a) in values]
+        ok = [v for v in column if not isinstance(v, str)]
         if not ok:
-            min_row.append("n/a")
-            geo_row.append("n/a")
-            max_row.append("n/a")
+            for row in footer:
+                row.append("n/a")
             continue
-        min_row.append(min(ok))
-        max_row.append(max(ok))
         geo = geometric_mean(ok)
-        if len(ok) < total:
-            geo_row.append(f"{geo:.2f} [{len(ok)}/{total}]")
-        else:
-            geo_row.append(geo)
-    rows.extend([min_row, geo_row, max_row])
+        footer[0].append(min(ok))
+        footer[1].append(geo if len(ok) == len(column)
+                         else f"{geo:.2f} [{len(ok)}/{len(column)}]")
+        footer[2].append(max(ok))
 
-    table = format_table(headers, rows)
+    table = format_table(["Input"] + [a.upper() for a in algos],
+                         rows + footer)
     failures = [c for c in cells if not isinstance(c, SpeedupCell)]
     done = len(cells) - len(failures)
     lines = [table, f"coverage: {done}/{len(cells)} cells completed"]
-    for f in failures:
-        lines.append(f"  {f.describe()}: {f.message}")
+    lines += [f"  {f.describe()}: {f.message}" for f in failures]
     body = "\n".join(lines)
     return f"{title}\n{body}" if title else body
 

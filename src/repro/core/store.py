@@ -1,6 +1,6 @@
 """Content-addressed result store: the one on-disk home of finished cells.
 
-A checkpointed :class:`~repro.core.resilience.ResilientStudy` — an
+A checkpointed :class:`~repro.core.study.Study` — an
 offline ``repro sweep --checkpoint DIR`` or the service study behind
 ``repro serve --store DIR`` — publishes every cell whose two variants
 both finished ``ok`` as ``cell-<digest>.json``, and looks a cell up

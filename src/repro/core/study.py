@@ -8,19 +8,49 @@ a value above 1 means the race-free code is faster.
 Repetitions differ in their randomization seed (vertex priorities,
 tie-breaks, schedule-dependent staleness subsets), which is the
 simulator's analog of run-to-run hardware variance.
+
+Every cell is priced by one guarded path, :meth:`Study.run_cell` —
+serially, in every fleet worker, and behind ``repro serve``.  The
+paper's own Section II argues that racy kernels can livelock, tear
+words and corrupt results, so a failing cell becomes a
+:class:`~repro.core.resilience.CellFailure` record instead of ending
+the sweep, under the policy of :mod:`repro.core.resilience` (transient
+faults retried with fresh schedule seeds, a per-cell wall-clock
+budget, an optional kernel fault plan).  With a checkpoint directory
+every cell whose two variants finish ``ok`` is published to a
+:class:`~repro.core.store.ResultStore`, and a missing cell is looked up
+there before it executes, so a rerun executes only the missing cells.
+:meth:`Study.sweep` returns the failures alongside the completed cells;
+:meth:`Study.run`, :meth:`Study.speedup` and :meth:`Study.speedup_table`
+are strict views that raise :class:`~repro.errors.StudyError` naming
+the first failed cell.  With no fault plan and default budgets the
+guard rails change no result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-from dataclasses import dataclass, field
+import signal
+import sys
+import threading
+import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from repro.core.resilience import (
+    CellBudget,
+    CellFailure,
+    SweepResult,
+    run_guarded,
+)
+from repro.core.store import ResultStore
 from repro.core.variants import AlgorithmInfo, Variant, get_algorithm
-from repro.errors import StudyError
-from repro.gpu.device import DeviceSpec, get_device
+from repro.errors import CellTimeoutError, StudyError, SweepInterrupted
+from repro.gpu.device import get_device
+from repro.gpu.faults import FaultPlan
 from repro.graphs.csr import CSRGraph
 from repro.graphs.suite import load_suite_graph, weighted_graph
 from repro.perf.engine import (
@@ -31,6 +61,7 @@ from repro.perf.engine import (
     run_algorithm,
 )
 from repro.perf.trace import TraceCache
+from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import get_spans
 from repro.utils.atomicio import atomic_write_text
 from repro.utils.stats import median, relative_deviation
@@ -107,8 +138,16 @@ class SpeedupCell:
         return self.baseline_ms / self.racefree_ms
 
 
+def _strict(out):
+    """``out`` unless it is a failed cell, which raises instead."""
+    if isinstance(out, CellFailure):
+        raise StudyError(f"{out.describe()}: {out.message}")
+    return out
+
+
 class Study:
-    """Runs the paper's comparison on the simulated devices.
+    """Runs the paper's comparison on the simulated devices, surviving
+    the failures it measures.
 
     Parameters
     ----------
@@ -118,7 +157,8 @@ class Study:
         Input scale factor forwarded to the suite loader.
     validate:
         Verify every output against the reference checkers (slow; used
-        by the test-suite, off for the big sweeps).
+        by the test-suite, off for the big sweeps).  A repetition that
+        fails validation fails its cell with ``validation``.
     trace_cache:
         The record/replay cache (see :mod:`repro.perf.trace`).  By
         default each study gets its own in-memory cache, with an
@@ -128,16 +168,41 @@ class Study:
         caching entirely (every repetition re-executes the vectorized
         algorithm — the pre-replay engine).
     jobs:
-        Default worker count for :meth:`speedup_table` (and
-        :meth:`~repro.core.resilience.ResilientStudy.sweep`); ``None``
-        reads ``REPRO_JOBS``, 1 means serial.
+        Default worker count for :meth:`sweep` and
+        :meth:`speedup_table`; ``None`` reads ``REPRO_JOBS``, 1 means
+        serial.
     memory_model:
         Price every run under this consistency model
         (:mod:`repro.memmodel`): shared atomic sites are lifted to the
         model's order floor before recording, e.g. ``"ptx:acq_rel"``
         prices the acquire/release world.  None keeps the paper's
         relaxed default.  Model-priced sweeps run serially (the
-        worker protocol does not carry the model).
+        worker protocol does not carry the model), and take no
+        ``checkpoint``: a store address does not name the model.
+    retries:
+        Extra attempts per cell after a transient kernel fault, each
+        with a fresh schedule-seed family.
+    backoff_s:
+        Base of the exponential full-jitter retry backoff
+        (:class:`~repro.utils.backoff.BackoffPolicy`; 0 disables
+        sleeping).
+    budget:
+        Per-cell :class:`~repro.core.resilience.CellBudget` (the
+        wall-clock limit).
+    faults:
+        Optional :class:`~repro.gpu.faults.FaultPlan`; every repetition
+        of every cell gets its own deterministic injector derived from
+        (cell key, repetition, attempt).
+    checkpoint:
+        Directory of a :class:`~repro.core.store.ResultStore`.  Every
+        cell whose two variants finish ``ok`` is published there
+        (:meth:`save_checkpoint`), and a missing cell is looked up there
+        before it executes, so a rerun with the same directory — after
+        a crash, a SIGINT, or by another study — executes only the
+        missing cells.  Failures are not published: a rerun attempts
+        them again.  Only suite inputs are stored; a graph passed in
+        directly never is.  A checkpoint *file* of an older build is
+        refused; :meth:`load_results` reads it.
     """
 
     #: per-task wall-clock deadline in seconds for the workers of
@@ -150,11 +215,27 @@ class Study:
                  validate: bool = False,
                  trace_cache: TraceCache | str | Path | bool | None = None,
                  jobs: int | None = None,
-                 memory_model=None) -> None:
+                 memory_model=None, retries: int = 0,
+                 backoff_s: float = 0.0,
+                 budget: CellBudget | None = None,
+                 faults: FaultPlan | None = None,
+                 checkpoint: str | Path | None = None) -> None:
         from repro.core.parallel import resolve_jobs
 
         if reps < 1:
             raise StudyError(f"reps must be >= 1, got {reps}")
+        if retries < 0:
+            raise StudyError(f"retries must be >= 0, got {retries}")
+        if memory_model is not None and checkpoint is not None:
+            raise StudyError(
+                "a memory-model study takes no checkpoint: a store "
+                "address does not name the model, so the store would "
+                "serve one model's records to another")
+        if checkpoint is not None and Path(checkpoint).is_file():
+            raise StudyError(
+                f"checkpoint {checkpoint} is a file, not a result-store "
+                "directory; an older build's checkpoint file loads with "
+                "Study.load_results()")
         self.reps = reps
         self.scale = scale
         self.validate = validate
@@ -172,7 +253,21 @@ class Study:
             trace_cache = TraceCache(disk_dir=trace_cache)
         self.trace_cache: TraceCache | None = trace_cache
         self.jobs = resolve_jobs(jobs)
+        self.retries = retries
+        self.backoff_s = backoff_s
+        self.budget = budget or CellBudget()
+        self.faults = faults
+        self.store = (None if checkpoint is None else ResultStore(
+            checkpoint, reps=reps, scale=scale, faults=faults,
+            retries=retries))
         self._results: dict[tuple, RunResult] = {}
+        self._failures: dict[tuple, CellFailure] = {}
+        #: variant results actually simulated in this process (memoized
+        #: or store-served ones do not count) — the observable that
+        #: resume tests assert on
+        self.cells_executed = 0
+        #: variant results served from the checkpoint store
+        self.cells_resumed = 0
         #: content fingerprints of graphs seen per input name, so two
         #: different graphs cannot silently share one memo entry
         self._graph_fps: dict[str, str] = {}
@@ -184,14 +279,19 @@ class Study:
         #: their graphs
         self._suite_fps: dict[str, str] = {}
         self._weighted_fps: dict[str, str] = {}
+        #: names of inputs passed in as graphs, whose cells the store
+        #: never holds: its address names an input, not its content
+        self._direct_inputs: set[str] = set()
+        #: the signal the running sweep's handler received, if any
+        self._interrupted: int | None = None
 
     # ------------------------------------------------------------------
     @staticmethod
     def _rep_seed(rep: int, attempt: int = 0) -> int:
         """Per-repetition randomization seed (the simulator's analog of
-        run-to-run variance).  ``attempt > 0`` — used by the resilient
-        retry path — shifts to a fresh schedule-seed family; attempt 0
-        reproduces the historical seeds exactly."""
+        run-to-run variance).  ``attempt > 0`` — a retry after a
+        transient fault — shifts to a fresh schedule-seed family;
+        attempt 0 reproduces the historical seeds exactly."""
         return 1000 * rep + 7 + 7919 * attempt
 
     def _note_fingerprint(self, name: str, fp: str) -> None:
@@ -239,10 +339,52 @@ class Study:
             graph = weighted
         return graph
 
-    def run(self, algorithm: str, graph_or_name, device: str,
-            variant: Variant) -> RunResult:
-        """Run one configuration (memoized within the study)."""
+    # ------------------------------------------------------------------
+    # Cell execution
+    # ------------------------------------------------------------------
+    def _count_cell(self, outcome: str, attempts: int) -> None:
+        reg = get_registry()
+        if not reg.enabled:
+            return
+        reg.counter("repro_cells_total",
+                    "Sweep cells executed, by final outcome", ("outcome",)
+                    ).inc(1, outcome)
+        reg.counter("repro_cell_attempts_total",
+                    "Cell execution attempts (first tries + retries)"
+                    ).inc(max(attempts, 1))
+        if attempts > 1:
+            reg.counter("repro_cell_retries_total",
+                        "Extra attempts after transient kernel faults"
+                        ).inc(attempts - 1)
+        if outcome == "timeout":
+            reg.counter("repro_watchdog_trips_total",
+                        "Cells stopped by the wall-clock budget watchdog"
+                        ).inc(1)
+
+    def _injector(self, key: tuple, rep: int, attempt: int):
+        if self.faults is None:
+            return None
+        algorithm, name, device, variant = key
+        return self.faults.injector(
+            algorithm, name, device, variant.value, rep, attempt)
+
+    def run_cell(self, algorithm: str, graph_or_name, device: str,
+                 variant: Variant) -> RunResult | CellFailure:
+        """Run one configuration with fault isolation (memoized within
+        the study).
+
+        Returns the :class:`RunResult` on success, or a
+        :class:`~repro.core.resilience.CellFailure` record — never
+        raises for failures of the simulated execution itself.
+        """
         key, name = self._memo_key(algorithm, graph_or_name, device, variant)
+        if key in self._results:
+            return self._results[key]
+        if key in self._failures:
+            return self._failures[key]
+        stored = self._stored_records(algorithm, graph_or_name, device)
+        for record in stored or ():
+            self._merge_parallel_record(record)
         if key in self._results:
             return self._results[key]
 
@@ -251,11 +393,13 @@ class Study:
         graph = self._prepare_graph(algo, graph_or_name)
 
         def run_rep(rep: int, attempt: int) -> PerfRun:
-            run = run_algorithm(algo, graph, spec, variant,
-                                seed=self._rep_seed(rep),
-                                trace_cache=self.trace_cache,
-                                need_output=self.validate,
-                                memory_model=self.memory_model)
+            run = run_algorithm(
+                algo, graph, spec, variant,
+                seed=self._rep_seed(rep, attempt),
+                faults=self._injector(key, rep, attempt),
+                trace_cache=self.trace_cache,
+                need_output=self.validate,
+                memory_model=self.memory_model)
             # every repetition is validated: reps differ in their
             # randomization seed, so a corrupt rep 3 would be
             # invisible if only the final repetition were checked
@@ -263,36 +407,89 @@ class Study:
                 self._validate(algo, graph, run)
             return run
 
-        result = self._price_cell(key, run_rep)
-        self._results[key] = result
-        return result
+        out = self._price_cell(key, run_rep)
+        self.cells_executed += 1
+        if isinstance(out, CellFailure):
+            self._failures[key] = out
+            return out
+        self._results[key] = out
+        self._cell_finished(algorithm, name, device)
+        return out
 
-    def _price_cell(self, key: tuple, run_rep) -> RunResult:
-        """One configuration's result from its repetitions, each priced
-        by ``run_rep(rep, attempt)``, inside its ``study.run`` span.
-        Leaves the memo alone (see :meth:`_replay_task`)."""
+    def _price_cell(self, key: tuple,
+                    run_rep) -> RunResult | CellFailure:
+        """One cell's outcome from its repetitions, each priced by
+        ``run_rep(rep, attempt)``, under the retry and budget policy,
+        inside its ``sweep.cell`` span, counted in the cell metrics.
+        Leaves the memo and ``cells_executed`` to the caller (see
+        :meth:`_replay_task`)."""
         algorithm, name, device, variant = key
-        runtimes: list[float] = []
-        last: PerfRun | None = None
-        with get_spans().span("study.run", algorithm=algorithm,
-                              input=name, device=device,
-                              variant=variant.value, reps=self.reps):
-            for rep in range(self.reps):
-                last = run_rep(rep, 0)
-                runtimes.append(last.runtime_ms)
-        return RunResult(algorithm, name, device, variant, runtimes, last)
+        deadline = (None if self.budget.max_seconds is None
+                    else time.monotonic() + self.budget.max_seconds)
+        attempts_made = [0]
 
-    def speedup(self, algorithm: str, graph_or_name,
-                device: str) -> SpeedupCell:
-        """Baseline-vs-race-free speedup for one configuration."""
+        def attempt_cell(attempt: int) -> RunResult:
+            attempts_made[0] = attempt + 1
+            runtimes: list[float] = []
+            last: PerfRun | None = None
+            for rep in range(self.reps):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise CellTimeoutError(
+                        f"cell exceeded {self.budget.max_seconds:g}s "
+                        f"wall-clock budget after {rep} of {self.reps} "
+                        "repetitions"
+                    )
+                last = run_rep(rep, attempt)
+                runtimes.append(last.runtime_ms)
+            return RunResult(algorithm, name, device, variant,
+                             runtimes, last)
+
+        with get_spans().span("sweep.cell", algorithm=algorithm,
+                              input=name, device=device,
+                              variant=variant.value) as sp:
+            value, failure = run_guarded(
+                attempt_cell, retries=self.retries,
+                backoff_s=self.backoff_s, budget=self.budget)
+            outcome = "ok" if failure is None else failure.reason
+            sp.set(outcome=outcome, attempts=attempts_made[0])
+        self._count_cell(outcome, attempts_made[0])
+        if failure is None:
+            return value
+        return CellFailure(
+            algorithm=algorithm, input_name=name, device_key=device,
+            variant=variant.value, reason=failure.reason,
+            message=failure.message, attempts=failure.attempts,
+            elapsed_s=failure.elapsed_s)
+
+    def run(self, algorithm: str, graph_or_name, device: str,
+            variant: Variant) -> RunResult:
+        """Strict view of :meth:`run_cell`: a failed cell raises
+        :class:`~repro.errors.StudyError` naming it."""
+        return _strict(self.run_cell(algorithm, graph_or_name, device,
+                                     variant))
+
+    def speedup_cell(self, algorithm: str, graph_or_name,
+                     device: str) -> SpeedupCell | CellFailure:
+        """Baseline-vs-race-free speedup with fault isolation.
+
+        Both variants always run; a failure of either variant makes the
+        cell a :class:`~repro.core.resilience.CellFailure`, baseline
+        first.
+        """
         algo = get_algorithm(algorithm)
         if not algo.has_races:
             raise StudyError(
                 f"{algorithm} has no data races (Section IV.A); the paper "
                 "does not measure its race-free speedup"
             )
-        base = self.run(algorithm, graph_or_name, device, Variant.BASELINE)
-        free = self.run(algorithm, graph_or_name, device, Variant.RACE_FREE)
+        base = self.run_cell(algorithm, graph_or_name, device,
+                             Variant.BASELINE)
+        free = self.run_cell(algorithm, graph_or_name, device,
+                             Variant.RACE_FREE)
+        if isinstance(base, CellFailure):
+            return base
+        if isinstance(free, CellFailure):
+            return free
         return SpeedupCell(
             algorithm=algorithm,
             input_name=base.input_name,
@@ -301,66 +498,142 @@ class Study:
             racefree_ms=free.median_ms,
         )
 
-    def speedup_table(self, device: str, algorithms: list[str],
-                      inputs: list[str],
-                      jobs: int | None = None) -> list[SpeedupCell]:
-        """All cells of one of Tables IV-VIII.
+    def speedup(self, algorithm: str, graph_or_name,
+                device: str) -> SpeedupCell:
+        """Strict view of :meth:`speedup_cell`: a failed cell raises
+        :class:`~repro.errors.StudyError` naming it."""
+        return _strict(self.speedup_cell(algorithm, graph_or_name, device))
 
-        ``jobs > 1`` executes the missing cells on worker processes
-        first (see :mod:`repro.core.parallel`), then assembles the
-        table from the memo — the cells, their order, and any
-        subsequently saved results are bit-identical to the serial
-        path.
+    def sweep(self, device: str, algorithms: list[str],
+              inputs: list[str], jobs: int | None = None) -> SweepResult:
+        """All cells of one device table, surviving per-cell failures.
+
+        ``jobs > 1`` runs the missing cells on worker processes (see
+        :mod:`repro.core.parallel`; workers apply the same retry,
+        budget and fault policy and return picklable outcome records),
+        then assembles the table from the memo: the cells, published
+        store records, and ``save_results`` output are bit-identical
+        to the serial path.
         """
         jobs = jobs if jobs is not None else self.jobs
         if self.memory_model is not None:
             jobs = 1  # worker protocol doesn't carry the model; stay serial
-        with get_spans().span("study.sweep", device=device, jobs=jobs,
-                              cells=len(algorithms) * len(inputs)) as sp:
-            if jobs > 1:
-                sp.set(**self._parallel_prefetch(device, algorithms,
-                                                 inputs, jobs))
-            return [
-                self.speedup(a, name, device)
-                for name in inputs
-                for a in algorithms
-            ]
+        with self._graceful_interrupt():
+            with get_spans().span("study.sweep", device=device, jobs=jobs,
+                                  cells=len(algorithms) * len(inputs)) as sp:
+                if jobs > 1:
+                    sp.set(**self._parallel_prefetch(device, algorithms,
+                                                     inputs, jobs))
+                cells = [
+                    self.speedup_cell(a, name, device)
+                    for name in inputs
+                    for a in algorithms
+                ]
+        return SweepResult(device_key=device, cells=cells)
+
+    def speedup_table(self, device: str, algorithms: list[str],
+                      inputs: list[str],
+                      jobs: int | None = None) -> list[SpeedupCell]:
+        """All cells of one of Tables IV-VIII: strict view of
+        :meth:`sweep`, which prices the whole table first; a failed
+        cell then raises :class:`~repro.errors.StudyError` naming the
+        first."""
+        cells = self.sweep(device, algorithms, inputs, jobs=jobs).cells
+        for cell in cells:
+            _strict(cell)
+        return cells
+
+    def failures(self) -> list[CellFailure]:
+        """Every failure recorded so far."""
+        return list(self._failures.values())
+
+    # ------------------------------------------------------------------
+    # Interrupts
+    # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def _graceful_interrupt(self):
+        """Convert SIGINT/SIGTERM during a sweep into a clean stop.
+
+        The signal raises :class:`~repro.errors.SweepInterrupted` at
+        the next bytecode boundary; with a checkpoint every finished
+        cell is already in the store, so a rerun with the same
+        checkpoint executes only the rest.  The CLI maps the exception
+        to exit code 3.  Outside the main thread — or on platforms
+        without these signals — the sweep runs unguarded, unchanged.
+
+        A handler that runs while a finalizer or weakref callback does
+        raises inside it, where Python only reports the exception.  So
+        the handler records the signal, :meth:`_check_interrupt`
+        raises it again — the parallel path calls it while it awaits a
+        cell, and the sweep calls it as it ends — and while the guard
+        is active ``sys.unraisablehook`` drops that report instead of
+        printing its traceback.
+        """
+        if threading.current_thread() is not threading.main_thread():
+            yield
+            return
+
+        def _handler(signum, frame):
+            self._interrupted = signum
+            self._check_interrupt()
+
+        report = sys.unraisablehook
+
+        def _unraisable(unraisable) -> None:
+            if not isinstance(unraisable.exc_value, SweepInterrupted):
+                report(unraisable)
+
+        previous = {}
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            with contextlib.suppress(OSError, ValueError):
+                previous[sig] = signal.signal(sig, _handler)
+        sys.unraisablehook = _unraisable
+        try:
+            yield
+            self._check_interrupt()
+        finally:
+            sys.unraisablehook = report
+            for sig, old in previous.items():
+                with contextlib.suppress(OSError, ValueError):
+                    signal.signal(sig, old)
+            self._interrupted = None
+
+    def _check_interrupt(self) -> None:
+        """Raise the interrupt the running sweep's handler recorded."""
+        if self._interrupted is not None:
+            name = signal.Signals(self._interrupted).name
+            resume = ("; every finished cell is checkpointed — rerun "
+                      "with the same --checkpoint" if self.store else "")
+            raise SweepInterrupted(f"sweep interrupted by {name}{resume}")
 
     # ------------------------------------------------------------------
     # Parallel execution (see repro.core.parallel)
     # ------------------------------------------------------------------
     def _cell_done(self, key: tuple) -> bool:
         """Whether the sweep already has an outcome for ``key``."""
-        return key in self._results
-
-    def _check_interrupt(self) -> None:
-        """Raise a stop request the sweep received while it awaits a
-        worker; a plain study takes none."""
+        return key in self._results or key in self._failures
 
     def _worker_config(self):
         """The picklable policy a worker rebuilds this study from."""
-        from repro.core.parallel import WorkerConfig
-
-        trace_dir = (str(self.trace_cache.disk_dir)
-                     if self.trace_cache is not None
-                     and self.trace_cache.disk_dir is not None else None)
         from repro.core import hostfaults
+        from repro.core.parallel import WorkerConfig
         from repro.telemetry.metrics import telemetry_enabled
 
-        return WorkerConfig(resilient=False, reps=self.reps,
-                            scale=self.scale, validate=self.validate,
-                            trace_dir=trace_dir,
-                            trace_cache=self.trace_cache is not None,
-                            telemetry=telemetry_enabled(),
-                            hostfaults=hostfaults.active_plan(),
-                            task_deadline_s=self.pool_task_deadline_s)
+        cache = self.trace_cache
+        return WorkerConfig(
+            reps=self.reps, scale=self.scale, validate=self.validate,
+            retries=self.retries, backoff_s=self.backoff_s,
+            budget=self.budget, faults=self.faults,
+            trace_dir=(None if cache is None or cache.disk_dir is None
+                       else str(cache.disk_dir)),
+            trace_cache=cache is not None, telemetry=telemetry_enabled(),
+            hostfaults=hostfaults.active_plan(),
+            task_deadline_s=self.pool_task_deadline_s)
 
     def _merge_telemetry_record(self, record: dict) -> None:
         """Fold one worker's shipped metric/span deltas into the
         process-wide registry (records arrive in submission order, so
         the merged write sequence equals the serial one)."""
-        from repro.telemetry.metrics import get_registry
-
         get_registry().merge(record["snapshot"])
         get_spans().merge(record.get("spans", ()),
                           worker=record.get("worker"))
@@ -378,7 +651,8 @@ class Study:
                 "weighted_fp": self._weighted_fps.get(fp)}
 
     def _merge_parallel_record(self, record: dict) -> None:
-        """Fold one worker record into the memo (submission order)."""
+        """Fold one worker, store or parent-priced record into the memo
+        (submission order)."""
         kind = record.get("kind")
         if kind == "telemetry":
             self._merge_telemetry_record(record)
@@ -393,21 +667,28 @@ class Study:
         variant = Variant(record["variant"])
         key = (record["algorithm"], record["input"], record["device"],
                variant)
-        if key in self._results:
+        if self._cell_done(key):
             return
-        self._results[key] = RunResult.from_record(record)
-
-    def _stored_records(self, algorithm: str, graph_or_name,
-                        device: str) -> list[dict] | None:
-        """A finished cell's records from persistent storage, or None;
-        a plain study has none (see ``ResilientStudy``)."""
-        return None
+        if kind == "failure":
+            self._failures[key] = CellFailure.from_record(record)
+        else:
+            self._results[key] = RunResult.from_record(record)
+        if kind == "stored":
+            self.cells_resumed += 1
+            return
+        # each other record is one cell a worker actually executed (the
+        # parent only submits cells missing from memo and store)
+        self.cells_executed += 1
+        if kind == "result":
+            self._cell_finished(*key[:3])
 
     def _replays_in_parent(self) -> bool:
         """Whether a parallel sweep may price cached cells itself: not
-        when outputs must be validated (disk traces carry none) or
-        there is no trace cache."""
-        return self.trace_cache is not None and not self.validate
+        when outputs must be validated (disk traces carry none), there
+        is no trace cache, or a fault plan is set (faulted runs never
+        touch the trace cache)."""
+        return (self.trace_cache is not None and not self.validate
+                and self.faults is None)
 
     def _replay_task(self, algorithm: str, name: str, device: str,
                      variants: tuple[Variant, ...]
@@ -503,6 +784,59 @@ class Study:
         execute_tasks(self._worker_config(), tasks, jobs,
                       self._merge_parallel_record, self._check_interrupt)
         return sources
+
+    # ------------------------------------------------------------------
+    # The checkpoint store
+    # ------------------------------------------------------------------
+    def _stored_records(self, algorithm: str, graph_or_name,
+                        device: str) -> list[dict] | None:
+        """The cell's records in the checkpoint store, kind ``stored``.
+
+        Looked up only for a suite input, and only while neither variant
+        has an outcome: a cell this study has begun is not in the store.
+        """
+        name = getattr(graph_or_name, "name", graph_or_name)
+        if isinstance(graph_or_name, CSRGraph):
+            self._direct_inputs.add(name)
+        if (self.store is None or name in self._direct_inputs
+                or any(self._cell_done((algorithm, name, device, v))
+                       for v in _VARIANTS)):
+            return None
+        found = self.store.lookup(algorithm, name, device)
+        if found is None:
+            return None
+        records, graph_fp = found
+        if graph_fp is not None:
+            if self._graph_fps.get(name, graph_fp) != graph_fp:
+                # published for other content under this suite name (a
+                # build whose graph generator differed): recompute
+                return None
+            # the name-clash check the graph build would have made
+            self._note_fingerprint(name, graph_fp)
+        return [dict(record, kind="stored") for record in records]
+
+    def _cell_finished(self, algorithm: str, name: str,
+                       device: str) -> None:
+        """Publish a suite input's cell once both of its variants are
+        ``ok``."""
+        if (self.store is not None and name not in self._direct_inputs
+                and all(
+                    (algorithm, name, device, v) in self._results
+                    for v in _VARIANTS)):
+            self.save_checkpoint(algorithm, name, device)
+
+    def save_checkpoint(self, algorithm: str, input_name: str,
+                        device: str) -> None:
+        """Publish one finished cell — both variants' results — to the
+        checkpoint store (best effort: a full disk degrades the store,
+        never the sweep)."""
+        if self.store is None:
+            raise StudyError("no checkpoint path configured")
+        self.store.publish(algorithm, input_name, device, [
+            {"kind": "result",
+             **self._results[(algorithm, input_name, device, v)]
+             .to_record()}
+            for v in _VARIANTS], graph_fp=self._graph_fps.get(input_name))
 
     # ------------------------------------------------------------------
     # Result persistence (the artifact's ./results/ raw-runtime logs)

@@ -104,8 +104,8 @@ class ProtocolError(ServiceError):
 
 
 class SweepInterrupted(ReproError):
-    """Raised when SIGINT/SIGTERM interrupts a resilient sweep.
+    """Raised when SIGINT/SIGTERM interrupts a study's sweep.
 
-    Every finished cell was published to the checkpoint store as it
-    finished, so a rerun with the same ``--checkpoint`` executes only
-    the rest.  The CLI maps it to a distinct exit code (3)."""
+    With a checkpoint, every finished cell was published to the store
+    as it finished, so a rerun with the same ``--checkpoint`` executes
+    only the rest.  The CLI maps it to a distinct exit code (3)."""

@@ -2,7 +2,7 @@
 keep failing.
 
 A cell that livelocks, times out, or validates wrong once may succeed
-on a retry (the resilient study's own policy covers that); a cell that
+on a retry (the study's own retry policy covers that); a cell that
 fails on *every* service-level attempt is a different animal — each new
 client asking for it would re-burn a full cell budget to reproduce a
 known failure.  The

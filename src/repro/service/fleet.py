@@ -44,8 +44,8 @@ from statistics import median
 
 from repro.core.fleet import Fleet
 from repro.core.parallel import CellTask
-from repro.core.resilience import CellFailure, ResilientStudy
-from repro.core.study import SpeedupCell, outcome_record
+from repro.core.resilience import CellFailure
+from repro.core.study import SpeedupCell, Study, outcome_record
 from repro.core.variants import Variant
 from repro.errors import ServiceError, WorkerLostError
 from repro.service.protocol import CellKey
@@ -78,8 +78,8 @@ class FleetExecutor:
     (``submit`` / ``queued`` / ``degraded`` / ``fleet_degraded``).
 
     ``reps`` through ``faults`` are the ledger study's
-    :class:`~repro.core.resilience.ResilientStudy` policy, which every
-    worker rebuilds; ``trace_cache`` backs the parent ledger and its
+    :class:`~repro.core.study.Study` policy, which every worker
+    rebuilds; ``trace_cache`` backs the parent ledger and its
     ``disk_dir`` is the shared layer workers record traces into,
     ``checkpoint`` is the ledger study's result-store directory,
     ``flap_threshold`` deaths in a row evict a worker slot, and
@@ -95,7 +95,7 @@ class FleetExecutor:
                  task_deadline_s: float | None = None) -> None:
         if workers < 1:
             raise ServiceError(f"fleet needs >= 1 worker, got {workers}")
-        self.study = ResilientStudy(
+        self.study = Study(
             reps=reps, scale=scale, validate=validate, retries=retries,
             backoff_s=backoff_s, faults=faults, checkpoint=checkpoint,
             trace_cache=trace_cache)

@@ -1,8 +1,8 @@
 """Shared retry-backoff policy: exponential growth, full jitter, and a
 deadline-aware cap.
 
-One policy object serves every retry loop in the stack — the resilient
-sweep's transient-fault retries (:func:`repro.core.resilience
+One policy object serves every retry loop in the stack — the study's
+transient-fault retries (:func:`repro.core.resilience
 .run_guarded`), and the service layer's admission ``Retry-After`` hints
 (:mod:`repro.service.quota`) — so the backoff shape is defined, tested,
 and tuned in exactly one place.

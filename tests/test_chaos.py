@@ -27,7 +27,6 @@ from repro.core.chaos import (
 )
 from repro.core.hostfaults import HostFaultKind, HostFaultPlan
 from repro.core.parallel import CellTask, execute_tasks
-from repro.core.resilience import ResilientStudy
 from repro.core.study import Study
 from repro.errors import StudyError, SweepInterrupted, WorkerTaskError
 
@@ -46,7 +45,7 @@ def _no_leaked_plan():
 @pytest.fixture(scope="module")
 def clean_bytes(tmp_path_factory):
     root = tmp_path_factory.mktemp("chaos-clean")
-    study = ResilientStudy(reps=1)
+    study = Study(reps=1)
     result = study.sweep(DEVICE, ALGOS, [INPUT])
     assert not result.failures
     out = root / "results.json"
@@ -61,7 +60,7 @@ class TestWorkerDeathRecovery:
                                    disrupt_generations=1)
         with telemetry.session() as (registry, _spans):
             with hostfaults.installed(plan):
-                study = ResilientStudy(reps=1)
+                study = Study(reps=1)
                 result = study.sweep(DEVICE, ALGOS, [INPUT], jobs=2)
             # each of the two workers dies on its first cell; its slot
             # respawns and the cell runs once more, on the respawn
@@ -80,7 +79,7 @@ class TestWorkerDeathRecovery:
                                    stall_seconds=30.0,
                                    disrupt_generations=1)
         with hostfaults.installed(plan):
-            study = ResilientStudy(reps=1)
+            study = Study(reps=1)
             study.pool_task_deadline_s = 0.5
             result = study.sweep(DEVICE, ALGOS, [INPUT], jobs=2)
         assert not result.failures
@@ -93,8 +92,8 @@ class TestWorkerDeathRecovery:
         # so each cell is lost, redispatched once and lost again
         plan = HostFaultPlan.parse("kill=1.0", seed=0)
         with hostfaults.installed(plan):
-            result = ResilientStudy(reps=1).sweep(DEVICE, ALGOS, [INPUT],
-                                                  jobs=2)
+            result = Study(reps=1).sweep(DEVICE, ALGOS, [INPUT],
+                                         jobs=2)
             assert result.coverage == (0, len(ALGOS))
             assert {f.reason for f in result.failures} == {"fleet"}
             assert multiprocessing.active_children() == []
@@ -105,7 +104,7 @@ class TestWorkerDeathRecovery:
             assert multiprocessing.active_children() == []
 
     def test_worker_raised_error_names_the_cell(self):
-        config = ResilientStudy(reps=1)._worker_config()
+        config = Study(reps=1)._worker_config()
         tasks = [CellTask("nope", INPUT, DEVICE, ("baseline",))]
         with pytest.raises(WorkerTaskError,
                            match=r"nope/internet/titanv"):
@@ -167,7 +166,7 @@ class TestCliWiring:
         def fake_sweep(self, *args, **kwargs):
             raise SweepInterrupted("stopped by operator")
 
-        monkeypatch.setattr(ResilientStudy, "sweep", fake_sweep)
+        monkeypatch.setattr(Study, "sweep", fake_sweep)
         rc = cli_main(["sweep", "--device", DEVICE, "--inputs", INPUT,
                        "--reps", "1"])
         assert rc == 3

@@ -1,7 +1,7 @@
 """Tests for resuming from the checkpoint store and graceful sweep
 interruption.
 
-A checkpointed :class:`~repro.core.resilience.ResilientStudy` publishes
+A checkpointed :class:`~repro.core.resilience.Study` publishes
 each finished cell to a :class:`~repro.core.store.ResultStore` and looks
 missing cells up there.  Covers the reader kept for checkpoint files of
 older builds (``Study.load_results`` reads formats 2 and 3), the
@@ -16,9 +16,11 @@ half-filled store with a torn record, and SIGINT-to-
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
+import sys
 import zlib
 
 import pytest
@@ -26,7 +28,7 @@ import pytest
 from repro import telemetry
 from repro.core import hostfaults
 from repro.core.hostfaults import HostFaultPlan
-from repro.core.resilience import ResilientStudy
+from repro.core.study import Study
 from repro.core.store import STORE_FORMAT
 from repro.errors import StudyError, SweepInterrupted
 from repro.graphs.csr import CSRGraph
@@ -45,7 +47,7 @@ def clean_results_bytes(tmp_path_factory):
     """``save_results`` bytes of an uninjected full mini-sweep — the
     truth every recovery path must reproduce exactly."""
     root = tmp_path_factory.mktemp("clean")
-    study = ResilientStudy(reps=1)
+    study = Study(reps=1)
     result = study.sweep(DEVICE, ALGOS, [INPUT])
     assert not result.failures
     out = root / "results.json"
@@ -92,20 +94,20 @@ class TestFallbackLadder:
 
     def test_clean_load_uses_the_current_generation(
             self, old_checkpoint, tmp_path, clean_results_bytes):
-        study = ResilientStudy(reps=1)
+        study = Study(reps=1)
         assert study.load_results(old_checkpoint) == 4
         out = tmp_path / "results.json"
         study.save_results(out)
         assert out.read_bytes() == clean_results_bytes
         with pytest.raises(StudyError, match="load_results"):
-            ResilientStudy(reps=1, checkpoint=old_checkpoint)
+            Study(reps=1, checkpoint=old_checkpoint)
 
     def test_format_2_without_crc_still_loads(
             self, tmp_path, clean_results_bytes):
         path = tmp_path / "sweep.ckpt"
         _old_checkpoint(path, 1, json.loads(clean_results_bytes)["results"],
                         fmt=2)
-        assert ResilientStudy(reps=1).load_results(path) == 4
+        assert Study(reps=1).load_results(path) == 4
 
     def test_corrupt_current_without_prev_raises(
             self, old_checkpoint, tmp_path):
@@ -113,12 +115,12 @@ class TestFallbackLadder:
         path.write_bytes(old_checkpoint.read_bytes())
         _truncate(path)
         with pytest.raises(StudyError, match="corrupt or partial"):
-            ResilientStudy(reps=1).load_results(path)
+            Study(reps=1).load_results(path)
 
     def test_reps_mismatch_surfaces_instead_of_falling_back(
             self, old_checkpoint):
         with pytest.raises(StudyError, match="different reps/scale"):
-            ResilientStudy(reps=2).load_results(old_checkpoint)
+            Study(reps=2).load_results(old_checkpoint)
 
 
 class TestSalvage:
@@ -126,7 +128,7 @@ class TestSalvage:
 
     def test_malformed_records_are_skipped_and_counted(self, tmp_path):
         store_dir = tmp_path / "store"
-        first = ResilientStudy(reps=1, checkpoint=store_dir)
+        first = Study(reps=1, checkpoint=store_dir)
         first.sweep(DEVICE, ALGOS, [INPUT])
         # a record the study could not merge, written with a valid CRC
         path = _records(store_dir)[0]
@@ -135,14 +137,14 @@ class TestSalvage:
         payload["crc"] = envelope_crc(payload)
         path.write_text(json.dumps(payload))
 
-        second = ResilientStudy(reps=1, checkpoint=store_dir)
+        second = Study(reps=1, checkpoint=store_dir)
         result = second.sweep(DEVICE, ALGOS, [INPUT])
         assert not result.failures
         assert second.store.quarantined == 1
         assert (second.cells_executed, second.cells_resumed) == (2, 2)
 
     def test_load_results_commit_is_all_or_nothing(self, tmp_path):
-        study = ResilientStudy(reps=1)
+        study = Study(reps=1)
         good = {"algorithm": "cc", "input": INPUT, "device": DEVICE,
                 "variant": "baseline", "runtimes_ms": [1.0]}
         out = tmp_path / "results.json"
@@ -160,7 +162,7 @@ class TestCheckpointRendering:
         """Each published record is the sorted-key JSON of its cell's
         payload — built field by field here — with its CRC."""
         store_dir = tmp_path / "store"
-        study = ResilientStudy(reps=1, scale=0.5, checkpoint=store_dir)
+        study = Study(reps=1, scale=0.5, checkpoint=store_dir)
         result = study.sweep(DEVICE, ALGOS, [INPUT])
         assert not result.failures
         graph_fp = load_suite_graph(INPUT, scale=0.5).fingerprint()
@@ -193,14 +195,14 @@ class TestDirectGraphs:
         star = CSRGraph.from_edges(
             64, [(0, i) for i in range(1, 64)], directed=False, name="g",
             symmetrize=True)
-        ResilientStudy(reps=1, checkpoint=store_dir).speedup_cell(
+        Study(reps=1, checkpoint=store_dir).speedup_cell(
             "cc", path, DEVICE)
         assert not _records(store_dir)
 
-        study = ResilientStudy(reps=1, checkpoint=store_dir)
+        study = Study(reps=1, checkpoint=store_dir)
         cell = study.speedup_cell("cc", star, DEVICE)
         assert (study.cells_executed, study.cells_resumed) == (2, 0)
-        fresh = ResilientStudy(reps=1).speedup_cell("cc", star, DEVICE)
+        fresh = Study(reps=1).speedup_cell("cc", star, DEVICE)
         assert cell.baseline_ms == fresh.baseline_ms
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -209,9 +211,9 @@ class TestDirectGraphs:
         published graph fingerprint, so a different graph passed in
         under its name is refused as it is without a store."""
         store_dir = tmp_path / "store"
-        ResilientStudy(reps=1, checkpoint=store_dir).sweep(
+        Study(reps=1, checkpoint=store_dir).sweep(
             DEVICE, ["cc"], [INPUT])
-        study = ResilientStudy(reps=1, checkpoint=store_dir)
+        study = Study(reps=1, checkpoint=store_dir)
         with pytest.raises(StudyError, match="already used"):
             study.sweep(DEVICE, ["cc"], [INPUT, grid2d(12, name=INPUT)],
                         jobs=jobs)
@@ -221,11 +223,11 @@ class TestDirectGraphs:
         the study built for its input (a build whose generator differed
         published it) is a miss: the cell runs again and republishes."""
         store_dir = tmp_path / "store"
-        ResilientStudy(reps=1, checkpoint=store_dir).sweep(
+        Study(reps=1, checkpoint=store_dir).sweep(
             DEVICE, ["cc"], [INPUT])
         (path,) = _records(store_dir)
         restamp(path, graph_fp="other")
-        study = ResilientStudy(reps=1, checkpoint=store_dir)
+        study = Study(reps=1, checkpoint=store_dir)
         study.sweep(DEVICE, ["mis", "cc"], [INPUT])
         assert (study.cells_executed, study.cells_resumed) == (4, 0)
         assert json.loads(path.read_text())["graph_fp"] == \
@@ -236,7 +238,7 @@ class TestAutosaveUnderDiskFailure:
     def test_full_disk_does_not_kill_the_sweep(self, tmp_path):
         store_dir = tmp_path / "store"
         plan = HostFaultPlan.parse("enospc=1.0", targets=("cell-*.json",))
-        study = ResilientStudy(reps=1, checkpoint=store_dir)
+        study = Study(reps=1, checkpoint=store_dir)
         with hostfaults.installed(plan):
             result = study.sweep(DEVICE, ALGOS, [INPUT])
         assert not result.failures
@@ -252,11 +254,11 @@ class TestCrashResumeDrills:
     def test_double_crash_resume_reaches_identical_results(
             self, tmp_path, clean_results_bytes):
         store_dir = tmp_path / "store"
-        first = ResilientStudy(reps=1, checkpoint=store_dir)
+        first = Study(reps=1, checkpoint=store_dir)
         first.sweep(DEVICE, ["cc"], [INPUT])
         _truncate(_records(store_dir)[0])  # crash #1 tore the record
 
-        second = ResilientStudy(reps=1, checkpoint=store_dir)
+        second = Study(reps=1, checkpoint=store_dir)
         second.sweep(DEVICE, ALGOS, [INPUT])
         assert second.store.quarantined == 1
         assert second.cells_executed == 4
@@ -264,7 +266,7 @@ class TestCrashResumeDrills:
                     if (p.with_name(p.name + ".corrupt")).exists())
         _truncate(torn)  # crash #2 tore the rewritten record
 
-        third = ResilientStudy(reps=1, checkpoint=store_dir)
+        third = Study(reps=1, checkpoint=store_dir)
         result = third.sweep(DEVICE, ALGOS, [INPUT])
         assert not result.failures
         # only the torn cell was re-executed, the other one was resumed
@@ -282,13 +284,13 @@ class TestResumeOrdering:
         order: ``save_results`` equals an uninterrupted serial sweep."""
         algos = ["cc", "gc", "mis", "mst"]
         inputs = [INPUT, "rmat16.sym"]
-        serial = ResilientStudy(reps=1)
+        serial = Study(reps=1)
         serial.sweep(DEVICE, algos, inputs)
         serial.save_results(tmp_path / "serial.json")
 
         store_dir = tmp_path / "store"
         cells = [(a, name) for name in inputs for a in algos]
-        filler = ResilientStudy(reps=1, checkpoint=store_dir)
+        filler = Study(reps=1, checkpoint=store_dir)
         for a, name in cells[::2]:
             filler.speedup_cell(a, name, DEVICE)
         torn = filler.store._path(filler.store.digest(
@@ -296,7 +298,7 @@ class TestResumeOrdering:
         _truncate(torn)
 
         with telemetry.session() as (registry, _spans):
-            resumed = ResilientStudy(reps=1, checkpoint=store_dir)
+            resumed = Study(reps=1, checkpoint=store_dir)
             result = resumed.sweep(DEVICE, algos, inputs, jobs=2)
             quarantined = registry.get(
                 "repro_host_corrupt_quarantined_total")
@@ -313,7 +315,7 @@ class TestResumeOrdering:
         assert len(_records(store_dir)) == len(cells)
 
 
-class _InterruptAfter(ResilientStudy):
+class _InterruptAfter(Study):
     """Sends itself SIGINT after the N-th completed cell — a
     deterministic stand-in for an operator's Ctrl-C mid-sweep."""
 
@@ -339,7 +341,7 @@ class TestGracefulInterrupt:
         assert signal.getsignal(signal.SIGINT) is before
         assert len(_records(store_dir)) == 1  # the finished cell
 
-        resumed = ResilientStudy(reps=1, checkpoint=store_dir)
+        resumed = Study(reps=1, checkpoint=store_dir)
         result = resumed.sweep(DEVICE, ALGOS, [INPUT])
         assert not result.failures
         assert resumed.cells_executed == 2  # only the missing cell
@@ -347,3 +349,66 @@ class TestGracefulInterrupt:
         out = tmp_path / "results.json"
         resumed.save_results(out)
         assert out.read_bytes() == clean_results_bytes
+
+    def test_the_message_claims_a_checkpoint_only_with_a_store(
+            self, tmp_path):
+        messages = []
+        for checkpoint in (tmp_path / "store", None):
+            study = _InterruptAfter(reps=1, checkpoint=checkpoint)
+            with pytest.raises(SweepInterrupted) as info:
+                study.sweep(DEVICE, ALGOS, [INPUT])
+            messages.append(str(info.value))
+        assert messages == [
+            "sweep interrupted by SIGINT; every finished cell is "
+            "checkpointed — rerun with the same --checkpoint",
+            "sweep interrupted by SIGINT"]
+
+
+class _Finalized:
+    """Garbage only the cycle collector frees, whose finalizer runs
+    ``finalize``."""
+
+    def __init__(self, finalize):
+        self.cycle = self
+        self.finalize = finalize
+
+    def __del__(self):
+        self.finalize()
+
+
+class TestInterruptInAFinalizer:
+    """A signal whose handler runs inside a finalizer raises there,
+    where Python only reports the exception: the guard drops that
+    report and raises the interrupt at its exit."""
+
+    @staticmethod
+    def _recording_hook(monkeypatch) -> list:
+        reported = []
+        monkeypatch.setattr(sys, "unraisablehook", reported.append)
+        return reported
+
+    def test_the_interrupt_is_raised_at_the_exit_not_reported(
+            self, monkeypatch):
+        reported = self._recording_hook(monkeypatch)
+        hook = sys.unraisablehook
+        with pytest.raises(SweepInterrupted):
+            with Study(reps=1)._graceful_interrupt():
+                _Finalized(lambda: signal.raise_signal(signal.SIGINT))
+                gc.collect()
+        assert not [u for u in reported
+                    if isinstance(u.exc_value, SweepInterrupted)]
+        assert sys.unraisablehook is hook
+
+    def test_other_finalizer_errors_still_reach_the_hook(
+            self, monkeypatch):
+        reported = self._recording_hook(monkeypatch)
+
+        def fail():
+            raise ValueError("finalizer fault")
+
+        with Study(reps=1)._graceful_interrupt():
+            _Finalized(fail)
+            gc.collect()
+        assert [str(u.exc_value) for u in reported
+                if isinstance(u.exc_value, ValueError)] == [
+                    "finalizer fault"]

@@ -4,7 +4,7 @@ The ladder's cases run against both stores from
 ``tests/durable_ladder.py``.  Here: the shared quarantine family, and
 files written by the build before the ladder was shared (banked under
 ``tests/data/durable/``: one trace and one store record of
-``ResilientStudy(reps=1, trace_cache=..., checkpoint=...)
+``Study(reps=1, trace_cache=..., checkpoint=...)
 .sweep("titanv", ["cc"], ["internet"])``), which must read as hits
 with the content they hold and be rewritten with only their key order
 changed (the trace) or with ``graph_fp`` added (the store record).

@@ -21,7 +21,7 @@ import pytest
 from repro import telemetry
 from repro.core import hostfaults, parallel
 from repro.core.hostfaults import HostFaultPlan
-from repro.core.resilience import ResilientStudy
+from repro.core.study import Study
 from repro.core.store import ResultStore
 from repro.gpu.faults import FaultPlan
 from repro.perf.trace import TraceCache
@@ -47,7 +47,7 @@ def _canonical(payload: dict) -> str:
 def _offline(cells=CELLS, **policy):
     """An offline study with the fleet's policy that sweeps each cell on
     its own, serially, in submission order; returns it and the cells."""
-    study = ResilientStudy(**policy)
+    study = Study(**policy)
     return study, [study.sweep(key.device, [key.algorithm],
                                [key.input_name], jobs=1).cells[0]
                    for key in cells]
@@ -331,7 +331,7 @@ class TestResultStore(LadderCases):
         assert status["disk_errors"] >= 3
 
         # what a checkpointed study finished lives on in its memo
-        study = ResilientStudy(reps=1, checkpoint=blocker / "store")
+        study = Study(reps=1, checkpoint=blocker / "store")
         first = study.sweep("titanv", ["cc", "mis"], ["internet"])
         assert study.store.disk_errors == 2
         executed = study.cells_executed
@@ -393,7 +393,7 @@ class TestFleetStore:
         input then does, and the cell fails where the serial sweep
         raises.  The supervisor keeps merging."""
         store_dir = tmp_path / "store"
-        ResilientStudy(reps=1, checkpoint=store_dir).sweep(
+        Study(reps=1, checkpoint=store_dir).sweep(
             "titanv", ["cc"], ["internet"])
         (path,) = store_dir.glob("cell-*.json")
         restamp(path, graph_fp="other")

@@ -270,15 +270,15 @@ class TestTraceCacheSelfHealing(LadderCases):
         assert reader.disk_hits == 1 and reader.quarantined == 0
 
     def test_sweep_rerecords_over_undecodable_traces(self, tmp_path):
-        from repro.core.resilience import ResilientStudy
+        from repro.core.study import Study
 
-        first = ResilientStudy(reps=1, trace_cache=tmp_path)
+        first = Study(reps=1, trace_cache=tmp_path)
         first.sweep("titanv", ["cc"], ["internet"])
         files = list(tmp_path.glob("trace-*.json"))
         assert files
         for path in files:
             _set_high_bit(path)
-        second = ResilientStudy(reps=1, trace_cache=tmp_path)
+        second = Study(reps=1, trace_cache=tmp_path)
         result = second.sweep("titanv", ["cc"], ["internet"])
         assert not result.failures
         assert second.trace_cache.quarantined == len(files)

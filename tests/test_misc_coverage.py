@@ -170,6 +170,6 @@ class TestStudyInputHandling:
         monkeypatch.setattr(variants_mod, "_REGISTRY",
                             {**variants_mod._REGISTRY, "cc": fake})
         g = gen.random_uniform(40, 2.0, seed=3, name="corrupt40")
-        with pytest.raises(ValidationError):
+        with pytest.raises(StudyError, match=r"FAIL\(validation\)"):
             Study(reps=1, validate=True).run("cc", g, "titanv",
                                              Variant.BASELINE)

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro import ResilientStudy, Study, telemetry
+from repro import Study, telemetry
 from repro.cli import main as cli_main
 from repro.core import parallel
 from repro.core.parallel import JOBS_ENV, resolve_jobs
@@ -107,10 +107,10 @@ def _store_bytes(store_dir) -> dict[str, bytes]:
 
 class TestParallelResilientStudy:
     def test_sweep_and_checkpoint_identical_to_serial(self, tmp_path):
-        serial = ResilientStudy(reps=2, checkpoint=tmp_path / "serial")
+        serial = Study(reps=2, checkpoint=tmp_path / "serial")
         s_cells = serial.sweep(DEVICE, ALGOS, INPUTS, jobs=1).cells
 
-        parallel = ResilientStudy(reps=2, checkpoint=tmp_path / "parallel")
+        parallel = Study(reps=2, checkpoint=tmp_path / "parallel")
         p_cells = parallel.sweep(DEVICE, ALGOS, INPUTS, jobs=2).cells
 
         assert _cells(s_cells) == _cells(p_cells)
@@ -122,10 +122,10 @@ class TestParallelResilientStudy:
 
     def test_resume_executes_only_missing_cells(self, tmp_path):
         store_dir = tmp_path / "store"
-        first = ResilientStudy(reps=1, checkpoint=store_dir)
+        first = Study(reps=1, checkpoint=store_dir)
         first.sweep(DEVICE, ALGOS, INPUTS, jobs=2)
 
-        resumed = ResilientStudy(reps=1, checkpoint=store_dir)
+        resumed = Study(reps=1, checkpoint=store_dir)
         result = resumed.sweep(DEVICE, ALGOS, INPUTS, jobs=2)
         assert resumed.cells_executed == 0
         assert _cells(result.cells) == _cells(
@@ -135,9 +135,9 @@ class TestParallelResilientStudy:
         """Workers derive injected fault streams from the plan seed and
         the cell key, so injection commutes with parallelism."""
         faults = FaultPlan.parse("stall=1.0", seed=3)
-        serial = ResilientStudy(reps=2, faults=faults)
+        serial = Study(reps=2, faults=faults)
         s = serial.sweep(DEVICE, ALGOS, INPUTS, jobs=1)
-        parallel = ResilientStudy(reps=2, faults=faults)
+        parallel = Study(reps=2, faults=faults)
         p = parallel.sweep(DEVICE, ALGOS, INPUTS, jobs=2)
         assert _cells(s.cells) == _cells(p.cells)
         serial.save_results(tmp_path / "s.json")
@@ -149,11 +149,11 @@ class TestParallelResilientStudy:
         """Pool workers share one on-disk trace directory, so a second
         parallel study replays instead of re-recording."""
         trace_dir = tmp_path / "traces"
-        first = ResilientStudy(reps=1, trace_cache=trace_dir)
+        first = Study(reps=1, trace_cache=trace_dir)
         cells_a = first.sweep(DEVICE, ALGOS, INPUTS, jobs=2).cells
         assert any(trace_dir.glob("trace-*.json"))
 
-        second = ResilientStudy(reps=1, trace_cache=trace_dir)
+        second = Study(reps=1, trace_cache=trace_dir)
         cells_b = second.sweep(DEVICE, ALGOS, INPUTS, jobs=2).cells
         assert _cells(cells_a) == _cells(cells_b)
 
@@ -161,14 +161,14 @@ class TestParallelResilientStudy:
 class TestOneGenerationPerCleanFleet:
     def test_each_task_executes_once(self, tmp_path, monkeypatch):
         executions = _log_executions(tmp_path, monkeypatch)
-        ResilientStudy(reps=1).sweep(DEVICE, ALGOS, INPUTS, jobs=2)
+        Study(reps=1).sweep(DEVICE, ALGOS, INPUTS, jobs=2)
         assert executions() == sorted(
             f"{a}/{i}/{DEVICE}" for i in INPUTS for a in ALGOS)
 
     def test_clean_fleet_never_respawns(self):
         with telemetry.session() as (registry, _spans):
-            result = ResilientStudy(reps=1).sweep(DEVICE, ALGOS, INPUTS,
-                                                  jobs=2)
+            result = Study(reps=1).sweep(DEVICE, ALGOS, INPUTS,
+                                         jobs=2)
             assert registry.get("repro_fleet_respawns_total") is None
             assert registry.get("repro_fleet_redispatches_total") is None
         assert result.coverage[0] == result.coverage[1] == 4
@@ -178,9 +178,9 @@ class TestOneGenerationPerCleanFleet:
         wall-clock budget too short for one repetition fails every
         cell with ``timeout``, as the serial sweep does."""
         budget = CellBudget(max_seconds=1e-9)
-        serial = ResilientStudy(reps=2, budget=budget).sweep(
+        serial = Study(reps=2, budget=budget).sweep(
             DEVICE, ALGOS, INPUTS, jobs=1)
-        par = ResilientStudy(reps=2, budget=budget).sweep(
+        par = Study(reps=2, budget=budget).sweep(
             DEVICE, ALGOS, INPUTS, jobs=2)
         assert [c.describe() for c in par.failures] == \
             [c.describe() for c in serial.failures]
@@ -206,28 +206,26 @@ def test_cli_sweep_jobs_smoke(capsys):
 DEVICES = ["titanv", "2070super", "a100"]
 
 
-def _device_sweep(tmp_path, name: str, jobs: int, *, resilient=True,
+def _device_sweep(tmp_path, name: str, jobs: int, *, checkpointed=True,
                   inputs=INPUTS, between=None, **kwargs):
     """The ALGOS grid on every device of DEVICES, one table each, with
-    a trace directory (and, resilient, a checkpoint store); returns
-    (study, save_results bytes, store records).
+    a trace directory (and, checkpointed, a checkpoint store, through
+    ``sweep``; else through ``speedup_table``); returns (study,
+    save_results bytes, store records).
     ``between(device, trace_dir)`` runs before each device's table."""
     trace_dir = tmp_path / f"{name}-traces"
-    if resilient:
-        study = ResilientStudy(reps=2, trace_cache=trace_dir,
-                               checkpoint=tmp_path / f"{name}-store",
-                               **kwargs)
-    else:
-        study = Study(reps=2, trace_cache=trace_dir, **kwargs)
+    if checkpointed:
+        kwargs["checkpoint"] = tmp_path / f"{name}-store"
+    study = Study(reps=2, trace_cache=trace_dir, **kwargs)
     for device in DEVICES:
         if between is not None:
             between(device, trace_dir)
-        if resilient:
+        if checkpointed:
             study.sweep(device, ALGOS, inputs, jobs=jobs)
         else:
             study.speedup_table(device, ALGOS, inputs, jobs=jobs)
     study.save_results(tmp_path / f"{name}.json")
-    store = (_store_bytes(tmp_path / f"{name}-store") if resilient
+    store = (_store_bytes(tmp_path / f"{name}-store") if checkpointed
              else {})
     return study, (tmp_path / f"{name}.json").read_bytes(), store
 
@@ -241,21 +239,20 @@ def _sweep_sources(spans) -> dict[str, dict]:
 
 
 def _table(study, device: str, inputs, jobs: int) -> list:
-    """One table's speedup cells, through ``sweep`` for a resilient
-    study and ``speedup_table`` for a plain one."""
-    if isinstance(study, ResilientStudy):
+    """One table's speedup cells, through ``sweep`` for a checkpointed
+    study and ``speedup_table`` for one without a store."""
+    if study.store is not None:
         return study.sweep(device, ["cc"], inputs, jobs=jobs).cells
     return study.speedup_table(device, ["cc"], inputs, jobs=jobs)
 
 
-def _clash_study(tmp_path, resilient: bool, **kwargs):
-    if resilient:
-        return ResilientStudy(reps=1, checkpoint=tmp_path / "store",
-                              **kwargs)
+def _clash_study(tmp_path, checkpointed: bool, **kwargs):
+    if checkpointed:
+        kwargs["checkpoint"] = tmp_path / "store"
     return Study(reps=1, **kwargs)
 
 
-@pytest.mark.parametrize("resilient", [False, True],
+@pytest.mark.parametrize("checkpointed", [False, True],
                          ids=["study", "resilient"])
 class TestNameClashUnderJobs:
     """A graph passed in directly under a suite input's name meets the
@@ -263,20 +260,20 @@ class TestNameClashUnderJobs:
     is refused, and before it the suite input reads its results."""
 
     def test_a_direct_graph_after_the_suite_input_is_refused(
-            self, tmp_path, resilient):
-        study = _clash_study(tmp_path, resilient, trace_cache=False)
+            self, tmp_path, checkpointed):
+        study = _clash_study(tmp_path, checkpointed, trace_cache=False)
         with pytest.raises(StudyError, match="already used"):
             _table(study, DEVICE, ["internet", grid2d(12, name="internet")],
                    jobs=2)
 
     def test_the_suite_input_after_a_direct_graph_reads_its_memo(
-            self, tmp_path, monkeypatch, resilient):
+            self, tmp_path, monkeypatch, checkpointed):
         inputs = [grid2d(12, name="internet"), "internet"]
-        serial = _table(_clash_study(tmp_path / "serial", resilient,
+        serial = _table(_clash_study(tmp_path / "serial", checkpointed,
                                      trace_cache=False),
                         DEVICE, inputs, jobs=1)
         executions = _log_executions(tmp_path, monkeypatch)
-        par = _table(_clash_study(tmp_path / "parallel", resilient,
+        par = _table(_clash_study(tmp_path / "parallel", checkpointed,
                                   trace_cache=False),
                      DEVICE, inputs, jobs=2)
         assert _cells(par) == _cells(serial)
@@ -286,11 +283,11 @@ class TestNameClashUnderJobs:
         assert executions() == [f"cc/internet/{DEVICE}"]
 
     def test_the_suite_input_on_a_later_device_is_refused(
-            self, tmp_path, resilient):
+            self, tmp_path, checkpointed):
         """The parent prices a suite input's cached cells only under a
         fingerprint built for that suite input, never under a direct
         graph's that took its name first."""
-        study = _clash_study(tmp_path, resilient,
+        study = _clash_study(tmp_path, checkpointed,
                              trace_cache=tmp_path / "traces")
         _table(study, "titanv", [grid2d(12, name="internet")], jobs=2)
         with pytest.raises(StudyError, match="already used"):
@@ -298,21 +295,21 @@ class TestNameClashUnderJobs:
 
 
 class TestReplayOnlyCellsStayInTheParent:
-    @pytest.mark.parametrize("resilient", [True, False],
+    @pytest.mark.parametrize("checkpointed", [True, False],
                              ids=["resilient", "study"])
     def test_only_cells_that_record_are_dispatched(
-            self, tmp_path, monkeypatch, resilient):
+            self, tmp_path, monkeypatch, checkpointed):
         serial, s_bytes, s_store = _device_sweep(
-            tmp_path, "serial", 1, resilient=resilient)
+            tmp_path, "serial", 1, checkpointed=checkpointed)
         executions = _log_executions(tmp_path, monkeypatch)
         with telemetry.session() as (_registry, spans):
             par, p_bytes, p_store = _device_sweep(
-                tmp_path, "parallel", 2, resilient=resilient)
+                tmp_path, "parallel", 2, checkpointed=checkpointed)
             sources = _sweep_sources(spans)
 
         assert p_bytes == s_bytes
         assert p_store == s_store
-        if resilient:
+        if checkpointed:
             assert len(p_store) == len(ALGOS) * len(INPUTS) * len(DEVICES)
             assert par.cells_executed == serial.cells_executed == 24
         assert executions() == sorted(
@@ -329,10 +326,10 @@ class TestReplayOnlyCellsStayInTheParent:
         """Fingerprints are never read from disk: a new study learns
         them from its own workers."""
         trace_dir = tmp_path / "traces"
-        ResilientStudy(reps=1, trace_cache=trace_dir).sweep(
+        Study(reps=1, trace_cache=trace_dir).sweep(
             DEVICE, ALGOS, INPUTS, jobs=2)
         executions = _log_executions(tmp_path, monkeypatch)
-        ResilientStudy(reps=1, trace_cache=trace_dir).sweep(
+        Study(reps=1, trace_cache=trace_dir).sweep(
             DEVICE, ALGOS, INPUTS, jobs=2)
         assert executions() == sorted(
             f"{a}/{i}/{DEVICE}" for a in ALGOS for i in INPUTS)
@@ -424,7 +421,7 @@ def test_parent_pricing_waits_for_the_merge(tmp_path, monkeypatch):
     """A cell the parent prices emits its telemetry when the merge
     reaches it, so the cells behind a failed task stay uncounted, as
     they stay out of the memo."""
-    study = ResilientStudy(reps=1, trace_cache=tmp_path / "traces")
+    study = Study(reps=1, trace_cache=tmp_path / "traces")
     study.sweep("titanv", ALGOS, INPUTS, jobs=2)
     monkeypatch.setattr(parallel, "_run_task", _failing_run_task)
     with telemetry.session() as (_registry, spans):
@@ -454,33 +451,31 @@ class TestWorkersAreReaped:
     only reaped children's CPU time and memory."""
 
     def test_after_a_normal_return(self):
-        ResilientStudy(reps=1).sweep(DEVICE, ALGOS, INPUTS, jobs=2)
+        Study(reps=1).sweep(DEVICE, ALGOS, INPUTS, jobs=2)
         assert multiprocessing.active_children() == []
 
     def test_after_a_worker_task_error(self, monkeypatch):
         monkeypatch.setattr(parallel, "_run_task", _failing_run_task)
         with pytest.raises(WorkerTaskError, match="mis/internet/titanv"):
-            ResilientStudy(reps=1).sweep(DEVICE, ALGOS, INPUTS, jobs=2)
+            Study(reps=1).sweep(DEVICE, ALGOS, INPUTS, jobs=2)
         assert multiprocessing.active_children() == []
 
     def test_after_an_interrupt(self, monkeypatch):
         monkeypatch.setattr(parallel, "_run_task", _interrupting_run_task)
         started = time.monotonic()
         with pytest.raises(SweepInterrupted):
-            ResilientStudy(reps=1).sweep(DEVICE, ALGOS, INPUTS, jobs=2)
+            Study(reps=1).sweep(DEVICE, ALGOS, INPUTS, jobs=2)
         assert multiprocessing.active_children() == []
         # busy workers are killed, not waited for
         assert time.monotonic() - started < 30
 
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnraisableExceptionWarning")
     def test_after_an_interrupt_a_finalizer_swallowed(self, monkeypatch):
         """The parent is running a finalizer when the SIGINT lands, so
         the handler's exception is raised there and Python only reports
         it; the sweep still stops while it awaits the first cell."""
         from repro.core.fleet import Fleet
 
-        study = ResilientStudy(reps=1)
+        study = Study(reps=1)
 
         class Finalized:
             def __init__(self):

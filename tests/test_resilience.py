@@ -1,21 +1,23 @@
-"""Tests for the resilient sweep layer (repro.core.resilience).
+"""Tests for the study's guarded cell path and its policy vocabulary
+(repro.core.resilience).
 
 Covers the run_guarded failure taxonomy, retry-with-fresh-seed
 behavior, livelock-to-record conversion, per-cell isolation inside a
-sweep, checkpoint/resume (including the only-missing-cells guarantee
-and corrupt checkpoints), degraded report rendering, and the
-bit-identical no-fault regression against the plain Study.
+sweep, the strict views (run, speedup, speedup_table) serially and
+under jobs, memory-model pricing on the one path, checkpoint/resume
+(including the only-missing-cells guarantee and corrupt checkpoints),
+degraded report rendering, and the bit-identical no-fault regression
+of a retry/budget policy against the default one.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.report import resilient_speedup_table
+from repro.core.report import speedup_table
 from repro.core.resilience import (
     CellBudget,
     CellFailure,
-    ResilientStudy,
     run_guarded,
 )
 from repro.core.study import SpeedupCell, Study
@@ -161,7 +163,7 @@ class TestRunGuarded:
 class TestCellIsolation:
     def test_failing_cell_does_not_stop_sweep(self):
         faults = FaultPlan.parse("stuck=1.0", seed=0)
-        study = ResilientStudy(reps=2, faults=faults)
+        study = Study(reps=2, faults=faults)
         sweep = study.sweep(DEVICE, ["cc", "gc"], [INPUT])
         # cc baseline livelocks (plain polling loop); gc has no plain
         # shared loads, so its cells complete
@@ -174,7 +176,7 @@ class TestCellIsolation:
 
     def test_surviving_variant_still_recorded(self):
         faults = FaultPlan.parse("stuck=1.0", seed=0)
-        study = ResilientStudy(reps=2, faults=faults)
+        study = Study(reps=2, faults=faults)
         out = study.speedup_cell("cc", INPUT, DEVICE)
         assert isinstance(out, CellFailure)
         assert out.variant == "baseline"
@@ -184,7 +186,7 @@ class TestCellIsolation:
 
     def test_failure_memoized_like_results(self):
         faults = FaultPlan.parse("stuck=1.0", seed=0)
-        study = ResilientStudy(reps=2, faults=faults)
+        study = Study(reps=2, faults=faults)
         first = study.run_cell("cc", INPUT, DEVICE, Variant.BASELINE)
         executed = study.cells_executed
         again = study.run_cell("cc", INPUT, DEVICE, Variant.BASELINE)
@@ -193,7 +195,7 @@ class TestCellIsolation:
 
     def test_strict_run_raises_on_failure(self):
         faults = FaultPlan.parse("stuck=1.0", seed=0)
-        study = ResilientStudy(reps=2, faults=faults)
+        study = Study(reps=2, faults=faults)
         with pytest.raises(StudyError, match=r"FAIL\(livelock\)"):
             study.run("cc", INPUT, DEVICE, Variant.BASELINE)
 
@@ -201,13 +203,13 @@ class TestCellIsolation:
         # abort=0.5: some attempt fails, a later one succeeds; with
         # enough retries the cell must complete
         faults = FaultPlan.parse("abort=0.5", seed=1)
-        study = ResilientStudy(reps=3, retries=8, faults=faults)
+        study = Study(reps=3, retries=8, faults=faults)
         out = study.run_cell("cc", INPUT, DEVICE, Variant.RACE_FREE)
         assert not isinstance(out, CellFailure)
 
     def test_retries_exhausted_is_fault(self):
         faults = FaultPlan.parse("abort=1.0", seed=0)
-        study = ResilientStudy(reps=1, retries=2, faults=faults)
+        study = Study(reps=1, retries=2, faults=faults)
         out = study.run_cell("cc", INPUT, DEVICE, Variant.BASELINE)
         assert isinstance(out, CellFailure)
         assert out.reason == "fault"
@@ -215,14 +217,14 @@ class TestCellIsolation:
 
     def test_negative_retries_rejected(self):
         with pytest.raises(StudyError, match="retries"):
-            ResilientStudy(retries=-1)
+            Study(retries=-1)
 
 
 class TestBitIdentity:
     def test_unfaulted_resilient_study_matches_plain_study(self):
         plain = Study(reps=3)
-        resilient = ResilientStudy(reps=3, retries=2,
-                                   budget=CellBudget(max_seconds=60))
+        resilient = Study(reps=3, retries=2,
+                          budget=CellBudget(max_seconds=60))
         for variant in (Variant.BASELINE, Variant.RACE_FREE):
             a = plain.run("cc", INPUT, DEVICE, variant)
             b = resilient.run("cc", INPUT, DEVICE, variant)
@@ -230,7 +232,7 @@ class TestBitIdentity:
 
     def test_table_iv_cells_identical(self):
         plain = Study(reps=2)
-        resilient = ResilientStudy(reps=2)
+        resilient = Study(reps=2)
         algos = ["cc", "gc", "mis", "mst"]
         expected = plain.speedup_table(DEVICE, algos, [INPUT])
         got = resilient.sweep(DEVICE, algos, [INPUT])
@@ -242,17 +244,89 @@ class TestBitIdentity:
             assert e.racefree_ms == g.racefree_ms
 
 
+def _corrupt_cc(monkeypatch):
+    """Register a cc whose runner zeroes every label, so validation
+    fails every repetition; forked workers inherit the registry."""
+    import dataclasses
+
+    import numpy as np
+
+    from repro.core import variants as variants_mod
+
+    real = variants_mod.get_algorithm("cc")
+
+    def corrupted(graph, recorder, **options):
+        out = real.perf_runner(graph, recorder, **options)
+        out["labels"] = np.zeros_like(out["labels"])
+        return out
+
+    fake = dataclasses.replace(real, perf_runner=corrupted)
+    monkeypatch.setattr(variants_mod, "_REGISTRY",
+                        {**variants_mod._REGISTRY, "cc": fake})
+
+
+class TestOneStudy:
+    """Every cell runs through one guarded path: the strict views raise
+    one error serially and under jobs, and every study takes the
+    policy (faults, budgets) and the memory model."""
+
+    def test_strict_table_raises_the_same_error_serial_and_parallel(
+            self, monkeypatch):
+        _corrupt_cc(monkeypatch)
+        errors = []
+        for jobs in (1, 2):
+            study = Study(reps=1, validate=True, trace_cache=False)
+            with pytest.raises(StudyError) as info:
+                study.speedup_table(DEVICE, ["cc"],
+                                    [INPUT, "rmat16.sym"], jobs=jobs)
+            errors.append(str(info.value))
+        # internet is connected, so its all-zero labels validate
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(
+            f"FAIL(validation) cc/rmat16.sym/{DEVICE}/baseline: ")
+
+    def test_faults_on_any_study(self):
+        faults = FaultPlan.parse("abort=1.0", seed=1)
+        cells = Study(reps=1, faults=faults).sweep(
+            DEVICE, ["cc", "mis"], [INPUT]).cells
+        assert [c.describe() for c in cells] == [
+            f"FAIL(fault) cc/{INPUT}/{DEVICE}/baseline",
+            f"FAIL(fault) mis/{INPUT}/{DEVICE}/baseline"]
+        with pytest.raises(StudyError,
+                           match=r"^FAIL\(fault\) cc/internet/titanv/"
+                                 r"baseline: "):
+            Study(reps=1, faults=faults).speedup_table(
+                DEVICE, ["cc", "mis"], [INPUT])
+
+    def test_model_priced_sweep_matches_its_speedup(self):
+        study = Study(reps=2, memory_model="sc")
+        (cell,) = study.sweep(DEVICE, ["mis"], [INPUT]).cells
+        assert cell == study.speedup("mis", INPUT, DEVICE)
+        default = Study(reps=2).speedup("mis", INPUT, DEVICE)
+        assert cell.speedup != default.speedup
+
+    def test_model_priced_study_refuses_a_checkpoint(self, tmp_path):
+        with pytest.raises(StudyError, match="memory-model"):
+            Study(memory_model="sc", checkpoint=tmp_path)
+
+    def test_the_former_name_is_the_one_class(self):
+        import repro.core.resilience as resilience
+        import repro.core.study as study
+
+        assert resilience.ResilientStudy is study.Study
+
+
 class TestCheckpointResume:
     def test_resume_runs_only_missing_cells(self, tmp_path):
         ck = tmp_path / "store"
-        first = ResilientStudy(reps=2, checkpoint=ck)
+        first = Study(reps=2, checkpoint=ck)
         first.sweep(DEVICE, ["cc", "gc"], [INPUT])
         assert first.cells_executed == 4  # 2 algos x 2 variants
 
         # "crash" and resume: a fresh study on the same checkpoint
         # serves the published cells, and a wider sweep executes only
         # the genuinely new ones
-        second = ResilientStudy(reps=2, checkpoint=ck)
+        second = Study(reps=2, checkpoint=ck)
         second.sweep(DEVICE, ["cc", "gc"], [INPUT])
         assert (second.cells_executed, second.cells_resumed) == (0, 4)
         second.sweep(DEVICE, ["cc", "gc", "mis"], [INPUT])
@@ -260,10 +334,10 @@ class TestCheckpointResume:
 
     def test_resumed_results_match_fresh_run(self, tmp_path):
         ck = tmp_path / "store"
-        first = ResilientStudy(reps=2, checkpoint=ck)
+        first = Study(reps=2, checkpoint=ck)
         fresh = first.sweep(DEVICE, ["cc"], [INPUT])
 
-        second = ResilientStudy(reps=2, checkpoint=ck)
+        second = Study(reps=2, checkpoint=ck)
         resumed = second.sweep(DEVICE, ["cc"], [INPUT])
         assert second.cells_executed == 0
         assert resumed.completed[0].baseline_ms == \
@@ -274,13 +348,13 @@ class TestCheckpointResume:
     def test_failures_are_reattempted_on_resume(self, tmp_path):
         ck = tmp_path / "store"
         faults = FaultPlan.parse("stuck=1.0", seed=0)
-        first = ResilientStudy(reps=2, faults=faults, checkpoint=ck)
+        first = Study(reps=2, faults=faults, checkpoint=ck)
         first.sweep(DEVICE, ["cc"], [INPUT])
         assert len(first.failures()) == 1
         assert not list(ck.glob("cell-*.json"))  # failures never publish
 
         # the deterministic plan reaches the same failure again
-        second = ResilientStudy(reps=2, faults=faults, checkpoint=ck)
+        second = Study(reps=2, faults=faults, checkpoint=ck)
         out = second.run_cell("cc", INPUT, DEVICE, Variant.BASELINE)
         assert isinstance(out, CellFailure)
         assert out.reason == "livelock"
@@ -288,7 +362,7 @@ class TestCheckpointResume:
 
     def test_checkpoint_written_after_every_cell(self, tmp_path):
         ck = tmp_path / "store"
-        study = ResilientStudy(reps=1, checkpoint=ck)
+        study = Study(reps=1, checkpoint=ck)
         study.run_cell("cc", INPUT, DEVICE, Variant.BASELINE)
         assert not list(ck.glob("cell-*.json"))  # the cell is unfinished
         study.run_cell("cc", INPUT, DEVICE, Variant.RACE_FREE)
@@ -302,18 +376,18 @@ class TestCheckpointResume:
         ck = tmp_path / "sweep.json"
         ck.write_text('{"format": 2, "reps": 2, ')  # an old, torn file
         with pytest.raises(StudyError, match="is a file"):
-            ResilientStudy(reps=2, checkpoint=ck)
+            Study(reps=2, checkpoint=ck)
 
     def test_reps_mismatch_rejected(self, tmp_path):
         ck = tmp_path / "store"
-        ResilientStudy(reps=2, checkpoint=ck).sweep(DEVICE, ["cc"], [INPUT])
-        other = ResilientStudy(reps=5, checkpoint=ck)
+        Study(reps=2, checkpoint=ck).sweep(DEVICE, ["cc"], [INPUT])
+        other = Study(reps=5, checkpoint=ck)
         other.run_cell("cc", INPUT, DEVICE, Variant.BASELINE)
         # records of another policy live at other addresses
         assert (other.cells_executed, other.cells_resumed) == (1, 0)
 
     def test_no_checkpoint_path_is_an_error(self):
-        study = ResilientStudy(reps=1)
+        study = Study(reps=1)
         with pytest.raises(StudyError, match="no checkpoint path"):
             study.save_checkpoint("cc", INPUT, DEVICE)
 
@@ -321,16 +395,16 @@ class TestCheckpointResume:
 class TestDegradedReport:
     def _mixed_cells(self):
         faults = FaultPlan.parse("stuck=1.0", seed=0)
-        study = ResilientStudy(reps=2, faults=faults)
+        study = Study(reps=2, faults=faults)
         return study.sweep(DEVICE, ["cc", "gc"], [INPUT]).cells
 
     def test_failures_render_with_reason(self):
-        text = resilient_speedup_table(self._mixed_cells())
+        text = speedup_table(self._mixed_cells())
         assert "FAIL(livelock)" in text
         assert "Geomean Speedup" in text
 
     def test_coverage_annotation(self):
-        text = resilient_speedup_table(self._mixed_cells())
+        text = speedup_table(self._mixed_cells())
         assert "coverage: 1/2 cells completed" in text
         # the failed CC column footer cannot pretend to be a number
         assert "n/a" in text
@@ -341,17 +415,17 @@ class TestDegradedReport:
             CellFailure("cc", "b", DEVICE, "baseline", "livelock",
                         "spin", 1, 0.1),
         ]
-        text = resilient_speedup_table(cells)
+        text = speedup_table(cells)
         assert "[1/2]" in text
 
     def test_all_complete_has_full_coverage(self):
-        study = ResilientStudy(reps=1)
+        study = Study(reps=1)
         cells = study.sweep(DEVICE, ["cc"], [INPUT]).cells
-        text = resilient_speedup_table(cells, title="T")
+        text = speedup_table(cells, title="T")
         assert text.startswith("T\n")
         assert "coverage: 1/1 cells completed" in text
         assert "FAIL" not in text
 
     def test_empty_cells_rejected(self):
         with pytest.raises(StudyError):
-            resilient_speedup_table([])
+            speedup_table([])

@@ -146,7 +146,6 @@ class TestMemoKeyIntegrity:
         # corrupt only the FIRST repetition: with per-rep validation the
         # study must notice even though the last rep is clean
         import repro.core.study as study_mod
-        from repro.errors import ValidationError
 
         real = study_mod.run_algorithm
         calls = {"n": 0}
@@ -166,7 +165,7 @@ class TestMemoKeyIntegrity:
         monkeypatch.setattr(study_mod, "run_algorithm",
                             sabotage_first_rep)
         study = Study(reps=3, validate=True)
-        with pytest.raises(ValidationError):
+        with pytest.raises(StudyError, match=r"FAIL\(validation\)"):
             study.run("cc", "internet", "titanv", Variant.BASELINE)
         assert calls["n"] == 1  # caught immediately, not at the end
 

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro import ResilientStudy, Study, Variant, telemetry
+from repro import Study, Variant, telemetry
 from repro.gpu.accesses import AccessKind, DType, RMWOp
 from repro.gpu.faults import FaultPlan
 from repro.gpu.memory import GlobalMemory
@@ -35,16 +35,16 @@ def _restore_telemetry():
 
 def _sweep(tmp_path, *, jobs: int, name: str,
            telemetry_on: bool) -> tuple[dict, bytes]:
-    """One small resilient sweep; returns (sim snapshot, results bytes)."""
+    """One small sweep; returns (sim snapshot, results bytes)."""
     out = tmp_path / f"{name}.json"
     if telemetry_on:
         with telemetry.session() as (registry, _spans):
-            study = ResilientStudy(reps=2, trace_cache=False, jobs=jobs)
+            study = Study(reps=2, trace_cache=False, jobs=jobs)
             study.sweep("titanv", ALGOS, INPUTS)
             study.save_results(out)
             snap = registry.snapshot(scope=SCOPE_SIM)
     else:
-        study = ResilientStudy(reps=2, trace_cache=False, jobs=jobs)
+        study = Study(reps=2, trace_cache=False, jobs=jobs)
         study.sweep("titanv", ALGOS, INPUTS)
         study.save_results(out)
         snap = {}
@@ -66,8 +66,8 @@ def test_off_and_on_checkpoints_identical(tmp_path):
         path = tmp_path / f"{name}-store"
 
         def run() -> None:
-            study = ResilientStudy(reps=2, trace_cache=False,
-                                   checkpoint=path, retries=1)
+            study = Study(reps=2, trace_cache=False,
+                          checkpoint=path, retries=1)
             study.sweep("titanv", ["cc"], INPUTS)
 
         if enabled:
@@ -118,8 +118,8 @@ def test_multi_device_parallel_sim_scope_equals_serial(tmp_path):
     def run(jobs: int) -> tuple[str, bytes]:
         name = f"jobs{jobs}"
         with telemetry.session() as (registry, _spans):
-            study = ResilientStudy(reps=2, trace_cache=tmp_path / name,
-                                   checkpoint=tmp_path / f"{name}-store")
+            study = Study(reps=2, trace_cache=tmp_path / name,
+                          checkpoint=tmp_path / f"{name}-store")
             for device in ("titanv", "2070super", "a100"):
                 study.sweep(device, ALGOS, ["internet", "USA-road-d.NY"],
                             jobs=jobs)
@@ -141,7 +141,7 @@ def test_parallel_worker_spans_are_attributed():
         study.speedup_table("titanv", ["cc"], INPUTS)
         shipped = [s for s in spans.finished if "worker" in s.attrs]
         assert shipped, "worker spans should be merged with attribution"
-        assert any(s.name == "study.run" for s in shipped)
+        assert any(s.name == "sweep.cell" for s in shipped)
 
 
 # ----------------------------------------------------------------------
@@ -192,8 +192,8 @@ def test_record_replay_source_counter(tmp_path):
 
 def test_cells_total_counts_outcomes():
     with telemetry.session() as (registry, _spans):
-        study = ResilientStudy(reps=1, trace_cache=False, retries=0,
-                               faults=FaultPlan.parse("abort=1.0", seed=1))
+        study = Study(reps=1, trace_cache=False, retries=0,
+                      faults=FaultPlan.parse("abort=1.0", seed=1))
         study.sweep("titanv", ["cc"], INPUTS)
         cells = registry.get("repro_cells_total")
         assert cells.value("fault") == 2  # both variants abort
@@ -202,11 +202,11 @@ def test_cells_total_counts_outcomes():
 
 def test_cells_total_ok_path():
     with telemetry.session() as (registry, _spans):
-        study = ResilientStudy(reps=1, trace_cache=False)
+        study = Study(reps=1, trace_cache=False)
         study.sweep("titanv", ["cc"], INPUTS)
         assert registry.get("repro_cells_total").value("ok") == 2
-        # the resilient cell runner drives run_algorithm directly, so
-        # its tree is sweep -> cell -> record (no study.run level)
+        # every cell runs through run_cell, which drives run_algorithm
+        # directly: the tree is sweep -> cell -> record
         span_names = {s.name for s in _spans.finished}
         assert {"study.sweep", "sweep.cell", "perf.record"} <= span_names
 

@@ -278,11 +278,11 @@ class TestSiblings:
         """A serial resilient sweep records every (input, seed class,
         staleness class) once, and its trace files are those of a
         build whose every variant records itself, byte for byte."""
-        from repro.core.resilience import ResilientStudy
+        from repro.core.study import Study
 
         def sweep(cache):
-            study = ResilientStudy(reps=2, scale=SIBLING_SCALE,
-                                   trace_cache=cache)
+            study = Study(reps=2, scale=SIBLING_SCALE,
+                          trace_cache=cache)
             for device in ("titanv", "2070super"):
                 study.sweep(device, ["cc", "gc", "mis", "mst"],
                             ["internet", "rmat16.sym"])

@@ -32,17 +32,17 @@ def _noop_plan_check(workdir: Path) -> str | None:
     from repro.core import hostfaults
     from repro.core.chaos import ALGOS, DEVICE, INPUTS
     from repro.core.hostfaults import HostFaultKind, HostFaultPlan, HostFaultSpec
-    from repro.core.resilience import ResilientStudy
+    from repro.core.study import Study
 
     inputs = list(INPUTS[:1])
-    bare = ResilientStudy(reps=1, trace_cache=False)
+    bare = Study(reps=1, trace_cache=False)
     bare.sweep(DEVICE, list(ALGOS), inputs, jobs=1)
     bare.save_results(workdir / "bare.json")
 
     plan = HostFaultPlan(
         [HostFaultSpec(kind, 0.0) for kind in HostFaultKind], seed=0)
     with hostfaults.installed(plan):
-        armed = ResilientStudy(reps=1, trace_cache=False)
+        armed = Study(reps=1, trace_cache=False)
         armed.sweep(DEVICE, list(ALGOS), inputs, jobs=1)
         armed.save_results(workdir / "armed.json")
 
@@ -62,10 +62,10 @@ def _flagship_check(workdir: Path, jobs: int, seed: int) -> str | None:
         run_scenario,
         scenario_suite,
     )
-    from repro.core.resilience import ResilientStudy
+    from repro.core.study import Study
 
     inputs = list(INPUTS[:1])
-    baseline_study = ResilientStudy(reps=1, trace_cache=False)
+    baseline_study = Study(reps=1, trace_cache=False)
     baseline_study.sweep(DEVICE, list(ALGOS), inputs, jobs=1)
     baseline_study.save_results(workdir / "baseline.json")
     baseline = (workdir / "baseline.json").read_bytes()

@@ -118,9 +118,9 @@ def main(argv: list[str] | None = None) -> int:
     n_cells = len(ALGOS) * len(INPUTS)
 
     # the truth: an uninjected serial offline sweep in this process
-    from repro.core.resilience import ResilientStudy
+    from repro.core.study import Study
 
-    offline = ResilientStudy(reps=REPS)
+    offline = Study(reps=REPS)
     result = offline.sweep(DEVICE, ALGOS, INPUTS, jobs=1)
     if result.failures:
         print("FAIL: offline baseline sweep failed", file=sys.stderr)
@@ -271,9 +271,9 @@ def _fleet_block(port: int, workers: int, n_cells: int,
 def _store_handoff(store_dir: Path, n_cells: int, what: str) -> bool:
     """A fresh offline study on a drained server's ``--store`` must
     serve every result of the grid and execute none."""
-    from repro.core.resilience import ResilientStudy
+    from repro.core.study import Study
 
-    loader = ResilientStudy(reps=REPS, checkpoint=store_dir)
+    loader = Study(reps=REPS, checkpoint=store_dir)
     loader.sweep(DEVICE, ALGOS, INPUTS, jobs=1)
     if loader.cells_resumed != 2 * n_cells or loader.cells_executed:
         print(f"FAIL: the {what} store served {loader.cells_resumed} of "
