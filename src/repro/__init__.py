@@ -51,6 +51,13 @@ Telemetry (off by default; see docs/observability.md)::
         print(telemetry.export.to_console(registry))
 """
 
+import os
+
+# numpy's OpenBLAS starts a helper thread per extra CPU when it loads,
+# and the helpers spin while the main thread imports; nothing here calls
+# BLAS.  A value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from repro.core.resilience import (
     CellBudget,
     CellFailure,

@@ -49,9 +49,11 @@ against.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 from repro.errors import DeadlockError, ExplorationError
@@ -372,6 +374,11 @@ class ScheduleExplorer:
         branch_sleep: dict[int, PendingOp] = {}
         #: (fingerprint, choice) pairs already expanded — state_dedupe
         expanded: set[tuple[int, int]] = set()
+        #: the backtrack scan's thread → array → (all accesses, writes
+        #: only) histories, kept across this exploration's runs (see
+        #: _add_backtrack_points)
+        histories: defaultdict[int, defaultdict[str, tuple[list, list]]] = (
+            defaultdict(lambda: defaultdict(lambda: ([], []))))
 
         while True:
             if result.schedules >= self.budget.max_schedules:
@@ -405,7 +412,7 @@ class ScheduleExplorer:
                             expanded)
             if self.mode == "dpor" and outcome is not None:
                 self._add_backtrack_points(
-                    stack, sched, outcome.events)
+                    stack, sched, outcome.events, histories)
 
             branch = self._select_branch(stack, result, expanded)
             if branch is None:
@@ -545,28 +552,38 @@ class ScheduleExplorer:
 
     def _add_backtrack_points(self, stack: list[_Node],
                               sched: _DirectedScheduler,
-                              events: list[AccessEvent]) -> None:
+                              events: list[AccessEvent],
+                              by_thread: defaultdict) -> None:
         """Flanagan-Godefroid backtrack computation from the conflict
         relation of the just-executed trace.
 
-        Only the events of decisions at or past the run's branch depth
-        (``sched.sleep_depth``) are scanned; earlier ones only extend
-        the histories.  Below the branch depth the run replayed the
-        previous run's picks, so it produced the same events, and an
-        earlier run already scanned them against the same histories and
-        nominated on the same nodes, which have not been rebuilt since.
-        Backtrack sets only grow, so a repeated nomination adds
-        nothing.  A run aborted by sleep sets is never scanned, but its
-        new nodes are never nominated either, so the next branch point
-        is never deeper than its own."""
-        # per-thread, per-array history of (decision, op, launch, block,
-        # epoch) for every memory event that thread performed, as
-        # (all accesses, writes only).  A decision may carry several
-        # events (an atomic that forces store-buffer drains, a
-        # block-scope release promoting multiple entries); scheduled
-        # drains act under their own DRAIN_BASE+seq pseudo-tid.
-        by_thread: defaultdict[int, defaultdict[str, tuple[list, list]]] = (
-            defaultdict(lambda: defaultdict(lambda: ([], []))))
+        ``by_thread`` holds, per thread and per array, the history of
+        (decision, op, launch, block, epoch) of every memory event that
+        thread performed, as (all accesses, writes only); a decision may
+        carry several events (an atomic that forces store-buffer drains,
+        a block-scope release promoting multiple entries), and scheduled
+        drains act under their own DRAIN_BASE+seq pseudo-tid.  The
+        exploration keeps it from the last scanned run: it is cut back
+        to the decisions below this run's branch depth
+        (``sched.sleep_depth``), which this run replayed, and only the
+        events from the branch depth on are scanned and appended.
+
+        Below the branch depth the run replayed the previous run's
+        picks, so it produced the same events, and an earlier run
+        already scanned them against the same histories and nominated
+        on the same nodes, which have not been rebuilt since.  Backtrack
+        sets only grow, so a repeated nomination adds nothing.  A run
+        aborted by sleep sets is never scanned, but its new nodes are
+        never nominated either, so the next branch point is never deeper
+        than its own: the kept histories are still those of the
+        decisions every later run replays."""
+        depth = sched.sleep_depth
+        for arrays in by_thread.values():
+            for accesses, written in arrays.values():
+                while accesses and accesses[-1][0] >= depth:
+                    accesses.pop()
+                while written and written[-1][0] >= depth:
+                    written.pop()
 
         def nominate(node: _Node, tid: int) -> None:
             # Source-DPOR-style insertion: the canonical candidate only
@@ -586,7 +603,6 @@ class ScheduleExplorer:
 
         starts = sched.launch_starts
         n = len(sched.picks)
-        depth = sched.sleep_depth
         first_launch = events[0].launch if events else 0
         atomic = AccessKind.ATOMIC
         here_d = -1
@@ -597,13 +613,21 @@ class ScheduleExplorer:
         # counter; one decision can carry several events under a
         # buffered memory model (forced drains, block-scope promotes).
         # The executor records them in decision order (launch ids and
-        # steps only count up), so one pass visits decisions in order.
-        for ev in events:
+        # steps only count up), so one pass visits decisions in order,
+        # and the events of the replayed decisions, which by_thread
+        # already holds, are a prefix.
+        def decision(ev: AccessEvent) -> int:
+            ordinal = ev.launch - first_launch
+            return (starts[ordinal] + ev.step - 1 if ordinal < len(starts)
+                    else n)
+
+        for ev in islice(events, bisect_left(events, depth, key=decision),
+                         None):
             ordinal = ev.launch - first_launch
             if ordinal >= len(starts):
                 continue
             d = starts[ordinal] + ev.step - 1
-            if not 0 <= d < n:
+            if not depth <= d < n:
                 continue
             span = ev.span
             tid, launch, block, epoch = ev.tid, ev.launch, ev.block, ev.epoch
@@ -611,50 +635,49 @@ class ScheduleExplorer:
                                             span.nbytes, ev.is_write)
             op = (array, start, nbytes, ev.is_read, writes,
                   ev.access is atomic)
-            if d >= depth:
-                if d != here_d:
-                    here_d = d
-                    here = stack[d] if d < len(stack) else None
-                    # A runnable store-buffer drain agent whose pending
-                    # flush conflicts with this decision's access is a
-                    # schedule alternative classic FG analysis cannot
-                    # see: if the flush only ever executes fused into a
-                    # later forced drain (an atomic, a fence), it never
-                    # appears in any trace under its own pseudo-tid, so
-                    # no observed event pair ever nominates it.
-                    # Nominate it here.
-                    agents = ([q for q in here.runnable if q >= DRAIN_BASE]
-                              if here is not None
-                              and max(here.runnable) >= DRAIN_BASE else ())
-                for q in agents:
-                    if q != tid and _dependent(op, here.pending.get(q)):
-                        nominate(here, q)
-                # The same access again right after itself: no other
-                # thread's history changed, so the scan would nominate
-                # the same threads at the same nodes.
-                info = (tid, op, launch, block, epoch)
-                if info != previous:
-                    previous = info
-                    end = start + nbytes
-                    for q, arrays in by_thread.items():
-                        if q == tid or array not in arrays:
-                            continue
-                        # A read depends only on writes.  The entries
-                        # that stop the walk (an older launch, an
-                        # earlier barrier epoch of this block) are a
-                        # prefix of the thread's history, so the newest
-                        # dependent access on this array is the one a
-                        # walk over all of its accesses would stop at.
-                        accesses, written = arrays[array]
-                        for j, jop, jlaunch, jblock, jepoch in reversed(
-                                accesses if writes else written):
-                            if jlaunch != launch:
-                                break  # launch barrier orders all older
-                            if jblock == block and jepoch != epoch:
-                                break  # __syncthreads() between them
-                            if jop[1] < end and start < jop[1] + jop[2]:
-                                nominate(stack[j], tid)
-                                break
+            if d != here_d:
+                here_d = d
+                here = stack[d] if d < len(stack) else None
+                # A runnable store-buffer drain agent whose pending
+                # flush conflicts with this decision's access is a
+                # schedule alternative classic FG analysis cannot
+                # see: if the flush only ever executes fused into a
+                # later forced drain (an atomic, a fence), it never
+                # appears in any trace under its own pseudo-tid, so
+                # no observed event pair ever nominates it.
+                # Nominate it here.
+                agents = ([q for q in here.runnable if q >= DRAIN_BASE]
+                          if here is not None
+                          and max(here.runnable) >= DRAIN_BASE else ())
+            for q in agents:
+                if q != tid and _dependent(op, here.pending.get(q)):
+                    nominate(here, q)
+            # The same access again right after itself: no other
+            # thread's history changed, so the scan would nominate
+            # the same threads at the same nodes.
+            info = (tid, op, launch, block, epoch)
+            if info != previous:
+                previous = info
+                end = start + nbytes
+                for q, arrays in by_thread.items():
+                    if q == tid or array not in arrays:
+                        continue
+                    # A read depends only on writes.  The entries
+                    # that stop the walk (an older launch, an
+                    # earlier barrier epoch of this block) are a
+                    # prefix of the thread's history, so the newest
+                    # dependent access on this array is the one a
+                    # walk over all of its accesses would stop at.
+                    accesses, written = arrays[array]
+                    for j, jop, jlaunch, jblock, jepoch in reversed(
+                            accesses if writes else written):
+                        if jlaunch != launch:
+                            break  # launch barrier orders all older
+                        if jblock == block and jepoch != epoch:
+                            break  # __syncthreads() between them
+                        if jop[1] < end and start < jop[1] + jop[2]:
+                            nominate(stack[j], tid)
+                            break
             accesses, written = by_thread[tid][array]
             entry = (d, op, launch, block, epoch)
             accesses.append(entry)

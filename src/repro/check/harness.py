@@ -295,6 +295,9 @@ def check(target, num_threads: int | None = None, *,
                           memory_model=memory_model)
     detector = RaceDetector(engine=engine, predictive=predictive,
                             memory_model=memory_model)
+    # consecutive runs replay a shared decision prefix: analyse each
+    # from where its events first differ from the previous run's
+    session = detector.session()
 
     races: list[RaceReport] = []
     seen_sites: set[tuple] = set()
@@ -302,7 +305,7 @@ def check(target, num_threads: int | None = None, *,
 
     def on_run(outcome: RunOutcome, log: DecisionLog) -> bool:
         fresh = []
-        for report in detector.analyze(outcome.events):
+        for report in session.analyze(outcome.events):
             if report.site_key not in seen_sites:
                 seen_sites.add(report.site_key)
                 fresh.append(report)

@@ -34,6 +34,13 @@ of the observed trace even if this trace separated the pair — those
 reports carry ``predicted=True``.  On race-free programs every
 conflicting pair is ordered, so prediction can never introduce a false
 positive there.
+
+**Rollback.**  An engine built with ``journal=True`` records how to undo
+every mutation :meth:`VectorClockEngine.feed` makes, so
+:meth:`~VectorClockEngine.rollback` can return it to the state it had
+after any earlier event: an explorer's consecutive runs share a replayed
+prefix, and :class:`repro.gpu.racecheck.RaceSession` analyses only what
+follows it.
 """
 
 from __future__ import annotations
@@ -45,8 +52,41 @@ from repro.gpu.accesses import AccessKind, MemSpan
 from repro.gpu.simt import AccessEvent
 
 
+# The undo journal is a flat list of ``undo, a, b, c`` quadruples;
+# rolling back calls ``undo(a, b, c)``, newest first.  Flat, because a
+# tuple per entry would keep thousands of GC-tracked objects alive and
+# make the collector run far more often.
+_SET = dict.__setitem__                  #: (_SET, d, key, old value)
+_POP = dict.pop                          #: (_POP, d, key, None): key was new
+
+
+def _discard(members: set, item, _unused) -> None:
+    members.discard(item)
+
+
+def _refill(d: dict, saved: dict, _unused) -> None:
+    """Undo ``d.clear()``: ``d`` is empty again by the time this runs."""
+    d.update(saved)
+
+
+def _restore_deque(history: deque, saved: tuple, _unused) -> None:
+    history.clear()
+    history.extend(saved)
+
+
+def _note_item(journal: list, d: dict, key) -> None:
+    """Journal ``d[key]`` before it is set (values are never None)."""
+    old = d.get(key)
+    journal += ((_POP, d, key, None) if old is None
+                else (_SET, d, key, old))
+
+
 class VectorClock:
-    """A sparse thread→clock map with join / contains operations."""
+    """A sparse thread→clock map with join / contains operations.
+
+    ``advance`` and ``join`` take an optional undo journal (a
+    :class:`VectorClockEngine`'s) and record each component they move.
+    """
 
     __slots__ = ("_c",)
 
@@ -56,16 +96,27 @@ class VectorClock:
     def get(self, tid: int) -> int:
         return self._c.get(tid, 0)
 
-    def advance(self, tid: int) -> int:
+    def advance(self, tid: int, journal: list | None = None) -> int:
         """Increment ``tid``'s own component; returns the new clock."""
-        value = self._c.get(tid, 0) + 1
-        self._c[tid] = value
-        return value
+        c = self._c
+        old = c.get(tid, 0)
+        if journal is not None:
+            # components are never stored as 0, so 0 means "absent"
+            journal += ((_SET, c, tid, old) if old
+                        else (_POP, c, tid, None))
+        c[tid] = old + 1
+        return old + 1
 
-    def join(self, other: "VectorClock") -> None:
+    def join(self, other: "VectorClock",
+             journal: list | None = None) -> None:
+        c = self._c
         for tid, clock in other._c.items():
-            if clock > self._c.get(tid, 0):
-                self._c[tid] = clock
+            old = c.get(tid, 0)
+            if clock > old:
+                if journal is not None:
+                    journal += ((_SET, c, tid, old) if old
+                                else (_POP, c, tid, None))
+                c[tid] = clock
 
     def contains(self, tid: int, clock: int) -> bool:
         """True iff the epoch ``tid@clock`` happens-before this clock."""
@@ -142,18 +193,28 @@ class VectorClockEngine:
         (a :class:`~repro.memmodel.models.MemoryModel`, spec string, or
         None for the paper's relaxed default, under which atomics never
         synchronize).
+    journal:
+        Record an undo entry for every mutation, so :meth:`rollback`
+        can return to any earlier :meth:`mark`: the clocks with their
+        launch, barrier and release bookkeeping, each byte shadow's
+        last write, readers and history deques (``maxlen`` evictions
+        included), and the repeated-read anchor.  The span-shadow cache
+        is not journaled: a shadow rolled back to its first state is a
+        fresh one.
     """
 
     def __init__(self,
                  on_report: Callable[[AccessEvent, AccessEvent, int, bool],
                                      bool],
                  history: int = 4,
-                 memory_model=None) -> None:
+                 memory_model=None,
+                 journal: bool = False) -> None:
         from repro.memmodel.models import resolve_model
 
         self._on_report = on_report
         self._history = history
         self._model = resolve_model(memory_model)
+        self._journal: list | None = [] if journal else None
         #: per-(array, start, bucket) release clocks; bucket is "dev"
         #: or ("b", block) for block-scoped releases
         self._release: dict[tuple, VectorClock] = {}
@@ -166,7 +227,7 @@ class VectorClockEngine:
         self._barrier_clock: dict[int, VectorClock] = {}
         #: threads that fed events into each block since its last epoch
         #: transition; their current clocks are what the barrier joins
-        self._barrier_fed: defaultdict[int, set[int]] = defaultdict(set)
+        self._barrier_fed: dict[int, set[int]] = {}
         self._thread_epoch: dict[int, int] = {}
         self._shadow: defaultdict[tuple[str, int], _ByteShadow] = (
             defaultdict(_ByteShadow))
@@ -178,12 +239,36 @@ class VectorClockEngine:
         self._quiet_read: AccessEvent | None = None
 
     # ------------------------------------------------------------------
+    def mark(self) -> int:
+        """A rollback point: the current journal length."""
+        return len(self._journal)
+
+    def rollback(self, mark: int) -> None:
+        """Undo every mutation journaled since :meth:`mark` returned
+        ``mark``, newest first."""
+        journal = self._journal
+        newest_first = reversed(journal[mark:])
+        del journal[mark:]
+        for c, b, a, undo in zip(newest_first, newest_first, newest_first,
+                                 newest_first):
+            undo(a, b, c)
+
+    # ------------------------------------------------------------------
     def _enter_launch(self, launch: int) -> None:
         """All threads of the previous launch synchronize: fold every
         clock into the launch clock and reset the barrier state."""
+        journal = self._journal
         if self._current_launch is not None:
             for vc in self._clocks.values():
-                self._launch_clock.join(vc)
+                self._launch_clock.join(vc, journal)
+        if journal is not None:
+            journal += (setattr, self, "_current_launch",
+                        self._current_launch)
+            for state in (self._block_epoch, self._barrier_clock,
+                          self._barrier_fed, self._thread_epoch,
+                          self._release):
+                if state:
+                    journal += (_refill, state, dict(state), None)
         self._current_launch = launch
         self._block_epoch.clear()
         self._barrier_clock.clear()
@@ -194,8 +279,11 @@ class VectorClockEngine:
 
     def _sync_thread(self, ev: AccessEvent, vc: VectorClock) -> None:
         """Apply launch-boundary and barrier joins owed to this thread."""
+        journal = self._journal
         if self._thread_launch.get(ev.tid) != ev.launch:
-            vc.join(self._launch_clock)
+            vc.join(self._launch_clock, journal)
+            if journal is not None:
+                _note_item(journal, self._thread_launch, ev.tid)
             self._thread_launch[ev.tid] = ev.launch
         block = ev.block
         if ev.epoch > self._block_epoch.get(block, 0):
@@ -208,19 +296,30 @@ class VectorClockEngine:
             bc = self._barrier_clock.get(block)
             if bc is None:
                 bc = self._barrier_clock[block] = VectorClock()
-            for tid in self._barrier_fed.pop(block, ()):
-                bc.join(self._clocks[tid])
+                if journal is not None:
+                    journal += (_POP, self._barrier_clock, block, None)
+            fed = self._barrier_fed.pop(block, None)
+            if fed is not None:
+                if journal is not None:
+                    journal += (_SET, self._barrier_fed, block, fed)
+                for tid in fed:
+                    bc.join(self._clocks[tid], journal)
+            if journal is not None:
+                _note_item(journal, self._block_epoch, block)
             self._block_epoch[block] = ev.epoch
         if ev.epoch > self._thread_epoch.get(ev.tid, 0):
             bc = self._barrier_clock.get(block)
             if bc is not None:
-                vc.join(bc)
+                vc.join(bc, journal)
+            if journal is not None:
+                _note_item(journal, self._thread_epoch, ev.tid)
             self._thread_epoch[ev.tid] = ev.epoch
 
     # ------------------------------------------------------------------
     def feed(self, ev: AccessEvent) -> bool:
         """Process one event; returns False when the caller asked to
         stop via ``on_report``."""
+        journal = self._journal
         tid = ev.tid
         last = self._quiet_read
         if (last is not None and tid == last.tid and ev.is_read
@@ -235,18 +334,29 @@ class VectorClockEngine:
             # repeats the previous read's answer — no report.  Only the
             # newest read must land in readers[tid]: a later write by
             # another thread reports against it.
-            epoch = _tuple_new(Epoch,
-                               (tid, self._clocks[tid].advance(tid), ev))
-            for shadow in self._span_shadows[ev.span]:
-                shadow.readers[tid] = epoch
+            epoch = _tuple_new(
+                Epoch, (tid, self._clocks[tid].advance(tid, journal), ev))
+            if journal is None:
+                for shadow in self._span_shadows[ev.span]:
+                    shadow.readers[tid] = epoch
+            else:
+                for shadow in self._span_shadows[ev.span]:
+                    readers = shadow.readers
+                    journal += (_SET, readers, tid, readers[tid])
+                    readers[tid] = epoch
             return True
-        self._quiet_read = None
+        if last is not None:
+            if journal is not None:
+                journal += (setattr, self, "_quiet_read", last)
+            self._quiet_read = None
 
         if ev.launch != self._current_launch:
             self._enter_launch(ev.launch)
         vc = self._clocks.get(tid)
         if vc is None:
             vc = self._clocks[tid] = VectorClock()
+            if journal is not None:
+                journal += (_POP, self._clocks, tid, None)
         # a thread's epoch never passes its block's, so a thread already
         # in this launch at this epoch owes no join
         if (self._thread_launch.get(tid) != ev.launch
@@ -262,12 +372,12 @@ class VectorClockEngine:
             if model.acquire_syncs(eff):
                 rel = self._release.get((span.array, span.start, "dev"))
                 if rel is not None:
-                    vc.join(rel)
+                    vc.join(rel, journal)
                 rel = self._release.get((span.array, span.start,
                                          ("b", ev.block)))
                 if rel is not None:
-                    vc.join(rel)
-        clock = vc.advance(tid)
+                    vc.join(rel, journal)
+        clock = vc.advance(tid, journal)
         epoch = _tuple_new(Epoch, (tid, clock, ev))
         if is_atomic and is_write:
             eff = model.runtime_order(ev.order)
@@ -281,7 +391,9 @@ class VectorClockEngine:
                 dst = self._release.get(key)
                 if dst is None:
                     dst = self._release[key] = VectorClock()
-                dst.join(vc)
+                    if journal is not None:
+                        journal += (_POP, self._release, key, None)
+                dst.join(vc, journal)
 
         shadows = self._span_shadows.get(span)
         if shadows is None:
@@ -334,6 +446,12 @@ class VectorClockEngine:
                     if history is _NO_HISTORY:
                         history = shadow.write_history = deque(
                             maxlen=self._history)
+                        if journal is not None:
+                            journal += (setattr, shadow, "write_history",
+                                        _NO_HISTORY)
+                    elif journal is not None:
+                        journal += (_restore_deque, history,
+                                    tuple(history), None)
                     history.append(lw)
                 readers = shadow.readers
                 if readers:
@@ -341,15 +459,42 @@ class VectorClockEngine:
                     if history is _NO_HISTORY:
                         history = shadow.read_history = deque(
                             maxlen=2 * self._history)
+                        if journal is not None:
+                            journal += (setattr, shadow, "read_history",
+                                        _NO_HISTORY)
+                    elif journal is not None:
+                        journal += (_restore_deque, history,
+                                    tuple(history), None)
                     history.extend(readers.values())
+                    if journal is not None:
+                        journal += (_refill, readers, dict(readers),
+                                    None)
                     readers.clear()
+                if journal is not None:
+                    journal += (setattr, shadow, "last_write", lw)
                 shadow.last_write = epoch
             if is_read:
-                shadow.readers[tid] = epoch
+                readers = shadow.readers
+                if journal is not None:
+                    # _note_item, inlined: once per byte read
+                    old = readers.get(tid)
+                    journal += ((_POP, readers, tid, None) if old is None
+                                else (_SET, readers, tid, old))
+                readers[tid] = epoch
 
         # this thread's clock is owed to the block's next barrier
-        self._barrier_fed[ev.block].add(tid)
+        fed = self._barrier_fed.get(ev.block)
+        if fed is None:
+            fed = self._barrier_fed[ev.block] = set()
+            if journal is not None:
+                journal += (_POP, self._barrier_fed, ev.block, None)
+        if tid not in fed:
+            fed.add(tid)
+            if journal is not None:
+                journal += (_discard, fed, tid, None)
         if quiet and is_read and not is_write:
+            if journal is not None:
+                journal += (setattr, self, "_quiet_read", None)
             self._quiet_read = ev
         return True
 

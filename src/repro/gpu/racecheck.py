@@ -30,13 +30,16 @@ reordering of it.  The original pairwise shadow scan is kept as
 ``engine="pairwise"`` for cross-checking; it sees only the races this
 execution exhibited, which is why the paper — and our test-suite — also
 re-runs under many schedules, and why :mod:`repro.check.explore`
-enumerates the reduced schedule space outright.
+enumerates the reduced schedule space outright.  An exploration's runs
+share replayed prefixes; :meth:`RaceDetector.session` analyses each
+run's events from where they first differ from the previous run's.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 from repro.errors import DataRaceError, ReproError
@@ -228,35 +231,20 @@ class RaceDetector:
 
     def analyze(self, events: Iterable[AccessEvent]) -> list[RaceReport]:
         """Replay ``events`` through shadow state and collect races."""
-        reports: list[RaceReport] = []
-        seen_keys: set[tuple] = set()
-
-        def emit(a: AccessEvent, b: AccessEvent, byte: int,
-                 predicted: bool = False) -> bool:
-            # the key first: most racy pairs repeat a site already seen
-            if self.dedupe_by_location:
-                key = _site_key(a, b)
-                if key in seen_keys:
-                    return len(reports) < self.max_reports
-                seen_keys.add(key)
-            reports.append(RaceReport(a.span.array, byte, a, b,
-                                      predicted=predicted))
-            return len(reports) < self.max_reports
-
+        sink = _ReportSink(self)
         if self.engine == "vclock":
             from repro.check.vclock import VectorClockEngine
 
-            def on_report(first: AccessEvent, second: AccessEvent,
-                          byte: int, predicted: bool) -> bool:
-                if predicted and not self.predictive:
-                    return True
-                return emit(first, second, byte, predicted)
-
-            VectorClockEngine(on_report,
+            VectorClockEngine(sink.on_report,
                               memory_model=self.memory_model).analyze(events)
         else:
-            self._analyze_pairwise(events, emit)
-        return reports
+            self._analyze_pairwise(events, sink.emit)
+        return sink.reports
+
+    def session(self) -> "RaceSession":
+        """An analysis of many event lists that share prefixes, each
+        answered as :meth:`analyze` would answer it."""
+        return RaceSession(self)
 
     @staticmethod
     def _analyze_pairwise(events: Iterable[AccessEvent], emit) -> None:
@@ -295,6 +283,102 @@ class RaceDetector:
                 f"{reports[0].describe()}"
             )
         return reports
+
+
+class _ReportSink:
+    """The reports of one analysis: per-site dedupe and the report cap."""
+
+    def __init__(self, detector: RaceDetector) -> None:
+        self.reports: list[RaceReport] = []
+        self._seen: set[tuple] = set()
+        self._dedupe = detector.dedupe_by_location
+        self._max = detector.max_reports
+        self._predictive = detector.predictive
+
+    def emit(self, a: AccessEvent, b: AccessEvent, byte: int,
+             predicted: bool = False) -> bool:
+        reports = self.reports
+        # the key first: most racy pairs repeat a site already seen
+        if self._dedupe:
+            key = _site_key(a, b)
+            if key in self._seen:
+                return len(reports) < self._max
+            self._seen.add(key)
+        reports.append(RaceReport(a.span.array, byte, a, b,
+                                  predicted=predicted))
+        return len(reports) < self._max
+
+    def on_report(self, first: AccessEvent, second: AccessEvent,
+                  byte: int, predicted: bool) -> bool:
+        """The vector-clock engine's callback."""
+        if predicted and not self._predictive:
+            return True
+        return self.emit(first, second, byte, predicted)
+
+    def truncate(self, count: int) -> None:
+        """Forget every report after the first ``count``."""
+        if self._dedupe:
+            for report in self.reports[count:]:
+                self._seen.discard(report.site_key)
+        del self.reports[count:]
+
+
+class RaceSession:
+    """:meth:`RaceDetector.analyze` for a sequence of event lists that
+    share prefixes, as a schedule explorer's runs do.
+
+    ``analyze(events)`` returns what a fresh ``detector.analyze(events)``
+    returns.  The vector-clock engine journals its mutations; each call
+    rolls it back to the longest prefix of ``events`` equal by value to
+    the list the session last analysed and feeds only the rest.  The
+    per-run dedupe set, the ``max_reports`` count and an early stop
+    (the event at which the cap was reached) are part of the restored
+    state, so a list that still contains the stopping event gets the
+    stopped answer again.  The pairwise engine analyses every list
+    afresh.
+    """
+
+    def __init__(self, detector: RaceDetector) -> None:
+        self._detector = detector
+        self._sink = _ReportSink(detector)
+        self._engine = None
+        if detector.engine == "vclock":
+            from repro.check.vclock import VectorClockEngine
+
+            self._engine = VectorClockEngine(
+                self._sink.on_report, memory_model=detector.memory_model,
+                journal=True)
+        #: the events fed so far, and (journal mark, report count)
+        #: before each of them
+        self._fed: list[AccessEvent] = []
+        self._marks: list[tuple[int, int]] = []
+        self._stopped = False
+
+    def analyze(self, events: list[AccessEvent]) -> list[RaceReport]:
+        engine = self._engine
+        if engine is None:
+            return self._detector.analyze(events)
+        fed, marks, sink = self._fed, self._marks, self._sink
+        shared = 0
+        for old, new in zip(fed, events):
+            if old != new:
+                break
+            shared += 1
+        if shared < len(fed):
+            mark, count = marks[shared]
+            engine.rollback(mark)
+            sink.truncate(count)
+            del fed[shared:], marks[shared:]
+            self._stopped = False
+        if not self._stopped:
+            reports = sink.reports
+            for ev in islice(events, shared, None):
+                marks.append((engine.mark(), len(reports)))
+                fed.append(ev)
+                if not engine.feed(ev):
+                    self._stopped = True
+                    break
+        return list(sink.reports)
 
 
 def summarize_races(reports: list[RaceReport]) -> dict[str, dict[str, int]]:

@@ -137,13 +137,18 @@ def repair(target_name: str, budget: str = "smoke",
 
     if shrink:
         with spans.span("repair.shrink", target=target_name):
+            # one verdict per fix-set for the whole call: shrinking
+            # several candidates reaches the same subsets.  Every
+            # candidate is verified in full before the first trial.
+            memo = {v.fixset.key(): v for v in verdicts}
             shrunk: list[CandidateVerdict] = []
             seen: set[tuple] = set()
             for verdict in verdicts:
                 if verdict.accepted:
                     verdict = shrink_fixset(target, verdict,
                                             budget=budget,
-                                            reference=reference)
+                                            reference=reference,
+                                            memo=memo)
                 if verdict.fixset.key() in seen:
                     continue
                 seen.add(verdict.fixset.key())

@@ -15,12 +15,16 @@ A candidate is *accepted* only when, with its fix-set applied:
 
 :func:`shrink_fixset` then greedily removes fixes one at a time while
 the set stays accepted, yielding a minimal repair (each removal costs
-one full verification, so synthesis can start from a generous set).
+one verification, so synthesis can start from a generous set).  A trial
+only needs to know whether it is accepted, and acceptance needs every
+schedule clean, so a trial's exploration stops at its first failing
+schedule; a candidate's own exploration runs to its budget, because its
+schedule count and stop reason are reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,13 +127,19 @@ def reference_output(target):
 
 
 def verify_candidate(target, fixset: FixSet, budget="smoke",
-                     reference=None) -> CandidateVerdict:
+                     reference=None,
+                     stop_on_failure: bool = False) -> CandidateVerdict:
     """Run one candidate through the full acceptance procedure.
 
     A candidate whose kernels cannot even execute (e.g. a promotion
     that would need a sub-word atomic the hardware lacks) is rejected
     with the error as detail, not propagated — an unusable fix is just
     a failed candidate.
+
+    With ``stop_on_failure`` the exploration ends at the first schedule
+    that races or breaks the invariant: the acceptance is the same, but
+    a rejected verdict then reports that schedule's failure and the
+    schedules explored up to it.
     """
     try:
         program = target.build_program(fixset.barriers())
@@ -137,7 +147,8 @@ def verify_candidate(target, fixset: FixSet, budget="smoke",
             # the verdict reads races and failure details only, so no
             # failure is replayed, minimized or certified
             report = check(program, budget=budget, engine="vclock",
-                           predictive=True, max_minimized=0)
+                           predictive=True, max_minimized=0,
+                           stop_on_failure=stop_on_failure)
         race_free = not report.races
         completes, invariant_ok, output = run_once(target, fixset)
         # an invariant violation surfaced during exploration counts
@@ -184,14 +195,20 @@ def _count_verdict(target_name: str, verdict: str) -> None:
 
 
 def shrink_fixset(target, verdict: CandidateVerdict, budget="smoke",
-                  reference=None) -> CandidateVerdict:
+                  reference=None,
+                  memo: dict[tuple, CandidateVerdict] | None = None
+                  ) -> CandidateVerdict:
     """Greedy minimal-set search from an accepted candidate.
 
     Repeatedly tries dropping one fix; keeps any drop that leaves the
     set accepted.  Terminates in at most ``size**2`` verifications.
+    Each trial stops at its first failing schedule.  ``memo`` maps
+    :meth:`FixSet.key` to a verdict already reached; a trial found there
+    is not verified again, and an accepted one takes the trial's label.
     """
     if not verdict.accepted:
         return verdict
+    memo = {} if memo is None else memo
     current = verdict
     improved = True
     while improved and current.fixset.size > 1:
@@ -200,10 +217,13 @@ def shrink_fixset(target, verdict: CandidateVerdict, budget="smoke",
             trial = current.fixset.without(fix)
             if not trial.fixes:
                 continue
-            attempt = verify_candidate(target, trial, budget=budget,
-                                       reference=reference)
+            attempt = memo.get(trial.key())
+            if attempt is None:
+                attempt = memo[trial.key()] = verify_candidate(
+                    target, trial, budget=budget, reference=reference,
+                    stop_on_failure=True)
             if attempt.accepted:
-                current = attempt
+                current = replace(attempt, fixset=trial)
                 improved = True
                 break
     return current

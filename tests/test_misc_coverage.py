@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +30,31 @@ class TestErrorHierarchy:
         assert issubclass(exc, ReproError)
         with pytest.raises(ReproError):
             raise exc("boom")
+
+
+class TestBlasThreads:
+    """Importing repro pins OpenBLAS to one thread unless the caller
+    chose a count: nothing calls BLAS, and its idle helper threads spin
+    while the main thread imports."""
+
+    @staticmethod
+    def _after_import(preset: str | None) -> str:
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(__file__).resolve().parents[1] / "src"))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = ("import os, repro, numpy; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    def test_pinned_to_one_thread(self):
+        assert self._after_import(None) == "1"
+
+    def test_a_preset_value_survives(self):
+        assert self._after_import("2") == "2"
 
 
 class TestScaleBits:

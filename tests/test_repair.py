@@ -15,7 +15,13 @@ from repro.repair.localize import cluster_obligations, localize
 from repro.repair.prefilter import prefilter
 from repro.repair.synth import Fix, FixSet, synthesize
 from repro.repair.targets import get_target, list_targets
-from repro.repair.verify import reference_output, run_once, verify_candidate
+from repro.repair.verify import (
+    CandidateVerdict,
+    reference_output,
+    run_once,
+    shrink_fixset,
+    verify_candidate,
+)
 
 
 class TestOverrides:
@@ -237,6 +243,22 @@ class TestVerify:
             "vs thread 2 (plain read) [cc.label.hook/atomic-write vs "
             "cc.label.jump_read/plain-read]")
 
+    def test_stop_on_failure_keeps_the_verdict(self):
+        """A trial's exploration ends at its first failing schedule; a
+        candidate's runs to its budget.  Either way the candidate is
+        rejected for the same first race."""
+        target = get_target("cc")
+        noop = FixSet(label="noop", fixes=())
+        full = verify_candidate(target, noop, budget="smoke")
+        first = verify_candidate(target, noop, budget="smoke",
+                                 stop_on_failure=True)
+        assert (full.verdict, first.verdict) == ("racy", "racy")
+        assert first.detail == full.detail
+        assert first.stop_reason == "stopped_early"
+        assert first.schedules_explored == 1
+        assert full.stop_reason != "stopped_early"
+        assert full.schedules_explored > 1
+
     def test_unusable_candidate_rejected_not_raised(self):
         # a 1-byte site promoted to ATOMIC while the write stays
         # volatile cannot execute without the typecast helpers on the
@@ -335,3 +357,70 @@ class TestRankPricing:
             key: run_algorithm(algo, graph, get_device(key), variant,
                                seed=0).runtime_ms
             for key in DEVICE_ORDER}
+
+
+class TestShrinkMemo:
+    A = Fix("promote", "twophase.buf.read", to_kind=AccessKind.ATOMIC)
+    B = Fix("promote", "twophase.buf.write", to_kind=AccessKind.ATOMIC)
+
+    @staticmethod
+    def _verdict(fixset, accepted, schedules):
+        return CandidateVerdict(
+            fixset=fixset, race_free=accepted, completes=True,
+            invariant_ok=True, output_equivalent=True,
+            schedules_explored=schedules, stop_reason="complete")
+
+    def test_a_reused_verdict_takes_the_trial_label(self, monkeypatch):
+        """A fix-set another candidate already reached is not verified
+        again, and its accepted verdict reports the trial's label and
+        fixes (``to_json`` includes the label)."""
+        from repro.repair import verify
+
+        monkeypatch.setattr(verify, "verify_candidate", None)
+        start = self._verdict(FixSet("atomic-all", (self.A, self.B)),
+                              True, 9)
+        memo = {
+            FixSet("x", (self.B,)).key(): self._verdict(
+                FixSet("atomic-suspects", (self.B,)), False, 1),
+            FixSet("x", (self.A,)).key(): self._verdict(
+                FixSet("atomic-suspects", (self.A,)), True, 7),
+        }
+        shrunk = shrink_fixset(get_target("twophase"), start, memo=memo)
+        assert shrunk.to_json()["fixset"] == {
+            "label": "atomic-all-shrunk", "fixes": [self.A.describe()]}
+        assert shrunk.schedules_explored == 7
+        assert shrunk.accepted
+
+    def test_trials_are_verified_once_and_stop_early(self, monkeypatch):
+        """Every candidate gets a full verification before any trial;
+        each trial stops at its first failure; no fix-set is verified
+        twice in one call (mst's shrink reaches a candidate's set)."""
+        from repro.repair import pipeline, verify
+
+        calls = []
+        real = verify.verify_candidate
+
+        def spy(target, fixset, stop_on_failure=False, **kwargs):
+            calls.append((fixset.key(), stop_on_failure))
+            return real(target, fixset, stop_on_failure=stop_on_failure,
+                        **kwargs)
+
+        synthesized = []
+        real_synthesize = pipeline.synthesize
+
+        def synthesize(*args, **kwargs):
+            synthesized.extend(real_synthesize(*args, **kwargs))
+            return synthesized
+
+        monkeypatch.setattr(pipeline, "verify_candidate", spy)
+        monkeypatch.setattr(verify, "verify_candidate", spy)
+        monkeypatch.setattr(pipeline, "synthesize", synthesize)
+        report = pipeline.repair("mst", budget="smoke")
+        firsts = [(fixset.key(), False) for fixset in synthesized]
+        assert calls[:len(firsts)] == firsts
+        trials = calls[len(firsts):]
+        assert trials and all(stop for _, stop in trials)
+        keys = [key for key, _ in calls]
+        assert len(keys) == len(set(keys))
+        assert all(c.stop_reason != "stopped_early"
+                   for c in report.candidates)

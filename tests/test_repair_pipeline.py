@@ -1,12 +1,18 @@
 """End-to-end tests of the repair pipeline and its CLI surface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.repair import repair
+from repro.repair import list_targets, repair
 from tests.test_explore_digests import REPAIR_CALLS, assert_pinned, capture
+
+#: ``repro repair <target> --budget smoke --json PATH`` of every target,
+#: as the code before the verification shortcuts (shrink trials that
+#: stop at their first failure, one verdict per fix-set) wrote them
+PINNED_REPAIRS = Path(__file__).parent / "data" / "repair"
 
 #: every exploration each fixture's repair ran, by target
 _EXPLORATIONS: dict[str, list[dict]] = {}
@@ -175,6 +181,20 @@ class TestRepairCli:
     def test_unknown_target_exits_2(self, capsys):
         assert main(["repair", "bogus"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestPinnedRepairJson:
+    def test_every_target_is_pinned(self):
+        assert sorted(p.stem for p in PINNED_REPAIRS.glob("*.json")) == \
+            sorted(list_targets())
+
+    @pytest.mark.parametrize("target", sorted(list_targets()))
+    def test_json_is_byte_identical(self, target, tmp_path, capsys):
+        path = tmp_path / f"{target}.json"
+        assert main(["repair", target, "--budget", "smoke",
+                     "--json", str(path)]) == 0
+        assert path.read_bytes() == (
+            PINNED_REPAIRS / f"{target}.json").read_bytes()
 
 
 class TestCheckJsonCli:

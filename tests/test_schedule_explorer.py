@@ -384,9 +384,10 @@ def _reference_trace_steps(sched, events):
 
 class ReferenceScanExplorer(ScheduleExplorer):
     """Walks every other thread's whole history backward, across all
-    arrays, for every event."""
+    arrays, for every event, rebuilding the histories from scratch
+    every run (the exploration's kept histories go unused)."""
 
-    def _add_backtrack_points(self, stack, sched, events):
+    def _add_backtrack_points(self, stack, sched, events, histories):
         steps = _reference_trace_steps(sched, events)
         by_thread = {}
 
@@ -452,6 +453,29 @@ class TestBacktrackScanAgainstHistoryWalk:
         key = pattern_key(name, variant, state_dedupe)
         assert_pinned(key, explorations[:1])
         assert_pinned(key, explorations[1:])
+
+    def test_histories_live_in_one_explore_call(self):
+        """The kept histories belong to one ``explore()`` call: the
+        explorer instance holds no state, so exploring again gives the
+        same exploration."""
+        program = program_from_pattern("lost_update")
+        budget = BUDGETS["smoke"]
+        logs = []
+
+        def on_run(outcome, log):
+            logs.append(log)
+            return False
+
+        explorer = ScheduleExplorer(
+            _make_runner(program, budget, None, True), budget=budget,
+            on_run=on_run)
+        state = dict(vars(explorer))
+        first = dataclasses.replace(explorer.explore(), wall_seconds=0.0)
+        first_logs, logs[:] = list(logs), []
+        assert vars(explorer) == state
+        second = dataclasses.replace(explorer.explore(), wall_seconds=0.0)
+        assert (second, logs) == (first, first_logs)
+        assert first.schedules > 1
 
     @pytest.mark.parametrize("test", [t.name for t in litmus.CORPUS])
     @pytest.mark.parametrize("model", ["sc", "tso", "relaxed_gpu", "ptx"])

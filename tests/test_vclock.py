@@ -408,6 +408,64 @@ _OPS = [(True, False, AccessKind.PLAIN), (False, True, AccessKind.PLAIN),
         (True, True, AccessKind.ATOMIC)]
 
 
+@dataclass
+class _Stream:
+    """Where an executor-shaped stream stands: its step counter, the
+    last access drawn, and the current launch's id, block size and
+    per-block barrier epochs."""
+
+    step: int = 0
+    access: dict | None = None
+    launch: int = -1
+    block_dim: int = 1
+    epochs: dict = field(default_factory=dict)
+
+    def fork(self) -> "_Stream":
+        return _Stream(self.step, self.access, self.launch, self.block_dim,
+                       dict(self.epochs))
+
+
+def _draw_accesses(draw, stream: _Stream, count: int, events: list) -> None:
+    """``count`` accesses in the stream's current launch."""
+    for _ in range(count):
+        fresh = {"tid": draw(st.integers(0, 3)),
+                 "op": draw(st.sampled_from(_OPS)),
+                 "span": draw(st.sampled_from(_SPANS)),
+                 "order": draw(st.sampled_from(list(MemoryOrder))),
+                 "scope": draw(st.sampled_from([Scope.DEVICE,
+                                                Scope.BLOCK]))}
+        access = stream.access
+        if access is not None and draw(st.booleans()):
+            vary = draw(st.sampled_from([None, *fresh]))
+            access = {**access, **({vary: fresh[vary]} if vary else {})}
+        else:
+            access = fresh
+        stream.access = access
+        tid = access["tid"]
+        block = tid // stream.block_dim
+        epochs = stream.epochs
+        if draw(st.integers(0, 3)) == 0:
+            epochs[block] = epochs.get(block, 0) + 1
+        is_read, is_write, kind = access["op"]
+        order = (access["order"] if kind is AccessKind.ATOMIC
+                 else MemoryOrder.RELAXED)
+        for _ in range(draw(st.integers(1, 4))):
+            stream.step += 1
+            events.append(AccessEvent(
+                stream.step, stream.launch, tid, block, epochs.get(block, 0),
+                access["span"], is_read, is_write, kind, stream.step, None,
+                order, access["scope"]))
+
+
+def _draw_launches(draw, stream: _Stream, launches: int,
+                   events: list) -> None:
+    for _ in range(launches):
+        stream.launch += 1
+        stream.block_dim = draw(st.sampled_from([1, 2, 4]))
+        stream.epochs = {}
+        _draw_accesses(draw, stream, draw(st.integers(1, 12)), events)
+
+
 @st.composite
 def event_streams(draw):
     """Executor-shaped streams: launch ids count up, a thread stays in
@@ -415,38 +473,29 @@ def event_streams(draw):
     access often repeats several times in a row, or repeats the
     previous access with one field changed, across a barrier or a
     launch boundary."""
-    events = []
-    step = 0
-    access = None
-    for launch in range(draw(st.integers(1, 3))):
-        block_dim = draw(st.sampled_from([1, 2, 4]))
-        epochs: dict[int, int] = {}
-        for _ in range(draw(st.integers(1, 12))):
-            fresh = {"tid": draw(st.integers(0, 3)),
-                     "op": draw(st.sampled_from(_OPS)),
-                     "span": draw(st.sampled_from(_SPANS)),
-                     "order": draw(st.sampled_from(list(MemoryOrder))),
-                     "scope": draw(st.sampled_from([Scope.DEVICE,
-                                                    Scope.BLOCK]))}
-            if access is not None and draw(st.booleans()):
-                vary = draw(st.sampled_from([None, *fresh]))
-                access = {**access, **({vary: fresh[vary]} if vary else {})}
-            else:
-                access = fresh
-            tid = access["tid"]
-            block = tid // block_dim
-            if draw(st.integers(0, 3)) == 0:
-                epochs[block] = epochs.get(block, 0) + 1
-            is_read, is_write, kind = access["op"]
-            order = (access["order"] if kind is AccessKind.ATOMIC
-                     else MemoryOrder.RELAXED)
-            for _ in range(draw(st.integers(1, 4))):
-                step += 1
-                events.append(AccessEvent(
-                    step, launch, tid, block, epochs.get(block, 0),
-                    access["span"], is_read, is_write, kind, step, None,
-                    order, access["scope"]))
+    events: list = []
+    _draw_launches(draw, _Stream(), draw(st.integers(1, 3)), events)
     return events
+
+
+@st.composite
+def forked_streams(draw):
+    """``(prefix, a, b)``: ``prefix + a`` and ``prefix + b`` are both
+    executor-shaped streams, as two explored runs that part after a
+    shared prefix.  Each continuation goes on in the prefix's last
+    launch, then may start new ones."""
+    stream = _Stream()
+    prefix: list = []
+    _draw_launches(draw, stream, draw(st.integers(0, 2)), prefix)
+    tails = []
+    for _ in range(2):
+        fork = stream.fork()
+        tail: list = []
+        if fork.launch >= 0:
+            _draw_accesses(draw, fork, draw(st.integers(0, 8)), tail)
+        _draw_launches(draw, fork, draw(st.integers(0, 2)), tail)
+        tails.append(tail)
+    return prefix, tails[0], tails[1]
 
 
 class TestAgainstPerByteEngine:
@@ -523,3 +572,70 @@ class TestAgainstPerByteEngine:
         assert calls == raw_reports(ReferenceEngine, events)
         assert [(a.step, b.step) for a, b, byte, _ in calls
                 if byte == 0] == [(3, 4)]
+
+
+class TestRollback:
+    """A journaled engine rolled back to an event boundary goes on
+    exactly as a fresh engine fed only the events before it, and a
+    :class:`RaceSession` answers every event list as a fresh
+    :meth:`RaceDetector.analyze` does."""
+
+    # tso synchronizes atomics as sc does
+    @pytest.mark.parametrize("model", [None, "sc", "ptx:acq_rel"])
+    @settings(max_examples=100, deadline=None)
+    @given(streams=forked_streams(), history=st.sampled_from([0, 1, 4]),
+           stop_after=st.one_of(st.none(), st.integers(1, 6)))
+    def test_rollback_then_feed(self, model, streams, history, stop_after):
+        prefix, tail_a, tail_b = streams
+        calls = []
+
+        def on_report(first, second, byte, predicted):
+            calls.append((first, second, byte, predicted))
+            return stop_after is None or len(calls) < stop_after
+
+        engine = VectorClockEngine(on_report, history=history,
+                                   memory_model=model, journal=True)
+        marks = []
+        stopped = False
+        for event in prefix + tail_a:
+            marks.append((engine.mark(), len(calls)))
+            if not engine.feed(event):
+                stopped = True
+                break
+        if not (stopped and len(marks) <= len(prefix)):
+            if len(prefix) < len(marks):
+                mark, count = marks[len(prefix)]
+                engine.rollback(mark)
+                del calls[count:]
+            for event in tail_b:
+                if not engine.feed(event):
+                    break
+        # a prefix that reached the cap leaves the stopped state: a
+        # fresh engine fed the prefix and then B stops at the same call
+        assert calls == raw_reports(ReferenceEngine, prefix + tail_b,
+                                    history, model, stop_after)
+
+    @pytest.mark.parametrize("model", [None, "ptx:acq_rel"])
+    @settings(max_examples=100, deadline=None)
+    @given(streams=forked_streams(),
+           max_reports=st.sampled_from([1, 2, 3, 1000]),
+           dedupe=st.booleans(), predictive=st.booleans())
+    def test_session_answers_as_a_fresh_analysis(self, model, streams,
+                                                 max_reports, dedupe,
+                                                 predictive):
+        prefix, tail_a, tail_b = streams
+        detector = RaceDetector(max_reports=max_reports,
+                                dedupe_by_location=dedupe,
+                                predictive=predictive, memory_model=model)
+        session = detector.session()
+        for events in (prefix + tail_a, prefix + tail_b, prefix + tail_b,
+                       prefix, prefix + tail_a, [], prefix + tail_b):
+            assert session.analyze(events) == detector.analyze(events)
+
+    def test_pairwise_sessions_analyse_afresh(self):
+        events = [ev(1, 1, write=True), ev(2, 0, read=True)]
+        detector = RaceDetector(engine="pairwise")
+        session = detector.session()
+        assert session.analyze(events) == detector.analyze(events)
+        assert session.analyze(events[:1]) == []
+
