@@ -480,6 +480,8 @@ def _cmd_litmus(args) -> int:
 def _cmd_repair(args) -> int:
     from repro.repair import list_targets, repair
 
+    if args.seeds < 0:
+        raise ReproError(f"--seeds must be >= 0, got {args.seeds}")
     names = list_targets() if args.target == "all" else [args.target]
     devices = tuple(args.devices.split(",")) if args.devices else None
     narrate = sys.stderr if args.json == "-" else sys.stdout

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ReproError
 from repro.gpu.device import DEVICE_ORDER
 from repro.repair.localize import SiteObligation, localize
 from repro.repair.prefilter import PrefilterReport, prefilter
@@ -107,6 +108,9 @@ def repair(target_name: str, budget: str = "smoke",
            shrink: bool = True,
            perf_seed: int = 0) -> RepairReport:
     """Run the full repair pipeline on one target."""
+    if max_candidates < 1:
+        raise ReproError(
+            f"max_candidates must be >= 1, got {max_candidates}")
     target = get_target(target_name)
     spans = get_spans()
 
@@ -128,19 +132,21 @@ def repair(target_name: str, budget: str = "smoke",
     reference = (reference_output(target)
                  if target.canonical_output else None)
 
+    # one verdict per verified program for the whole call: a
+    # ``[seq_cst]`` twin verifies as its relaxed original, and
+    # shrinking several candidates reaches the same subsets.  Every
+    # candidate is verified in full before the first trial.
+    memo: dict[tuple, CandidateVerdict] = {}
     verdicts: list[CandidateVerdict] = []
     with spans.span("repair.verify", target=target_name):
         for fixset in candidates:
             verdicts.append(verify_candidate(target, fixset,
                                              budget=budget,
-                                             reference=reference))
+                                             reference=reference,
+                                             memo=memo))
 
     if shrink:
         with spans.span("repair.shrink", target=target_name):
-            # one verdict per fix-set for the whole call: shrinking
-            # several candidates reaches the same subsets.  Every
-            # candidate is verified in full before the first trial.
-            memo = {v.fixset.key(): v for v in verdicts}
             shrunk: list[CandidateVerdict] = []
             seen: set[tuple] = set()
             for verdict in verdicts:

@@ -82,6 +82,15 @@ class FixSet:
                              f.to_kind.value if f.to_kind else "",
                              f.order.value) for f in self.fixes))
 
+    def program_key(self) -> tuple:
+        """The program verification runs: the barrier slots and the
+        site → kind map, the only parts of the set it applies.  Memory
+        orders reach only the ranking, so a ``[seq_cst]`` twin verifies
+        as the same program as its relaxed original."""
+        return (tuple(sorted(self.barriers())),
+                tuple(sorted((site, kind.value)
+                             for site, kind in self.kinds().items())))
+
     def to_json(self) -> dict:
         return {
             "label": self.label,

@@ -19,7 +19,9 @@ one verification, so synthesis can start from a generous set).  A trial
 only needs to know whether it is accepted, and acceptance needs every
 schedule clean, so a trial's exploration stops at its first failing
 schedule; a candidate's own exploration runs to its budget, because its
-schedule count and stop reason are reported.
+schedule count and stop reason are reported.  A verdict belongs to the
+program verified (:meth:`FixSet.program_key`), so a memo shared by one
+``repair()`` call explores each program once.
 """
 
 from __future__ import annotations
@@ -128,7 +130,9 @@ def reference_output(target):
 
 def verify_candidate(target, fixset: FixSet, budget="smoke",
                      reference=None,
-                     stop_on_failure: bool = False) -> CandidateVerdict:
+                     stop_on_failure: bool = False,
+                     memo: dict[tuple, CandidateVerdict] | None = None
+                     ) -> CandidateVerdict:
     """Run one candidate through the full acceptance procedure.
 
     A candidate whose kernels cannot even execute (e.g. a promotion
@@ -140,7 +144,27 @@ def verify_candidate(target, fixset: FixSet, budget="smoke",
     that races or breaks the invariant: the acceptance is the same, but
     a rejected verdict then reports that schedule's failure and the
     schedules explored up to it.
+
+    ``memo`` maps :meth:`FixSet.program_key` to a verdict already
+    reached with the same target, budget and reference; a hit explores
+    nothing and returns that verdict relabelled with ``fixset``.  An
+    entry whose exploration stopped early serves only
+    ``stop_on_failure`` requests, so a full request is served only by
+    a full exploration of the same program.
     """
+    key = fixset.program_key()
+    known = memo.get(key) if memo is not None else None
+    if known is not None and (stop_on_failure
+                              or known.stop_reason != "stopped_early"):
+        return replace(known, fixset=fixset)
+    verdict = _verify(target, fixset, budget, reference, stop_on_failure)
+    if memo is not None:
+        memo[key] = verdict
+    return verdict
+
+
+def _verify(target, fixset: FixSet, budget, reference,
+            stop_on_failure: bool) -> CandidateVerdict:
     try:
         program = target.build_program(fixset.barriers())
         with site_kind_overrides(fixset.kinds()):
@@ -202,13 +226,12 @@ def shrink_fixset(target, verdict: CandidateVerdict, budget="smoke",
 
     Repeatedly tries dropping one fix; keeps any drop that leaves the
     set accepted.  Terminates in at most ``size**2`` verifications.
-    Each trial stops at its first failing schedule.  ``memo`` maps
-    :meth:`FixSet.key` to a verdict already reached; a trial found there
-    is not verified again, and an accepted one takes the trial's label.
+    Each trial stops at its first failing schedule, and goes through
+    :func:`verify_candidate`'s ``memo``, so a trial whose program was
+    already verified is not explored again.
     """
     if not verdict.accepted:
         return verdict
-    memo = {} if memo is None else memo
     current = verdict
     improved = True
     while improved and current.fixset.size > 1:
@@ -217,13 +240,11 @@ def shrink_fixset(target, verdict: CandidateVerdict, budget="smoke",
             trial = current.fixset.without(fix)
             if not trial.fixes:
                 continue
-            attempt = memo.get(trial.key())
-            if attempt is None:
-                attempt = memo[trial.key()] = verify_candidate(
-                    target, trial, budget=budget, reference=reference,
-                    stop_on_failure=True)
+            attempt = verify_candidate(
+                target, trial, budget=budget, reference=reference,
+                stop_on_failure=True, memo=memo)
             if attempt.accepted:
-                current = replace(attempt, fixset=trial)
+                current = attempt
                 improved = True
                 break
     return current

@@ -1,5 +1,7 @@
 """Unit tests for the repro.repair stages and the override hooks."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.transform import site_kind, with_site_kinds
@@ -359,6 +361,35 @@ class TestRankPricing:
             for key in DEVICE_ORDER}
 
 
+@pytest.fixture
+def explored(monkeypatch):
+    """Every exploration a verification starts, as ``(fixset,
+    stop_on_failure)`` of the :func:`verify_candidate` call that
+    started it."""
+    from repro.repair import pipeline, verify
+
+    in_flight, log = [], []
+    real_verify, real_check = verify.verify_candidate, verify.check
+
+    def spy_verify(target, fixset, *args, stop_on_failure=False,
+                   **kwargs):
+        in_flight.append((fixset, stop_on_failure))
+        try:
+            return real_verify(target, fixset, *args,
+                               stop_on_failure=stop_on_failure, **kwargs)
+        finally:
+            in_flight.pop()
+
+    def spy_check(*args, **kwargs):
+        log.append(in_flight[-1])
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "verify_candidate", spy_verify)
+    monkeypatch.setattr(verify, "verify_candidate", spy_verify)
+    monkeypatch.setattr(verify, "check", spy_check)
+    return log
+
+
 class TestShrinkMemo:
     A = Fix("promote", "twophase.buf.read", to_kind=AccessKind.ATOMIC)
     B = Fix("promote", "twophase.buf.write", to_kind=AccessKind.ATOMIC)
@@ -371,19 +402,23 @@ class TestShrinkMemo:
             schedules_explored=schedules, stop_reason="complete")
 
     def test_a_reused_verdict_takes_the_trial_label(self, monkeypatch):
-        """A fix-set another candidate already reached is not verified
-        again, and its accepted verdict reports the trial's label and
-        fixes (``to_json`` includes the label)."""
+        """A trial whose program another candidate already verified is
+        not explored again, and its accepted verdict reports the trial's
+        label and fixes (``to_json`` includes the label), also when the
+        verdict was reached under another memory order."""
         from repro.repair import verify
 
-        monkeypatch.setattr(verify, "verify_candidate", None)
+        monkeypatch.setattr(verify, "check", None)
         start = self._verdict(FixSet("atomic-all", (self.A, self.B)),
                               True, 9)
+        seq_cst_a = Fix("promote", "twophase.buf.read",
+                        to_kind=AccessKind.ATOMIC,
+                        order=MemoryOrder.SEQ_CST)
         memo = {
-            FixSet("x", (self.B,)).key(): self._verdict(
+            FixSet("x", (self.B,)).program_key(): self._verdict(
                 FixSet("atomic-suspects", (self.B,)), False, 1),
-            FixSet("x", (self.A,)).key(): self._verdict(
-                FixSet("atomic-suspects", (self.A,)), True, 7),
+            FixSet("x", (self.A,)).program_key(): self._verdict(
+                FixSet("atomic-suspects-seqcst", (seq_cst_a,)), True, 7),
         }
         shrunk = shrink_fixset(get_target("twophase"), start, memo=memo)
         assert shrunk.to_json()["fixset"] == {
@@ -391,19 +426,15 @@ class TestShrinkMemo:
         assert shrunk.schedules_explored == 7
         assert shrunk.accepted
 
-    def test_trials_are_verified_once_and_stop_early(self, monkeypatch):
-        """Every candidate gets a full verification before any trial;
-        each trial stops at its first failure; no fix-set is verified
-        twice in one call (mst's shrink reaches a candidate's set)."""
-        from repro.repair import pipeline, verify
-
-        calls = []
-        real = verify.verify_candidate
-
-        def spy(target, fixset, stop_on_failure=False, **kwargs):
-            calls.append((fixset.key(), stop_on_failure))
-            return real(target, fixset, stop_on_failure=stop_on_failure,
-                        **kwargs)
+    def test_trials_are_verified_once_and_stop_early(self, explored,
+                                                     monkeypatch):
+        """Each distinct program of the synthesized candidates is
+        explored in full, once, in synthesis order, before any trial;
+        every later exploration is a trial that stops at its first
+        failure; no program is explored twice in one call (mst's
+        ``[seq_cst]`` twin verifies as its relaxed original, and its
+        shrink reaches a candidate's program)."""
+        from repro.repair import pipeline
 
         synthesized = []
         real_synthesize = pipeline.synthesize
@@ -412,15 +443,91 @@ class TestShrinkMemo:
             synthesized.extend(real_synthesize(*args, **kwargs))
             return synthesized
 
-        monkeypatch.setattr(pipeline, "verify_candidate", spy)
-        monkeypatch.setattr(verify, "verify_candidate", spy)
         monkeypatch.setattr(pipeline, "synthesize", synthesize)
         report = pipeline.repair("mst", budget="smoke")
-        firsts = [(fixset.key(), False) for fixset in synthesized]
-        assert calls[:len(firsts)] == firsts
-        trials = calls[len(firsts):]
+        calls = [(fixset.program_key(), stop) for fixset, stop in explored]
+        programs = list(dict.fromkeys(f.program_key() for f in synthesized))
+        assert len(programs) < len(synthesized)
+        assert calls[:len(programs)] == [(key, False) for key in programs]
+        trials = calls[len(programs):]
         assert trials and all(stop for _, stop in trials)
         keys = [key for key, _ in calls]
         assert len(keys) == len(set(keys))
         assert all(c.stop_reason != "stopped_early"
                    for c in report.candidates)
+
+
+class TestProgramMemo:
+    A, B = TestShrinkMemo.A, TestShrinkMemo.B
+
+    def test_program_key_is_what_verification_applies(self):
+        """Equal across label, fix order and memory order; different
+        when a kind or a barrier differs.  ``key()`` still tells a
+        ``[seq_cst]`` twin apart, because ranking prices it."""
+        seq_cst_a = Fix("promote", self.A.site, to_kind=AccessKind.ATOMIC,
+                        order=MemoryOrder.SEQ_CST)
+        relaxed = FixSet("atomic-suspects", (self.A, self.B))
+        twin = FixSet("atomic-suspects-seqcst", (self.B, seq_cst_a))
+        assert twin.program_key() == relaxed.program_key()
+        assert twin.key() != relaxed.key()
+        volatile_b = Fix("promote", self.B.site,
+                         to_kind=AccessKind.VOLATILE)
+        assert (FixSet("x", (self.A, volatile_b)).program_key()
+                != relaxed.program_key())
+        barrier = Fix("barrier", "twophase.phase")
+        assert (FixSet("x", (self.A, self.B, barrier)).program_key()
+                != relaxed.program_key())
+        assert (FixSet("x", (barrier,)).program_key()
+                != FixSet("x", (Fix("barrier", "other"),)).program_key())
+
+    def test_seq_cst_twin_reuses_its_relaxed_verdict(self, explored):
+        """On cc the ``[seq_cst]`` twin, and every trial of its shrink,
+        starts no exploration; its verdict is ``atomic-suspects``'s
+        relabelled, and its JSON still shows the ``[seq_cst]`` fixes."""
+        from repro.repair import pipeline
+
+        report = pipeline.repair("cc", budget="smoke")
+        assert explored and not any(f.orders() for f, _ in explored)
+        by_label = {c.fixset.label: c for c in report.candidates}
+        twin = by_label["atomic-suspects-seqcst"]
+        relaxed = by_label["atomic-suspects"]
+        assert replace(twin, fixset=relaxed.fixset) == relaxed
+        assert twin.to_json()["fixset"]["fixes"] == [
+            "cc.label.jump_read->atomic[seq_cst]",
+            "cc.label.jump_write->atomic[seq_cst]"]
+
+    def test_an_early_stopped_entry_never_serves_a_full_request(
+            self, monkeypatch):
+        """A verdict whose exploration stopped at its first failure may
+        answer a trial, never a full request: that explores the program
+        and its full verdict replaces the entry for both."""
+        from repro.repair import verify
+
+        checks = []
+        real_check = verify.check
+
+        def spy_check(*args, **kwargs):
+            checks.append(kwargs["stop_on_failure"])
+            return real_check(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "check", spy_check)
+        target = get_target("twophase")
+        fixset = FixSet("barrier:twophase.phase",
+                        (Fix("barrier", "twophase.phase"),))
+        seeded = CandidateVerdict(
+            fixset=fixset, race_free=False, completes=True,
+            invariant_ok=True, output_equivalent=True,
+            schedules_explored=1, detail="seeded",
+            stop_reason="stopped_early")
+        memo = {fixset.program_key(): seeded}
+        assert verify_candidate(target, fixset, stop_on_failure=True,
+                                memo=memo) == seeded
+        assert checks == []
+        full = verify_candidate(target, fixset, memo=memo)
+        assert checks == [False]
+        assert full.accepted and full.stop_reason == "complete"
+        assert memo == {fixset.program_key(): full}
+        for stop in (False, True):
+            assert verify_candidate(target, fixset, stop_on_failure=stop,
+                                    memo=memo) == full
+        assert checks == [False]

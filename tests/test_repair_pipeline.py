@@ -11,7 +11,8 @@ from tests.test_explore_digests import REPAIR_CALLS, assert_pinned, capture
 
 #: ``repro repair <target> --budget smoke --json PATH`` of every target,
 #: as the code before the verification shortcuts (shrink trials that
-#: stop at their first failure, one verdict per fix-set) wrote them
+#: stop at their first failure, one verdict per verified program)
+#: wrote them
 PINNED_REPAIRS = Path(__file__).parent / "data" / "repair"
 
 #: every exploration each fixture's repair ran, by target
@@ -181,6 +182,26 @@ class TestRepairCli:
     def test_unknown_target_exits_2(self, capsys):
         assert main(["repair", "bogus"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--max-candidates", "-1"], "max_candidates must be >= 1, got -1"),
+        (["--max-candidates", "0"], "max_candidates must be >= 1, got 0"),
+        (["--seeds", "-2"], "--seeds must be >= 0, got -2"),
+    ])
+    def test_bad_counts_exit_2_before_localizing(self, monkeypatch, capsys,
+                                                 argv, message):
+        """A negative ``--max-candidates`` used to slice the candidate
+        list from its end, and a negative ``--seeds`` ran no seed."""
+        from repro.repair import pipeline
+
+        def localize(*args, **kwargs):
+            raise AssertionError("localized despite a bad count")
+
+        monkeypatch.setattr(pipeline, "localize", localize)
+        assert main(["repair", "twophase", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 class TestPinnedRepairJson:

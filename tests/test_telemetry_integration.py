@@ -7,12 +7,16 @@ The acceptance properties of the subsystem:
 * the merged registry of a parallel (``jobs=N``) sweep equals the
   serial registry on every sim-scope family;
 * the engine's L1 hit-rate gauges mechanically reproduce the paper's
-  Section VI.A explanation (baseline CC has the higher L1 hit rate).
+  Section VI.A explanation (baseline CC has the higher L1 hit rate);
+* a repair registers only families ``docs/observability.md``'s
+  catalog names.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -272,3 +276,22 @@ def test_simt_launch_counters_publish_launch_stats(tier, options):
         expected[("_mixed_kernel", "atomic", "rmw")] = stats.rmws
         accesses = registry.get("repro_simt_accesses_total")
         assert dict(accesses.samples()) == expected
+
+
+def _catalog_families() -> set[str]:
+    """Every family ``docs/observability.md``'s metric catalog names."""
+    doc = Path(__file__).parents[1] / "docs" / "observability.md"
+    section = doc.read_text().split("## Metric catalog", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return {name for line in section.splitlines() if line.startswith("| `")
+            for name in re.findall(r"`(repro_\w+)`", line.split("|")[1])}
+
+
+def test_repair_registers_only_cataloged_families():
+    from repro.repair import repair
+
+    with telemetry.session() as (registry, _spans):
+        repair("twophase", budget="smoke")
+        registered = {family.name for family in registry.families()}
+    assert "repro_repair_verifications_total" in registered
+    assert registered - _catalog_families() == set()
