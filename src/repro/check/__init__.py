@@ -7,8 +7,8 @@ systematic one:
 * :mod:`repro.check.explore` — bounded schedule-space enumeration with
   dynamic partial-order reduction, sleep sets, and preemption bounding;
 * :mod:`repro.check.vclock` — FastTrack-style vector-clock
-  happens-before engine with predictive race reports (the default
-  engine behind :class:`repro.gpu.racecheck.RaceDetector`);
+  happens-before engine with predictive race reports (the one race
+  analysis, behind :class:`repro.gpu.racecheck.RaceDetector`);
 * :mod:`repro.check.replay` — decision-log recording, bit-deterministic
   replay, and delta-debugging schedule minimization;
 * :mod:`repro.check.harness` — the :func:`~repro.check.harness.check`

@@ -253,8 +253,6 @@ def check(target, num_threads: int | None = None, *,
           variant: Variant = Variant.BASELINE,
           budget: ExploreBudget | str = "default",
           mode: str = "dpor",
-          engine: str = "vclock",
-          predictive: bool = True,
           faults: FaultPlan | str | None = None,
           compare_naive: bool = False,
           minimize: bool = True,
@@ -293,8 +291,7 @@ def check(target, num_threads: int | None = None, *,
     runner = _make_runner(program, budget, faults,
                           register_cache_plain,
                           memory_model=memory_model)
-    detector = RaceDetector(engine=engine, predictive=predictive,
-                            memory_model=memory_model)
+    detector = RaceDetector(memory_model=memory_model)
     # consecutive runs replay a shared decision prefix: analyse each
     # from where its events first differ from the previous run's
     session = detector.session()

@@ -1,11 +1,11 @@
 """Vector-clock happens-before engine with predictive race reports.
 
-This replaces the race detector's shadow-pair scan with FastTrack-style
-epoch reasoning (Flanagan & Freund): every access event carries an
-*epoch* ``tid@clock``; per-byte shadow state keeps the last-write epoch
-and the readers since that write, and an access races with a prior
-access iff the prior epoch is not contained in the current thread's
-vector clock.  The clock joins model exactly the simulator's
+The race detector's analysis (:class:`repro.gpu.racecheck.RaceDetector`)
+is FastTrack-style epoch reasoning (Flanagan & Freund): every access
+event carries an *epoch* ``tid@clock``; per-byte shadow state keeps the
+last-write epoch and the readers since that write, and an access races
+with a prior access iff the prior epoch is not contained in the current
+thread's vector clock.  The clock joins model exactly the simulator's
 synchronization vocabulary:
 
 * the implicit barrier between kernel launches joins every thread's
@@ -23,9 +23,10 @@ synchronization vocabulary:
   A ``PTXScoped`` block-scope release publishes into a per-block
   release bucket that only same-block acquirers join.
 
-**Predictive reports.**  A per-schedule shadow detector forgets a write
-as soon as the next write to the same byte lands, so it only flags the
-racy pair this execution happened to place adjacently.  Following the
+**Predictive reports.**  A shadow scan that keeps only the last write
+and the readers since forgets a write as soon as the next write to the
+same byte lands, so it only flags the racy pair this execution happened
+to place adjacently.  Following the
 predictive-race line of work ("Predictive Data Race Detection for
 GPUs", PAPERS.md), the engine additionally keeps a bounded *history* of
 displaced writes and readers per byte: a conflicting access that is

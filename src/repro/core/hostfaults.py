@@ -60,13 +60,13 @@ import os
 import random
 import signal
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from repro.errors import FaultConfigError
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
 from repro.utils import atomicio
+from repro.utils.faultspec import FaultSpec, RatePlan
 
 
 class HostFaultKind(enum.Enum):
@@ -95,27 +95,16 @@ DISRUPTION_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class HostFaultSpec:
-    """One host fault kind with its per-opportunity trigger probability.
-
-    The opportunity is one atomic write for the storage kinds and one
-    (task, slot generation) execution for the worker kinds.
-    """
-
-    kind: HostFaultKind
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise FaultConfigError(
-                f"host fault rate must be in [0, 1], got {self.rate} "
-                f"for {self.kind.value!r}"
-            )
+#: the host plan's specs are the shared :class:`FaultSpec`
+HostFaultSpec = FaultSpec
 
 
-class HostFaultPlan:
-    """A seeded set of :class:`HostFaultSpec` rates plus scoping knobs.
+class HostFaultPlan(RatePlan):
+    """A seeded set of :class:`FaultSpec` rates plus scoping knobs.
+
+    A rate is the trigger probability per *opportunity*: one atomic
+    write for the storage kinds and one (task, slot generation)
+    execution for the worker kinds.
 
     Parameters
     ----------
@@ -139,70 +128,28 @@ class HostFaultPlan:
     The plan is picklable (it is shipped to workers inside
     :class:`~repro.core.parallel.WorkerConfig`) and holds no mutable
     state; per-write counters live in the :class:`HostFaultInjector`.
+    :meth:`parse` passes extra keyword arguments (``targets``,
+    ``stall_seconds``, ``disrupt_generations``) to the constructor.
     """
 
-    def __init__(self, specs: Iterable[HostFaultSpec], seed: int = 0,
+    KINDS = HostFaultKind
+    NOUN = "host fault"
+
+    def __init__(self, specs: Iterable[FaultSpec], seed: int = 0,
                  targets: Iterable[str] = (),
                  stall_seconds: float = 30.0,
                  disrupt_generations: int | None = None) -> None:
-        self.specs = tuple(specs)
-        self.seed = int(seed)
+        super().__init__(specs, seed)
         self.targets = tuple(targets)
         if stall_seconds < 0:
             raise FaultConfigError(
                 f"stall_seconds must be >= 0, got {stall_seconds}")
         self.stall_seconds = float(stall_seconds)
         self.disrupt_generations = disrupt_generations
-        self._rates: dict[HostFaultKind, float] = {}
-        for s in self.specs:
-            if s.kind in self._rates:
-                raise FaultConfigError(
-                    f"duplicate host fault kind {s.kind.value!r} in plan"
-                )
-            self._rates[s.kind] = s.rate
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def parse(cls, text: str, seed: int = 0, **kwargs) -> "HostFaultPlan":
-        """Parse a spec like ``"torn=0.3,kill=1,enospc"``.
-
-        Each comma-separated item is ``kind=rate``; a bare ``kind``
-        means rate 1.0.  Extra keyword arguments (``targets``,
-        ``stall_seconds``, ``disrupt_generations``) pass through to the
-        constructor.
-        """
-        known = {k.value: k for k in HostFaultKind}
-        specs = []
-        for item in text.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            name, _, value = item.partition("=")
-            name = name.strip()
-            if name not in known:
-                raise FaultConfigError(
-                    f"unknown host fault kind {name!r}; "
-                    f"known: {sorted(known)}"
-                )
-            try:
-                rate = float(value) if value else 1.0
-            except ValueError:
-                raise FaultConfigError(
-                    f"bad rate {value!r} for host fault {name!r}"
-                ) from None
-            specs.append(HostFaultSpec(known[name], rate))
-        if not specs:
-            raise FaultConfigError(f"empty host fault spec {text!r}")
-        return cls(specs, seed=seed, **kwargs)
-
-    # ------------------------------------------------------------------
-    def rate(self, kind: HostFaultKind) -> float:
-        return self._rates.get(kind, 0.0)
 
     def describe(self) -> str:
-        body = ", ".join(f"{s.kind.value}={s.rate:g}" for s in self.specs)
         scoped = f" targets={','.join(self.targets)}" if self.targets else ""
-        return f"{body} (seed {self.seed}){scoped}"
+        return super().describe() + scoped
 
     def targets_path(self, name: str) -> bool:
         """Whether storage faults apply to a file called ``name``."""

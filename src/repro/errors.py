@@ -31,10 +31,6 @@ class MemoryAccessError(KernelError):
     """Raised for out-of-bounds or type-mismatched memory operations."""
 
 
-class DataRaceError(ReproError):
-    """Raised when the race checker is configured to fail on races."""
-
-
 class DeadlockError(KernelError):
     """Raised when the SIMT executor detects that no thread can make
     progress (e.g. a spin loop reading a register-cached stale value)."""

@@ -1,9 +1,9 @@
 """Cache models.
 
-Two levels of fidelity, matching the two execution levels in DESIGN.md:
+Two levels of fidelity:
 
 * :class:`CacheSim` — a real set-associative LRU cache simulator, driven
-  per access.  Used at the SIMT level and in tests.
+  per access.  No execution level drives it yet; only tests do.
 * :class:`AnalyticCache` — a closed-form hit-rate estimator used by the
   performance level, where driving millions of accesses one by one
   through Python would be prohibitive.  It estimates the probability
@@ -111,7 +111,7 @@ class CacheSim:
             return
         events = reg.counter(
             "repro_cachesim_events_total",
-            "Set-associative cache simulator events (SIMT level)",
+            "Set-associative cache simulator events",
             ("cache", "event"))
         rate = reg.gauge(
             "repro_cachesim_hit_rate",

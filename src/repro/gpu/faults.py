@@ -18,7 +18,9 @@ exactly the failure modes the paper describes:
 * ``abort`` — a kernel launch dies with a *transient*
   :class:`~repro.errors.TransientKernelFault`; retries may succeed.
 
-A :class:`FaultPlan` holds the per-kind rates plus a seed;
+A :class:`FaultPlan` holds the per-kind rates plus a seed (the
+vocabulary it shares with the host fault plan,
+:mod:`repro.utils.faultspec`);
 :meth:`FaultPlan.injector` derives an independent, deterministic
 :class:`FaultInjector` for any key (cell, repetition, attempt), so runs
 are reproducible and repetitions/attempts draw independent faults.
@@ -38,13 +40,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import DeadlockError, FaultConfigError, TransientKernelFault
+from repro.errors import DeadlockError, TransientKernelFault
 from repro.gpu.accesses import AccessKind
+from repro.utils.faultspec import FaultSpec, RatePlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.variants import Variant
@@ -61,29 +63,14 @@ class FaultKind(enum.Enum):
     KERNEL_ABORT = "abort"
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """One fault kind with its per-opportunity trigger probability.
-
-    The *opportunity* depends on the level: per non-atomic memory
-    micro-operation for ``drop``/``tear``/``stuck`` at the SIMT level,
-    per micro-step for ``stall``, per launch for ``abort``, and per
-    repetition for every kind at the performance level.
-    """
-
-    kind: FaultKind
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise FaultConfigError(
-                f"fault rate must be in [0, 1], got {self.rate} "
-                f"for {self.kind.value!r}"
-            )
-
-
-class FaultPlan:
+class FaultPlan(RatePlan):
     """A seeded set of :class:`FaultSpec` rates.
+
+    A rate is the trigger probability per *opportunity*, which depends
+    on the level: per non-atomic memory micro-operation for
+    ``drop``/``tear``/``stuck`` at the SIMT level, per micro-step for
+    ``stall``, per launch for ``abort``, and per repetition for every
+    kind at the performance level.
 
     The plan itself holds no mutable state; per-run randomness lives in
     the :class:`FaultInjector` objects it derives, each seeded from the
@@ -91,56 +78,7 @@ class FaultPlan:
     repetition, and the retry attempt).
     """
 
-    def __init__(self, specs: Iterable[FaultSpec], seed: int = 0) -> None:
-        self.specs = tuple(specs)
-        self.seed = int(seed)
-        self._rates: dict[FaultKind, float] = {}
-        for s in self.specs:
-            if s.kind in self._rates:
-                raise FaultConfigError(
-                    f"duplicate fault kind {s.kind.value!r} in plan"
-                )
-            self._rates[s.kind] = s.rate
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def parse(cls, text: str, seed: int = 0) -> "FaultPlan":
-        """Parse a CLI spec like ``"tear=0.3,stuck=0.1,abort=1"``.
-
-        Each comma-separated item is ``kind=rate``; a bare ``kind``
-        means rate 1.0.  Unknown kinds and out-of-range rates raise
-        :class:`~repro.errors.FaultConfigError`.
-        """
-        known = {k.value: k for k in FaultKind}
-        specs = []
-        for item in text.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            name, _, value = item.partition("=")
-            name = name.strip()
-            if name not in known:
-                raise FaultConfigError(
-                    f"unknown fault kind {name!r}; known: {sorted(known)}"
-                )
-            try:
-                rate = float(value) if value else 1.0
-            except ValueError:
-                raise FaultConfigError(
-                    f"bad rate {value!r} for fault {name!r}"
-                ) from None
-            specs.append(FaultSpec(known[name], rate))
-        if not specs:
-            raise FaultConfigError(f"empty fault spec {text!r}")
-        return cls(specs, seed=seed)
-
-    # ------------------------------------------------------------------
-    def rate(self, kind: FaultKind) -> float:
-        return self._rates.get(kind, 0.0)
-
-    def describe(self) -> str:
-        body = ", ".join(f"{s.kind.value}={s.rate:g}" for s in self.specs)
-        return f"{body} (seed {self.seed})"
+    KINDS = FaultKind
 
     def injector(self, *key: object) -> "FaultInjector":
         """A deterministic injector for ``key`` (any hashable-ish parts).

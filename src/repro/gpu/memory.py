@@ -23,7 +23,7 @@ import numpy as np
 from repro.errors import MemoryAccessError
 from repro.gpu.accesses import AccessKind, DType, MemSpan
 from repro.gpu.faults import FaultInjector, FaultKind
-from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
+from repro.telemetry.metrics import get_registry
 from repro.utils.bitops import join_u64, split_u64, to_signed, to_unsigned
 
 NATIVE_WORD_BYTES = 4
@@ -227,7 +227,6 @@ class GlobalMemory:
         self._typed: dict[tuple[str, int, bool], np.ndarray] = {}
         self._view_generation = self._arena.generation
         self.faults = faults
-        self._allocated_bytes = 0
 
     def _refresh_views(self) -> None:
         """Drop cached views after an arena reallocation."""
@@ -235,17 +234,6 @@ class GlobalMemory:
             self._views.clear()
             self._typed.clear()
             self._view_generation = self._arena.generation
-
-    def _publish_allocation(self) -> None:
-        reg = get_registry()
-        if not reg.enabled:
-            return
-        reg.gauge("repro_gpu_allocated_bytes",
-                  "Bytes of simulated global memory currently allocated",
-                  scope=SCOPE_PROCESS).set(self._allocated_bytes)
-        reg.gauge("repro_gpu_allocated_arrays",
-                  "Simulated global arrays currently allocated",
-                  scope=SCOPE_PROCESS).set(len(self._arrays))
 
     def _count_fault(self, kind: str) -> None:
         reg = get_registry()
@@ -267,8 +255,6 @@ class GlobalMemory:
         handle = ArrayHandle(name, dtype, length)
         offset = self._arena.allocate(handle.total_bytes)
         self._arrays[name] = (handle, offset)
-        self._allocated_bytes += handle.total_bytes
-        self._publish_allocation()
         if fill != 0:
             self.fill(handle, fill)
         return handle
@@ -288,11 +274,9 @@ class GlobalMemory:
             raise MemoryAccessError(f"array {name!r} not allocated")
         handle, offset = self._arrays.pop(name)
         self._arena.release(offset, handle.total_bytes)
-        self._allocated_bytes -= handle.total_bytes
         self._views.pop(name, None)
         for key in [k for k in self._typed if k[0] == name]:
             del self._typed[key]
-        self._publish_allocation()
 
     def handle(self, name: str) -> ArrayHandle:
         try:

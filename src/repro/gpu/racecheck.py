@@ -2,8 +2,8 @@
 
 This is the reproduction's stand-in for Compute Sanitizer and iGuard
 (Section IV): it replays the byte-granular access history of one or more
-kernel launches through shadow memory and reports every pair of
-conflicting accesses.
+kernel launches through happens-before shadow state and reports the
+pairs of conflicting accesses that no synchronization orders.
 
 Two accesses *conflict* when they:
 
@@ -20,19 +20,22 @@ synchronization vocabulary:
   launches that iGuard reportedly ignores, causing its false positives);
 * within a launch, accesses in the same block separated by a
   ``__syncthreads()`` barrier (different epochs) are ordered;
+* an acquiring atomic read orders what follows it after a releasing
+  atomic write of the same location when the memory model
+  (:mod:`repro.memmodel`) says the pair synchronizes; the paper's
+  relaxed atomics never do under the default model;
 * everything else within a launch is concurrent.
 
-Since the ``repro.check`` subsystem landed, the default analysis is the
-FastTrack-style vector-clock engine of :mod:`repro.check.vclock`, which
-additionally emits *predictive* reports (``predicted=True``): races that
-did not manifest adjacently in this trace but are feasible in a
-reordering of it.  The original pairwise shadow scan is kept as
-``engine="pairwise"`` for cross-checking; it sees only the races this
-execution exhibited, which is why the paper — and our test-suite — also
-re-runs under many schedules, and why :mod:`repro.check.explore`
-enumerates the reduced schedule space outright.  An exploration's runs
-share replayed prefixes; :meth:`RaceDetector.session` analyses each
-run's events from where they first differ from the previous run's.
+The analysis is the FastTrack-style vector-clock engine of
+:mod:`repro.check.vclock`.  Besides the races this execution placed
+adjacently, it emits *predictive* reports (``predicted=True``): races
+that are feasible in a reordering of the observed trace.  A single
+trace still shows only the races its schedule exercised, which is why
+the paper — and our test-suite — also re-runs under many schedules, and
+why :mod:`repro.check.explore` enumerates the reduced schedule space
+outright.  An exploration's runs share replayed prefixes;
+:meth:`RaceDetector.session` analyses each run's events from where they
+first differ from the previous run's.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
-from repro.errors import DataRaceError, ReproError
 from repro.gpu.accesses import AccessKind
 from repro.gpu.simt import AccessEvent, SimtExecutor
 
@@ -66,8 +68,8 @@ class RaceReport:
     """One detected data race: a pair of unordered conflicting accesses.
 
     ``predicted`` marks races inferred from a feasible reordering of the
-    observed trace (vector-clock engine only) rather than from accesses
-    the trace placed adjacently.
+    observed trace rather than from accesses the trace placed
+    adjacently.
     """
 
     array: str
@@ -169,28 +171,13 @@ def _site_key(first: AccessEvent, second: AccessEvent) -> tuple:
             first.is_write, second.is_write, first.access, second.access)
 
 
-def _ordered(a: AccessEvent, b: AccessEvent) -> bool:
-    """True if a happens-before b (or vice versa) under the simulator's
-    synchronization model."""
-    if a.launch != b.launch:
-        return True  # implicit barrier between kernel launches
-    if a.block == b.block and a.epoch != b.epoch:
-        return True  # __syncthreads() between them
-    return False
-
-
-def _conflict(a: AccessEvent, b: AccessEvent) -> bool:
-    if a.tid == b.tid:
-        return False
-    if not (a.is_write or b.is_write):
-        return False
-    if a.access is AccessKind.ATOMIC and b.access is AccessKind.ATOMIC:
-        return False
-    return a.span.overlaps(b.span)
-
-
 class RaceDetector:
-    """Shadow-memory race detector.
+    """Happens-before race detector over recorded access events.
+
+    Each analysis reports at most one race per program-site pair
+    (:attr:`RaceReport.site_key`: the two access spans plus kinds and
+    directions), mirroring how Compute Sanitizer groups its output, and
+    includes the engine's predicted reports.
 
     Parameters
     ----------
@@ -198,47 +185,23 @@ class RaceDetector:
         Stop after this many distinct reports (full graph workloads can
         produce millions of racy pairs; a handful per location suffices
         to localize the bug, which is how the real tools behave too).
-    dedupe_by_location:
-        Report at most one race per program-site pair (the two access
-        spans plus kinds), mirroring how Compute Sanitizer groups its
-        output.
-    engine:
-        ``"vclock"`` (default) — the FastTrack-style vector-clock engine
-        with predictive reports; ``"pairwise"`` — the original shadow
-        scan, kept for cross-checking.
-    predictive:
-        Include ``predicted=True`` reports (vclock engine only).
     memory_model:
         The consistency model supplying atomic happens-before edges
-        (vclock engine only; None = the paper's relaxed default, under
-        which atomics never synchronize).
+        (None = the paper's relaxed default, under which atomics never
+        synchronize).
     """
 
-    def __init__(self, max_reports: int = 1000,
-                 dedupe_by_location: bool = True,
-                 engine: str = "vclock",
-                 predictive: bool = True,
-                 memory_model=None) -> None:
-        if engine not in ("vclock", "pairwise"):
-            raise ReproError(
-                f"unknown race engine {engine!r}; use 'vclock' or "
-                "'pairwise'")
+    def __init__(self, max_reports: int = 1000, memory_model=None) -> None:
         self.max_reports = max_reports
-        self.dedupe_by_location = dedupe_by_location
-        self.engine = engine
-        self.predictive = predictive
         self.memory_model = memory_model
 
     def analyze(self, events: Iterable[AccessEvent]) -> list[RaceReport]:
         """Replay ``events`` through shadow state and collect races."""
-        sink = _ReportSink(self)
-        if self.engine == "vclock":
-            from repro.check.vclock import VectorClockEngine
+        from repro.check.vclock import VectorClockEngine
 
-            VectorClockEngine(sink.on_report,
-                              memory_model=self.memory_model).analyze(events)
-        else:
-            self._analyze_pairwise(events, sink.emit)
+        sink = _ReportSink(self.max_reports)
+        VectorClockEngine(sink.emit,
+                          memory_model=self.memory_model).analyze(events)
         return sink.reports
 
     def session(self) -> "RaceSession":
@@ -246,80 +209,36 @@ class RaceDetector:
         answered as :meth:`analyze` would answer it."""
         return RaceSession(self)
 
-    @staticmethod
-    def _analyze_pairwise(events: Iterable[AccessEvent], emit) -> None:
-        """The original per-schedule shadow scan: last write + readers
-        since, per byte.  Forgets displaced accesses, so it reports only
-        the races this trace placed adjacently."""
-        last_write: dict[tuple[str, int], AccessEvent] = {}
-        readers: dict[tuple[str, int], list[AccessEvent]] = defaultdict(list)
-
-        for ev in events:
-            for byte in range(ev.span.start, ev.span.end):
-                loc = (ev.span.array, byte)
-                lw = last_write.get(loc)
-                if lw is not None and _conflict(lw, ev) and not _ordered(lw, ev):
-                    if not emit(lw, ev, byte):
-                        return
-                if ev.is_write:
-                    for rd in readers[loc]:
-                        if _conflict(rd, ev) and not _ordered(rd, ev):
-                            if not emit(rd, ev, byte):
-                                return
-                    readers[loc].clear()
-                    last_write[loc] = ev
-                if ev.is_read:
-                    bucket = readers[loc]
-                    if len(bucket) < 64:  # bound shadow growth
-                        bucket.append(ev)
-
-    def check(self, executor: SimtExecutor,
-              fail_on_race: bool = False) -> list[RaceReport]:
+    def check(self, executor: SimtExecutor) -> list[RaceReport]:
         """Analyze everything an executor has recorded so far."""
-        reports = self.analyze(executor.events)
-        if fail_on_race and reports:
-            raise DataRaceError(
-                f"{len(reports)} data race(s) detected; first: "
-                f"{reports[0].describe()}"
-            )
-        return reports
+        return self.analyze(executor.events)
 
 
 class _ReportSink:
     """The reports of one analysis: per-site dedupe and the report cap."""
 
-    def __init__(self, detector: RaceDetector) -> None:
+    def __init__(self, max_reports: int) -> None:
         self.reports: list[RaceReport] = []
         self._seen: set[tuple] = set()
-        self._dedupe = detector.dedupe_by_location
-        self._max = detector.max_reports
-        self._predictive = detector.predictive
+        self._max = max_reports
 
-    def emit(self, a: AccessEvent, b: AccessEvent, byte: int,
-             predicted: bool = False) -> bool:
+    def emit(self, first: AccessEvent, second: AccessEvent, byte: int,
+             predicted: bool) -> bool:
+        """The vector-clock engine's callback."""
         reports = self.reports
         # the key first: most racy pairs repeat a site already seen
-        if self._dedupe:
-            key = _site_key(a, b)
-            if key in self._seen:
-                return len(reports) < self._max
-            self._seen.add(key)
-        reports.append(RaceReport(a.span.array, byte, a, b,
+        key = _site_key(first, second)
+        if key in self._seen:
+            return len(reports) < self._max
+        self._seen.add(key)
+        reports.append(RaceReport(first.span.array, byte, first, second,
                                   predicted=predicted))
         return len(reports) < self._max
 
-    def on_report(self, first: AccessEvent, second: AccessEvent,
-                  byte: int, predicted: bool) -> bool:
-        """The vector-clock engine's callback."""
-        if predicted and not self._predictive:
-            return True
-        return self.emit(first, second, byte, predicted)
-
     def truncate(self, count: int) -> None:
         """Forget every report after the first ``count``."""
-        if self._dedupe:
-            for report in self.reports[count:]:
-                self._seen.discard(report.site_key)
+        for report in self.reports[count:]:
+            self._seen.discard(report.site_key)
         del self.reports[count:]
 
 
@@ -334,20 +253,16 @@ class RaceSession:
     per-run dedupe set, the ``max_reports`` count and an early stop
     (the event at which the cap was reached) are part of the restored
     state, so a list that still contains the stopping event gets the
-    stopped answer again.  The pairwise engine analyses every list
-    afresh.
+    stopped answer again.
     """
 
     def __init__(self, detector: RaceDetector) -> None:
-        self._detector = detector
-        self._sink = _ReportSink(detector)
-        self._engine = None
-        if detector.engine == "vclock":
-            from repro.check.vclock import VectorClockEngine
+        from repro.check.vclock import VectorClockEngine
 
-            self._engine = VectorClockEngine(
-                self._sink.on_report, memory_model=detector.memory_model,
-                journal=True)
+        self._sink = _ReportSink(detector.max_reports)
+        self._engine = VectorClockEngine(
+            self._sink.emit, memory_model=detector.memory_model,
+            journal=True)
         #: the events fed so far, and (journal mark, report count)
         #: before each of them
         self._fed: list[AccessEvent] = []
@@ -355,10 +270,8 @@ class RaceSession:
         self._stopped = False
 
     def analyze(self, events: list[AccessEvent]) -> list[RaceReport]:
-        engine = self._engine
-        if engine is None:
-            return self._detector.analyze(events)
-        fed, marks, sink = self._fed, self._marks, self._sink
+        engine, fed, marks, sink = (self._engine, self._fed, self._marks,
+                                    self._sink)
         shared = 0
         for old, new in zip(fed, events):
             if old != new:

@@ -3,8 +3,8 @@
 Runs the target's baseline program under a handful of schedulers
 (round-robin plus seeded random interleavings), feeds every recorded
 access stream through the vector-clock engine of
-:mod:`repro.check.vclock` (predictive mode), and clusters the resulting
-:class:`~repro.gpu.racecheck.RaceReport` objects by their
+:mod:`repro.check.vclock` (predicted races included), and clusters the
+resulting :class:`~repro.gpu.racecheck.RaceReport` objects by their
 schedule-stable :attr:`~repro.gpu.racecheck.RaceReport.site_id` — one
 :class:`SiteObligation` per racy source-site pair, the unit the
 synthesizer generates fixes for.
@@ -74,8 +74,7 @@ def collect_reports(target, seeds: tuple[int, ...] = (0, 1, 2),
                                    graph=target.localize_graph)
     schedulers = [RoundRobinScheduler()]
     schedulers += [RandomScheduler(seed=s) for s in seeds]
-    detector = RaceDetector(max_reports=max_reports, engine="vclock",
-                            predictive=True)
+    detector = RaceDetector(max_reports=max_reports)
     reports: list[RaceReport] = []
     events = []
     seen: set[tuple] = set()

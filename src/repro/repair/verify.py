@@ -170,8 +170,7 @@ def _verify(target, fixset: FixSet, budget, reference,
         with site_kind_overrides(fixset.kinds()):
             # the verdict reads races and failure details only, so no
             # failure is replayed, minimized or certified
-            report = check(program, budget=budget, engine="vclock",
-                           predictive=True, max_minimized=0,
+            report = check(program, budget=budget, max_minimized=0,
                            stop_on_failure=stop_on_failure)
         race_free = not report.races
         completes, invariant_ok, output = run_once(target, fixset)

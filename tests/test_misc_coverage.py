@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.errors import (
-    DataRaceError,
     DeviceError,
     GraphError,
     KernelError,
@@ -23,8 +22,7 @@ from repro.errors import (
 
 class TestErrorHierarchy:
     @pytest.mark.parametrize("exc", [
-        GraphError, DeviceError, KernelError, DataRaceError,
-        ValidationError, StudyError,
+        GraphError, DeviceError, KernelError, ValidationError, StudyError,
     ])
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
@@ -108,27 +106,6 @@ class TestSchedulerReset:
         assert second != first  # zero stickiness: always switch
         sched.reset()
         assert sched.choose([first]) == first
-
-
-class TestRaceReportOrdering:
-    def test_ordered_helper(self):
-        from repro.gpu.accesses import AccessKind, MemSpan
-        from repro.gpu.racecheck import _conflict, _ordered
-        from repro.gpu.simt import AccessEvent
-
-        def ev(tid, launch=0, block=0, epoch=0, write=True):
-            return AccessEvent(step=0, launch=launch, tid=tid,
-                               block=block, epoch=epoch,
-                               span=MemSpan("a", 0, 4), is_read=not write,
-                               is_write=write,
-                               access=AccessKind.PLAIN, value=0)
-
-        assert _ordered(ev(0, launch=0), ev(1, launch=1))
-        assert _ordered(ev(0, epoch=0), ev(1, epoch=1))
-        assert not _ordered(ev(0, block=0, epoch=0),
-                            ev(1, block=1, epoch=1))
-        assert _conflict(ev(0), ev(1))
-        assert not _conflict(ev(0), ev(0))
 
 
 class TestVariantEnum:

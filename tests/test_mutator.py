@@ -20,6 +20,16 @@ def cc_plan():
     return ACCESS_PLAN
 
 
+#: racy plan sites the SIMT kernels never race on: the host performs
+#: MST's best-slot reset and SCC's goagain poll, and a launch boundary
+#: orders MST's best-slot reads after the atomicMin election.  A variant
+#: that leaves only these sites unconverted runs race-free.
+SIMT_RACE_FREE_SITES = {
+    "mst": {"mst.best.read", "mst.best.write"},
+    "scc": {"scc.goagain.read"},
+}
+
+
 class TestEnumeration:
     def test_counts_subsets(self):
         plan = cc_plan()
@@ -49,26 +59,49 @@ class TestEnumeration:
         with pytest.raises(StudyError):
             list(enumerate_variants(ACCESS_PLAN))
 
-    def test_detector_flags_every_partial_variant(self, tiny_graph):
+    @pytest.mark.parametrize("algorithm", ["cc", "gc", "mis", "mst",
+                                           "scc"])
+    def test_detector_flags_every_partial_variant(self, algorithm,
+                                                  tiny_graph,
+                                                  tiny_directed):
         """The Indigo3 use-case: a sound detector must flag every
-        variant that is not the full conversion."""
-        from repro.algorithms import cc
-        from repro.gpu.interleave import RandomScheduler
-        from repro.gpu.racecheck import RaceDetector
+        variant that is not the full conversion — every one that leaves
+        a site the SIMT kernels race on unconverted — and stay silent on
+        the rest.  Each variant's converted sites are promoted the way
+        repair verification applies a fix-set, and on every run the
+        engine must report at least the racy pairs the pairwise scan
+        reports."""
+        import importlib
 
-        original = cc.ACCESS_PLAN
-        try:
-            for variant in enumerate_variants(cc_plan()):
-                cc.ACCESS_PLAN = variant.plan
-                _, ex = cc.run_simt(tiny_graph, Variant.BASELINE,
-                                    scheduler=RandomScheduler(3))
-                races = RaceDetector().check(ex)
-                if variant.is_complete:
-                    assert not races, variant.label
-                else:
-                    assert races, f"missed races in {variant.label}"
-        finally:
-            cc.ACCESS_PLAN = original
+        from repro.check.vclock import VectorClockEngine
+        from repro.gpu.accesses import AccessKind
+        from repro.gpu.interleave import RandomScheduler
+        from repro.gpu.overrides import site_kind_overrides
+        from repro.gpu.racecheck import RaceDetector
+        from tests.pairwise_reference import pairwise_reports, racy_pairs
+        from tests.test_vclock import raw_reports
+
+        module = importlib.import_module(f"repro.algorithms.{algorithm}")
+        graph = tiny_directed if algorithm == "scc" else tiny_graph
+        plan = module.ACCESS_PLAN
+        variants = list(enumerate_variants(plan))
+        assert len(variants) == 2 ** len(plan.racy_sites())
+        silent = SIMT_RACE_FREE_SITES.get(algorithm, set())
+        for variant in variants:
+            promoted = {site: AccessKind.ATOMIC
+                        for site in variant.converted}
+            with site_kind_overrides(promoted):
+                _, ex = module.run_simt(graph, Variant.BASELINE,
+                                        scheduler=RandomScheduler(3))
+            assert (racy_pairs(pairwise_reports(ex.events))
+                    <= racy_pairs(raw_reports(VectorClockEngine,
+                                              ex.events))), variant.label
+            races = RaceDetector().check(ex)
+            racy = {s.name for s in variant.plan.racy_sites()} - silent
+            if racy:
+                assert races, f"missed races in {variant.label}"
+            else:
+                assert not races, variant.label
 
 
 class TestMigrationPath:

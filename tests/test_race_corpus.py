@@ -47,7 +47,7 @@ def _run(algorithm, graph, variant, scheduler):
 
 def _race_reports(algorithm, graph, variant):
     """Union of vclock reports over a deterministic schedule set."""
-    detector = RaceDetector(engine="vclock", predictive=True)
+    detector = RaceDetector()
     reports = []
     for scheduler in (RoundRobinScheduler(), RandomScheduler(seed=0),
                       RandomScheduler(seed=1)):

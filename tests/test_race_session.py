@@ -42,17 +42,31 @@ from tests.test_explore_digests import (
 class Collected:
     """``check()``'s ``on_run`` bookkeeping over one exploration, with
     the per-run analysis supplied: races deduped by site across runs,
-    the first race failure and the first invariant failure."""
+    the first race failure and the first invariant failure.  It also
+    notes, per racy site pair, whether any run reported it as an actual
+    race rather than only as a predicted one."""
 
     def __init__(self, analyze) -> None:
         self.analyze = analyze
         self.races: list = []
         self.failures: list[tuple] = []
         self._seen: set[tuple] = set()
+        #: site id -> some run reported the pair as an actual race
+        self.witnessed: dict[str, bool] = {}
+
+    @property
+    def predicted_only(self) -> int:
+        """Site pairs every run reported only as predicted: no explored
+        schedule witnesses them."""
+        return sum(not seen for seen in self.witnessed.values())
 
     def __call__(self, outcome, log) -> None:
         fresh = []
+        witnessed = self.witnessed
         for report in self.analyze(outcome.events):
+            site_id = report.site_id
+            witnessed[site_id] = (witnessed.get(site_id, False)
+                                  or not report.predicted)
             if report.site_key not in self._seen:
                 self._seen.add(report.site_key)
                 fresh.append(report)
@@ -126,9 +140,7 @@ def test_repair_verifications(target):
 
     with capture() as explorations, \
             mock.patch.object(verify, "check", recording_check), \
-            also_collected(lambda: (fresh_per_run(engine="vclock",
-                                                  predictive=True),)
-                           ) as collected:
+            also_collected(lambda: (fresh_per_run(),)) as collected:
         repair(target, budget="smoke", **REPAIR_CALLS[target])
     assert_pinned(f"repair/{target}", explorations)
     assert len(reports) == len(collected) == len(explorations)

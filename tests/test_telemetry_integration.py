@@ -9,11 +9,13 @@ The acceptance properties of the subsystem:
 * the engine's L1 hit-rate gauges mechanically reproduce the paper's
   Section VI.A explanation (baseline CC has the higher L1 hit rate);
 * a repair registers only families ``docs/observability.md``'s
-  catalog names.
+  catalog names, and the catalog names exactly the families ``src/``
+  spells out.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -285,6 +287,22 @@ def _catalog_families() -> set[str]:
     section = section.split("\n## ", 1)[0]
     return {name for line in section.splitlines() if line.startswith("| `")
             for name in re.findall(r"`(repro_\w+)`", line.split("|")[1])}
+
+
+def _source_families() -> set[str]:
+    """Every ``"repro_…"`` family-name literal in ``src/``."""
+    src = Path(__file__).parents[1] / "src"
+    return {node.value for path in src.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r"repro_[a-z0-9_]+", node.value)}
+
+
+def test_catalog_matches_source_families():
+    source, catalog = _source_families(), _catalog_families()
+    assert "repro_l1_hit_rate" in source
+    assert source - catalog == set(), "emitted but not documented"
+    assert catalog - source == set(), "documented but never emitted"
 
 
 def test_repair_registers_only_cataloged_families():

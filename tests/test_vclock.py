@@ -1,5 +1,6 @@
 """Vector-clock happens-before engine: unit tests and cross-checks
-against the original pairwise shadow scan and the per-byte engine."""
+against the pairwise shadow scan (``tests/pairwise_reference.py``) and
+the per-byte engine."""
 
 from __future__ import annotations
 
@@ -17,8 +18,14 @@ from repro.gpu.interleave import AdversarialScheduler
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.racecheck import RaceDetector
 from repro.gpu.simt import AccessEvent, SimtExecutor
-from repro.errors import DeadlockError, ReproError
+from repro.errors import DeadlockError
 from repro.patterns import PATTERNS, execute_pattern, get_pattern
+from tests.pairwise_reference import (
+    conflict,
+    ordered,
+    pairwise_reports,
+    racy_pairs,
+)
 
 
 def ev(step, tid, *, launch=0, block=0, epoch=0, array="x", start=0,
@@ -121,11 +128,9 @@ class TestPredictiveReports:
         races = collect(events)
         assert (0, 2, True, True, True) in races
 
-        # cross-check: the pairwise engine cannot see it
-        pairwise = RaceDetector(engine="pairwise",
-                                dedupe_by_location=False)
-        pairs = {(r.first.tid, r.second.tid)
-                 for r in pairwise.analyze(events)}
+        # cross-check: the pairwise scan cannot see it
+        pairs = {(first.tid, second.tid)
+                 for first, second, _ in pairwise_reports(events)}
         assert (0, 2) not in pairs
         assert {(0, 1), (1, 2)} <= pairs
 
@@ -153,25 +158,15 @@ class TestPredictiveReports:
 
 
 class TestDetectorIntegration:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ReproError):
-            RaceDetector(engine="magic")
-
-    def test_predictive_flag_filters_reports(self):
-        events = [ev(1, 0, write=True), ev(2, 1, write=True),
-                  ev(3, 2, write=True)]
-        with_pred = RaceDetector(dedupe_by_location=False).analyze(events)
-        without = RaceDetector(dedupe_by_location=False,
-                               predictive=False).analyze(events)
-        assert any(r.predicted for r in with_pred)
-        assert not any(r.predicted for r in without)
-        assert len(without) < len(with_pred)
-
     def test_describe_marks_predicted(self):
-        events = [ev(1, 0, write=True), ev(2, 1, write=True),
+        """t1's one-byte write displaces t0's word write at byte 0
+        only, so t2's word write reports (t0, t2) first as predicted
+        there; its site pair is new, so the per-site dedupe keeps it."""
+        events = [ev(1, 0, write=True), ev(2, 1, write=True, nbytes=1),
                   ev(3, 2, write=True)]
-        reports = RaceDetector(dedupe_by_location=False).analyze(events)
+        reports = RaceDetector().analyze(events)
         predicted = next(r for r in reports if r.predicted)
+        assert (predicted.first.tid, predicted.second.tid) == (0, 2)
         assert predicted.describe().startswith("predicted ")
 
 
@@ -199,17 +194,8 @@ class TestCrossCheckOnPatternTraces:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_vclock_superset_of_pairwise(self, name, variant, seed):
         events = _pattern_events(name, variant, seed)
-        pairwise = RaceDetector(engine="pairwise",
-                                dedupe_by_location=False,
-                                max_reports=100_000).analyze(events)
-        vclock = RaceDetector(engine="vclock",
-                              dedupe_by_location=False,
-                              max_reports=100_000).analyze(events)
-        pairwise_pairs = {(r.first.tid, r.second.tid, r.byte, r.kind)
-                          for r in pairwise}
-        vclock_pairs = {(r.first.tid, r.second.tid, r.byte, r.kind)
-                        for r in vclock}
-        assert pairwise_pairs <= vclock_pairs
+        assert (racy_pairs(pairwise_reports(events))
+                <= racy_pairs(raw_reports(VectorClockEngine, events)))
 
     @pytest.mark.parametrize("name", sorted(PATTERNS))
     @pytest.mark.parametrize("seed", [0, 3])
@@ -218,7 +204,17 @@ class TestCrossCheckOnPatternTraces:
         variant = (Variant.RACE_FREE if pattern.expected_racy
                    else Variant.BASELINE)
         events = _pattern_events(name, variant, seed)
-        assert RaceDetector(engine="vclock").analyze(events) == []
+        assert RaceDetector().analyze(events) == []
+
+    def test_reference_order_and_conflict(self):
+        """The scan's happens-before: launches order everything, a
+        barrier orders one block only; a conflict needs two threads."""
+        w0, w1 = ev(0, 0, write=True), ev(0, 1, write=True)
+        assert ordered(w0, ev(0, 1, write=True, launch=1))
+        assert ordered(w0, ev(0, 1, write=True, epoch=1))
+        assert not ordered(w0, ev(0, 1, write=True, block=1, epoch=1))
+        assert conflict(w0, w1)
+        assert not conflict(w0, w0)
 
 
 # ----------------------------------------------------------------------
@@ -618,24 +614,14 @@ class TestRollback:
     @pytest.mark.parametrize("model", [None, "ptx:acq_rel"])
     @settings(max_examples=100, deadline=None)
     @given(streams=forked_streams(),
-           max_reports=st.sampled_from([1, 2, 3, 1000]),
-           dedupe=st.booleans(), predictive=st.booleans())
+           max_reports=st.sampled_from([1, 2, 3, 1000]))
     def test_session_answers_as_a_fresh_analysis(self, model, streams,
-                                                 max_reports, dedupe,
-                                                 predictive):
+                                                 max_reports):
         prefix, tail_a, tail_b = streams
         detector = RaceDetector(max_reports=max_reports,
-                                dedupe_by_location=dedupe,
-                                predictive=predictive, memory_model=model)
+                                memory_model=model)
         session = detector.session()
         for events in (prefix + tail_a, prefix + tail_b, prefix + tail_b,
                        prefix, prefix + tail_a, [], prefix + tail_b):
             assert session.analyze(events) == detector.analyze(events)
-
-    def test_pairwise_sessions_analyse_afresh(self):
-        events = [ev(1, 1, write=True), ev(2, 0, read=True)]
-        detector = RaceDetector(engine="pairwise")
-        session = detector.session()
-        assert session.analyze(events) == detector.analyze(events)
-        assert session.analyze(events[:1]) == []
 
